@@ -30,6 +30,7 @@ from .seifert import (
     GeneratorResult,
     GenusOneNormalization,
     MetabolizerBasis,
+    MetabolizerVerdict,
     SeifertMatrix,
     connected_sum,
     enumerate_metabolizers,
@@ -39,6 +40,7 @@ from .seifert import (
     is_metabolizer,
     is_primitive,
     linking_with_pushoff,
+    metabolizer_verdict,
     normalize_e,
     reorder,
     standard_metabolizer,
@@ -72,6 +74,7 @@ __all__ = [
     "LedgerDescription",
     "MagnusSeries",
     "MetabolizerBasis",
+    "MetabolizerVerdict",
     "PreconditionError",
     "SeifertMatrix",
     "assemble_commutator_contribution",
@@ -93,6 +96,7 @@ __all__ = [
     "lcs_depth",
     "ledger",
     "linking_with_pushoff",
+    "metabolizer_verdict",
     "mu123",
     "mu_from_class",
     "normalize_e",

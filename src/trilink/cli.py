@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from random import Random
 
@@ -49,10 +50,9 @@ def _as_int(value, what: str) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        try:
-            return int(value.strip())
-        except ValueError:
-            raise ValueError(f"{what} is not an integer: {value!r}") from None
+        if not re.fullmatch(r"-?[0-9]+", value):
+            raise ValueError(f"{what} is not a decimal integer: {value!r}")
+        return int(value)
     raise ValueError(f"{what} must be an integer (or a decimal string)")
 
 
@@ -144,23 +144,12 @@ def cmd_generator(payload: dict, args) -> dict:
 def cmd_metabolizer(payload: dict, args) -> dict:
     m = _parse_matrix(_require(payload, "matrix"))
     v = _parse_metabolizer(_require(payload, "metabolizer"))
-    verdict = seifert.is_metabolizer(m, v)
-    vanishes = all(
-        seifert.form(m, list(ci), list(cj)) == 0
-        for ci in v.columns
-        for cj in v.columns
-    )
-    try:
-        primitive = seifert.is_primitive(v)
-        independent = True
-    except ValueError:
-        primitive = False
-        independent = False
+    verdict = seifert.metabolizer_verdict(m, v)
     return {
-        "is_metabolizer": verdict,
-        "form_vanishes": vanishes,
-        "primitive": primitive,
-        "independent": independent,
+        "is_metabolizer": verdict.is_metabolizer,
+        "form_vanishes": verdict.form_vanishes,
+        "primitive": verdict.primitive,
+        "independent": verdict.independent,
     }
 
 
@@ -293,16 +282,14 @@ def _load_payload(args) -> dict:
     return payload
 
 
-def _emit(result: dict, mode: str) -> None:
+def _render(result: dict, mode: str) -> str:
     encoded = _encode(result)
     if mode == "text":
-        for key, value in encoded.items():
-            if isinstance(value, (dict, list)):
-                print(f"{key}: {json.dumps(value)}")
-            else:
-                print(f"{key}: {value}")
-    else:
-        print(json.dumps(encoded))
+        return "\n".join(
+            f"{key}: {json.dumps(value) if isinstance(value, (dict, list)) else value}"
+            for key, value in encoded.items()
+        )
+    return json.dumps(encoded)
 
 
 def _emit_error(code: str, detail: str) -> None:
@@ -317,7 +304,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         payload = _load_payload(args)
-        result = _HANDLERS[args.command](payload, args)
+        text = _render(_HANDLERS[args.command](payload, args), args.output)
     except PreconditionError as exc:
         _emit_error("precondition", str(exc))
         return 3
@@ -327,7 +314,7 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, KeyError) as exc:
         _emit_error("bad-input", str(exc))
         return 2
-    _emit(result, args.output)
+    print(text)
     return 0
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import pytest
 
@@ -135,6 +136,23 @@ def test_metabolizer_check(capsys, monkeypatch):
     }
 
 
+@pytest.mark.parametrize(
+    "cols, verdict",
+    [
+        ([[0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 2]], (False, True, False, True)),
+        ([[0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 1, 0, 0]], (False, True, False, False)),
+        ([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]], (False, False, True, True)),
+    ],
+    ids=["index-2", "dependent", "form-fails"],
+)
+def test_metabolizer_verdicts(capsys, monkeypatch, cols, verdict):
+    payload = {"matrix": UNKNOT_JSON, "metabolizer": {"columns": cols}}
+    code, out = run_cli(capsys, monkeypatch, ["metabolizer"], payload)
+    assert code == 0
+    keys = ("is_metabolizer", "form_vanishes", "primitive", "independent")
+    assert out == json.dumps(dict(zip(keys, verdict))) + "\n"
+
+
 def test_enumerate(capsys, monkeypatch):
     payload = {"matrix": {"ordering": "interleaved", "entries": [[0, 1], [0, 0]]}, "bound": 1}
     code, out = run_json(capsys, monkeypatch, ["enumerate"], payload)
@@ -203,6 +221,35 @@ def test_big_integers_as_strings(capsys, monkeypatch):
     expected = (big - 1) * (big - 1) * 0 - big * big * 1
     assert int(out["total"]) == expected
     assert isinstance(out["total"], str)  # exceeds 2**53, so serialized as text
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this interpreter has no int-to-string digit limit",
+)
+@pytest.mark.parametrize("mode", ["json", "text"])
+def test_output_past_int_str_limit_is_bad_input(capsys, monkeypatch, mode):
+    # products of 3000-digit parameters exceed the 4300-digit int->str limit
+    names = ("a", "b", "c", "x1", "x2", "y1", "y2", "z1", "z2")
+    payload = {"params": {name: "9" * 3000 for name in names}, "n": 1}
+    code, out = run_cli(capsys, monkeypatch, ["ledger", "--output", mode], payload)
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "bad-input"
+
+
+@pytest.mark.parametrize("text", [" +5 ", "1_000", "\u0661\u0662"])
+def test_integer_strings_must_be_ascii_decimal(capsys, monkeypatch, text):
+    code, out = run_json(capsys, monkeypatch, ["genus-one"], {"d": text, "e": 1})
+    assert code == 2
+    assert out["error"] == "bad-input"
+
+
+def test_negative_decimal_string_accepted(capsys, monkeypatch):
+    code, out = run_json(capsys, monkeypatch, ["genus-one"], {"d": "-2", "e": "1"})
+    assert code == 0
+    assert out["n"] == 1
 
 
 def test_input_file_and_text_output(tmp_path, capsys, monkeypatch):

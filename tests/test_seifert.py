@@ -1,3 +1,7 @@
+import itertools
+import json
+from math import gcd
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -7,15 +11,20 @@ from helpers import (
     brute_force_metabolizer_lattices,
     cofactor_det,
     lattice_keys,
+    minors_gcd,
     random_unimodular,
     unimodular_inverse,
 )
 from trilink.errors import CrossCheckError, PreconditionError
-from trilink.intlinalg import mat_mul, transpose
+from trilink.intlinalg import column_lattice_basis, mat_mul, transpose
 from trilink.realization import GenusThreeParams
 from trilink.seifert import (
     MetabolizerBasis,
+    MetabolizerVerdict,
     SeifertMatrix,
+    _wedge,
+    _wedge_coefficients,
+    _wedge_table,
     connected_sum,
     enumerate_metabolizers,
     form,
@@ -26,6 +35,7 @@ from trilink.seifert import (
     is_metabolizer,
     is_primitive,
     linking_with_pushoff,
+    metabolizer_verdict,
     normalize_e,
     reorder,
     standard_metabolizer,
@@ -34,6 +44,7 @@ from trilink.seifert import (
 )
 
 PARAMS = GenusThreeParams(2, 3, 4, 5, 6, 7, 8, 9, 10)
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def unit(i, dim=6):
@@ -52,6 +63,18 @@ def random_params(rng, bound=9):
 
 def random_stars(rng, bound=9):
     return tuple(rng.randint(-bound, bound) for _ in range(6))
+
+
+def random_seifert(rng, genus, ordering):
+    """Random valid matrix with small entries, zero-heavy so metabolizers occur."""
+    j = intersection_form(genus, ordering)
+    n = 2 * genus
+    rows = [[0] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(r, n):
+            rows[r][c] = rng.choice((0, 0, 0, 1, -1, 2))
+            rows[c][r] = rows[r][c] - j[r][c]
+    return validate(rows, ordering)
 
 
 # ---------------------------------------------------------------- validate
@@ -200,6 +223,17 @@ def test_is_metabolizer_scaled_column_fails(unknot):
     assert is_metabolizer(unknot, MetabolizerBasis(cols)) is False
 
 
+def test_metabolizer_verdict_examples(unknot):
+    assert metabolizer_verdict(unknot, basis_from(1, 3, 5)) == MetabolizerVerdict(True, True, True)
+    scaled = MetabolizerBasis((unit(1), unit(3), tuple(2 * x for x in unit(5))))
+    assert metabolizer_verdict(unknot, scaled) == MetabolizerVerdict(True, True, False)
+    dependent = MetabolizerBasis((unit(1), unit(3), unit(3)))
+    assert metabolizer_verdict(unknot, dependent) == MetabolizerVerdict(True, False, False)
+    assert metabolizer_verdict(unknot, basis_from(0, 1, 3)) == MetabolizerVerdict(False, True, True)
+    assert not metabolizer_verdict(unknot, basis_from(0, 1, 3)).is_metabolizer
+    assert not metabolizer_verdict(unknot, dependent).is_metabolizer
+
+
 def test_is_metabolizer_dimension_errors(unknot):
     with pytest.raises(ValueError, match="column length"):
         is_metabolizer(unknot, MetabolizerBasis(((0, 1),)))
@@ -244,6 +278,53 @@ def test_enumerate_agrees_with_brute_force_genus_2():
     for m in mats:
         assert lattice_keys(enumerate_metabolizers(m, 1)) == \
             brute_force_metabolizer_lattices(m, 1)
+
+
+def test_enumerate_unknot_genus_3_bound_2_matches_golden(unknot):
+    golden = json.loads((DATA / "enumerate_unknot_genus3_bound2.json").read_text())
+    assert golden["entries"] == UNKNOT_ROWS
+    found = enumerate_metabolizers(unknot, golden["bound"])
+    assert [[list(c) for c in v.columns] for v in found] == golden["lattices"]
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+@pytest.mark.parametrize("genus", [1, 2])
+def test_enumerate_agrees_with_brute_force_random(genus, bound):
+    rng = Random(100 * genus + bound)
+    total = 0
+    for _ in range(8):
+        m = random_seifert(rng, genus, rng.choice(("interleaved", "blocked")))
+        found = enumerate_metabolizers(m, bound)
+        keys = [v.columns for v in found]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        for v in found:  # each basis is its lattice's canonical (sort) key
+            assert v.columns == tuple(map(tuple, transpose(column_lattice_basis(v.as_matrix()))))
+        assert lattice_keys(found) == brute_force_metabolizer_lattices(m, bound)
+        total += len(found)
+    assert total > 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_wedge_gives_maximal_minors(k):
+    rng = Random(30 + k)
+    gcds = set()
+    for trial in range(40):
+        cols = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(k)]
+        if trial % 4 == 1:  # index >= 2 in its saturation
+            cols[-1] = [2 * x for x in cols[-1]]
+        elif trial % 4 == 2 and k > 1:  # dependent
+            cols[-1] = [x + y for x, y in zip(cols[0], cols[-2])]
+        p = [1]
+        for level, v in enumerate(cols):
+            p = _wedge(_wedge_coefficients(_wedge_table(6, level), p), v)
+        mat = transpose(cols)
+        minors = [cofactor_det([mat[r] for r in rows])
+                  for rows in itertools.combinations(range(6), k)]
+        assert p == minors
+        assert gcd(*p) == minors_gcd(mat, k)
+        gcds.add(gcd(*p))
+    assert 1 in gcds and any(x > 1 for x in gcds)
+    assert k == 1 or 0 in gcds
 
 
 def test_enumerate_guards(unknot):
