@@ -16,8 +16,8 @@ from .infection import (
     infected_mu,
     triple_det,
 )
-from .magnus import MagnusSeries, coefficient, lcs_depth, mu123, phi, series_mul
-from .nilpotent import CommutatorClass, class_of, commutator_class, mu_from_class
+from .magnus import MagnusSeries, lcs_depth, mu123, phi, series_mul
+from .nilpotent import CommutatorClass, class_of, commutator_class
 from .realization import (
     GenusThreeParams,
     Ledger,
@@ -80,7 +80,6 @@ __all__ = [
     "assemble_commutator_contribution",
     "band_sum_expansion",
     "class_of",
-    "coefficient",
     "commutator",
     "commutator_class",
     "connected_sum",
@@ -98,7 +97,6 @@ __all__ = [
     "linking_with_pushoff",
     "metabolizer_verdict",
     "mu123",
-    "mu_from_class",
     "normalize_e",
     "parse_word",
     "phi",

@@ -62,6 +62,13 @@ def _require(payload: dict, key: str):
     return payload[key]
 
 
+def _word(payload: dict, key: str, rank: int):
+    text = _require(payload, key)
+    if not isinstance(text, str):
+        raise ValueError(f"{key} must be a string of x<k> / x<k>^-1 tokens")
+    return parse_word(text, rank)
+
+
 def _int_matrix(raw, what: str) -> list[list[int]]:
     if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
         raise ValueError(f"{what} must be a list of rows")
@@ -95,6 +102,8 @@ def _degree_cap_from_env() -> int:
     cap = _as_int(raw, ENV_DEGREE_CAP)
     if cap < 2:
         raise ValueError(f"{ENV_DEGREE_CAP} must be >= 2, got {cap}")
+    if cap > magnus.MAX_DEGREE_CAP:
+        raise ValueError(f"{ENV_DEGREE_CAP} must be <= {magnus.MAX_DEGREE_CAP}, got {cap}")
     return cap
 
 
@@ -102,7 +111,7 @@ def cmd_mu(payload: dict, args) -> dict:
     rank = _as_int(payload.get("rank", 3), "rank")
     if rank != 3:
         raise ValueError(f"mu requires rank 3, got {rank}")
-    word = parse_word(_require(payload, "longitude3"), 3)
+    word = _word(payload, "longitude3", 3)
     out = {"mu123": magnus.mu123(word)}
     if args.show_series:
         cap = _degree_cap_from_env()
@@ -114,14 +123,16 @@ def cmd_mu(payload: dict, args) -> dict:
 def cmd_depth(payload: dict, args) -> dict:
     rank = _as_int(_require(payload, "rank"), "rank")
     kmax = _as_int(_require(payload, "kmax"), "kmax")
-    word = parse_word(_require(payload, "word"), rank)
+    if kmax > magnus.MAX_DEGREE_CAP:
+        raise ValueError(f"kmax must be <= {magnus.MAX_DEGREE_CAP}, got {kmax}")
+    word = _word(payload, "word", rank)
     return {"depth": magnus.lcs_depth(word, kmax)}
 
 
 def cmd_class(payload: dict, args) -> dict:
-    word = parse_word(_require(payload, "word"), 3)
+    word = _word(payload, "word", 3)
     cls = nilpotent.class_of(word)
-    return {"class": list(cls), "mu123": nilpotent.mu_from_class(cls)}
+    return {"class": list(cls), "mu123": cls.n1}
 
 
 def cmd_generator(payload: dict, args) -> dict:
@@ -243,8 +254,15 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError on bad argv, where argparse prints usage and exits."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trilink",
         description="Exact computations for triple linking numbers of derivative links.",
     )
@@ -275,7 +293,7 @@ def _load_payload(args) -> dict:
             raise ValueError(f"cannot read input file: {exc}") from None
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError("top-level JSON value must be an object")
@@ -297,14 +315,12 @@ def _emit_error(code: str, detail: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = _build_parser().parse_args(argv)
         payload = _load_payload(args)
         text = _render(_HANDLERS[args.command](payload, args), args.output)
+    except SystemExit as exc:  # only --help exits, after printing the help text
+        return exc.code if isinstance(exc.code, int) else 2
     except PreconditionError as exc:
         _emit_error("precondition", str(exc))
         return 3

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import PreconditionError
-from .magnus import phi
+from .magnus import _degree_two
 from .words import FreeWord, exponent_sum
 
 
@@ -45,21 +45,19 @@ def class_of(w: FreeWord) -> CommutatorClass:
     """Coordinates of a commutator-subgroup element, read off degree 2.
 
     Requires all exponent sums zero (exactly membership in the
-    commutator subgroup, since that is the abelianization kernel).
+    commutator subgroup, since that is the abelianization kernel).  The
+    coordinates are the a1 a2, a1 a3 and a2 a3 coefficients of the
+    Magnus image, taken from the one-pass degree-2 route
+    (magnus._degree_two); phi is its cross-check in the tests.
     """
     if w.rank != 3:
         raise ValueError(f"rank-3 word required, got {w.rank}")
     for index in (1, 2, 3):
         if exponent_sum(w, index) != 0:
             raise PreconditionError(f"nonzero exponent sum for generator {index}")
-    series = phi(w, 2)
+    coeffs = _degree_two(w)
     return CommutatorClass(
-        series.coefficient((1, 2)),
-        series.coefficient((1, 3)),
-        series.coefficient((2, 3)),
+        coeffs.get((1, 2), 0),
+        coeffs.get((1, 3), 0),
+        coeffs.get((2, 3), 0),
     )
-
-
-def mu_from_class(c: CommutatorClass) -> int:
-    """mu-bar(123) is the [x1,x2] coordinate."""
-    return c.n1

@@ -76,17 +76,21 @@ def parse_word(text: str, rank: int) -> FreeWord:
     """Parse whitespace-separated tokens ``x<k>`` / ``x<k>^-1``.
 
     Empty text is the empty word.  Round trip: parsing str(w) gives w
-    back for any reduced word w.
+    back for any reduced word w.  Each distinct token is matched once.
     """
     letters = []
+    seen: dict[str, Letter] = {}
     for token in text.split():
-        m = _TOKEN.match(token)
-        if m is None:
-            raise ValueError(f"malformed token {token!r}")
-        index = int(m.group(1))
-        if index > rank:
-            raise ValueError(f"generator index {index} out of range 1..{rank}")
-        letters.append((index, -1 if m.group(2) else 1))
+        letter = seen.get(token)
+        if letter is None:
+            m = _TOKEN.match(token)
+            if m is None:
+                raise ValueError(f"malformed token {token!r}")
+            index = int(m.group(1))
+            if index > rank:
+                raise ValueError(f"generator index {index} out of range 1..{rank}")
+            letter = seen[token] = (index, -1 if m.group(2) else 1)
+        letters.append(letter)
     return FreeWord(rank, tuple(letters))
 
 

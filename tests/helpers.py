@@ -1,10 +1,10 @@
 """Shared test utilities and independent oracles.
 
 The oracles here deliberately avoid the package's own routines: the
-determinant is cofactor expansion (the package uses Bareiss), series
-multiplication is a fresh dict convolution (the package caches letter
-series), and primitivity is gcd of maximal minors (the package uses
-Smith form).
+determinant is cofactor expansion (the package uses Bareiss), the Magnus
+expansion is a plain dict convolution per letter (the package reads
+degree 2 off exponent sums and multiplies MagnusSeries elsewhere), and
+primitivity is gcd of maximal minors (the package uses Smith form).
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
+import contextlib
 import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import UNKNOT_ROWS
-from trilink import cli, infection
+from trilink import cli, infection, magnus
 
 UNKNOT_JSON = {"genus": 3, "ordering": "interleaved", "entries": UNKNOT_ROWS}
 STANDARD_COLS = {"columns": [[0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1]]}
@@ -276,3 +278,104 @@ def test_output_roundtrips_and_is_deterministic(capsys, monkeypatch):
     assert code1 == code2 == 0
     assert out1 == out2
     json.loads(out1)  # parses under the published schema
+
+
+@pytest.mark.parametrize(
+    "argv", [["nope"], ["mu", "--seed", "abc"], ["mu", "--bogus"], []],
+    ids=["unknown-subcommand", "bad-seed", "unknown-option", "no-subcommand"],
+)
+def test_bad_argv_emits_one_error_object(capsys, monkeypatch, argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO("{}"))
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    assert captured.out.count("\n") == 1
+    assert json.loads(captured.out)["error"] == "bad-input"
+
+
+def test_help_prints_usage(capsys):
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: trilink")
+
+
+def test_degree_ceiling_exit_2(capsys, monkeypatch):
+    top = magnus.MAX_DEGREE_CAP
+    payload = {"rank": 3, "word": "", "kmax": top}
+    assert run_json(capsys, monkeypatch, ["depth"], payload) == (0, {"depth": top})
+    code, out = run_json(capsys, monkeypatch, ["depth"], dict(payload, kmax=top + 1))
+    assert code == 2 and out["error"] == "bad-input"
+    code, out = run_json(capsys, monkeypatch, ["depth"], dict(payload, kmax=100000000))
+    assert code == 2 and out["error"] == "bad-input"
+    monkeypatch.setenv(cli.ENV_DEGREE_CAP, str(top + 1))
+    code, out = run_json(capsys, monkeypatch, ["mu", "--show-series"], {"longitude3": ""})
+    assert code == 2 and out["error"] == "bad-input"
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["class"], {"word": 5}),
+    (["mu"], {"longitude3": ["x1"]}),
+    (["depth"], {"rank": 3, "word": None, "kmax": 2}),
+])
+def test_non_string_word_exit_2(capsys, monkeypatch, argv, payload):
+    code, out = run_json(capsys, monkeypatch, argv, payload)
+    assert code == 2 and out["error"] == "bad-input"
+
+
+def test_deeply_nested_json_exit_2(capsys, monkeypatch):
+    code, out = run_cli(capsys, monkeypatch, ["mu"], stdin_text="[" * 100000 + "]" * 100000)
+    assert code == 2
+    assert json.loads(out)["error"] == "bad-input"
+
+
+_LETTERS = ["x1", "x2", "x3", "x1^-1", "x2^-1", "x3^-1"]
+
+
+def _inverse_text(tokens):
+    return [t[:-3] if t.endswith("^-1") else t + "^-1" for t in reversed(tokens)]
+
+
+_letter_lists = st.lists(st.sampled_from(_LETTERS), max_size=6)
+_words = st.one_of(
+    st.lists(st.sampled_from(_LETTERS + ["x4", "x0", "y1", "x1^2", "x12"]), max_size=12),
+    # commutators [u, v], so that mu and class get past their preconditions
+    st.tuples(_letter_lists, _letter_lists).map(
+        lambda uv: uv[0] + uv[1] + _inverse_text(uv[0]) + _inverse_text(uv[1])),
+).map(" ".join)
+_ints = st.one_of(st.integers(-2, 10), st.integers(), st.integers(-2, 10).map(str))
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=6), _ints),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+# repeated branches weight the draw toward requests that reach the computation
+_fields = {
+    "rank": st.just(3) | st.just(3) | _ints | _json,
+    "word": _words | _words | _json,
+    "longitude3": _words | _words | _json,
+    "kmax": st.integers(1, 8) | _ints | _json,
+}
+_payloads = st.one_of(
+    st.fixed_dictionaries(_fields),
+    st.fixed_dictionaries({}, optional=_fields),
+    _json,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["mu", "class", "depth"]), payload=_payloads)
+def test_word_commands_fuzz(command, payload):
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(payload))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command])
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 2, 3, 4)
+    assert err.getvalue() == ""
+    text = out.getvalue()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert isinstance(json.loads(text), dict)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_commutator_subgroup_word, random_word, series_dict
+from trilink import magnus, nilpotent
 from trilink.errors import PreconditionError
-from trilink.magnus import MagnusSeries, lcs_depth, mu123, one, phi, series_mul
+from trilink.magnus import MagnusSeries, _degree_two, lcs_depth, mu123, one, phi, series_mul
 from trilink.words import (
     FreeWord,
     commutator,
@@ -136,6 +137,60 @@ def test_lcs_depth_examples():
     assert lcs_depth(commutator(X1, X2), 3) == 2
     assert lcs_depth(commutator(commutator(X1, X2), X3), 3) == 3
     assert lcs_depth(FreeWord(3), 5) == 5  # identity: as deep as we can see
+    assert lcs_depth(FreeWord(3), 10**12) == 10**12  # at once, with no loop to kmax
+
+
+def test_degree_two_against_independent_expansion():
+    rng = Random(31)
+    for rank, max_len in ((3, 12), (3, 40), (5, 20)):
+        for _ in range(100):
+            w = random_word(rng, rank, max_len)
+            expected = series_dict(w, 2)
+            got = _degree_two(w)
+            assert all(i != j for i, j in got)
+            for i in range(1, rank + 1):
+                for j in range(1, rank + 1):
+                    if i != j:
+                        assert got.get((i, j), 0) == expected.get((i, j), 0), (w, i, j)
+
+
+def test_mu123_and_class_of_do_not_expand_the_series(monkeypatch):
+    def no_phi(*args):
+        raise AssertionError("the series was expanded")
+
+    monkeypatch.setattr(magnus, "phi", no_phi)
+    monkeypatch.setattr(magnus, "series_mul", no_phi)
+    w = word_product(commutator(X1, X2), commutator(X2, X3))
+    assert mu123(w) == 1
+    assert nilpotent.class_of(w) == (1, 0, 1)
+
+
+def _left_normed(rng, weight):
+    """[..[[g1, g2], g3].., g_weight] of generators with g1 != g2: depth = weight."""
+    g1, g2 = rng.sample((X1, X2, X3), 2)
+    w = commutator(g1, g2)
+    for _ in range(weight - 2):
+        g = rng.choice((X1, X2, X3))
+        w = commutator(w, g if rng.random() < 0.5 else word_inverse(g))
+    return w
+
+
+def test_lcs_depth_against_lowest_degree():
+    rng = Random(37)
+    for kmax in range(1, 7):
+        words = [FreeWord(3), _left_normed(rng, kmax), _left_normed(rng, kmax + 1)]
+        if kmax >= 2:
+            words.append(_left_normed(rng, kmax - 1))
+        for _ in range(15):
+            u, v = random_word(rng, 3, 4), random_word(rng, 3, 4)
+            words += [
+                random_word(rng, 3, 8),
+                random_commutator_subgroup_word(rng),
+                commutator(commutator(u, v), random_word(rng, 3, 3)),
+            ]
+        for w in words:
+            degrees = [len(m) for m in series_dict(w, kmax) if m]
+            assert lcs_depth(w, kmax) == (min(degrees) if degrees else kmax), (w, kmax)
 
 
 def test_lcs_depth_caps_at_kmax():

@@ -5,7 +5,7 @@ import pytest
 from helpers import random_commutator_subgroup_word, random_word
 from trilink.errors import PreconditionError
 from trilink.magnus import mu123
-from trilink.nilpotent import CommutatorClass, class_of, commutator_class, mu_from_class
+from trilink.nilpotent import CommutatorClass, class_of, commutator_class
 from trilink.words import (
     FreeWord,
     commutator,
@@ -42,10 +42,10 @@ def test_class_of_precondition():
         class_of(parse_word("x2", 3))
 
 
-def test_mu_from_class():
-    assert mu_from_class(CommutatorClass(1, 0, 0)) == 1
-    assert mu_from_class(CommutatorClass(0, 5, -2)) == 0
-    assert mu_from_class(CommutatorClass(-3, 1, 1)) == -3
+def test_commutator_class_n1():
+    assert CommutatorClass(1, 0, 0).n1 == 1
+    assert CommutatorClass(0, 5, -2).n1 == 0
+    assert CommutatorClass(-3, 1, 1).n1 == -3
 
 
 def test_bilinearity_random():
@@ -84,4 +84,4 @@ def test_mu_agreement():
     rng = Random(19)
     for _ in range(300):
         w = random_commutator_subgroup_word(rng)
-        assert mu_from_class(class_of(w)) == mu123(w)
+        assert class_of(w).n1 == mu123(w)

@@ -42,6 +42,17 @@ def test_parse_rejects_malformed(bad):
         parse_word(bad, 3)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x1 y1 x2 y1", "malformed token 'y1'"),
+    ("x2 x2 x4 x1 x4", "generator index 4 out of range"),
+    ("x5 x1 y1 x5 y1", "generator index 5 out of range"),
+    ("x1 y1 x5 y1 x5", "malformed token 'y1'"),
+])
+def test_parse_reports_first_bad_token_when_it_repeats(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_word(text, 3)
+
+
 def test_str_roundtrip():
     w = parse_word("x1 x3^-1 x3^-1 x2", 3)
     assert parse_word(str(w), 3) == w
