@@ -38,8 +38,6 @@ from .seifert import (
     generator_from_block,
     genus_one_normalize,
     is_metabolizer,
-    is_primitive,
-    linking_with_pushoff,
     metabolizer_verdict,
     normalize_e,
     reorder,
@@ -91,10 +89,8 @@ __all__ = [
     "genus_one_normalize",
     "infected_mu",
     "is_metabolizer",
-    "is_primitive",
     "lcs_depth",
     "ledger",
-    "linking_with_pushoff",
     "metabolizer_verdict",
     "mu123",
     "normalize_e",

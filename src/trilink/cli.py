@@ -167,8 +167,7 @@ def cmd_metabolizer(payload: dict, args) -> dict:
 def cmd_enumerate(payload: dict, args) -> dict:
     m = _parse_matrix(_require(payload, "matrix"))
     bound = _as_int(_require(payload, "bound"), "bound")
-    cap = _as_int(payload.get("bound_cap", seifert.DEFAULT_BOUND_CAP), "bound_cap")
-    results = seifert.enumerate_metabolizers(m, bound, bound_cap=cap)
+    results = seifert.enumerate_metabolizers(m, bound)
     return {
         "count": len(results),
         "metabolizers": [{"columns": [list(c) for c in v.columns]} for v in results],

@@ -2,22 +2,27 @@
 
 Matrices are lists of rows of Python ints, so everything is
 arbitrary-precision by construction.  All elimination is fraction-free:
-Bareiss for determinants, extended-gcd pivoting for the Hermite and
-Smith forms.  Nothing in this package exceeds 6x6, so the code favors
-being checkable over being fast.
+Bareiss for determinants, and one extended-gcd routine, row_hnf, for
+lattices; the rest is read off Hermite forms.  The Smith diagonal comes
+from alternating row Hermite forms of a matrix and of its transpose
+until it is diagonal.  That stops: the top-left entry of each form
+divides the one before, and once it stops shrinking its row and column
+are clear, and the same holds for the trailing block (Kannan and
+Bachem, SIAM J. Comput. 8, 1979; Cohen, GTM 138, section 2.4).  A
+unimodular transform, where one is needed, is the right block of
+row_hnf([m | I]).  Nothing in this package exceeds 6x6, so the code
+favors being checkable over being fast.
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 Matrix = list[list[int]]
 
 
 def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
 
 
 def copy_matrix(m: Matrix) -> Matrix:
@@ -35,16 +40,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
     bt = transpose(b)
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_vec(m: Matrix, v: list[int]) -> list[int]:
-    if m and len(m[0]) != len(v):
-        raise ValueError("matrix/vector size mismatch")
-    return [sum(x * y for x, y in zip(row, v)) for row in m]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def bilinear(u: list[int], m: Matrix, v: list[int]) -> int:
@@ -101,17 +96,18 @@ def is_unimodular(m: Matrix) -> bool:
     return abs(det(m)) == 1
 
 
-def row_hnf(m: Matrix) -> tuple[Matrix, Matrix]:
-    """Row Hermite normal form: returns (h, u) with h = u*m, u unimodular.
+def row_hnf(m: Matrix) -> Matrix:
+    """Row Hermite normal form of m.
 
     Pivots are positive, entries below a pivot are zero, entries above
-    are reduced into [0, pivot).  h is the canonical basis of the row
-    lattice of m, padded with zero rows.
+    are reduced into [0, pivot).  The result is the canonical basis of
+    the row lattice of m, padded with zero rows.  The unimodular u with
+    u*m = row_hnf(m) is the right block of row_hnf([m | I]), whose left
+    block is row_hnf(m).
     """
     a = copy_matrix(m)
     rows = len(a)
     cols = len(a[0]) if a else 0
-    u = identity(rows)
     r = 0
     for col in range(cols):
         piv = next((i for i in range(r, rows) if a[i][col] != 0), None)
@@ -119,14 +115,12 @@ def row_hnf(m: Matrix) -> tuple[Matrix, Matrix]:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
-            u[r], u[piv] = u[piv], u[r]
         for i in range(r + 1, rows):
             if a[i][col] == 0:
                 continue
             if a[i][col] % a[r][col] == 0:
                 f = a[i][col] // a[r][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-                u[i] = [x - f * y for x, y in zip(u[i], u[r])]
                 continue
             g, s, t = xgcd(a[r][col], a[i][col])
             p, q = a[r][col] // g, a[i][col] // g
@@ -134,22 +128,16 @@ def row_hnf(m: Matrix) -> tuple[Matrix, Matrix]:
                 [s * x + t * y for x, y in zip(a[r], a[i])],
                 [-q * x + p * y for x, y in zip(a[r], a[i])],
             )
-            u[r], u[i] = (
-                [s * x + t * y for x, y in zip(u[r], u[i])],
-                [-q * x + p * y for x, y in zip(u[r], u[i])],
-            )
         if a[r][col] < 0:
             a[r] = [-x for x in a[r]]
-            u[r] = [-x for x in u[r]]
         for i in range(r):
             q = a[i][col] // a[r][col]
             if q:
                 a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         r += 1
         if r == rows:
             break
-    return a, u
+    return a
 
 
 def column_lattice_basis(m: Matrix) -> Matrix:
@@ -158,134 +146,23 @@ def column_lattice_basis(m: Matrix) -> Matrix:
     Two matrices span the same column lattice iff this agrees entry for
     entry, which is what the metabolizer search uses for deduplication.
     """
-    h, _ = row_hnf(transpose(m))
-    rows = [row for row in h if any(row)]
+    rows = [row for row in row_hnf(transpose(m)) if any(row)]
     return transpose(rows)
 
 
-def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form: returns (d, p, q) with d = p*m*q.
+def snf(m: Matrix) -> list[int]:
+    """Smith diagonal (invariant factors) of m, length min(rows, cols).
 
-    p and q are unimodular; d is diagonal with nonnegative entries and
-    d[i] | d[i+1].
+    Entries are nonnegative, each divides the next, and zeros come last.
+    Row Hermite forms of the matrix and of its transpose alternate
+    until it is diagonal; a diagonal matrix has the Smith form of its
+    entries after gcd/lcm exchanges, d_i, d_j -> gcd, lcm for i < j.
     """
-    a = copy_matrix(m)
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-    p = identity(rows)
-    q = identity(cols)
-
-    def clear_row_entry(i):
-        # zero a[i][t] against the pivot; plain subtraction when the pivot
-        # divides (never touches row t), gcd combine otherwise (strictly
-        # shrinks the pivot, so only finitely many combines ever happen)
-        piv, v = a[t][t], a[i][t]
-        if v % piv == 0:
-            f = v // piv
-            a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-            p[i] = [x - f * y for x, y in zip(p[i], p[t])]
-            return
-        g, s, u = xgcd(piv, v)
-        pp, qq = piv // g, v // g
-        a[t], a[i] = (
-            [s * x + u * y for x, y in zip(a[t], a[i])],
-            [-qq * x + pp * y for x, y in zip(a[t], a[i])],
-        )
-        p[t], p[i] = (
-            [s * x + u * y for x, y in zip(p[t], p[i])],
-            [-qq * x + pp * y for x, y in zip(p[t], p[i])],
-        )
-
-    def clear_col_entry(j):
-        piv, v = a[t][t], a[t][j]
-        if v % piv == 0:
-            f = v // piv
-            for mat in (a, q):
-                for row in mat:
-                    row[j] -= f * row[t]
-            return
-        g, s, u = xgcd(piv, v)
-        pp, qq = piv // g, v // g
-        for mat in (a, q):
-            for row in mat:
-                x, y = row[t], row[j]
-                row[t], row[j] = s * x + u * y, -qq * x + pp * y
-
-    t = 0
-    while t < min(rows, cols):
-        # smallest nonzero pivot candidate in the trailing block
-        piv = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best, piv = v, (i, j)
-        if piv is None:
-            break
-        pi, pj = piv
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-            p[t], p[pi] = p[pi], p[t]
-        if pj != t:
-            for mat in (a, q):
-                for row in mat:
-                    row[t], row[pj] = row[pj], row[t]
-        while True:
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    clear_row_entry(i)
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    clear_col_entry(j)
-            if any(a[i][t] for i in range(t + 1, rows)):
-                continue  # column clearing got undone by a column op
-            if any(a[t][j] for j in range(t + 1, cols)):
-                continue
-            # divisibility: pivot must divide the whole trailing block
-            viol = next(
-                ((i, j) for i in range(t + 1, rows) for j in range(t + 1, cols)
-                 if a[i][j] % a[t][t] != 0),
-                None,
-            )
-            if viol is None:
-                break
-            i, _ = viol
-            a[t] = [x + y for x, y in zip(a[t], a[i])]
-            p[t] = [x + y for x, y in zip(p[t], p[i])]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            p[t] = [-x for x in p[t]]
-        t += 1
-    return a, p, q
-
-
-def invariant_factors(m: Matrix) -> list[int]:
-    """Diagonal of the Smith normal form, length min(rows, cols)."""
-    d, _, _ = snf(m)
-    k = min(len(m), len(m[0]) if m else 0)
-    return [d[i][i] for i in range(k)]
-
-
-def solve(a: Matrix, b: list[int]) -> list[int] | None:
-    """One integer solution x of a*x = b, or None if there is none."""
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-    if len(b) != rows:
-        raise ValueError("right-hand side has wrong length")
-    d, p, q = snf(a)
-    c = mat_vec(p, b)
-    y = [0] * cols
-    for i in range(rows):
-        di = d[i][i] if i < min(rows, cols) else 0
-        if di == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % di != 0:
-                return None
-            y[i] = c[i] // di
-    x = mat_vec(q, y)
-    if mat_vec(a, x) != b:  # cheap belt-and-suspenders on the transforms
-        return None
-    return x
+    a = row_hnf(m)
+    while any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+        a = row_hnf(transpose(a))
+    d = [a[i][i] for i in range(min(len(a), len(a[0]) if a else 0))]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return d

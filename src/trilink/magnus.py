@@ -15,7 +15,8 @@ the lowest degree of a surviving term bounds lower-central-series depth
 mu123 (and nilpotent.class_of) need only the a_i a_j coefficients with
 i != j, which the degree-2 route _degree_two reads off running exponent
 sums in one pass over the word, as in Fox's free differential calculus.
-phi multiplies out the whole truncated series; it serves lcs_depth and
+lcs_depth reads degrees 1 and 2 the same way.  phi multiplies out the
+whole truncated series; it serves lcs_depth from degree 3 up and
 --show-series, and it is the cross-check of the degree-2 route.
 """
 
@@ -203,17 +204,28 @@ def lcs_depth(w: FreeWord, kmax: int) -> int:
 
     By Magnus's criterion this witnesses membership in the k-th lower
     central subgroup; at finite truncation it cannot distinguish depths
-    beyond kmax, so kmax means "at least kmax".  The series is built at
-    caps 1, 2, ..., kmax - 1 and stops at the first cap d with a
-    surviving term of positive degree, which is then of degree d:
-    truncation to a lower cap is a ring map, so the terms below d were
-    already zero.  A word's series always has constant term 1.
+    beyond kmax, so kmax means "at least kmax".  Degrees 1 and 2 need no
+    series: the a_i coefficients are the exponent sums e_i, and the a_i^2
+    coefficient is C(e_i, 2), which vanishes once every e_i does, so
+    degree 2 survives iff some a_i a_j (i != j) coefficient of
+    _degree_two does.  From cap 3 up the series is built at caps 3, ...,
+    kmax - 1 and stops at the first cap d with a surviving term of
+    positive degree, which is then of degree d: truncation to a lower
+    cap is a ring map, so the terms below d were already zero.  A word's
+    series always has constant term 1.
     """
     if kmax < 1:
         raise ValueError(f"kmax must be positive, got {kmax}")
-    if not w.letters:
+    if kmax == 1 or not w.letters:
         return kmax
-    for d in range(1, kmax):
+    sums: dict[int, int] = {}
+    for i, s in w.letters:
+        sums[i] = sums.get(i, 0) + s
+    if any(sums.values()):
+        return 1
+    if kmax == 2 or any(_degree_two(w).values()):
+        return 2
+    for d in range(3, kmax):
         if len(phi(w, d).terms) > 1:
             return d
     return kmax

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CrossCheckError
-from .seifert import SeifertMatrix, generator_from_block, linking_with_pushoff, validate
+from .seifert import SeifertMatrix, form, generator_from_block, validate
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,7 +179,7 @@ def pushoff_ledger_entries(p: GenusThreeParams, n: int, stars=None) -> list[tupl
     ]
     out = []
     for name, row, col, want in specs:
-        value = linking_with_pushoff(m, row, col, "+")
+        value = form(m, row, col)
         if value != want:
             raise CrossCheckError(f"entry {name}: matrix gives {value}, closed form {want}")
         out.append((name, value))

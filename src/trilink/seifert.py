@@ -39,22 +39,27 @@ from .intlinalg import (
     bilinear,
     column_lattice_basis,
     det,
-    invariant_factors,
+    identity,
     is_unimodular,
     mat_mul,
-    solve,
+    row_hnf,
+    snf,
     transpose,
     xgcd,
 )
 
 ORDERINGS = ("interleaved", "blocked")
 
-# Hard cap on metabolizer-search genus; the candidate set grows like
-# (2*bound+1)**(2*genus) and past genus 3 this is no longer desk scale.
-# Measured on the genus-3 unknot surface (Python 3.11.7, shared 2-CPU
-# Xeon, median of 5): 0.06 s at bound 1 and 2.0 s at bound 2.
+# Hard cap on metabolizer-search genus: the exterior-product tables of
+# the search cover three columns at most.
 MAX_SEARCH_GENUS = 3
-DEFAULT_BOUND_CAP = 2
+# Largest coefficient box (2*bound+1)**(2*genus) a search may scan: genus 3
+# at bound 2, genus 2 at bound 5, genus 1 at bound 62.  Python 3.11.7,
+# shared 2-CPU Xeon: the genus-3 unknot surface took 0.06 s at bound 1
+# and 2.0-2.6 s at bound 2 (median of 5); every bound up to the limit
+# took at most 0.02 s at genus 1 (6 matrices) and at most 0.09 s at
+# genus 2 (7 matrices, the slowest the unknot surface at bound 5).
+MAX_SEARCH_BOX = 5**6
 
 
 def intersection_form(genus: int, ordering: str) -> Matrix:
@@ -141,17 +146,11 @@ def reorder(m: SeifertMatrix, target_ordering: str) -> SeifertMatrix:
 
 
 def form(m: SeifertMatrix, u: list[int], v: list[int]) -> int:
-    """The Seifert form u^T M v (linking of u with the + pushoff of v)."""
+    """The Seifert form u^T M v: linking of u with the + pushoff of v.
+
+    Linking of u with the - pushoff of v is form(m, v, u).
+    """
     return bilinear(list(u), m.rows(), list(v))
-
-
-def linking_with_pushoff(m: SeifertMatrix, x: list[int], y: list[int], direction: str) -> int:
-    """Linking of class x with the pushoff of class y to the given side."""
-    if direction == "+":
-        return bilinear(list(x), m.rows(), list(y))
-    if direction == "-":
-        return bilinear(list(x), transpose(m.rows()), list(y))
-    raise ValueError(f"direction must be '+' or '-', got {direction!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,14 +193,6 @@ def standard_metabolizer(m: SeifertMatrix) -> MetabolizerBasis:
     return MetabolizerBasis(tuple(cols))
 
 
-def is_primitive(v: MetabolizerBasis) -> bool:
-    """True iff the columns span a direct summand (all invariant factors 1)."""
-    factors = invariant_factors(v.as_matrix())
-    if any(f == 0 for f in factors):
-        raise ValueError("columns are linearly dependent")
-    return all(f == 1 for f in factors)
-
-
 class MetabolizerVerdict(NamedTuple):
     """The three facts a metabolizer test rests on, from one pass each."""
 
@@ -228,7 +219,7 @@ def metabolizer_verdict(m: SeifertMatrix, v: MetabolizerBasis) -> MetabolizerVer
     vanishes = all(
         bilinear(list(ci), rows, list(cj)) == 0 for ci in v.columns for cj in v.columns
     )
-    factors = invariant_factors(v.as_matrix())
+    factors = snf(v.as_matrix())
     return MetabolizerVerdict(vanishes, all(factors), all(f == 1 for f in factors))
 
 
@@ -294,16 +285,14 @@ def _primitive_cliques(cands, adj, tables, clique, plucker, allowed):
             yield from _primitive_cliques(cands, adj, tables, clique + [j], ext, later)
 
 
-def enumerate_metabolizers(
-    m: SeifertMatrix, coeff_bound: int, bound_cap: int = DEFAULT_BOUND_CAP
-) -> list[MetabolizerBasis]:
+def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[MetabolizerBasis]:
     """All metabolizers spanned by columns with entries in [-bound, bound].
 
     Results are one basis per lattice, the Hermite canonical basis of
-    its column span, sorted by those columns.  The search space is
-    (2*bound+1)**(2*genus), so genus is capped at MAX_SEARCH_GENUS and
-    the bound at bound_cap; pass a larger bound_cap explicitly to go
-    further.
+    its column span, sorted by those columns.  The search space is the
+    box of (2*bound+1)**(2*genus) vectors, so genus is capped at
+    MAX_SEARCH_GENUS and the box at MAX_SEARCH_BOX; a larger request is
+    refused before any work starts.
 
     The search enumerates lattices, not bases.  Every vector of a basis
     of a direct summand is primitive, and every subset of such a basis
@@ -327,10 +316,10 @@ def enumerate_metabolizers(
         raise ValueError(f"coefficient bound must be >= 1, got {coeff_bound}")
     if m.genus > MAX_SEARCH_GENUS:
         raise ValueError(f"genus {m.genus} exceeds the search guard ({MAX_SEARCH_GENUS})")
-    if coeff_bound > bound_cap:
+    if (2 * coeff_bound + 1) ** m.dim > MAX_SEARCH_BOX:
         raise ValueError(
-            f"coefficient bound {coeff_bound} above cap {bound_cap}; "
-            "raise bound_cap explicitly to search further"
+            f"coefficient bound {coeff_bound} at genus {m.genus} gives a search box "
+            f"above cap MAX_SEARCH_BOX = {MAX_SEARCH_BOX} vectors"
         )
     g, n = m.genus, m.dim
     cols_of_m = transpose(m.rows())
@@ -383,6 +372,13 @@ def symplectic_complete(
     re-verified on every call.  Passing an rng picks a different (still
     valid) completion, used to confirm downstream outputs don't depend
     on the choice.
+
+    The duals come from one Hermite form.  A primitive V has row
+    Hermite form [I; 0], so the first g rows of row_hnf([V | I]) are
+    [I | L] with L V = I, and A = J L^T satisfies A^T J V = I because
+    J^T J = I.  Any dual is fixed modulo V, since V is its own
+    J-orthogonal complement, so the a-to-b block A^T M V that the
+    generator reads does not depend on which one is picked.
     """
     if not is_metabolizer(m, v):
         raise PreconditionError("not a metabolizer; completion refused")
@@ -390,16 +386,10 @@ def symplectic_complete(
     j = m.skew()
     vmat = v.as_matrix()
 
-    # duality: solve (V^T J^T) a_i = e_i over the integers
-    s = mat_mul(transpose(vmat), transpose(j))
-    a_cols: list[list[int]] = []
-    for i in range(g):
-        target = [1 if r == i else 0 for r in range(g)]
-        sol = solve(s, target)
-        if sol is None:
-            raise CrossCheckError("dual system unsolvable on a primitive metabolizer")
-        a_cols.append(sol)
-    a = transpose(a_cols)
+    # duality: A^T J V = I, with A = J L^T read off the Hermite form
+    eye = identity(m.dim)
+    h = row_hnf([vmat[r] + eye[r] for r in range(m.dim)])
+    a = mat_mul(j, transpose([row[g:] for row in h[:g]]))
 
     if rng is not None:
         shift = [[rng.randint(-3, 3) for _ in range(g)] for _ in range(g)]

@@ -59,12 +59,14 @@ def random_unimodular(rng: Random, n: int, steps: int = 12) -> list[list[int]]:
 
 
 def unimodular_inverse(m: list[list[int]]) -> list[list[int]]:
-    """Inverse of a +-1 determinant integer matrix (row HNF of it is I)."""
+    """Inverse of a +-1 determinant integer matrix: row_hnf([m | I]) is [I | m^-1]."""
     from trilink.intlinalg import row_hnf
 
-    h, u = row_hnf(m)
-    assert h == identity(len(m)), "matrix is not unimodular"
-    return u
+    n = len(m)
+    eye = identity(n)
+    h = row_hnf([m[i] + eye[i] for i in range(n)])
+    assert [row[:n] for row in h] == eye, "matrix is not unimodular"
+    return [row[n:] for row in h]
 
 
 def cofactor_det(m: list[list[int]]) -> int:

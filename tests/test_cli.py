@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import UNKNOT_ROWS
 from trilink import cli, infection, magnus
+from trilink.realization import GenusThreeParams
+from trilink.seifert import reorder, standard_metabolizer, validate
 
 UNKNOT_JSON = {"genus": 3, "ordering": "interleaved", "entries": UNKNOT_ROWS}
 STANDARD_COLS = {"columns": [[0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1]]}
@@ -161,6 +163,10 @@ def test_enumerate(capsys, monkeypatch):
     assert code == 0
     assert out["count"] == len(out["metabolizers"]) >= 2
     assert {"columns": [[0, 1]]} in out["metabolizers"]
+    # the box limit holds whatever else the payload says; bound_cap is not read
+    payload = {"matrix": UNKNOT_JSON, "bound": 3, "bound_cap": 10}
+    code, out = run_json(capsys, monkeypatch, ["enumerate"], payload)
+    assert code == 2 and "above cap" in out["detail"]
 
 
 def test_infect_profile_route(capsys, monkeypatch):
@@ -363,9 +369,7 @@ _payloads = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(command=st.sampled_from(["mu", "class", "depth"]), payload=_payloads)
-def test_word_commands_fuzz(command, payload):
+def _assert_one_reply(command, payload):
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
     sys.stdin = io.StringIO(json.dumps(payload))
@@ -379,3 +383,91 @@ def test_word_commands_fuzz(command, payload):
     text = out.getvalue()
     assert text.count("\n") == 1 and text.endswith("\n")
     assert isinstance(json.loads(text), dict)
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["mu", "class", "depth"]), payload=_payloads)
+def test_word_commands_fuzz(command, payload):
+    _assert_one_reply(command, payload)
+
+
+_small = st.integers(-4, 4)
+_big = st.sampled_from([2**70, -(2**70), 10**40])
+_entry = _small | _small | _big
+
+
+@st.composite
+def _matrix_and_columns(draw):
+    """A valid matrix and metabolizer, then perhaps one defect in either."""
+    genus = draw(st.sampled_from([1, 2, 3, 3]))
+    if genus == 3:
+        params = GenusThreeParams(*draw(st.lists(_entry, min_size=9, max_size=9)))
+        m = params.seifert_matrix(tuple(draw(st.lists(_small, min_size=6, max_size=6))))
+        if draw(st.booleans()):
+            m = reorder(m, "blocked")
+    else:  # connected sum of genus-one summands [[d, e], [e - 1, 0]]
+        rows = [[0] * 2 * genus for _ in range(2 * genus)]
+        for k in range(genus):
+            d, e = draw(_entry), draw(_entry)
+            rows[2 * k][2 * k:2 * k + 2] = [d, e]
+            rows[2 * k + 1][2 * k] = e - 1
+        m = validate(rows, "interleaved")
+    entries = [list(r) for r in m.entries]
+    cols = [list(c) for c in standard_metabolizer(m).columns]
+    defect = draw(st.sampled_from(["none", "none", "short-row", "missing-row", "short-column",
+                                   "long-column", "dependent", "doubled", "missing-column",
+                                   "a-curve", "string-entry", "genus"]))
+    matrix = {"ordering": m.ordering, "entries": entries}
+    if defect == "short-row":
+        entries[-1].pop()
+    elif defect == "missing-row":
+        entries.pop()
+    elif defect == "short-column":
+        cols[0].pop()
+    elif defect == "long-column":
+        cols[-1].append(0)
+    elif defect == "dependent":
+        cols[-1] = list(cols[0])
+    elif defect == "doubled":
+        cols[-1] = [2 * x for x in cols[-1]]
+    elif defect == "missing-column":
+        cols.pop()
+    elif defect == "a-curve":  # the form no longer vanishes
+        cols[0] = [1 if x == 0 and i == 0 else x for i, x in enumerate(cols[0])]
+    elif defect == "string-entry":
+        entries[0][0] = str(entries[0][0])
+    elif defect == "genus":
+        matrix["genus"] = m.genus + 1
+    return matrix, {"columns": cols}
+
+
+_PARAM_NAMES = ("a", "b", "c", "x1", "x2", "y1", "y2", "z1", "z2")
+_ledger_params = (st.fixed_dictionaries({k: _entry for k in _PARAM_NAMES})
+                  | st.fixed_dictionaries({}, optional={k: _entry | _ints for k in _PARAM_NAMES}))
+_grid3 = st.lists(st.lists(_entry, min_size=3, max_size=3), min_size=3, max_size=3)
+_grid = _grid3 | st.lists(st.lists(_entry, min_size=2, max_size=4), min_size=2, max_size=4)
+_counts = st.lists(st.lists(st.integers(-1, 5), min_size=3, max_size=3), min_size=3, max_size=3)
+# no bound 2: at genus 3 that is the one box under the limit that takes seconds
+_bounds = st.sampled_from([1, 1, "1", 3, 4, 5, 62, -1, 0, 6, 63, 2**64, "1" + "0" * 30,
+                           None, 1.5, True, "x", [1]])
+
+_matrix_requests = _matrix_and_columns().map(lambda mc: {"matrix": mc[0], "metabolizer": mc[1]})
+# as above, the repeated branch weights the draw toward requests that reach the computation
+_SEIFERT_PAYLOADS = {
+    "generator": _matrix_requests | _matrix_requests | _json,
+    "metabolizer": _matrix_requests | _matrix_requests | _json,
+    "enumerate": st.tuples(_matrix_and_columns(), _bounds).map(
+        lambda mb: {"matrix": mb[0][0], "bound": mb[1]}),
+    "infect": st.fixed_dictionaries(
+        {"mu_J": _entry, "mu_L": _entry | _json},
+        optional={"N": _grid | _json, "alpha": _counts | _grid, "beta": _counts}),
+    "genus-one": st.fixed_dictionaries({}, optional={"d": _entry | _ints, "e": _entry | _json}),
+    "ledger": st.fixed_dictionaries({"params": _ledger_params | _json, "n": _entry | _json}),
+}
+
+
+@pytest.mark.parametrize("command", list(_SEIFERT_PAYLOADS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_seifert_commands_fuzz(command, data):
+    _assert_one_reply(command, data.draw(_SEIFERT_PAYLOADS[command]))

@@ -193,6 +193,26 @@ def test_lcs_depth_against_lowest_degree():
             assert lcs_depth(w, kmax) == (min(degrees) if degrees else kmax), (w, kmax)
 
 
+def test_lcs_depth_reads_degrees_one_and_two_without_the_series(monkeypatch):
+    rng = Random(41)
+    tokens = [f"x{i}" for i in range(1, 201)]
+    spread = parse_word(" ".join(tokens + [t + "^-1" for t in tokens]), 200)  # a_i a_j = -1, i > j
+    cases = [(spread, 2), (X1, 1), (commutator(X1, X2), 2)]
+    while len(cases) < 60:
+        w = random_commutator_subgroup_word(rng) if len(cases) % 2 else random_word(rng, 3, 8)
+        degrees = [len(m) for m in series_dict(w, 2) if m]
+        if degrees:
+            cases.append((w, min(degrees)))
+
+    def no_phi(*args):
+        raise AssertionError("the series was expanded")
+
+    monkeypatch.setattr(magnus, "phi", no_phi)
+    for w, depth in cases:
+        for kmax in (1, 2, 3, 8):
+            assert lcs_depth(w, kmax) == min(depth, kmax), (w, kmax)
+
+
 def test_lcs_depth_caps_at_kmax():
     deep = commutator(commutator(X1, X2), X3)
     assert lcs_depth(deep, 2) == 2

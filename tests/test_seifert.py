@@ -33,8 +33,6 @@ from trilink.seifert import (
     genus_one_normalize,
     intersection_form,
     is_metabolizer,
-    is_primitive,
-    linking_with_pushoff,
     metabolizer_verdict,
     normalize_e,
     reorder,
@@ -169,42 +167,14 @@ def test_skew_part_is_intersection_form():
         assert m.skew() == intersection_form(3, "interleaved")
 
 
-# ------------------------------------------------------- linking_with_pushoff
-
-
 def test_pushoff_examples():
+    # linking with the + pushoff is form(m, x, y), with the - pushoff form(m, y, x)
     m = PARAMS.seifert_matrix()
-    e4, e5, e6 = list(unit(3)), list(unit(4)), list(unit(5))
-    assert linking_with_pushoff(m, e6, [0, 0, 0, 0, -1, 0], "+") == -(PARAMS.c - 1) == -3
-    assert linking_with_pushoff(m, e4, [-1, 1, 0, 0, 0, -1], "+") == -PARAMS.x1 == -5
-    assert linking_with_pushoff(m, [1] * 6, [0] * 6, "+") == 0
-    assert linking_with_pushoff(m, [1] * 6, [0] * 6, "-") == 0
-
-
-def test_pushoff_direction_transpose():
-    rng = Random(4)
-    m = random_params(rng).seifert_matrix(random_stars(rng))
-    for _ in range(30):
-        x = [rng.randint(-3, 3) for _ in range(6)]
-        y = [rng.randint(-3, 3) for _ in range(6)]
-        assert linking_with_pushoff(m, x, y, "-") == linking_with_pushoff(m, y, x, "+")
-    with pytest.raises(ValueError, match="direction"):
-        linking_with_pushoff(m, [0] * 6, [0] * 6, "?")
-
-
-# ------------------------------------------------------------- primitivity
-
-
-def test_is_primitive_examples():
-    assert is_primitive(basis_from(1, 3, 5)) is True
-    assert is_primitive(MetabolizerBasis(((0, 2),))) is False
-    r = genus_one_normalize(2, 1)
-    assert is_primitive(MetabolizerBasis(((r.x, r.y),))) is True
-
-
-def test_is_primitive_rejects_dependent_columns():
-    with pytest.raises(ValueError, match="dependent"):
-        is_primitive(MetabolizerBasis(((1, 0, 2, 0), (2, 0, 4, 0))))
+    e4, e6 = list(unit(3)), list(unit(5))
+    assert form(m, e6, [0, 0, 0, 0, -1, 0]) == -(PARAMS.c - 1) == -3
+    assert form(m, e4, [-1, 1, 0, 0, 0, -1]) == -PARAMS.x1 == -5
+    assert form(m, list(unit(1)), list(unit(0))) == PARAMS.a - 1  # a1 with b1's - pushoff
+    assert form(m, [1] * 6, [0] * 6) == form(m, [0] * 6, [1] * 6) == 0
 
 
 # ------------------------------------------------------------ is_metabolizer
@@ -232,6 +202,11 @@ def test_metabolizer_verdict_examples(unknot):
     assert metabolizer_verdict(unknot, basis_from(0, 1, 3)) == MetabolizerVerdict(False, True, True)
     assert not metabolizer_verdict(unknot, basis_from(0, 1, 3)).is_metabolizer
     assert not metabolizer_verdict(unknot, dependent).is_metabolizer
+    # the genus-one normal form's column (x, y) is primitive, (0, 2) is not
+    r = genus_one_normalize(2, 1)
+    m = validate([[2, 1], [0, 0]], "interleaved")
+    assert metabolizer_verdict(m, MetabolizerBasis(((r.x, r.y),))) == MetabolizerVerdict(True, True, True)
+    assert metabolizer_verdict(m, MetabolizerBasis(((0, 2),))) == MetabolizerVerdict(True, True, False)
 
 
 def test_is_metabolizer_dimension_errors(unknot):
@@ -332,6 +307,13 @@ def test_enumerate_guards(unknot):
         enumerate_metabolizers(unknot, 0)
     with pytest.raises(ValueError, match="above cap"):
         enumerate_metabolizers(unknot, 3)
+    # the box limit (2*bound+1)**(2*genus) <= 5**6 is exact at genus 1 and 2
+    genus_one = validate([[0, 1], [0, 0]], "interleaved")
+    genus_two = validate([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], "interleaved")
+    for m, top in ((genus_one, 62), (genus_two, 5)):
+        assert enumerate_metabolizers(m, top)
+        with pytest.raises(ValueError, match="above cap"):
+            enumerate_metabolizers(m, top + 1)
     g4 = [[0] * 8 for _ in range(8)]
     for i in range(4):
         g4[2 * i][2 * i + 1] = 1
