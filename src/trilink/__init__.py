@@ -14,7 +14,6 @@ from .infection import (
     IntersectionProfile,
     band_sum_expansion,
     infected_mu,
-    triple_det,
 )
 from .magnus import MagnusSeries, lcs_depth, mu123, phi, series_mul
 from .nilpotent import CommutatorClass, class_of, commutator_class
@@ -22,7 +21,6 @@ from .realization import (
     GenusThreeParams,
     Ledger,
     LedgerDescription,
-    assemble_commutator_contribution,
     ledger,
     pushoff_ledger_entries,
 )
@@ -75,7 +73,6 @@ __all__ = [
     "MetabolizerVerdict",
     "PreconditionError",
     "SeifertMatrix",
-    "assemble_commutator_contribution",
     "band_sum_expansion",
     "class_of",
     "commutator",
@@ -102,7 +99,6 @@ __all__ = [
     "series_mul",
     "standard_metabolizer",
     "symplectic_complete",
-    "triple_det",
     "validate_seifert_matrix",
     "word_inverse",
     "word_power",

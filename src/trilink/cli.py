@@ -18,6 +18,7 @@ self-checks are seeded (--seed) and the seed is echoed in the output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -216,28 +217,14 @@ def cmd_ledger(payload: dict, args) -> dict:
     raw = _require(payload, "params")
     if not isinstance(raw, dict):
         raise ValueError("params must be an object")
-    names = ("a", "b", "c", "x1", "x2", "y1", "y2", "z1", "z2")
-    params = realization.GenusThreeParams(
-        **{name: _as_int(_require(raw, name), name) for name in names}
-    )
+    params = realization.GenusThreeParams(**{
+        f.name: _as_int(_require(raw, f.name), f.name)
+        for f in dataclasses.fields(realization.GenusThreeParams)
+    })
     n = _as_int(_require(payload, "n"), "n")
     led = realization.ledger(params, n)
-    return {
-        "band1_term": led.band1_term,
-        "band3_term": led.band3_term,
-        "band5_term": led.band5_term,
-        "residual_term": led.residual_term,
-        "total": led.total,
-        "n": led.n,
-        "description": {
-            "parallel_copies": led.description.parallel_copies,
-            "wrap_count": led.description.wrap_count,
-            "inner_alteration_count": led.description.inner_alteration_count,
-        },
-        "pushoff_entries": [
-            [name, value] for name, value in realization.pushoff_ledger_entries(params, n)
-        ],
-    }
+    entries = realization.pushoff_ledger_entries(params, n)
+    return dataclasses.asdict(led) | {"pushoff_entries": [list(e) for e in entries]}
 
 
 _HANDLERS = {

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# the six permutations of (0, 1, 2) with their signs
+from .intlinalg import det
+
+# the six permutations of (0, 1, 2) with their signs, for the band-sum count
 _S3 = (
     ((0, 1, 2), 1),
     ((1, 2, 0), 1),
@@ -69,22 +71,13 @@ class BandSumCounts:
         )
 
 
-def triple_det(profile: IntersectionProfile) -> int:
-    """Signed sum over all six permutations of products n[i][sigma(i)].
-
-    Equals the determinant of the profile; antisymmetric under swapping
-    two rows (disks) or two columns (components).
-    """
-    n = profile.rows
-    total = 0
-    for sigma, sign in _S3:
-        total += sign * n[0][sigma[0]] * n[1][sigma[1]] * n[2][sigma[2]]
-    return total
-
-
 def infected_mu(mu_j: int, profile: IntersectionProfile, mu_l: int) -> int:
-    """mu-bar(123) after infection: mu_j * triple_det(profile) + mu_l."""
-    return mu_j * triple_det(profile) + mu_l
+    """mu-bar(123) after infection: mu_j * det(profile) + mu_l.
+
+    The determinant is antisymmetric under swapping two rows (disks) or
+    two columns (components).
+    """
+    return mu_j * det(profile.rows) + mu_l
 
 
 def band_sum_expansion(mu_j: int, counts: BandSumCounts, mu_l: int) -> int:

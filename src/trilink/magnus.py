@@ -23,7 +23,7 @@ whole truncated series; it serves lcs_depth from degree 3 up and
 from __future__ import annotations
 
 from .errors import PreconditionError
-from .words import FreeWord, exponent_sum
+from .words import FreeWord, abelianization
 
 Monomial = tuple[int, ...]
 
@@ -35,6 +35,14 @@ DEFAULT_DEGREE_CAP = 3
 # 1.9 s at 9; phi of a 100-letter random word took 0.17 s at cap 7,
 # 0.64 s at 8, 1.9 s at 9 and 8.1 s at 10.
 MAX_DEGREE_CAP = 8
+# Most monomials r**d lcs_depth may read at a degree d for a word with r
+# distinct generators, which kmax does not bound.  Python 3.11.7, 2-CPU
+# Xeon, via cli.main: x1 ... xr x1^-1 ... xr^-1 at kmax 3 took 0.18 / 0.81
+# / 3.8 / 17.5 s at r = 500 / 1000 / 2000 / 4000 before the limit, 0.043 s
+# at r = 256; a weight-3 commutator conjugated up to r = 40 took 0.25 s at
+# kmax 4.  Work still grows with word length: [[u, v], g] over 40
+# generators took 1.2 / 6.4 / 32 s at 200 / 400 / 800 letters at kmax 4.
+MAX_DEPTH_TERMS = 2**16
 
 
 class MagnusSeries:
@@ -164,13 +172,14 @@ def phi(w: FreeWord, degree_cap: int = DEFAULT_DEGREE_CAP) -> MagnusSeries:
     return out
 
 
-def _degree_two(w: FreeWord) -> dict[tuple[int, int], int]:
-    """Coefficients of a_i a_j, i != j, in phi(w), in one pass over w.
+def _degree_two(w: FreeWord) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
+    """Exponent sums and the a_i a_j (i != j) coefficients of phi(w), in one pass.
 
     A single letter contributes no a_i a_j with i != j, and the degree-1
     coefficient of x_k^s is s; so each letter (j, s) adds s times the
-    exponent sum of x_i over the letters before it (Fox calculus cut at
-    degree 2).  Missing pairs have coefficient 0.
+    running exponent sum of x_i over the letters before it (Fox calculus
+    cut at degree 2).  The running sums end as the exponent sums of the
+    generators that occur.  Missing pairs have coefficient 0.
     """
     sums: dict[int, int] = {}
     coeffs: dict[tuple[int, int], int] = {}
@@ -180,6 +189,20 @@ def _degree_two(w: FreeWord) -> dict[tuple[int, int], int]:
                 key = (i, j)
                 coeffs[key] = coeffs.get(key, 0) + s * e
         sums[j] = sums.get(j, 0) + s
+    return sums, coeffs
+
+
+def _commutator_degree_two(w: FreeWord) -> dict[tuple[int, int], int]:
+    """_degree_two of a rank-3 word, checked to have all exponent sums zero.
+
+    The one degree-2 read behind mu123 and nilpotent.class_of.
+    """
+    if w.rank != 3:
+        raise ValueError(f"need a word of rank 3, got rank {w.rank}")
+    sums, coeffs = _degree_two(w)
+    for index in (1, 2, 3):
+        if sums.get(index, 0):
+            raise PreconditionError(f"nonzero exponent sum for generator {index}")
     return coeffs
 
 
@@ -189,14 +212,9 @@ def mu123(lambda3: FreeWord) -> int:
     Requires rank 3 and all exponent sums zero (the pairwise linking
     number zero hypothesis); the value is the a1*a2 coefficient of
     phi(lambda3) at any degree cap >= 2, read off in one pass by the
-    degree-2 route (_degree_two); phi is its cross-check in the tests.
+    degree-2 route; phi is its cross-check in the tests.
     """
-    if lambda3.rank != 3:
-        raise ValueError(f"longitude must have rank 3, got {lambda3.rank}")
-    for index in (1, 2, 3):
-        if exponent_sum(lambda3, index) != 0:
-            raise PreconditionError(f"nonzero exponent sum for generator {index}")
-    return _degree_two(lambda3).get((1, 2), 0)
+    return _commutator_degree_two(lambda3).get((1, 2), 0)
 
 
 def lcs_depth(w: FreeWord, kmax: int) -> int:
@@ -208,24 +226,29 @@ def lcs_depth(w: FreeWord, kmax: int) -> int:
     series: the a_i coefficients are the exponent sums e_i, and the a_i^2
     coefficient is C(e_i, 2), which vanishes once every e_i does, so
     degree 2 survives iff some a_i a_j (i != j) coefficient of
-    _degree_two does.  From cap 3 up the series is built at caps 3, ...,
-    kmax - 1 and stops at the first cap d with a surviving term of
+    _degree_two does.  From degree 3 up the series is built at caps 3,
+    ..., kmax - 1 and stops at the first cap d with a surviving term of
     positive degree, which is then of degree d: truncation to a lower
     cap is a ring map, so the terms below d were already zero.  A word's
     series always has constant term 1.
+
+    A degree d with r**d > MAX_DEPTH_TERMS, for r distinct generators in
+    w, is refused with ValueError before its work starts.
     """
     if kmax < 1:
         raise ValueError(f"kmax must be positive, got {kmax}")
     if kmax == 1 or not w.letters:
         return kmax
-    sums: dict[int, int] = {}
-    for i, s in w.letters:
-        sums[i] = sums.get(i, 0) + s
+    sums = abelianization(w)
     if any(sums.values()):
         return 1
-    if kmax == 2 or any(_degree_two(w).values()):
-        return 2
-    for d in range(3, kmax):
-        if len(phi(w, d).terms) > 1:
+    r = len(sums)
+    for d in range(2, kmax):
+        if r**d > MAX_DEPTH_TERMS:
+            raise ValueError(
+                f"degree {d} of a word with {r} distinct generators spans {r}**{d} "
+                f"monomials, above MAX_DEPTH_TERMS = {MAX_DEPTH_TERMS}"
+            )
+        if any(_degree_two(w)[1].values()) if d == 2 else len(phi(w, d).terms) > 1:
             return d
     return kmax

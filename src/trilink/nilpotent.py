@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import PreconditionError
-from .magnus import _degree_two
-from .words import FreeWord, exponent_sum
+from .magnus import _commutator_degree_two
+from .words import FreeWord, abelianization
 
 
 class CommutatorClass(NamedTuple):
@@ -32,8 +31,9 @@ def commutator_class(w1: FreeWord, w2: FreeWord) -> CommutatorClass:
     """
     if w1.rank != 3 or w2.rank != 3:
         raise ValueError(f"rank-3 words required, got {w1.rank} and {w2.rank}")
-    n = [exponent_sum(w1, i) for i in (1, 2, 3)]
-    m = [exponent_sum(w2, i) for i in (1, 2, 3)]
+    s1, s2 = abelianization(w1), abelianization(w2)
+    n = [s1.get(i, 0) for i in (1, 2, 3)]
+    m = [s2.get(i, 0) for i in (1, 2, 3)]
     return CommutatorClass(
         n[0] * m[1] - n[1] * m[0],
         n[0] * m[2] - n[2] * m[0],
@@ -44,18 +44,13 @@ def commutator_class(w1: FreeWord, w2: FreeWord) -> CommutatorClass:
 def class_of(w: FreeWord) -> CommutatorClass:
     """Coordinates of a commutator-subgroup element, read off degree 2.
 
-    Requires all exponent sums zero (exactly membership in the
-    commutator subgroup, since that is the abelianization kernel).  The
-    coordinates are the a1 a2, a1 a3 and a2 a3 coefficients of the
-    Magnus image, taken from the one-pass degree-2 route
-    (magnus._degree_two); phi is its cross-check in the tests.
+    Requires rank 3 and all exponent sums zero (exactly membership in
+    the commutator subgroup, since that is the abelianization kernel).
+    The coordinates are the a1 a2, a1 a3 and a2 a3 coefficients of the
+    Magnus image, from the checked degree-2 read that mu123 uses
+    (magnus._commutator_degree_two); phi is its cross-check in the tests.
     """
-    if w.rank != 3:
-        raise ValueError(f"rank-3 word required, got {w.rank}")
-    for index in (1, 2, 3):
-        if exponent_sum(w, index) != 0:
-            raise PreconditionError(f"nonzero exponent sum for generator {index}")
-    coeffs = _degree_two(w)
+    coeffs = _commutator_degree_two(w)
     return CommutatorClass(
         coeffs.get((1, 2), 0),
         coeffs.get((1, 3), 0),

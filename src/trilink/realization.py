@@ -185,16 +185,3 @@ def pushoff_ledger_entries(p: GenusThreeParams, n: int, stars=None) -> list[tupl
         out.append((name, value))
     return out
 
-
-def assemble_commutator_contribution(e12: int, e13: int, f12: int, f13: int) -> int:
-    """Contribution of one commutator pair [phi, psi] to the mu-bar count.
-
-    (e12, e13) are the exponent sums of the second and third meridians
-    in phi, (f12, f13) the same for psi; the [x2,x3]-coordinate of the
-    pair's class is then e12*f13 - e13*f12.  Feeding the ledger's
-    linking numbers reproduces its four terms: each band1 pass is
-    (1,0) against (.,-(c-1)) plus (0,1) against (b,.), each band3 pass
-    (0,1) against (-x1,.), each band5 pass (1,0) against (.,y1), and
-    the core pair is (b,z1) against (-z2,-c).
-    """
-    return e12 * f13 - e13 * f12

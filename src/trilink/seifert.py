@@ -60,6 +60,11 @@ MAX_SEARCH_GENUS = 3
 # took at most 0.02 s at genus 1 (6 matrices) and at most 0.09 s at
 # genus 2 (7 matrices, the slowest the unknot surface at bound 5).
 MAX_SEARCH_BOX = 5**6
+# Largest genus metabolizer_verdict takes: its Smith form lets entries grow.
+# Python 3.11.7, 2-CPU Xeon, dense random columns via cli.main: genus 16
+# took at most 0.011 s with entries in +-9 and 0.40 s in +-10**6 (26 seeds
+# each); genus 24 up to 1.1 s, genus 32 over 30 s, genus 48 over 3 minutes.
+MAX_VERDICT_GENUS = 16
 
 
 def intersection_form(genus: int, ordering: str) -> Matrix:
@@ -150,7 +155,7 @@ def form(m: SeifertMatrix, u: list[int], v: list[int]) -> int:
 
     Linking of u with the - pushoff of v is form(m, v, u).
     """
-    return bilinear(list(u), m.rows(), list(v))
+    return bilinear(u, m.entries, v)
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,18 +213,21 @@ class MetabolizerVerdict(NamedTuple):
 def metabolizer_verdict(m: SeifertMatrix, v: MetabolizerBasis) -> MetabolizerVerdict:
     """Form vanishing on v's columns, their independence and primitivity.
 
-    One pass over the g x g form values and one Smith form; a dependent
-    set of columns is reported as not primitive.
+    One Gram matrix V^T M V of the form values and one Smith form; a
+    dependent set of columns is reported as not primitive.  A genus above
+    MAX_VERDICT_GENUS is refused with ValueError before any work starts.
     """
+    if m.genus > MAX_VERDICT_GENUS:
+        raise ValueError(f"genus {m.genus} exceeds the metabolizer-test guard "
+                         f"({MAX_VERDICT_GENUS})")
     if v.dim != m.dim:
         raise ValueError(f"column length {v.dim} does not match matrix dimension {m.dim}")
     if v.count != m.genus:
         raise ValueError(f"need exactly {m.genus} columns, got {v.count}")
-    rows = m.rows()
-    vanishes = all(
-        bilinear(list(ci), rows, list(cj)) == 0 for ci in v.columns for cj in v.columns
-    )
-    factors = snf(v.as_matrix())
+    vmat = v.as_matrix()
+    gram = mat_mul(transpose(vmat), mat_mul(m.entries, vmat))
+    vanishes = not any(x for row in gram for x in row)
+    factors = snf(vmat)
     return MetabolizerVerdict(vanishes, all(factors), all(f == 1 for f in factors))
 
 
@@ -515,15 +523,10 @@ def genus_one_normalize(d: int, e: int) -> GenusOneNormalization:
         # x is +-1 and w is forced; slide z to 0
         z, w = 0, w0
     else:
-        base = -(w0 // y)
-        best = None
-        for tt in (base - 1, base, base + 1):
-            wc = w0 + tt * y
-            key = (abs(wc), 0 if wc <= 0 else 1)
-            if best is None or key < best[0]:
-                best = (key, tt, wc)
-        _, tbest, w = best
-        z = z0 + tbest * x
+        # w runs over w0 + t*y: its residue mod |y| in [-floor(|y|/2), ceil(|y|/2))
+        half = abs(y) // 2
+        w = (w0 + half) % abs(y) - half
+        z = z0 + (w - w0) // y * x
     if -x * w + z * y != 1:
         raise CrossCheckError("Bezout pair fails -x*w + z*y = 1")
 

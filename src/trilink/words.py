@@ -113,11 +113,19 @@ def word_power(w: FreeWord, n: int) -> FreeWord:
     return out
 
 
+def abelianization(w: FreeWord) -> dict[int, int]:
+    """Exponent sum of each generator occurring in w (possibly 0), in one pass."""
+    sums: dict[int, int] = {}
+    for i, s in w.letters:
+        sums[i] = sums.get(i, 0) + s
+    return sums
+
+
 def exponent_sum(w: FreeWord, index: int) -> int:
     """Total exponent of x_index in w; additive under products."""
     if not 1 <= index <= w.rank:
         raise ValueError(f"generator index {index} out of range 1..{w.rank}")
-    return sum(s for i, s in w.letters if i == index)
+    return abelianization(w).get(index, 0)
 
 
 def commutator(w1: FreeWord, w2: FreeWord) -> FreeWord:

@@ -5,6 +5,8 @@ determinant is cofactor expansion (the package uses Bareiss), the Magnus
 expansion is a plain dict convolution per letter (the package reads
 degree 2 off exponent sums and multiplies MagnusSeries elsewhere), and
 primitivity is gcd of maximal minors (the package uses Smith form).
+The ledger's commutator pairs are assembled here from exponent sums,
+and the genus-one Bezout pair is found by search.
 """
 
 from __future__ import annotations
@@ -24,6 +26,20 @@ UNKNOT_ROWS = [
     [0, 0, 0, 0, 0, 1],
     [0, 0, 0, 0, 0, 0],
 ]
+
+
+def spread_word(n: int) -> FreeWord:
+    """x1 ... xn x1^-1 ... xn^-1: depth 2, with n distinct generators."""
+    letters = [(i, 1) for i in range(1, n + 1)] + [(i, -1) for i in range(1, n + 1)]
+    return FreeWord(n, tuple(letters))
+
+
+def unknot_sum_rows(genus: int) -> list[list[int]]:
+    """Block diagonal of genus copies of [[0, 1], [0, 0]] (interleaved)."""
+    rows = [[0] * 2 * genus for _ in range(2 * genus)]
+    for k in range(genus):
+        rows[2 * k][2 * k + 1] = 1
+    return rows
 
 
 def random_word(rng: Random, rank: int, max_len: int) -> FreeWord:
@@ -160,3 +176,33 @@ def series_dict(word: FreeWord, cap: int) -> dict[tuple[int, ...], int]:
             letter = {tuple([index] * k): (-1) ** k for k in range(cap + 1)}
         acc = mul(acc, letter)
     return acc
+
+
+def assemble_commutator_contribution(e12: int, e13: int, f12: int, f13: int) -> int:
+    """Contribution of one commutator pair [phi, psi] to the mu-bar count.
+
+    (e12, e13) are the exponent sums of the second and third meridians
+    in phi, (f12, f13) the same for psi; the [x2,x3]-coordinate of the
+    pair's class is then e12*f13 - e13*f12.  Feeding the ledger's
+    linking numbers reproduces its four terms: each band1 pass is
+    (1,0) against (.,-(c-1)) plus (0,1) against (b,.), each band3 pass
+    (0,1) against (-x1,.), each band5 pass (1,0) against (.,y1), and
+    the core pair is (b,z1) against (-z2,-c).
+    """
+    return e12 * f13 - e13 * f12
+
+
+def brute_force_bezout(x: int, y: int) -> tuple[int, int]:
+    """(z, w) with z*y - w*x = 1, minimal |w|, ties toward w <= 0, by search.
+
+    gcd(x, y) must be 1.  With y = 0, x is +-1 and (z, w) = (0, -x).
+    """
+    if y == 0:
+        return 0, -x
+    best = None
+    for w in range(-abs(y), abs(y) + 1):
+        if (1 + w * x) % y == 0:
+            key = (abs(w), w > 0)
+            if best is None or key < best[0]:
+                best = (key, ((1 + w * x) // y, w))
+    return best[1]

@@ -2,12 +2,14 @@ import contextlib
 import io
 import json
 import sys
+import time
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import UNKNOT_ROWS
-from trilink import cli, infection, magnus
+from helpers import UNKNOT_ROWS, spread_word, unknot_sum_rows
+from trilink import cli, infection, magnus, seifert
 from trilink.realization import GenusThreeParams
 from trilink.seifert import reorder, standard_metabolizer, validate
 
@@ -452,10 +454,22 @@ _bounds = st.sampled_from([1, 1, "1", 3, 4, 5, 62, -1, 0, 6, 63, 2**64, "1" + "0
                            None, 1.5, True, "x", [1]])
 
 _matrix_requests = _matrix_and_columns().map(lambda mc: {"matrix": mc[0], "metabolizer": mc[1]})
+
+
+def _over_genus_limit(genus, seed):
+    """A sum of genus copies of [[0, 1], [0, 0]] with dense columns in [-9, 9]."""
+    rng = Random(seed)
+    cols = [[rng.randint(-9, 9) for _ in range(2 * genus)] for _ in range(genus)]
+    return {"matrix": {"ordering": "interleaved", "entries": unknot_sum_rows(genus)},
+            "metabolizer": {"columns": cols}}
+
+
+_over_limit = st.builds(_over_genus_limit,
+                        st.integers(seifert.MAX_VERDICT_GENUS + 1, 48), st.integers(0, 99))
 # as above, the repeated branch weights the draw toward requests that reach the computation
 _SEIFERT_PAYLOADS = {
     "generator": _matrix_requests | _matrix_requests | _json,
-    "metabolizer": _matrix_requests | _matrix_requests | _json,
+    "metabolizer": _matrix_requests | _matrix_requests | _json | _over_limit,
     "enumerate": st.tuples(_matrix_and_columns(), _bounds).map(
         lambda mb: {"matrix": mb[0][0], "bound": mb[1]}),
     "infect": st.fixed_dictionaries(
@@ -471,3 +485,25 @@ _SEIFERT_PAYLOADS = {
 @given(data=st.data())
 def test_seifert_commands_fuzz(command, data):
     _assert_one_reply(command, data.draw(_SEIFERT_PAYLOADS[command]))
+
+
+def test_depth_generator_limit_exit_2(capsys, monkeypatch):
+    for kmax in (1, 2, 3, 8):
+        payload = {"rank": 200, "word": str(spread_word(200)), "kmax": kmax}
+        assert run_json(capsys, monkeypatch, ["depth"], payload) == (0, {"depth": min(2, kmax)})
+    payload = {"rank": 4000, "word": str(spread_word(4000)), "kmax": 3}
+    start = time.perf_counter()
+    code, out = run_json(capsys, monkeypatch, ["depth"], payload)
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and "MAX_DEPTH_TERMS" in out["detail"]
+
+
+def test_metabolizer_genus_limit_exit_2(capsys, monkeypatch):
+    top = seifert.MAX_VERDICT_GENUS
+    code, out = run_json(capsys, monkeypatch, ["metabolizer"], _over_genus_limit(top, 1))
+    assert code == 0 and out["independent"] is True
+    start = time.perf_counter()
+    code, out = run_json(capsys, monkeypatch, ["metabolizer"], _over_genus_limit(48, 1))
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and out["error"] == "bad-input"
+    assert out["detail"] == f"genus 48 exceeds the metabolizer-test guard ({top})"

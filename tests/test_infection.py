@@ -8,7 +8,6 @@ from trilink.infection import (
     IntersectionProfile,
     band_sum_expansion,
     infected_mu,
-    triple_det,
 )
 
 IDENTITY = IntersectionProfile(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -25,29 +24,24 @@ def random_counts(rng, hi=4):
     return BandSumCounts(mat(), mat())
 
 
-def test_triple_det_examples():
-    assert triple_det(IDENTITY) == 1
-    assert triple_det(IntersectionProfile(((0, 0, 0), (1, 2, 3), (4, 5, 6)))) == 0
-
-
-def test_triple_det_equals_determinant():
+def test_infection_term_equals_determinant():
     rng = Random(1)
     for _ in range(300):
         p = random_profile(rng)
-        assert triple_det(p) == cofactor_det([list(r) for r in p.rows])
+        assert infected_mu(1, p, 0) == cofactor_det([list(r) for r in p.rows])
 
 
-def test_triple_det_antisymmetry():
+def test_infection_term_antisymmetry():
     rng = Random(2)
     for _ in range(200):
         p = random_profile(rng)
         rows = [list(r) for r in p.rows]
         swapped_rows = IntersectionProfile((tuple(rows[1]), tuple(rows[0]), tuple(rows[2])))
-        assert triple_det(swapped_rows) == -triple_det(p)
+        assert infected_mu(1, swapped_rows, 0) == -infected_mu(1, p, 0)
         swapped_cols = IntersectionProfile(
             tuple((r[1], r[0], r[2]) for r in rows)
         )
-        assert triple_det(swapped_cols) == -triple_det(p)
+        assert infected_mu(1, swapped_cols, 0) == -infected_mu(1, p, 0)
 
 
 def test_infected_mu_examples():
@@ -56,6 +50,8 @@ def test_infected_mu_examples():
     assert infected_mu(17, zero, -4) == -4
     diag = IntersectionProfile(((1, 0, 0), (0, 2, 0), (0, 0, 3)))
     assert infected_mu(2, diag, -5) == 7
+    singular = IntersectionProfile(((0, 0, 0), (1, 2, 3), (4, 5, 6)))
+    assert infected_mu(5, singular, 3) == 3
 
 
 def test_band_sum_examples():

@@ -3,7 +3,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_commutator_subgroup_word, random_word, series_dict
+from helpers import random_commutator_subgroup_word, random_word, series_dict, spread_word
 from trilink import magnus, nilpotent
 from trilink.errors import PreconditionError
 from trilink.magnus import MagnusSeries, _degree_two, lcs_depth, mu123, one, phi, series_mul
@@ -146,7 +146,9 @@ def test_degree_two_against_independent_expansion():
         for _ in range(100):
             w = random_word(rng, rank, max_len)
             expected = series_dict(w, 2)
-            got = _degree_two(w)
+            sums, got = _degree_two(w)
+            assert {i: e for i, e in sums.items() if e} == {
+                m[0]: c for m, c in expected.items() if len(m) == 1}
             assert all(i != j for i, j in got)
             for i in range(1, rank + 1):
                 for j in range(1, rank + 1):
@@ -195,9 +197,7 @@ def test_lcs_depth_against_lowest_degree():
 
 def test_lcs_depth_reads_degrees_one_and_two_without_the_series(monkeypatch):
     rng = Random(41)
-    tokens = [f"x{i}" for i in range(1, 201)]
-    spread = parse_word(" ".join(tokens + [t + "^-1" for t in tokens]), 200)  # a_i a_j = -1, i > j
-    cases = [(spread, 2), (X1, 1), (commutator(X1, X2), 2)]
+    cases = [(spread_word(200), 2), (X1, 1), (commutator(X1, X2), 2)]  # a_i a_j = -1, i > j
     while len(cases) < 60:
         w = random_commutator_subgroup_word(rng) if len(cases) % 2 else random_word(rng, 3, 8)
         degrees = [len(m) for m in series_dict(w, 2) if m]
@@ -211,6 +211,30 @@ def test_lcs_depth_reads_degrees_one_and_two_without_the_series(monkeypatch):
     for w, depth in cases:
         for kmax in (1, 2, 3, 8):
             assert lcs_depth(w, kmax) == min(depth, kmax), (w, kmax)
+
+
+def _conjugated(core, n):
+    """core conjugated by x4 ... x(n+3): the same depth, n + 3 distinct generators."""
+    c = FreeWord(n + 3, tuple((i, 1) for i in range(4, n + 4)))
+    return c * FreeWord(n + 3, core.letters) * ~c
+
+
+def test_lcs_depth_refuses_degrees_over_the_term_limit():
+    # r**d against MAX_DEPTH_TERMS = 2**16 for r distinct generators at degree d
+    assert magnus.MAX_DEPTH_TERMS == 2**16
+    assert lcs_depth(spread_word(256), 3) == 2
+    assert lcs_depth(spread_word(257), 2) == 2  # degree 2 is read only below kmax
+    for n in (257, 500, 1000, 2000, 4000):
+        with pytest.raises(ValueError, match="MAX_DEPTH_TERMS"):
+            lcs_depth(spread_word(n), 3)
+    core = commutator(commutator(X1, X2), X3)
+    assert lcs_depth(_conjugated(core, 37), 4) == 3  # 40**3 terms at most
+    for n in (38, 80):
+        with pytest.raises(ValueError, match=r"degree 3 .* \d+\*\*3"):
+            lcs_depth(_conjugated(core, n), 4)
+    assert lcs_depth(_conjugated(core, 80), 3) == 3  # degree 2 only: 83**2 pairs
+    with pytest.raises(ValueError, match="MAX_DEPTH_TERMS"):  # whatever kmax is
+        lcs_depth(_conjugated(core, 38), 10**12)
 
 
 def test_lcs_depth_caps_at_kmax():

@@ -2,12 +2,8 @@ from random import Random
 
 import pytest
 
-from trilink.realization import (
-    GenusThreeParams,
-    assemble_commutator_contribution,
-    ledger,
-    pushoff_ledger_entries,
-)
+from helpers import assemble_commutator_contribution
+from trilink.realization import GenusThreeParams, ledger, pushoff_ledger_entries
 from trilink.seifert import generator_from_block
 
 PARAMS = GenusThreeParams(2, 3, 4, 5, 6, 7, 8, 9, 10)

@@ -8,17 +8,20 @@ import pytest
 
 from helpers import (
     UNKNOT_ROWS,
+    brute_force_bezout,
     brute_force_metabolizer_lattices,
     cofactor_det,
     lattice_keys,
     minors_gcd,
     random_unimodular,
     unimodular_inverse,
+    unknot_sum_rows,
 )
 from trilink.errors import CrossCheckError, PreconditionError
 from trilink.intlinalg import column_lattice_basis, mat_mul, transpose
 from trilink.realization import GenusThreeParams
 from trilink.seifert import (
+    MAX_VERDICT_GENUS,
     MetabolizerBasis,
     MetabolizerVerdict,
     SeifertMatrix,
@@ -214,6 +217,34 @@ def test_is_metabolizer_dimension_errors(unknot):
         is_metabolizer(unknot, MetabolizerBasis(((0, 1),)))
     with pytest.raises(ValueError, match="exactly 3 columns"):
         is_metabolizer(unknot, MetabolizerBasis((unit(1), unit(3))))
+
+
+def test_metabolizer_verdict_genus_guard():
+    assert MAX_VERDICT_GENUS == 16
+    m = validate(unknot_sum_rows(MAX_VERDICT_GENUS), "interleaved")
+    assert is_metabolizer(m, standard_metabolizer(m))
+    big = validate(unknot_sum_rows(MAX_VERDICT_GENUS + 1), "interleaved")
+    with pytest.raises(ValueError, match="metabolizer-test guard"):
+        metabolizer_verdict(big, standard_metabolizer(big))
+    # refused before the column checks or any arithmetic
+    with pytest.raises(ValueError, match="metabolizer-test guard"):
+        metabolizer_verdict(big, MetabolizerBasis(((0, 1),)))
+
+
+def test_metabolizer_verdict_reads_the_gram_matrix(unknot, monkeypatch):
+    import trilink.seifert as seifert
+
+    def no_bilinear(*args):
+        raise AssertionError("bilinear called")
+
+    monkeypatch.setattr(seifert, "bilinear", no_bilinear)
+    rng = Random(24)
+    for _ in range(100):
+        cols = tuple(tuple(rng.randint(-1, 1) for _ in range(6)) for _ in range(3))
+        gram = [[sum(u[i] * UNKNOT_ROWS[i][j] * v[j] for i in range(6) for j in range(6))
+                 for v in cols] for u in cols]
+        verdict = metabolizer_verdict(unknot, MetabolizerBasis(cols))
+        assert verdict.form_vanishes == (not any(x for row in gram for x in row))
 
 
 # ---------------------------------------------------------------- enumerate
@@ -482,12 +513,20 @@ def test_genus_one_normalize_identities_random():
 
 
 def test_genus_one_bezout_canonical():
-    # w minimized, ties toward w <= 0, and the degenerate y = 0 case pins z = 0
+    # w minimized, ties toward w <= 0, and the degenerate y = 0 case pins z = 0;
+    # on random (d, e) the pair agrees with a search (helpers.brute_force_bezout)
     r = genus_one_normalize(2, 1)
     assert (r.z, r.w) == (0, -1)
     for e in (-3, 0, 1, 4):
         r = genus_one_normalize(0, e)
         assert r.z == 0 and abs(r.w) == 1
+    rng = Random(23)
+    pairs = [(rng.randint(-60, 60), rng.randint(-60, 60)) for _ in range(400)]
+    pairs += [(rng.randint(-10**6, 10**6), rng.randint(-10**3, 10**3)) for _ in range(50)]
+    pairs += [(0, e) for e in (-2, 0, 1, 3)] + [(-30, 8), (-2, -7), (12, 4)]
+    for d, e in pairs:
+        r = genus_one_normalize(d, e)
+        assert (r.z, r.w) == brute_force_bezout(r.x, r.y), (d, e)
 
 
 def test_normalize_e():
