@@ -24,6 +24,12 @@ def random_counts(rng, hi=4):
     return BandSumCounts(mat(), mat())
 
 
+def test_triple_det_examples():
+    # the infection term mu_j * det(profile) on two profiles with known determinant
+    assert infected_mu(1, IDENTITY, 0) == 1
+    assert infected_mu(1, IntersectionProfile(((0, 0, 0), (1, 2, 3), (4, 5, 6))), 0) == 0
+
+
 def test_infection_term_equals_determinant():
     rng = Random(1)
     for _ in range(300):
