@@ -15,7 +15,7 @@ from .infection import (
     band_sum_expansion,
     infected_mu,
 )
-from .magnus import MagnusSeries, lcs_depth, mu123, phi, series_mul
+from .magnus import MagnusSeries, lcs_depth, mu123, phi
 from .nilpotent import CommutatorClass, class_of, commutator_class
 from .realization import (
     GenusThreeParams,
@@ -42,8 +42,6 @@ from .seifert import (
     standard_metabolizer,
     symplectic_complete,
 )
-from .seifert import form as seifert_form
-from .seifert import validate as validate_seifert_matrix
 from .words import (
     FreeWord,
     commutator,
@@ -95,11 +93,8 @@ __all__ = [
     "phi",
     "pushoff_ledger_entries",
     "reorder",
-    "seifert_form",
-    "series_mul",
     "standard_metabolizer",
     "symplectic_complete",
-    "validate_seifert_matrix",
     "word_inverse",
     "word_power",
     "word_product",

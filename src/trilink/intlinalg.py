@@ -10,8 +10,10 @@ divides the one before, and once it stops shrinking its row and column
 are clear, and the same holds for the trailing block (Kannan and
 Bachem, SIAM J. Comput. 8, 1979; Cohen, GTM 138, section 2.4).  A
 unimodular transform, where one is needed, is the right block of
-row_hnf([m | I]).  Nothing in this package exceeds 6x6, so the code
-favors being checkable over being fast.
+row_hnf([m | I]).  Most matrices here are 6x6 or smaller; the largest
+are the metabolizer test's at seifert.MAX_VERDICT_GENUS = 16, a 32x32
+Seifert matrix against a 32x16 basis, whose Smith diagonal this module
+computes.  So the code favors being checkable over being fast.
 """
 
 from __future__ import annotations

@@ -15,12 +15,20 @@ the lowest degree of a surviving term bounds lower-central-series depth
 mu123 (and nilpotent.class_of) need only the a_i a_j coefficients with
 i != j, which the degree-2 route _degree_two reads off running exponent
 sums in one pass over the word, as in Fox's free differential calculus.
-lcs_depth reads degrees 1 and 2 the same way.  phi multiplies out the
-whole truncated series; it serves lcs_depth from degree 3 up and
---show-series, and it is the cross-check of the degree-2 route.
+lcs_depth reads degrees 1 and 2 the same way.  Above degree 2 a word is
+expanded into dense levels (_levels): its r distinct generators are
+relabelled 0..r-1, and level d is one list of the r**d coefficients of
+degree d, indexed by the monomial read as a base-r number.  A letter
+then updates one slice of each level.  lcs_depth builds the levels from
+degree 3 up; phi decodes them into a MagnusSeries for --show-series,
+and it is the cross-check of the degree-2 route.  MAX_DEPTH_TERMS bounds
+the size of a level and MAX_DEPTH_WORK the slot updates of a request.
 """
 
 from __future__ import annotations
+
+from itertools import compress, product
+from operator import add, sub
 
 from .errors import PreconditionError
 from .words import FreeWord, abelianization
@@ -29,26 +37,35 @@ Monomial = tuple[int, ...]
 
 DEFAULT_DEGREE_CAP = 3
 # Highest degree cap (TRILINK_DEGREE_CAP) and depth kmax the CLI accepts.
-# The work grows about 3-4x per degree on rank-3 words.  Python 3.11.7,
+# The work grows about 3x per degree on rank-3 words.  Python 3.11.7,
 # 2-CPU Xeon: lcs_depth of a weight-k left-normed commutator at kmax k
-# (3 * 2**(k-1) - 2 letters) took 0.043 s at k = 7, 0.29 s at 8 and
-# 1.9 s at 9; phi of a 100-letter random word took 0.17 s at cap 7,
-# 0.64 s at 8, 1.9 s at 9 and 8.1 s at 10.
+# (3 * 2**(k-1) - 2 letters) took 0.007 s at k = 7, 0.032 s at 8 and
+# 0.21 s at 9; phi of an 80-letter random word took 0.013 s at cap 7,
+# 0.036 s at 8, 0.12 s at 9 and 0.37 s at 10.
 MAX_DEGREE_CAP = 8
-# Most monomials r**d lcs_depth may read at a degree d for a word with r
-# distinct generators, which kmax does not bound.  Python 3.11.7, 2-CPU
-# Xeon, via cli.main: x1 ... xr x1^-1 ... xr^-1 at kmax 3 took 0.18 / 0.81
-# / 3.8 / 17.5 s at r = 500 / 1000 / 2000 / 4000 before the limit, 0.043 s
-# at r = 256; a weight-3 commutator conjugated up to r = 40 took 0.25 s at
-# kmax 4.  Work still grows with word length: [[u, v], g] over 40
-# generators took 1.2 / 6.4 / 32 s at 200 / 400 / 800 letters at kmax 4.
+# Most monomials r**d of one degree d for a word with r distinct
+# generators, which kmax does not bound: a level of _levels holds r**d
+# ints.  lcs_depth refuses to read such a degree and phi such a cap.
+# r <= 256 at degree 2, r <= 40 at degree 3, r <= 16 at degree 4.
 MAX_DEPTH_TERMS = 2**16
+# Most slot updates, letters * (1 + r + ... + r**(d-1)) to build levels up
+# to degree d (about letters * r**(d-1) for large r), summed over the
+# degrees 2..d that lcs_depth reads; phi counts its one cap.  The running
+# time follows this count and the size of the coefficients.  Python
+# 3.11.7, 2-CPU Xeon, via cli.main, just under the limit: depth of [[u, v],
+# g] over 40 generators at kmax 4 (9,718 letters) took 1.0 s, a weight-3
+# commutator nested in two more over 16 generators at kmax 5 (3,374
+# letters) 0.88 s, x1 ... x256 x1^-1 ... x256^-1 repeated at kmax 3
+# (65,024 letters) 0.86 s, a power of a weight-8 commutator at kmax 8 over
+# 3 generators (9,932 letters) 0.92 s and over 2 (67,996 letters) 1.8 s;
+# mu --show-series at cap 8 of a random 5,088-letter word 1.0 s.
+MAX_DEPTH_WORK = 2**24
 
 
 class MagnusSeries:
     """Truncated series: map monomial -> nonzero integer coefficient.
 
-    Treat instances as immutable; every operation returns a new series.
+    Treat instances as immutable.
     """
 
     __slots__ = ("rank", "degree_cap", "terms")
@@ -78,9 +95,6 @@ class MagnusSeries:
         if any(not 1 <= i <= self.rank for i in mono):
             raise ValueError(f"monomial {mono} uses a variable outside 1..{self.rank}")
         return self.terms.get(mono, 0)
-
-    def __mul__(self, other: "MagnusSeries") -> "MagnusSeries":
-        return series_mul(self, other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MagnusSeries):
@@ -113,83 +127,100 @@ class MagnusSeries:
         return " ".join(parts)
 
 
-def one(rank: int, degree_cap: int) -> MagnusSeries:
-    return MagnusSeries(rank, degree_cap, {(): 1})
+def _relabel(w: FreeWord) -> tuple[list[int], list[tuple[int, int]]]:
+    """The distinct generators of w in ascending order, and w's letters on labels 0..r-1.
 
-
-def _unchecked_series(rank: int, degree_cap: int, terms: dict[Monomial, int]) -> MagnusSeries:
-    """A series from terms already within rank and cap; zeros are dropped.
-
-    Internal products only: it skips the per-monomial checks of
-    MagnusSeries.__init__, which every input series has already passed.
+    Equal letters share one relabelled tuple, so a long word costs one
+    list of references and no new tuple per letter.
     """
-    s = MagnusSeries.__new__(MagnusSeries)
-    s.rank = rank
-    s.degree_cap = degree_cap
-    s.terms = {mono: coeff for mono, coeff in terms.items() if coeff}
-    return s
+    gens = sorted({index for index, _ in w.letters})
+    label = {(g, s): (n, s) for n, g in enumerate(gens) for s in (1, -1)}
+    return gens, [label[letter] for letter in w.letters]
 
 
-def series_mul(s1: MagnusSeries, s2: MagnusSeries) -> MagnusSeries:
-    """Product in the truncated ring; overflowing monomials are dropped."""
-    if s1.rank != s2.rank:
-        raise ValueError(f"rank mismatch: {s1.rank} vs {s2.rank}")
-    if s1.degree_cap != s2.degree_cap:
-        raise ValueError(f"degree cap mismatch: {s1.degree_cap} vs {s2.degree_cap}")
-    cap = s1.degree_cap
-    out: dict[Monomial, int] = {}
-    for m1, c1 in s1.terms.items():
-        room = cap - len(m1)
-        for m2, c2 in s2.terms.items():
-            if len(m2) > room:
-                continue
-            key = m1 + m2
-            out[key] = out.get(key, 0) + c1 * c2
-    return _unchecked_series(s1.rank, cap, out)
+def _updates(letters: int, r: int, d: int) -> int:
+    """Slot updates of _levels up to cap d: letters * (1 + r + ... + r**(d-1)).
+
+    At d = 2 this also bounds _degree_two, one row of r per letter.
+    """
+    return letters * sum(r**e for e in range(d))
+
+
+def _check_degree(r: int, d: int, work: int) -> None:
+    """Refuse, before its work starts, a degree d past MAX_DEPTH_TERMS or MAX_DEPTH_WORK."""
+    if r**d > MAX_DEPTH_TERMS:
+        raise ValueError(
+            f"degree {d} of a word with {r} distinct generators spans {r}**{d} "
+            f"monomials, above MAX_DEPTH_TERMS = {MAX_DEPTH_TERMS}"
+        )
+    if work > MAX_DEPTH_WORK:
+        raise ValueError(
+            f"degrees up to {d} of a word with {r} distinct generators take {work} "
+            f"slot updates, above MAX_DEPTH_WORK = {MAX_DEPTH_WORK}"
+        )
+
+
+def _levels(letters: list[tuple[int, int]], r: int, cap: int) -> list[list[int]]:
+    """Dense levels 0..cap of the series of a word relabelled by _relabel.
+
+    Level d holds the r**d coefficients of degree d, the monomial read
+    as a base-r number indexing its slot.  Right-multiplying by x_k
+    adds c_m to c_{m k} for every m below the cap; the slots m k of
+    level d form the slice [k::r], in the order of level d - 1.  So
+    x_k adds the old level d - 1 from the top down, and x_k^-1, whose
+    image S' solves S' (1 + a_k) = S, subtracts the new level d - 1
+    from the bottom up.  A letter updates 1 + r + ... + r**(cap-1) slots.
+    """
+    levels = [[1]] + [[0] * r**d for d in range(1, cap + 1)]
+    top_down = range(cap, 0, -1)
+    bottom_up = range(1, cap + 1)
+    for k, sign in letters:
+        op, order = (add, top_down) if sign == 1 else (sub, bottom_up)
+        for d in order:
+            level = levels[d]
+            level[k::r] = map(op, level[k::r], levels[d - 1])
+    return levels
 
 
 def phi(w: FreeWord, degree_cap: int = DEFAULT_DEGREE_CAP) -> MagnusSeries:
-    """Magnus image of a word.
+    """Magnus image of a word: its dense levels, decoded into monomials.
 
-    Multiplicative by construction, and exact on inverses: the
-    truncated ring is a quotient ring, so phi(w) * phi(w^-1) == 1 with
-    no error term.
+    A cap with r**cap > MAX_DEPTH_TERMS, for r distinct generators in w,
+    or with more than MAX_DEPTH_WORK slot updates is refused with
+    ValueError before its work starts.
     """
     if degree_cap < 1:
         raise ValueError(f"degree cap must be positive, got {degree_cap}")
-    letter_series: dict[tuple[int, int], MagnusSeries] = {}
-    out = one(w.rank, degree_cap)
-    for letter in w.letters:
-        factor = letter_series.get(letter)
-        if factor is None:
-            index, sign = letter
-            if sign == 1:
-                terms = {(): 1, (index,): 1}
-            else:
-                terms = {(index,) * k: (-1) ** k for k in range(degree_cap + 1)}
-            factor = letter_series[letter] = _unchecked_series(w.rank, degree_cap, terms)
-        out = series_mul(out, factor)
-    return out
+    gens, letters = _relabel(w)
+    r = len(gens)
+    _check_degree(r, degree_cap, _updates(len(letters), r, degree_cap))
+    terms: dict[Monomial, int] = {}
+    for d, level in enumerate(_levels(letters, r, degree_cap)):
+        terms.update(zip(compress(product(gens, repeat=d), level), filter(None, level)))
+    return MagnusSeries(w.rank, degree_cap, terms)
 
 
 def _degree_two(w: FreeWord) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
-    """Exponent sums and the a_i a_j (i != j) coefficients of phi(w), in one pass.
+    """Exponent sums and the nonzero a_i a_j (i != j) coefficients of phi(w), in one pass.
 
     A single letter contributes no a_i a_j with i != j, and the degree-1
     coefficient of x_k^s is s; so each letter (j, s) adds s times the
-    running exponent sum of x_i over the letters before it (Fox calculus
-    cut at degree 2).  The running sums end as the exponent sums of the
+    running exponent sums to row j of the a_i a_j table (Fox calculus
+    cut at degree 2), one list update of length r on the labels of
+    _relabel.  The diagonal of the table is not the a_j a_j coefficient
+    and is dropped.  The running sums end as the exponent sums of the
     generators that occur.  Missing pairs have coefficient 0.
     """
-    sums: dict[int, int] = {}
-    coeffs: dict[tuple[int, int], int] = {}
-    for j, s in w.letters:
-        for i, e in sums.items():
-            if i != j:
-                key = (i, j)
-                coeffs[key] = coeffs.get(key, 0) + s * e
-        sums[j] = sums.get(j, 0) + s
-    return sums, coeffs
+    gens, letters = _relabel(w)
+    r = len(gens)
+    sums = [0] * r
+    rows = [[0] * r for _ in range(r)]
+    for j, s in letters:
+        rows[j] = list(map(add if s == 1 else sub, rows[j], sums))
+        sums[j] += s
+    coeffs = {(gens[i], gens[j]): c
+              for j, row in enumerate(rows) for i, c in enumerate(row) if c and i != j}
+    return dict(zip(gens, sums)), coeffs
 
 
 def _commutator_degree_two(w: FreeWord) -> dict[tuple[int, int], int]:
@@ -226,29 +257,27 @@ def lcs_depth(w: FreeWord, kmax: int) -> int:
     series: the a_i coefficients are the exponent sums e_i, and the a_i^2
     coefficient is C(e_i, 2), which vanishes once every e_i does, so
     degree 2 survives iff some a_i a_j (i != j) coefficient of
-    _degree_two does.  From degree 3 up the series is built at caps 3,
-    ..., kmax - 1 and stops at the first cap d with a surviving term of
-    positive degree, which is then of degree d: truncation to a lower
-    cap is a ring map, so the terms below d were already zero.  A word's
-    series always has constant term 1.
+    _degree_two does.  From degree 3 up the levels are built at caps 3,
+    ..., kmax - 1 and stop at the first cap d whose top level has a
+    nonzero slot: truncation to a lower cap is a ring map, so the levels
+    below d were already zero.  No monomial is decoded.
 
     A degree d with r**d > MAX_DEPTH_TERMS, for r distinct generators in
-    w, is refused with ValueError before its work starts.
+    w, or whose slot updates bring the total past MAX_DEPTH_WORK, is
+    refused with ValueError before its work starts.
     """
     if kmax < 1:
         raise ValueError(f"kmax must be positive, got {kmax}")
     if kmax == 1 or not w.letters:
         return kmax
-    sums = abelianization(w)
-    if any(sums.values()):
+    if any(abelianization(w).values()):
         return 1
-    r = len(sums)
+    gens, letters = _relabel(w)
+    r = len(gens)
+    work = 0
     for d in range(2, kmax):
-        if r**d > MAX_DEPTH_TERMS:
-            raise ValueError(
-                f"degree {d} of a word with {r} distinct generators spans {r}**{d} "
-                f"monomials, above MAX_DEPTH_TERMS = {MAX_DEPTH_TERMS}"
-            )
-        if any(_degree_two(w)[1].values()) if d == 2 else len(phi(w, d).terms) > 1:
+        work += _updates(len(letters), r, d)
+        _check_degree(r, d, work)
+        if _degree_two(w)[1] if d == 2 else any(_levels(letters, r, d)[d]):
             return d
     return kmax

@@ -3,7 +3,7 @@
 The oracles here deliberately avoid the package's own routines: the
 determinant is cofactor expansion (the package uses Bareiss), the Magnus
 expansion is a plain dict convolution per letter (the package reads
-degree 2 off exponent sums and multiplies MagnusSeries elsewhere), and
+degree 2 off exponent sums and updates dense per-degree levels), and
 primitivity is gcd of maximal minors (the package uses Smith form).
 The ledger's commutator pairs are assembled here from exponent sums,
 and the genus-one Bezout pair is found by search.
@@ -156,25 +156,26 @@ def lattice_keys(bases) -> set:
     }
 
 
+def series_product(s1: dict, s2: dict, cap: int) -> dict[tuple[int, ...], int]:
+    """Product of two truncated series given as {monomial: coefficient} dicts."""
+    out: dict[tuple[int, ...], int] = {}
+    for m1, c1 in s1.items():
+        for m2, c2 in s2.items():
+            if len(m1) + len(m2) <= cap:
+                key = m1 + m2
+                out[key] = out.get(key, 0) + c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
 def series_dict(word: FreeWord, cap: int) -> dict[tuple[int, ...], int]:
     """Independent Magnus expansion: plain dict convolution per letter."""
-
-    def mul(s1, s2):
-        out: dict[tuple[int, ...], int] = {}
-        for m1, c1 in s1.items():
-            for m2, c2 in s2.items():
-                if len(m1) + len(m2) <= cap:
-                    key = m1 + m2
-                    out[key] = out.get(key, 0) + c1 * c2
-        return {k: v for k, v in out.items() if v}
-
     acc = {(): 1}
     for index, sign in word.letters:
         if sign == 1:
             letter = {(): 1, (index,): 1}
         else:
             letter = {tuple([index] * k): (-1) ** k for k in range(cap + 1)}
-        acc = mul(acc, letter)
+        acc = series_product(acc, letter, cap)
     return acc
 
 

@@ -5,7 +5,10 @@ Every check is exact integer equality; the only tolerances are wall
 clock budgets, asserted where stated.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import time
 from random import Random
 
@@ -18,6 +21,7 @@ from helpers import (
     random_unimodular,
     random_word,
 )
+from trilink import cli
 from trilink.infection import BandSumCounts, IntersectionProfile, band_sum_expansion, infected_mu
 from trilink.intlinalg import mat_mul, transpose
 from trilink.magnus import mu123, phi
@@ -37,7 +41,14 @@ from trilink.seifert import (
     symplectic_complete,
     validate,
 )
-from trilink.words import commutator, generator, word_inverse, word_power, word_product
+from trilink.words import (
+    FreeWord,
+    commutator,
+    generator,
+    word_inverse,
+    word_power,
+    word_product,
+)
 
 X1, X2, X3 = (generator(3, i) for i in (1, 2, 3))
 
@@ -46,7 +57,7 @@ def report(num: int, desc: str, ok: bool, elapsed: float, budget: float | None =
     mark = "PASS" if ok else "FAIL"
     line = f"[{mark}] criterion {num:2d}: {desc} ({elapsed:.2f}s"
     if budget is not None:
-        line += f", budget {budget:.0f}s"
+        line += f", budget {budget:g}s"
     print(line + ")")
     assert ok, f"criterion {num} failed"
     if budget is not None:
@@ -255,3 +266,21 @@ def test_criterion_10_symplectic_completion():
         ok &= r1.generator == r2.generator
     report(10, "completions satisfy the symplectic postcondition; generator stable",
            ok, time.perf_counter() - start)
+
+
+def test_criterion_11_depth_linear_in_word_length(monkeypatch):
+    rng = Random(1011)
+
+    def random_word_40(n):
+        return FreeWord(40, tuple((rng.randint(1, 40), rng.choice((1, -1))) for _ in range(n)))
+
+    w = commutator(commutator(random_word_40(100), random_word_40(100)), generator(40, 7))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"rank": 40, "word": str(w), "kmax": 4})))
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["depth"])
+    elapsed = time.perf_counter() - start
+    ok = 700 <= len(w) <= 820 and code == 0 and json.loads(out.getvalue()) == {"depth": 3}
+    report(11, f"depth 3 of a {len(w)}-letter [[u, v], g] over 40 generators via cli.main",
+           ok, elapsed, 0.5)

@@ -498,6 +498,24 @@ def test_depth_generator_limit_exit_2(capsys, monkeypatch):
     assert code == 2 and "MAX_DEPTH_TERMS" in out["detail"]
 
 
+def test_series_work_limit_exit_2(capsys, monkeypatch):
+    core = "x1 x2 x1^-1 x2^-1 x3 x2 x1 x2^-1 x1^-1 x3^-1"  # [[x1, x2], x3]
+    monkeypatch.setenv(cli.ENV_DEGREE_CAP, str(magnus.MAX_DEGREE_CAP))
+    payload = {"longitude3": " ".join([core] * 512)}  # 5,120 letters * 3,280 updates
+    start = time.perf_counter()
+    code, out = run_json(capsys, monkeypatch, ["mu", "--show-series"], payload)
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and out["error"] == "bad-input"
+    assert out["detail"] == (
+        "degrees up to 8 of a word with 3 distinct generators take 16793600 "
+        f"slot updates, above MAX_DEPTH_WORK = {magnus.MAX_DEPTH_WORK}")
+    conjugator = " ".join(f"x{i}" for i in range(4, 41))
+    inverse = " ".join(f"x{i}^-1" for i in range(40, 3, -1))
+    word = " ".join([conjugator] + [core] * 991 + [inverse])  # 9,984 letters * (41 + 1,641)
+    code, out = run_json(capsys, monkeypatch, ["depth"], {"rank": 40, "word": word, "kmax": 4})
+    assert code == 2 and "degrees up to 3 " in out["detail"] and "MAX_DEPTH_WORK" in out["detail"]
+
+
 def test_metabolizer_genus_limit_exit_2(capsys, monkeypatch):
     top = seifert.MAX_VERDICT_GENUS
     code, out = run_json(capsys, monkeypatch, ["metabolizer"], _over_genus_limit(top, 1))

@@ -1,4 +1,5 @@
-"""Every public module-level function of the package is exported or used.
+"""Every public module-level function of the package is exported or used,
+and the package exports each one under its own name.
 
 References are read off the syntax tree (names and attribute names), so
 a word in a docstring or comment does not count, and neither does a
@@ -11,16 +12,25 @@ from pathlib import Path
 import trilink
 
 SRC = Path(trilink.__file__).resolve().parent
+INIT = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
 
 
 def _exported() -> set[tuple[str, str]]:
     """(module, function) pairs that __init__ imports under a name in __all__."""
-    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
     return {
         (node.module, alias.name)
-        for node in tree.body if isinstance(node, ast.ImportFrom)
-        for alias in node.names if (alias.asname or alias.name) in trilink.__all__
+        for node in INIT.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name in trilink.__all__
     }
+
+
+def test_no_export_is_renamed():
+    renamed = [
+        f"{alias.name} as {alias.asname}"
+        for node in INIT.body if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names if alias.asname
+    ]
+    assert renamed == []
 
 
 def test_every_public_function_is_exported_or_used():

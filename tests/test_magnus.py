@@ -3,10 +3,16 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_commutator_subgroup_word, random_word, series_dict, spread_word
+from helpers import (
+    random_commutator_subgroup_word,
+    random_word,
+    series_dict,
+    series_product,
+    spread_word,
+)
 from trilink import magnus, nilpotent
 from trilink.errors import PreconditionError
-from trilink.magnus import MagnusSeries, _degree_two, lcs_depth, mu123, one, phi, series_mul
+from trilink.magnus import MagnusSeries, _degree_two, lcs_depth, mu123, phi
 from trilink.words import (
     FreeWord,
     commutator,
@@ -47,26 +53,6 @@ def test_phi_commutator_full_expansion():
     assert series_dict(w, 3) == expected
 
 
-def test_series_mul_distributes():
-    s1 = MagnusSeries(3, 3, {(): 1, (1,): 1})
-    s2 = MagnusSeries(3, 3, {(): 1, (2,): 1})
-    assert series_mul(s1, s2).terms == {(): 1, (1,): 1, (2,): 1, (1, 2): 1}
-
-
-def test_series_mul_unit_and_associativity_instance():
-    s = phi(parse_word("x1 x2 x3^-1", 3), 3)
-    assert series_mul(s, one(3, 3)) == s
-    f = MagnusSeries(3, 3, {(): 1, (1,): 1})
-    assert series_mul(series_mul(f, f), f) == series_mul(f, series_mul(f, f))
-
-
-def test_series_mul_mismatch_errors():
-    with pytest.raises(ValueError, match="rank"):
-        series_mul(one(2, 3), one(3, 3))
-    with pytest.raises(ValueError, match="cap"):
-        series_mul(one(3, 2), one(3, 3))
-
-
 def test_coefficient_bounds():
     s = phi(commutator(X1, X2), 3)
     assert s.coefficient((1, 2)) == 1
@@ -83,16 +69,32 @@ def test_phi_multiplicative_and_inverse_law_random():
         u = random_word(rng, 3, 8)
         v = random_word(rng, 3, 8)
         cap = rng.randint(1, 4)
-        assert phi(word_product(u, v), cap) == series_mul(phi(u, cap), phi(v, cap))
-        assert series_mul(phi(u, cap), phi(word_inverse(u), cap)) == one(3, cap)
+        product = series_product(phi(u, cap).terms, phi(v, cap).terms, cap)
+        assert phi(word_product(u, v), cap).terms == product
+        assert series_product(phi(u, cap).terms, phi(word_inverse(u), cap).terms, cap) == {(): 1}
+
+
+def _inverse_heavy_word(rng, rank, max_len):
+    """A random word whose letters are inverses about four times in five."""
+    n = rng.randint(1, max_len)
+    letters = tuple((rng.randint(1, rank), 1 if rng.random() < 0.2 else -1) for _ in range(n))
+    return FreeWord(rank, letters)
 
 
 def test_phi_against_independent_expansion():
+    # every rank 1-6 and cap 1-8 whose rank**cap levels fit MAX_DEPTH_TERMS
     rng = Random(11)
-    for _ in range(150):
-        w = random_word(rng, 3, 10)
-        cap = rng.randint(1, 4)
-        assert phi(w, cap).terms == series_dict(w, cap)
+    for rank in range(1, 7):
+        for cap in range(1, 9):
+            if rank**cap > magnus.MAX_DEPTH_TERMS:
+                continue
+            words = [FreeWord(rank)]
+            words += [word_power(generator(rank, rng.randint(1, rank)), n) for n in (1, -1, 3, -4)]
+            for _ in range(4):
+                words.append(random_word(rng, rank, 9))
+                words.append(_inverse_heavy_word(rng, rank, 9))
+            for w in words:
+                assert phi(w, cap).terms == series_dict(w, cap), (w, cap)
 
 
 def test_mu123_examples():
@@ -161,7 +163,7 @@ def test_mu123_and_class_of_do_not_expand_the_series(monkeypatch):
         raise AssertionError("the series was expanded")
 
     monkeypatch.setattr(magnus, "phi", no_phi)
-    monkeypatch.setattr(magnus, "series_mul", no_phi)
+    monkeypatch.setattr(magnus, "_levels", no_phi)
     w = word_product(commutator(X1, X2), commutator(X2, X3))
     assert mu123(w) == 1
     assert nilpotent.class_of(w) == (1, 0, 1)
@@ -208,6 +210,7 @@ def test_lcs_depth_reads_degrees_one_and_two_without_the_series(monkeypatch):
         raise AssertionError("the series was expanded")
 
     monkeypatch.setattr(magnus, "phi", no_phi)
+    monkeypatch.setattr(magnus, "_levels", no_phi)
     for w, depth in cases:
         for kmax in (1, 2, 3, 8):
             assert lcs_depth(w, kmax) == min(depth, kmax), (w, kmax)
@@ -235,6 +238,58 @@ def test_lcs_depth_refuses_degrees_over_the_term_limit():
     assert lcs_depth(_conjugated(core, 80), 3) == 3  # degree 2 only: 83**2 pairs
     with pytest.raises(ValueError, match="MAX_DEPTH_TERMS"):  # whatever kmax is
         lcs_depth(_conjugated(core, 38), 10**12)
+
+
+def _repeat(w, k):
+    """w**k for a cyclically reduced w, in one pass."""
+    return FreeWord(w.rank, w.letters * k)
+
+
+def _forbid(monkeypatch, *names):
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    for name in names:
+        monkeypatch.setattr(magnus, name, no_work)
+
+
+def test_lcs_depth_refuses_work_over_the_limit_before_building(monkeypatch):
+    # slot updates letters * (1 + r + ... + r**(d-1)), summed over degrees 2..d
+    assert magnus.MAX_DEPTH_WORK == 2**24
+    core = commutator(commutator(X1, X2), X3)
+    below = _conjugated(_repeat(core, 990), 37)  # 9,974 letters * (41 + 1641)
+    above = _conjugated(_repeat(core, 991), 37)  # 9,984 letters
+    assert 9974 * 1682 <= magnus.MAX_DEPTH_WORK < 9984 * 1682
+    _forbid(monkeypatch, "_levels")
+    with pytest.raises(AssertionError, match="work started"):
+        lcs_depth(below, 4)
+    with pytest.raises(ValueError, match=r"degrees up to 3 .* 40 distinct .* MAX_DEPTH_WORK = 16777216"):
+        lcs_depth(above, 4)
+    assert lcs_depth(above, 3) == 3  # degree 2 alone: 9,984 * 41 updates
+    wide = _repeat(spread_word(256), 128)  # 65,536 letters * 257 at degree 2
+    _forbid(monkeypatch, "_degree_two")
+    with pytest.raises(ValueError, match="degrees up to 2 .* MAX_DEPTH_WORK"):
+        lcs_depth(wide, 3)
+    monkeypatch.setattr(magnus, "MAX_DEPTH_WORK", 65536 * 257)  # the limit is inclusive
+    with pytest.raises(AssertionError, match="work started"):
+        lcs_depth(wide, 3)
+    monkeypatch.setattr(magnus, "MAX_DEPTH_WORK", 65536 * 257 - 1)
+    with pytest.raises(ValueError, match="MAX_DEPTH_WORK"):
+        lcs_depth(wide, 3)
+
+
+def test_phi_refuses_caps_over_the_limits_before_building(monkeypatch):
+    _forbid(monkeypatch, "_levels")
+    long = _repeat(commutator(X1, X2), 1279)  # 5,116 letters * (1 + 2 + ... + 2**7)
+    assert 5116 * 255 <= magnus.MAX_DEPTH_WORK
+    with pytest.raises(AssertionError, match="work started"):
+        phi(long, 8)
+    longer = _repeat(commutator(commutator(X1, X2), X3), 512)  # 5,120 letters * 3,280
+    assert 5120 * 3280 > magnus.MAX_DEPTH_WORK
+    with pytest.raises(ValueError, match="degrees up to 8 .* MAX_DEPTH_WORK"):
+        phi(longer, 8)
+    with pytest.raises(ValueError, match=r"17\*\*4 .* MAX_DEPTH_TERMS"):
+        phi(_conjugated(commutator(commutator(X1, X2), X3), 14), 4)
 
 
 def test_lcs_depth_caps_at_kmax():
@@ -265,7 +320,7 @@ def test_series_invariants_enforced():
 
 
 def test_to_text_canonical():
-    assert one(3, 2).to_text() == "1"
+    assert MagnusSeries(3, 2, {(): 1}).to_text() == "1"
     assert MagnusSeries(3, 2, {}).to_text() == "0"
     s = MagnusSeries(3, 2, {(): 1, (1, 2): 2, (2, 1): -2})
     assert s.to_text() == "1 + 2*a1 a2 - 2*a2 a1"

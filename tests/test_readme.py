@@ -1,7 +1,8 @@
-"""Every `$ echo '...' | trilink X` example in README.md, run through cli.main.
+"""The README's examples: every `$ echo '...' | trilink X` line, run
+through cli.main, and the "Library quick tour" Python block, executed.
 
-The line after each example is its expected stdout.  Where the README
-elides part of it with `…`, the elided part may be any text.
+The line after each command example is its expected stdout.  Where the
+README elides part of it with `…`, the elided part may be any text.
 """
 
 import io
@@ -15,7 +16,9 @@ from trilink import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 EXAMPLE = re.compile(r"^\$ echo '(?P<stdin>[^']*)' \| trilink (?P<argv>.+)\n(?P<out>.+)$", re.M)
-EXAMPLES = [m.groupdict() for m in EXAMPLE.finditer(README.read_text(encoding="utf-8"))]
+TEXT = README.read_text(encoding="utf-8")
+EXAMPLES = [m.groupdict() for m in EXAMPLE.finditer(TEXT)]
+TOUR = re.search(r"^## Library quick tour\n\n```python\n(?P<code>.*?)^```$", TEXT, re.M | re.S)
 
 
 def test_readme_has_echo_examples():
@@ -31,3 +34,8 @@ def test_readme_example(capsys, monkeypatch, example):
     assert code == 0
     pattern = ".*".join(re.escape(part) for part in example["out"].split("…"))
     assert re.fullmatch(pattern + "\n", out), out
+
+
+def test_readme_library_tour_runs():
+    assert TOUR is not None
+    exec(compile(TOUR["code"], "README.md (Library quick tour)", "exec"), {})
