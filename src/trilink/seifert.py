@@ -55,10 +55,10 @@ ORDERINGS = ("interleaved", "blocked")
 MAX_SEARCH_GENUS = 3
 # Largest coefficient box (2*bound+1)**(2*genus) a search may scan: genus 3
 # at bound 2, genus 2 at bound 5, genus 1 at bound 62.  Python 3.11.7,
-# shared 2-CPU Xeon: the genus-3 unknot surface took 0.06 s at bound 1
-# and 2.0-2.6 s at bound 2 (median of 5); every bound up to the limit
-# took at most 0.02 s at genus 1 (6 matrices) and at most 0.09 s at
-# genus 2 (7 matrices, the slowest the unknot surface at bound 5).
+# shared 2-CPU Xeon: the genus-3 unknot surface took 0.02 s at bound 1
+# and 0.50-0.76 s at bound 2 (medians of 5, four sets); every bound up to
+# the limit took at most 0.03 s at genus 1 (6 matrices) and at most
+# 0.08 s at genus 2 (7 matrices, the slowest the unknot surface at bound 5).
 MAX_SEARCH_BOX = 5**6
 # Largest genus metabolizer_verdict takes: its Smith form lets entries grow.
 # Python 3.11.7, 2-CPU Xeon, dense random columns via cli.main: genus 16
@@ -268,16 +268,26 @@ def _wedge(coeffs: list[tuple[int, ...]], v) -> list[int]:
     return [v[a] * x + v[b] * y + v[c] * z for a, x, b, y, c, z in coeffs]
 
 
-def _primitive_cliques(cands, adj, tables, clique, plucker, allowed):
-    """Yield (clique, exterior product) for each primitive full extension of clique.
+def _primitive_cliques(cands, adj, tables, clique, plucker, allowed, seen):
+    """Yield each primitive full extension of clique, one per lattice.
 
     The clique grows by candidates from the bitmask allowed, in
     increasing index order and pairwise adjacent by adj, for as long as
     the gcd of its exterior product is 1.  tables[level] is
-    _wedge_table(n, level), one per column of a full clique.
+    _wedge_table(n, level), one per column of a full clique.  seen maps
+    a candidate index to the member masks of the lattices already
+    yielded that contain it; a prefix inside such a lattice skips its
+    members as leaves.
     """
-    coeffs = _wedge_coefficients(tables[len(clique)], plucker)
     full = len(clique) + 1 == len(tables)
+    if full and clique:
+        bits = sum(1 << c for c in clique)
+        for members in seen.get(clique[0], ()):
+            if members & bits == bits:
+                allowed &= ~members
+        if not allowed:
+            return
+    coeffs = _wedge_coefficients(tables[len(clique)], plucker)
     rest = allowed
     while rest:
         low = rest & -rest
@@ -287,10 +297,19 @@ def _primitive_cliques(cands, adj, tables, clique, plucker, allowed):
         if gcd(*ext) != 1:
             continue
         if full:
-            yield clique + [j], ext
+            yield clique + [j]
+            members = adj[j] | low
+            for c in clique:
+                members &= adj[c] | (1 << c)
+            rest &= ~members
+            todo = members
+            while todo:
+                bit = todo & -todo
+                seen.setdefault(bit.bit_length() - 1, []).append(members)
+                todo ^= bit
         else:
             later = allowed & adj[j] & ~((low << 1) - 1)
-            yield from _primitive_cliques(cands, adj, tables, clique + [j], ext, later)
+            yield from _primitive_cliques(cands, adj, tables, clique + [j], ext, later, seen)
 
 
 def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[MetabolizerBasis]:
@@ -311,14 +330,17 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
     1.  A gcd of 0 means dependent columns; a gcd above 1 means the span
     is not a summand.
 
-    The dedupe key is sound because a primitive lattice is fixed by its
-    Pluecker vector up to sign.  Two bases of one lattice differ by a
-    unimodular matrix, which scales the vector by its determinant, +-1.
-    Conversely, the vector's line fixes the rational span, and a
-    primitive lattice is the set of integer points of its rational span.
-    So the vector, signed so that its first nonzero coordinate is
-    positive, keys the lattice, and only a new key pays for the Hermite
-    form and the is_metabolizer cross-check.
+    Each lattice is yielded once, because a metabolizer is a Lagrangian
+    of the unimodular form J = M - M^T: it is its own J-orthogonal
+    complement.  A candidate adjacent to every column of a basis of a
+    found lattice is J-orthogonal to the lattice, so it lies in the
+    rational span and, the lattice being primitive, in the lattice.  The
+    AND over the clique of each column's adjacency mask with its own bit
+    is thus exactly the lattice's set of candidates.  Any clique inside
+    that set spans the lattice again or fails the gcd test, so the
+    search drops the set from the leaves of the current prefix and of
+    every later prefix inside it, and only the first basis found pays
+    for the Hermite form and the is_metabolizer cross-check.
     """
     if coeff_bound < 1:
         raise ValueError(f"coefficient bound must be >= 1, got {coeff_bound}")
@@ -356,17 +378,14 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
                 adj[j] |= 1 << i
 
     tables = [_wedge_table(n, level) for level in range(g)]
-    found: dict[tuple[int, ...], MetabolizerBasis] = {}  # by signed Pluecker vector
-    for clique, plucker in _primitive_cliques(cands, adj, tables, [], [1], (1 << k) - 1):
-        key = tuple(plucker) if next(x for x in plucker if x) > 0 else tuple(-x for x in plucker)
-        if key in found:
-            continue
+    found = []
+    for clique in _primitive_cliques(cands, adj, tables, [], [1], (1 << k) - 1, {}):
         canon = column_lattice_basis(transpose([cands[i] for i in clique]))
         basis = MetabolizerBasis(tuple(tuple(c) for c in transpose(canon)))
         if not is_metabolizer(m, basis):  # canonical basis spans the same lattice
             raise CrossCheckError("canonicalized basis lost the metabolizer property")
-        found[key] = basis
-    return sorted(found.values(), key=lambda basis: basis.columns)
+        found.append(basis)
+    return sorted(found, key=lambda basis: basis.columns)
 
 
 def symplectic_complete(

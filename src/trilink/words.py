@@ -105,12 +105,10 @@ def word_inverse(w: FreeWord) -> FreeWord:
 
 
 def word_power(w: FreeWord, n: int) -> FreeWord:
+    """w^n (the inverse's power for n < 0), reduced in one pass over |n| copies."""
     if n < 0:
-        return word_power(word_inverse(w), -n)
-    out = FreeWord(w.rank)
-    for _ in range(n):
-        out = word_product(out, w)
-    return out
+        w, n = word_inverse(w), -n
+    return FreeWord(w.rank, w.letters * n)
 
 
 def abelianization(w: FreeWord) -> dict[int, int]:

@@ -6,7 +6,9 @@ expansion is a plain dict convolution per letter (the package reads
 degree 2 off exponent sums and updates dense per-degree levels), and
 primitivity is gcd of maximal minors (the package uses Smith form).
 The ledger's commutator pairs are assembled here from exponent sums,
-and the genus-one Bezout pair is found by search.
+and the genus-one Bezout pair is found by search.  The metabolizer
+search is kept in its older form, which reaches every box basis of a
+lattice and drops repeats by Pluecker key.
 """
 
 from __future__ import annotations
@@ -146,6 +148,61 @@ def brute_force_metabolizer_lattices(m, bound: int) -> set:
             continue
         keys.add(tuple(tuple(r) for r in column_lattice_basis(mat)))
     return keys
+
+
+def visit_every_basis_metabolizers(m, bound: int) -> list:
+    """The metabolizer search that visits every box basis of each lattice.
+
+    Same candidates (primitive isotropic box vectors, one sign each),
+    adjacency and gcd pruning as seifert.enumerate_metabolizers, but
+    without membership pruning: every primitive full clique is reached,
+    and a repeat lattice is dropped by its Pluecker vector, signed so
+    that its first nonzero coordinate is positive.  Returns the Hermite
+    canonical basis of each lattice, sorted by columns.
+    """
+    from trilink.intlinalg import column_lattice_basis, transpose
+    from trilink.seifert import MetabolizerBasis, _wedge, _wedge_coefficients, _wedge_table
+
+    g, n = m.genus, m.dim
+    cols_of_m = transpose(m.rows())
+    cands, row_of = [], []
+    for vec in itertools.product(range(-bound, bound + 1), repeat=n):
+        if gcd(*vec) != 1 or next(x for x in vec if x) < 0:
+            continue
+        row = [sum(a * b for a, b in zip(vec, col)) for col in cols_of_m]
+        if sum(a * b for a, b in zip(row, vec)) == 0:
+            cands.append(vec)
+            row_of.append(row)
+    adj = [0] * len(cands)
+    for i, j in itertools.combinations(range(len(cands)), 2):
+        if (sum(a * b for a, b in zip(row_of[i], cands[j])) == 0
+                and sum(a * b for a, b in zip(row_of[j], cands[i])) == 0):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    tables = [_wedge_table(n, level) for level in range(g)]
+
+    def cliques(clique, plucker, allowed):
+        coeffs = _wedge_coefficients(tables[len(clique)], plucker)
+        rest = allowed
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            rest ^= low
+            ext = _wedge(coeffs, cands[j])
+            if gcd(*ext) != 1:
+                continue
+            if len(clique) + 1 == g:
+                yield clique + [j], ext
+            else:
+                yield from cliques(clique + [j], ext, allowed & adj[j] & ~((low << 1) - 1))
+
+    found = {}
+    for clique, plucker in cliques([], [1], (1 << len(cands)) - 1):
+        key = tuple(plucker) if next(x for x in plucker if x) > 0 else tuple(-x for x in plucker)
+        if key not in found:
+            canon = column_lattice_basis(transpose([cands[i] for i in clique]))
+            found[key] = MetabolizerBasis(tuple(tuple(c) for c in transpose(canon)))
+    return sorted(found.values(), key=lambda basis: basis.columns)
 
 
 def lattice_keys(bases) -> set:

@@ -16,7 +16,9 @@ from helpers import (
     random_unimodular,
     unimodular_inverse,
     unknot_sum_rows,
+    visit_every_basis_metabolizers,
 )
+from trilink import seifert
 from trilink.errors import CrossCheckError, PreconditionError
 from trilink.intlinalg import column_lattice_basis, mat_mul, transpose
 from trilink.realization import GenusThreeParams
@@ -66,14 +68,19 @@ def random_stars(rng, bound=9):
     return tuple(rng.randint(-bound, bound) for _ in range(6))
 
 
-def random_seifert(rng, genus, ordering):
-    """Random valid matrix with small entries, zero-heavy so metabolizers occur."""
+def random_seifert(rng, genus, ordering, metabolic=False):
+    """Random valid matrix with small entries, zero-heavy so metabolizers occur.
+
+    With metabolic, the form vanishes on the b-curves, so they span one.
+    """
     j = intersection_form(genus, ordering)
     n = 2 * genus
+    b_curves = set(range(1, n, 2) if ordering == "interleaved" else range(genus, n))
     rows = [[0] * n for _ in range(n)]
     for r in range(n):
         for c in range(r, n):
-            rows[r][c] = rng.choice((0, 0, 0, 1, -1, 2))
+            if not (metabolic and r in b_curves and c in b_curves):
+                rows[r][c] = rng.choice((0, 0, 0, 1, -1, 2))
             rows[c][r] = rows[r][c] - j[r][c]
     return validate(rows, ordering)
 
@@ -291,6 +298,45 @@ def test_enumerate_unknot_genus_3_bound_2_matches_golden(unknot):
     assert golden["entries"] == UNKNOT_ROWS
     found = enumerate_metabolizers(unknot, golden["bound"])
     assert [[list(c) for c in v.columns] for v in found] == golden["lattices"]
+    oracle = visit_every_basis_metabolizers(unknot, golden["bound"])
+    assert [[list(c) for c in v.columns] for v in oracle] == golden["lattices"]
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_enumerate_matches_visit_every_basis_oracle(genus, bound):
+    rng = Random(1000 * genus + bound)
+    total = 0
+    for trial in range(4):
+        m = random_seifert(rng, genus, rng.choice(("interleaved", "blocked")), trial % 2 == 1)
+        found = enumerate_metabolizers(m, bound)
+        assert found == visit_every_basis_metabolizers(m, bound)
+        total += len(found)
+    assert total > 0
+
+
+def test_enumerate_prunes_only_prefixes_inside_a_found_lattice():
+    # Pruning a prefix that merely meets a found lattice, instead of lying
+    # inside it, loses two of these 13 lattices at bound 1.
+    rows = [[1, 2, 0, 1, 0, 0], [2, 0, 0, 2, -1, -1], [0, 0, 0, 0, 0, 0],
+            [0, 2, 0, 0, 0, 0], [0, -2, 0, 0, 0, 0], [0, -1, -1, 0, 0, 0]]
+    m = validate(rows, "blocked")
+    found = enumerate_metabolizers(m, 1)
+    assert len(found) == 13
+    assert found == visit_every_basis_metabolizers(m, 1)
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+def test_enumerate_canonicalizes_each_lattice_once(unknot, monkeypatch, bound):
+    calls = []
+
+    def counting(mat):
+        calls.append(mat)
+        return column_lattice_basis(mat)
+
+    monkeypatch.setattr(seifert, "column_lattice_basis", counting)
+    found = enumerate_metabolizers(unknot, bound)
+    assert len(calls) == len(found) == (28, 100)[bound - 1]
 
 
 @pytest.mark.parametrize("bound", [1, 2])

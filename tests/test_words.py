@@ -1,6 +1,9 @@
+from random import Random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import random_word
 from trilink.words import (
     FreeWord,
     commutator,
@@ -95,6 +98,22 @@ def test_power():
     assert word_power(x1, -2) == parse_word("x1^-1 x1^-1", 3)
     assert word_power(x1, 0) == FreeWord(3)
     assert (x1 ** 2) * ~x1 == x1
+
+
+def test_power_matches_repeated_products():
+    rng = Random(7)
+    not_cyclically_reduced = 0
+    for _ in range(40):
+        u, v = random_word(rng, 3, 6), random_word(rng, 3, 6)
+        w = u * v * ~u  # a conjugate, so copies of w mostly cancel where they meet
+        if len(w) > 1 and w.letters[0] == (w.letters[-1][0], -w.letters[-1][1]):
+            not_cyclically_reduced += 1
+        for n in range(-6, 7):
+            want = FreeWord(3)
+            for _ in range(abs(n)):
+                want = word_product(want, w if n > 0 else word_inverse(w))
+            assert word_power(w, n) == want
+    assert not_cyclically_reduced >= 20
 
 
 def test_reduce_is_idempotent_on_raw_letters():
