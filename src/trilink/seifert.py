@@ -55,10 +55,12 @@ ORDERINGS = ("interleaved", "blocked")
 MAX_SEARCH_GENUS = 3
 # Largest coefficient box (2*bound+1)**(2*genus) a search may scan: genus 3
 # at bound 2, genus 2 at bound 5, genus 1 at bound 62.  Python 3.11.7,
-# shared 2-CPU Xeon: the genus-3 unknot surface took 0.02 s at bound 1
-# and 0.50-0.76 s at bound 2 (medians of 5, four sets); every bound up to
-# the limit took at most 0.03 s at genus 1 (6 matrices) and at most
-# 0.08 s at genus 2 (7 matrices, the slowest the unknot surface at bound 5).
+# shared 2-CPU Xeon: the genus-3 unknot surface took 0.015-0.017 s at
+# bound 1 and 0.25-0.26 s at bound 2 (medians of 5, four sets); genus 3
+# at bound 2 with 40-digit entries took 0.021-0.038 s (5 matrices); every
+# bound up to the limit took at most 0.010 s at genus 1 (6 matrices) and
+# at most 0.019 s at genus 2 (7 matrices, the slowest the unknot surface
+# at bound 5).
 MAX_SEARCH_BOX = 5**6
 # Largest genus metabolizer_verdict takes: its Smith form lets entries grow.
 # Python 3.11.7, 2-CPU Xeon, dense random columns via cli.main: genus 16
@@ -312,6 +314,63 @@ def _primitive_cliques(cands, adj, tables, clique, plucker, allowed, seen):
             yield from _primitive_cliques(cands, adj, tables, clique + [j], ext, later, seen)
 
 
+def _box_candidates(m: SeifertMatrix, bound: int) -> list[tuple[int, ...]]:
+    """Primitive isotropic vectors of the box, one sign each, in product order."""
+    g, e = m.genus, m.entries
+    halves = list(itertools.product(range(-bound, bound + 1), repeat=g))
+
+    def quad(offset):  # u^T M[half, half] u for every half u
+        block = [e[offset + i][offset:offset + g] for i in range(g)]
+        return [sum(x * sum(map(mul, row, u)) for x, row in zip(u, block)) for u in halves]
+
+    cross = [[e[i][g + j] + e[g + j][i] for i in range(g)] for j in range(g)]  # columns of C
+    bottom = list(zip(halves, quad(g)))
+    cands = []
+    for u, q in zip(halves, quad(0)):
+        cu = [sum(map(mul, u, col)) for col in cross]
+        for w in [w for w, qw in bottom if q + qw + sum(map(mul, cu, w)) == 0]:
+            v = u + w
+            if gcd(*v) == 1 and next(x for x in v if x) > 0:  # -v spans the same lattice
+                cands.append(v)
+    return cands
+
+
+def _adjacency_masks(m: SeifertMatrix, cands, bound: int) -> list[int]:
+    """Bit j of mask i is set iff candidates i != j pair to 0 under M both ways.
+
+    Every f . c_j for one functional f is read off one big-integer sum;
+    the slot layout is explained in enumerate_metabolizers.
+    """
+    k = len(cands)
+    if not k:
+        return []
+    cols = list(zip(*m.entries))
+    funcs = [([sum(map(mul, c, col)) for col in cols], [sum(map(mul, row, c)) for row in m.entries])
+             for c in cands]  # c^T M and M c
+    norm = max(sum(map(abs, f)) for pair in funcs for f in pair)
+    step = (norm * bound).bit_length() // 8 + 1  # bytes per slot, w = 8 * step
+    ones = int.from_bytes(b"\1".ljust(step, b"\0") * k, "little")
+    high = ones << (8 * step - 1)  # bias 2^(w-1) in every slot
+    low = high - ones
+    # packed[t] holds coordinate t of candidate j in slot j; c[t] + bound
+    # fits the slot's low byte because the box limit keeps bound below 63
+    packed = []
+    layout = bytearray(k * step)
+    for t in range(m.dim):
+        layout[::step] = bytes(c[t] + bound for c in cands)
+        packed.append(int.from_bytes(layout, "little") - bound * ones)
+    read = bytes.maketrans(b"\0\x80", b"10")  # top byte of a slot: flag clear means zero
+    adj = []
+    for i, pair in enumerate(funcs):
+        flags = 0
+        for f in pair:
+            x = (sum(map(mul, f, packed)) + high) ^ high  # slot j: f . c_j mod 2^w
+            flags |= ((x & low) + low) | x  # top bit of slot j set iff slot j is nonzero
+        zero = int((flags & high).to_bytes(k * step, "big")[::step].translate(read), 2)
+        adj.append(zero & ~(1 << i))  # c_i is isotropic, so it pairs to 0 with itself
+    return adj
+
+
 def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[MetabolizerBasis]:
     """All metabolizers spanned by columns with entries in [-bound, bound].
 
@@ -341,6 +400,21 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
     search drops the set from the leaves of the current prefix and of
     every later prefix inside it, and only the first basis found pays
     for the Hermite form and the is_metabolizer cross-check.
+
+    Candidates and adjacency are built in bulk.  A box vector v = (u, w)
+    with halves of length g has v^T M v = q_top(u) + q_bot(w) + (C^T u).w,
+    where C = M[top, bot] + M[bot, top]^T and q_top, q_bot are the forms
+    of the diagonal blocks.  So q_bot is computed once per half, q_top(u)
+    and C^T u once per u, and each vector costs one g-term dot product;
+    u runs outside w, which is itertools.product order.  Candidates c_i
+    and c_j are adjacent iff r_i.c_j = s_i.c_j = 0, for r_i = c_i^T M and
+    s_i = M c_i.  Coordinate t of all k candidates is packed into one
+    integer, candidate j in slot j of w bits, so one big-integer sum per
+    functional f holds every f.c_j.  As |f.c_j| <= |f|_1 * bound, w is
+    the least multiple of 8 above the bit length of the largest
+    |f|_1 * bound: with a bias of 2^(w-1) added, every slot lies in
+    [1, 2^w), no slot borrows from its neighbour, and the sums are exact
+    for entries of any size.
     """
     if coeff_bound < 1:
         raise ValueError(f"coefficient bound must be >= 1, got {coeff_bound}")
@@ -351,35 +425,11 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
             f"coefficient bound {coeff_bound} at genus {m.genus} gives a search box "
             f"above cap MAX_SEARCH_BOX = {MAX_SEARCH_BOX} vectors"
         )
-    g, n = m.genus, m.dim
-    cols_of_m = transpose(m.rows())
-    values = range(-coeff_bound, coeff_bound + 1)
-
-    # Sign-normalized primitive isotropic candidates with their rows v^T M;
-    # -v spans the same lattice.
-    cands: list[tuple[int, ...]] = []
-    row_of: list[list[int]] = []
-    for vec in itertools.product(values, repeat=n):
-        if gcd(*vec) != 1 or next(x for x in vec if x) < 0:
-            continue
-        row = [sum(map(mul, vec, col)) for col in cols_of_m]
-        if sum(map(mul, row, vec)) == 0:
-            cands.append(vec)
-            row_of.append(row)
-
-    # adjacency bitmask: both mixed form values u^T M v and v^T M u vanish
-    k = len(cands)
-    adj = [0] * k
-    for i in range(k):
-        ci, ri = cands[i], row_of[i]
-        for j in range(i + 1, k):
-            if sum(map(mul, ri, cands[j])) == 0 and sum(map(mul, row_of[j], ci)) == 0:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-
-    tables = [_wedge_table(n, level) for level in range(g)]
+    cands = _box_candidates(m, coeff_bound)
+    adj = _adjacency_masks(m, cands, coeff_bound)
+    tables = [_wedge_table(m.dim, level) for level in range(m.genus)]
     found = []
-    for clique in _primitive_cliques(cands, adj, tables, [], [1], (1 << k) - 1, {}):
+    for clique in _primitive_cliques(cands, adj, tables, [], [1], (1 << len(cands)) - 1, {}):
         canon = column_lattice_basis(transpose([cands[i] for i in clique]))
         basis = MetabolizerBasis(tuple(tuple(c) for c in transpose(canon)))
         if not is_metabolizer(m, basis):  # canonical basis spans the same lattice

@@ -150,23 +150,19 @@ def brute_force_metabolizer_lattices(m, bound: int) -> set:
     return keys
 
 
-def visit_every_basis_metabolizers(m, bound: int) -> list:
-    """The metabolizer search that visits every box basis of each lattice.
+def pairwise_candidates_and_adjacency(m, bound: int) -> tuple[list, list[int]]:
+    """Box candidates and adjacency masks of the metabolizer search, pair by pair.
 
-    Same candidates (primitive isotropic box vectors, one sign each),
-    adjacency and gcd pruning as seifert.enumerate_metabolizers, but
-    without membership pruning: every primitive full clique is reached,
-    and a repeat lattice is dropped by its Pluecker vector, signed so
-    that its first nonzero coordinate is positive.  Returns the Hermite
-    canonical basis of each lattice, sorted by columns.
+    Candidates are the primitive isotropic vectors of the box in
+    itertools.product order, signed so that their first nonzero entry is
+    positive; bit j of adj[i] is set iff u^T M v and v^T M u both vanish
+    for candidates u = i and v = j, with i != j.
     """
-    from trilink.intlinalg import column_lattice_basis, transpose
-    from trilink.seifert import MetabolizerBasis, _wedge, _wedge_coefficients, _wedge_table
+    from trilink.intlinalg import transpose
 
-    g, n = m.genus, m.dim
     cols_of_m = transpose(m.rows())
     cands, row_of = [], []
-    for vec in itertools.product(range(-bound, bound + 1), repeat=n):
+    for vec in itertools.product(range(-bound, bound + 1), repeat=m.dim):
         if gcd(*vec) != 1 or next(x for x in vec if x) < 0:
             continue
         row = [sum(a * b for a, b in zip(vec, col)) for col in cols_of_m]
@@ -179,6 +175,25 @@ def visit_every_basis_metabolizers(m, bound: int) -> list:
                 and sum(a * b for a, b in zip(row_of[j], cands[i])) == 0):
             adj[i] |= 1 << j
             adj[j] |= 1 << i
+    return cands, adj
+
+
+def visit_every_basis_metabolizers(m, bound: int) -> list:
+    """The metabolizer search that visits every box basis of each lattice.
+
+    Same candidates (primitive isotropic box vectors, one sign each),
+    adjacency and gcd pruning as seifert.enumerate_metabolizers, built
+    pair by pair by pairwise_candidates_and_adjacency, but without
+    membership pruning: every primitive full clique is reached, and a
+    repeat lattice is dropped by its Pluecker vector, signed so that its
+    first nonzero coordinate is positive.  Returns the Hermite canonical
+    basis of each lattice, sorted by columns.
+    """
+    from trilink.intlinalg import column_lattice_basis, transpose
+    from trilink.seifert import MetabolizerBasis, _wedge, _wedge_coefficients, _wedge_table
+
+    g, n = m.genus, m.dim
+    cands, adj = pairwise_candidates_and_adjacency(m, bound)
     tables = [_wedge_table(n, level) for level in range(g)]
 
     def cliques(clique, plucker, allowed):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 from math import gcd
 from pathlib import Path
 from random import Random
@@ -13,6 +14,7 @@ from helpers import (
     cofactor_det,
     lattice_keys,
     minors_gcd,
+    pairwise_candidates_and_adjacency,
     random_unimodular,
     unimodular_inverse,
     unknot_sum_rows,
@@ -68,8 +70,9 @@ def random_stars(rng, bound=9):
     return tuple(rng.randint(-bound, bound) for _ in range(6))
 
 
-def random_seifert(rng, genus, ordering, metabolic=False):
-    """Random valid matrix with small entries, zero-heavy so metabolizers occur.
+def random_seifert(rng, genus, ordering, metabolic=False, entries=(0, 0, 0, 1, -1, 2)):
+    """Random valid matrix with upper entries drawn from entries, zero-heavy
+    by default so that metabolizers occur.
 
     With metabolic, the form vanishes on the b-curves, so they span one.
     """
@@ -80,7 +83,7 @@ def random_seifert(rng, genus, ordering, metabolic=False):
     for r in range(n):
         for c in range(r, n):
             if not (metabolic and r in b_curves and c in b_curves):
-                rows[r][c] = rng.choice((0, 0, 0, 1, -1, 2))
+                rows[r][c] = rng.choice(entries)
             rows[c][r] = rows[r][c] - j[r][c]
     return validate(rows, ordering)
 
@@ -313,6 +316,75 @@ def test_enumerate_matches_visit_every_basis_oracle(genus, bound):
         assert found == visit_every_basis_metabolizers(m, bound)
         total += len(found)
     assert total > 0
+
+
+def assert_bulk_builders_match_pairwise(m, bound) -> tuple[int, int]:
+    """The search's candidates and masks equal the pairwise oracle's; returns
+    the number of candidates and of adjacent pairs."""
+    cands, adj = pairwise_candidates_and_adjacency(m, bound)
+    assert seifert._box_candidates(m, bound) == cands
+    assert seifert._adjacency_masks(m, cands, bound) == adj
+    return len(cands), sum(mask.bit_count() for mask in adj) // 2
+
+
+def assert_some_work(genus, work):
+    # Two adjacent candidates span an isotropic plane, which genus 1 lacks.
+    cands, pairs = map(sum, zip(*work))
+    assert cands > 0 and (pairs > 0 or genus == 1)
+
+
+@pytest.mark.parametrize("genus, bounds", [(1, range(1, 63)), (2, range(1, 6)), (3, (1, 2))])
+def test_bulk_builders_match_pairwise_oracle(genus, bounds):
+    # every bound the box limit allows at genus 1 and 2; entries of 1 to 40 digits
+    rng = Random(800 + genus)
+    work = []
+    for bound in bounds:
+        for ordering in seifert.ORDERINGS:
+            digits = rng.randint(1, 40)
+            big = [rng.choice((1, -1)) * rng.randrange(10 ** (digits - 1), 10 ** digits)
+                   for _ in range(2)]
+            m = random_seifert(rng, genus, ordering, True, (0, 0, 0, 1, -1, *big))
+            work.append(assert_bulk_builders_match_pairwise(m, bound))
+    assert_some_work(genus, work)
+
+
+@pytest.mark.parametrize("genus, bound", [(1, 2), (2, 1), (2, 2), (3, 1)])
+def test_bulk_builders_at_slot_width_edges(genus, bound):
+    # An unknot-like surface with d = +-2^j or +-(2^j - 1) added to the
+    # symmetric pair of entries (0, n-1) and (n-1, 0): e_0 and e_(n-1) stay
+    # isotropic, and the largest pairings |f.c_j| come within a few units
+    # of |f|_1 * bound, on either side of each power of two where the slot
+    # width steps up.
+    # At genus 3 only the j next to a multiple of 8 run, to bound the oracle's time.
+    js = [j for j in range(1, 70) if genus < 3 or j % 8 in (7, 0)]
+    work = []
+    for j in js:
+        for d in (2**j, -(2**j), 2**j - 1, 1 - 2**j):
+            rows = unknot_sum_rows(genus)
+            rows[0][-1] += d
+            rows[-1][0] += d
+            m = reorder(validate(rows, "interleaved"), seifert.ORDERINGS[j % 2])
+            work.append(assert_bulk_builders_match_pairwise(m, bound))
+    assert_some_work(genus, work)
+
+
+def test_bulk_builders_without_candidates():
+    pos = validate([[1, 1], [0, 1]], "interleaved")  # positive definite
+    assert assert_bulk_builders_match_pairwise(pos, 62) == (0, 0)
+
+
+def test_bulk_builders_pin_the_unknot_search_work(unknot):
+    # The same candidates and adjacent pairs as the pairwise route, so the
+    # search does the same work.  The 640-digit limit on int <-> str
+    # conversion in bases other than powers of two does not touch the
+    # base-2 read of a 1,034-bit mask.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert assert_bulk_builders_match_pairwise(unknot, 1) == (122, 1500)
+        assert assert_bulk_builders_match_pairwise(unknot, 2) == (1034, 35880)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_enumerate_prunes_only_prefixes_inside_a_found_lattice():
