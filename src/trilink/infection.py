@@ -16,6 +16,7 @@ checked here -- callers assert them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .intlinalg import det
 
@@ -31,7 +32,7 @@ _S3 = (
 
 
 def _check_3x3(rows, what: str) -> tuple[tuple[int, int, int], ...]:
-    rows = tuple(tuple(int(x) for x in row) for row in rows)
+    rows = tuple(tuple(index(x) for x in row) for row in rows)
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise ValueError(f"{what} must be 3x3")
     return rows

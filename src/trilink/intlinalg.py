@@ -27,10 +27,6 @@ def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def copy_matrix(m: Matrix) -> Matrix:
-    return [list(row) for row in m]
-
-
 def transpose(m: Matrix) -> Matrix:
     if not m:
         return []
@@ -74,7 +70,7 @@ def det(m: Matrix) -> int:
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return 1
-    a = copy_matrix(m)
+    a = [list(row) for row in m]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -94,10 +90,6 @@ def det(m: Matrix) -> int:
     return sign * a[-1][-1]
 
 
-def is_unimodular(m: Matrix) -> bool:
-    return abs(det(m)) == 1
-
-
 def row_hnf(m: Matrix) -> Matrix:
     """Row Hermite normal form of m.
 
@@ -107,7 +99,7 @@ def row_hnf(m: Matrix) -> Matrix:
     u*m = row_hnf(m) is the right block of row_hnf([m | I]), whose left
     block is row_hnf(m).
     """
-    a = copy_matrix(m)
+    a = [list(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if a else 0
     r = 0
@@ -140,16 +132,6 @@ def row_hnf(m: Matrix) -> Matrix:
         if r == rows:
             break
     return a
-
-
-def column_lattice_basis(m: Matrix) -> Matrix:
-    """Canonical basis (as columns) of the lattice spanned by m's columns.
-
-    Two matrices span the same column lattice iff this agrees entry for
-    entry, which is what the metabolizer search uses for deduplication.
-    """
-    rows = [row for row in row_hnf(transpose(m)) if any(row)]
-    return transpose(rows)
 
 
 def snf(m: Matrix) -> list[int]:

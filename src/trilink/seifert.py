@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
+from operator import index, mul
 from random import Random
 from typing import NamedTuple
 
@@ -37,10 +37,8 @@ from .errors import CrossCheckError, PreconditionError
 from .intlinalg import (
     Matrix,
     bilinear,
-    column_lattice_basis,
     det,
     identity,
-    is_unimodular,
     mat_mul,
     row_hnf,
     snf,
@@ -113,17 +111,13 @@ class SeifertMatrix:
     def dim(self) -> int:
         return 2 * self.genus
 
-    def rows(self) -> Matrix:
-        return [list(r) for r in self.entries]
-
-    def skew(self) -> Matrix:
-        return [[self.entries[i][j] - self.entries[j][i] for j in range(self.dim)]
-                for i in range(self.dim)]
-
 
 def validate(entries, ordering: str) -> SeifertMatrix:
-    """Build a SeifertMatrix from raw rows, rejecting invalid input."""
-    rows = tuple(tuple(int(x) for x in row) for row in entries)
+    """Build a SeifertMatrix from raw rows, rejecting invalid input.
+
+    Entries go through operator.index, so a float or a string raises TypeError.
+    """
+    rows = tuple(tuple(index(x) for x in row) for row in entries)
     if not rows or len(rows) % 2 != 0:
         raise ValueError(f"Seifert matrices have even dimension, got {len(rows)}")
     return SeifertMatrix(len(rows) // 2, ordering, rows)
@@ -140,9 +134,7 @@ def _permutation(genus: int, target: str) -> list[int]:
 
 
 def reorder(m: SeifertMatrix, target_ordering: str) -> SeifertMatrix:
-    """Rewrite between the two basis orderings (involutive)."""
-    if target_ordering not in ORDERINGS:
-        raise ValueError(f"unknown ordering {target_ordering!r}")
+    """Rewrite between the two basis orderings (involutive); SeifertMatrix refuses others."""
     if target_ordering == m.ordering:
         return m
     perm = _permutation(m.genus, target_ordering)
@@ -249,12 +241,12 @@ def _wedge_table(n: int, k: int) -> list[tuple[int, ...]]:
     Entries are flat and padded with (0, 0, 0) to three terms, which
     cover every step of a search of genus <= MAX_SEARCH_GENUS.
     """
-    index = {s: i for i, s in enumerate(itertools.combinations(range(n), k))}
+    position = {s: i for i, s in enumerate(itertools.combinations(range(n), k))}
     table = []
     for sub in itertools.combinations(range(n), k + 1):
         entry: list[int] = []
         for pos, t in enumerate(sub):
-            entry += (-1 if (pos + k) % 2 else 1, t, index[sub[:pos] + sub[pos + 1:]])
+            entry += (-1 if (pos + k) % 2 else 1, t, position[sub[:pos] + sub[pos + 1:]])
         table.append(tuple(entry) + (0, 0, 0) * (3 - len(sub)))
     return table
 
@@ -430,8 +422,9 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
     tables = [_wedge_table(m.dim, level) for level in range(m.genus)]
     found = []
     for clique in _primitive_cliques(cands, adj, tables, [], [1], (1 << len(cands)) - 1, {}):
-        canon = column_lattice_basis(transpose([cands[i] for i in clique]))
-        basis = MetabolizerBasis(tuple(tuple(c) for c in transpose(canon)))
+        # the clique's rows are independent (their minors have gcd 1), so
+        # their Hermite form has no zero row and is the lattice's canonical basis
+        basis = MetabolizerBasis(tuple(map(tuple, row_hnf([cands[i] for i in clique]))))
         if not is_metabolizer(m, basis):  # canonical basis spans the same lattice
             raise CrossCheckError("canonicalized basis lost the metabolizer property")
         found.append(basis)
@@ -445,10 +438,12 @@ def symplectic_complete(
 
     Returns a unimodular 2g x 2g matrix T whose first g columns are the
     dual a-curves and whose last g columns are v's columns, satisfying
-    T^T (M - M^T) T = [[0, I], [-I, 0]] exactly; the postcondition is
-    re-verified on every call.  Passing an rng picks a different (still
-    valid) completion, used to confirm downstream outputs don't depend
-    on the choice.
+    T^T J T = J_b = [[0, I], [-I, 0]] exactly, for J = M - M^T, the
+    intersection form of m's ordering.  That postcondition is re-verified
+    on every call, and it also proves T unimodular: det(J) = det(J_b) = 1,
+    so det(T)^2 = 1.  Passing an rng picks a different (still valid)
+    completion, used to confirm downstream outputs don't depend on the
+    choice.
 
     The duals come from one Hermite form.  A primitive V has row
     Hermite form [I; 0], so the first g rows of row_hnf([V | I]) are
@@ -460,7 +455,7 @@ def symplectic_complete(
     if not is_metabolizer(m, v):
         raise PreconditionError("not a metabolizer; completion refused")
     g = m.genus
-    j = m.skew()
+    j = intersection_form(g, m.ordering)
     vmat = v.as_matrix()
 
     # duality: A^T J V = I, with A = J L^T read off the Hermite form
@@ -483,8 +478,6 @@ def symplectic_complete(
     check = mat_mul(transpose(t), mat_mul(j, t))
     if check != intersection_form(g, "blocked"):
         raise CrossCheckError("completion failed its symplectic-form postcondition")
-    if not is_unimodular(t):
-        raise CrossCheckError("completion is not unimodular")
     return t
 
 
@@ -508,9 +501,9 @@ def generator_from_block(block) -> GeneratorResult:
     """Generator of a blocked matrix's a-to-b block B (3x3).
 
     Evaluates both the nine-parameter polynomial and det(B^T - I) -
-    det(B) and insists they agree.
+    det(B) and insists they agree.  Entries go through operator.index.
     """
-    b = [[int(x) for x in row] for row in block]
+    b = [[index(x) for x in row] for row in block]
     if len(b) != 3 or any(len(row) != 3 for row in b):
         raise ValueError("block must be 3x3")
     (pa, x1, y1), (x2, pb, z1), (y2, z2, pc) = b
@@ -536,7 +529,7 @@ def generator_for_metabolizer(
     if m.genus != 3:
         raise ValueError(f"genus-3 matrices only, got genus {m.genus}")
     t = symplectic_complete(m, v, rng=rng)
-    big = mat_mul(transpose(t), mat_mul(m.rows(), t))
+    big = mat_mul(transpose(t), mat_mul(m.entries, t))
     block = [[big[i][3 + j] for j in range(3)] for i in range(3)]
     return generator_from_block(block)
 

@@ -1,8 +1,11 @@
 """Freely reduced words in a finitely generated free group.
 
 A word is a sequence of letters (generator index, sign) with indices in
-1..rank and sign +1 or -1; construction always reduces, so adjacent
-inverse pairs never survive.  The commutator convention is
+1..rank and sign +1 or -1.  Construction validates and reduces in one
+pass: each letter is checked, then cancels the top of a stack of kept
+letters if it is that letter's inverse and is pushed otherwise, so
+adjacent inverse pairs never survive and the first bad letter is the
+one reported.  The commutator convention is
 
     [a, b] = a b a^-1 b^-1
 
@@ -20,17 +23,6 @@ Letter = tuple[int, int]
 _TOKEN = re.compile(r"x([1-9][0-9]*)(\^-1)?\Z")
 
 
-def reduce_letters(letters) -> tuple[Letter, ...]:
-    """Freely reduce a letter sequence (idempotent)."""
-    out: list[Letter] = []
-    for index, sign in letters:
-        if out and out[-1][0] == index and out[-1][1] == -sign:
-            out.pop()
-        else:
-            out.append((index, sign))
-    return tuple(out)
-
-
 @dataclass(frozen=True, slots=True)
 class FreeWord:
     """A reduced word; rank is carried explicitly, never inferred."""
@@ -41,12 +33,17 @@ class FreeWord:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError(f"rank must be positive, got {self.rank}")
+        out: list[Letter] = []
         for index, sign in self.letters:
             if not 1 <= index <= self.rank:
                 raise ValueError(f"generator index {index} out of range 1..{self.rank}")
             if sign not in (1, -1):
                 raise ValueError(f"letter sign must be +1 or -1, got {sign}")
-        object.__setattr__(self, "letters", reduce_letters(self.letters))
+            if out and out[-1][0] == index and out[-1][1] == -sign:
+                out.pop()
+            else:
+                out.append((index, sign))
+        object.__setattr__(self, "letters", tuple(out))
 
     def __len__(self) -> int:
         return len(self.letters)

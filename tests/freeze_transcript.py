@@ -133,6 +133,20 @@ def _requests():
     ]
 
 
+def request_entries() -> list[dict]:
+    """_requests() as the transcript stores them, without exit code and stdout."""
+    entries = []
+    for argv, payload, env, patch in _requests():
+        entry = {"argv": argv,
+                 "stdin": payload if isinstance(payload, str) else json.dumps(payload)}
+        if env:
+            entry["env"] = env
+        if patch:
+            entry["patch"] = list(patch)
+        entries.append(entry)
+    return entries
+
+
 def replay(entry: dict) -> tuple[int, str, str]:
     """Run one entry through cli.main; returns (exit code, stdout, stderr)."""
     from trilink import cli
@@ -152,18 +166,11 @@ def replay(entry: dict) -> tuple[int, str, str]:
 
 
 def main() -> None:
-    entries = []
-    for argv, payload, env, patch in _requests():
-        entry = {"argv": argv,
-                 "stdin": payload if isinstance(payload, str) else json.dumps(payload)}
-        if env:
-            entry["env"] = env
-        if patch:
-            entry["patch"] = patch
+    entries = request_entries()
+    for entry in entries:
         code, out, err = replay(entry)
         assert err == "", err
         entry["exit"], entry["stdout"] = code, out
-        entries.append(entry)
     OUT.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
     print(f"{len(entries)} entries -> {OUT}")
 

@@ -4,9 +4,11 @@ The oracles here deliberately avoid the package's own routines: the
 determinant is cofactor expansion (the package uses Bareiss), the Magnus
 expansion is a plain dict convolution per letter (the package reads
 degree 2 off exponent sums and updates dense per-degree levels), and
-primitivity is gcd of maximal minors (the package uses Smith form).
-The ledger's commutator pairs are assembled here from exponent sums,
-and the genus-one Bezout pair is found by search.  The metabolizer
+primitivity is gcd of maximal minors (the package uses Smith form),
+and the skew part M - M^T is read off the entries (the package uses the
+ordering's intersection form).  The ledger's commutator pairs are
+assembled here from exponent sums, and the genus-one Bezout pair is
+found by search.  The metabolizer
 search is kept in its older form, which reaches every box basis of a
 lattice and drops repeats by Pluecker key.
 """
@@ -58,6 +60,12 @@ def random_commutator_subgroup_word(rng: Random, rank: int = 3, max_len: int = 8
         if s:
             w = word_product(w, word_power(generator(rank, i), -s))
     return w
+
+
+def skew_part(m) -> list[list[int]]:
+    """M - M^T of a SeifertMatrix, from its entries."""
+    e = m.entries
+    return [[e[i][j] - e[j][i] for j in range(m.dim)] for i in range(m.dim)]
 
 
 def random_unimodular(rng: Random, n: int, steps: int = 12) -> list[list[int]]:
@@ -119,11 +127,9 @@ def brute_force_metabolizer_lattices(m, bound: int) -> set:
 
     Filters isotropic nonzero vectors (a V with a non-isotropic column
     fails on a diagonal entry), then checks every g-subset for full form
-    vanishing and minor-gcd primitivity.  Lattices are keyed by their
-    canonical column basis.
+    vanishing and minor-gcd primitivity.  Lattices are keyed by
+    lattice_key of a basis.
     """
-    from trilink.intlinalg import column_lattice_basis
-
     g = m.genus
     rows = [list(r) for r in m.entries]
     dim = 2 * g
@@ -146,7 +152,7 @@ def brute_force_metabolizer_lattices(m, bound: int) -> set:
         mat = [[cols[j][i] for j in range(g)] for i in range(dim)]
         if minors_gcd(mat, g) != 1:
             continue
-        keys.add(tuple(tuple(r) for r in column_lattice_basis(mat)))
+        keys.add(lattice_key(cols))
     return keys
 
 
@@ -158,9 +164,7 @@ def pairwise_candidates_and_adjacency(m, bound: int) -> tuple[list, list[int]]:
     positive; bit j of adj[i] is set iff u^T M v and v^T M u both vanish
     for candidates u = i and v = j, with i != j.
     """
-    from trilink.intlinalg import transpose
-
-    cols_of_m = transpose(m.rows())
+    cols_of_m = list(zip(*m.entries))
     cands, row_of = [], []
     for vec in itertools.product(range(-bound, bound + 1), repeat=m.dim):
         if gcd(*vec) != 1 or next(x for x in vec if x) < 0:
@@ -189,7 +193,6 @@ def visit_every_basis_metabolizers(m, bound: int) -> list:
     first nonzero coordinate is positive.  Returns the Hermite canonical
     basis of each lattice, sorted by columns.
     """
-    from trilink.intlinalg import column_lattice_basis, transpose
     from trilink.seifert import MetabolizerBasis, _wedge, _wedge_coefficients, _wedge_table
 
     g, n = m.genus, m.dim
@@ -215,17 +218,19 @@ def visit_every_basis_metabolizers(m, bound: int) -> list:
     for clique, plucker in cliques([], [1], (1 << len(cands)) - 1):
         key = tuple(plucker) if next(x for x in plucker if x) > 0 else tuple(-x for x in plucker)
         if key not in found:
-            canon = column_lattice_basis(transpose([cands[i] for i in clique]))
-            found[key] = MetabolizerBasis(tuple(tuple(c) for c in transpose(canon)))
+            found[key] = MetabolizerBasis(lattice_key([cands[i] for i in clique]))
     return sorted(found.values(), key=lambda basis: basis.columns)
 
 
-def lattice_keys(bases) -> set:
-    from trilink.intlinalg import column_lattice_basis
+def lattice_key(vectors) -> tuple[tuple[int, ...], ...]:
+    """Hermite canonical basis of the lattice the vectors span, zero rows dropped."""
+    from trilink.intlinalg import row_hnf
 
-    return {
-        tuple(tuple(r) for r in column_lattice_basis(v.as_matrix())) for v in bases
-    }
+    return tuple(tuple(r) for r in row_hnf([list(v) for v in vectors]) if any(r))
+
+
+def lattice_keys(bases) -> set:
+    return {lattice_key(v.columns) for v in bases}
 
 
 def series_product(s1: dict, s2: dict, cap: int) -> dict[tuple[int, ...], int]:
@@ -266,16 +271,16 @@ def assemble_commutator_contribution(e12: int, e13: int, f12: int, f13: int) -> 
 
 
 def brute_force_bezout(x: int, y: int) -> tuple[int, int]:
-    """(z, w) with z*y - w*x = 1, minimal |w|, ties toward w <= 0, by search.
+    """(z, w) with z*y - w*x = 1, minimal |w|, ties toward w <= 0, by search
+    outward from w = 0.
 
     gcd(x, y) must be 1.  With y = 0, x is +-1 and (z, w) = (0, -x).
     """
     if y == 0:
         return 0, -x
-    best = None
-    for w in range(-abs(y), abs(y) + 1):
-        if (1 + w * x) % y == 0:
-            key = (abs(w), w > 0)
-            if best is None or key < best[0]:
-                best = (key, ((1 + w * x) // y, w))
-    return best[1]
+    # w = 0, -1, 1, -2, 2, ...: the first solution is the wanted one
+    for t in range(abs(y) + 1):
+        for w in (-t, t):
+            if (1 + w * x) % y == 0:
+                return (1 + w * x) // y, w
+    raise ValueError(f"gcd({x}, {y}) != 1")

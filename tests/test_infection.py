@@ -73,6 +73,10 @@ def test_band_sum_counts_validation():
         BandSumCounts((((-1, 0, 0), (0, 0, 0), (0, 0, 0))), ((0,) * 3,) * 3)
     with pytest.raises(ValueError, match="3x3"):
         IntersectionProfile(((1, 2), (3, 4)))
+    with pytest.raises(TypeError):
+        IntersectionProfile(((1.0, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(TypeError):
+        BandSumCounts(((0, 0, 0),) * 3, ((0, 0, 2.5), (0, 0, 0), (0, 0, 0)))
 
 
 def test_oracle_equivalence():

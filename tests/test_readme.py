@@ -3,11 +3,16 @@ through cli.main, and the "Library quick tour" Python block, executed.
 
 The line after each command example is its expected stdout.  Where the
 README elides part of it with `…`, the elided part may be any text.
+When a `trilink` console script is on PATH, each command line also runs
+through the shell against it, as a user would type it.
 """
 
 import io
+import os
 import re
 import shlex
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -21,6 +26,10 @@ EXAMPLES = [m.groupdict() for m in EXAMPLE.finditer(TEXT)]
 TOUR = re.search(r"^## Library quick tour\n\n```python\n(?P<code>.*?)^```$", TEXT, re.M | re.S)
 
 
+def expected_stdout(example) -> re.Pattern:
+    return re.compile(".*".join(re.escape(part) for part in example["out"].split("…")) + "\n")
+
+
 def test_readme_has_echo_examples():
     assert len(EXAMPLES) >= 7
 
@@ -32,8 +41,17 @@ def test_readme_example(capsys, monkeypatch, example):
     code = cli.main(shlex.split(example["argv"]))
     out = capsys.readouterr().out
     assert code == 0
-    pattern = ".*".join(re.escape(part) for part in example["out"].split("…"))
-    assert re.fullmatch(pattern + "\n", out), out
+    assert expected_stdout(example).fullmatch(out), out
+
+
+@pytest.mark.skipif(shutil.which("trilink") is None, reason="no trilink console script on PATH")
+@pytest.mark.parametrize("example", EXAMPLES, ids=[e["argv"] for e in EXAMPLES])
+def test_readme_example_console_script(example):
+    env = {k: v for k, v in os.environ.items() if k != cli.ENV_DEGREE_CAP}
+    command = f"echo '{example['stdin']}' | trilink {example['argv']}"
+    got = subprocess.run(command, shell=True, capture_output=True, text=True, env=env)
+    assert (got.returncode, got.stderr) == (0, "")
+    assert expected_stdout(example).fullmatch(got.stdout), got.stdout
 
 
 def test_readme_library_tour_runs():

@@ -16,13 +16,14 @@ from helpers import (
     minors_gcd,
     pairwise_candidates_and_adjacency,
     random_unimodular,
+    skew_part,
     unimodular_inverse,
     unknot_sum_rows,
     visit_every_basis_metabolizers,
 )
 from trilink import seifert
 from trilink.errors import CrossCheckError, PreconditionError
-from trilink.intlinalg import column_lattice_basis, mat_mul, transpose
+from trilink.intlinalg import det, mat_mul, row_hnf, transpose
 from trilink.realization import GenusThreeParams
 from trilink.seifert import (
     MAX_VERDICT_GENUS,
@@ -124,6 +125,13 @@ def test_validate_blocked_shape():
         assert m.genus == g
 
 
+def test_validate_refuses_non_integers():
+    with pytest.raises(TypeError):
+        validate([[0, 1.7], [0.4, 0]], "interleaved")
+    with pytest.raises(TypeError):
+        validate([["0", "1"], ["0", "0"]], "interleaved")
+
+
 def test_validate_reports_offending_pair():
     rows = [r[:] for r in UNKNOT_ROWS]
     rows[0][3] = 5  # breaks symmetry against rows[3][0]
@@ -139,6 +147,11 @@ def test_reorder_is_involutive():
     for _ in range(30):
         m = random_params(rng).seifert_matrix(random_stars(rng))
         assert reorder(reorder(m, "blocked"), "interleaved") == m
+
+
+def test_reorder_refuses_unknown_ordering(unknot):
+    with pytest.raises(ValueError, match="unknown ordering 'bogus'"):
+        reorder(unknot, "bogus")
 
 
 def test_reorder_parametrized_matrix_to_blocked():
@@ -177,7 +190,7 @@ def test_skew_part_is_intersection_form():
     rng = Random(3)
     for _ in range(20):
         m = random_params(rng).seifert_matrix(random_stars(rng))
-        assert m.skew() == intersection_form(3, "interleaved")
+        assert skew_part(m) == intersection_form(3, "interleaved")
 
 
 def test_pushoff_examples():
@@ -404,9 +417,9 @@ def test_enumerate_canonicalizes_each_lattice_once(unknot, monkeypatch, bound):
 
     def counting(mat):
         calls.append(mat)
-        return column_lattice_basis(mat)
+        return row_hnf(mat)
 
-    monkeypatch.setattr(seifert, "column_lattice_basis", counting)
+    monkeypatch.setattr(seifert, "row_hnf", counting)
     found = enumerate_metabolizers(unknot, bound)
     assert len(calls) == len(found) == (28, 100)[bound - 1]
 
@@ -422,7 +435,7 @@ def test_enumerate_agrees_with_brute_force_random(genus, bound):
         keys = [v.columns for v in found]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
         for v in found:  # each basis is its lattice's canonical (sort) key
-            assert v.columns == tuple(map(tuple, transpose(column_lattice_basis(v.as_matrix()))))
+            assert v.columns == tuple(map(tuple, row_hnf([list(c) for c in v.columns])))
         assert lattice_keys(found) == brute_force_metabolizer_lattices(m, bound)
         total += len(found)
     assert total > 0
@@ -497,9 +510,27 @@ def test_complete_postcondition_random():
         vmat = mat_mul(standard_metabolizer(m).as_matrix(), u)
         v = MetabolizerBasis(tuple(tuple(c) for c in transpose(vmat)))
         t = symplectic_complete(m, v, rng=rng)
-        got = mat_mul(transpose(t), mat_mul(m.skew(), t))
+        got = mat_mul(transpose(t), mat_mul(skew_part(m), t))
         assert got == intersection_form(3, "blocked")
+        assert abs(det(t)) == 1
         assert transpose(t)[3:] == [list(c) for c in v.columns]
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_complete_blocked_ordering(genus):
+    # J comes from the ordering's intersection form, so blocked input is its own case
+    rng = Random(40 + genus)
+    blocked = intersection_form(genus, "blocked")
+    completed = 0
+    for _ in range(6):
+        m = random_seifert(rng, genus, "blocked", metabolic=True)
+        for v in enumerate_metabolizers(m, 1)[:8]:
+            t = symplectic_complete(m, v, rng=rng)
+            assert mat_mul(transpose(t), mat_mul(skew_part(m), t)) == blocked
+            assert abs(det(t)) == 1
+            assert transpose(t)[genus:] == [list(c) for c in v.columns]
+            completed += 1
+    assert completed >= 6
 
 
 def test_complete_refuses_non_metabolizer(unknot):
@@ -522,6 +553,11 @@ def test_generator_from_block_examples():
     zero = generator_from_block([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
     assert (zero.generator, zero.signed) == (1, -1)
     assert "n*1" in res.meaning
+
+
+def test_generator_from_block_refuses_floats():
+    with pytest.raises(TypeError):
+        generator_from_block([[1.5, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_generator_from_block_matches_cofactor_route():

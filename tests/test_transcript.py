@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from freeze_transcript import OUT, replay
+from freeze_transcript import OUT, replay, request_entries
 
 ENTRIES = json.loads(Path(OUT).read_text(encoding="utf-8"))
 SUBCOMMANDS = {"mu", "depth", "class", "generator", "metabolizer", "enumerate", "infect",
@@ -24,6 +24,12 @@ def test_transcript_covers_the_cli():
     assert any("--show-series" in e["argv"] for e in ENTRIES)
     assert any("text" in e["argv"] for e in ENTRIES)
     assert any(re.search(r'": "-?[0-9]{16,}"', e["stdout"]) for e in ENTRIES)  # 2**53 and up
+
+
+def test_transcript_matches_the_request_list():
+    # editing freeze_transcript._requests without re-freezing fails here
+    frozen = [{k: v for k, v in e.items() if k not in ("exit", "stdout")} for e in ENTRIES]
+    assert request_entries() == frozen
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=[f"{i}-{' '.join(e['argv'])}"

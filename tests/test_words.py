@@ -10,7 +10,6 @@ from trilink.words import (
     exponent_sum,
     generator,
     parse_word,
-    reduce_letters,
     word_inverse,
     word_power,
     word_product,
@@ -118,8 +117,8 @@ def test_power_matches_repeated_products():
 
 def test_reduce_is_idempotent_on_raw_letters():
     raw = ((1, 1), (1, -1), (2, 1), (3, 1), (3, -1), (2, -1), (2, 1))
-    once = reduce_letters(raw)
-    assert reduce_letters(once) == once
+    once = FreeWord(3, raw).letters
+    assert FreeWord(3, once).letters == once
     assert once == ((2, 1),)  # cascading cancellations collapse through the stack
 
 
@@ -154,3 +153,9 @@ def test_constructor_validates():
         FreeWord(2, ((3, 1),))
     with pytest.raises(ValueError):
         FreeWord(2, ((1, 2),))
+    # validation and reduction share one pass: the first bad letter is
+    # reported, even one that would cancel
+    with pytest.raises(ValueError, match="index 3 out of range"):
+        FreeWord(2, ((1, 1), (3, 1), (3, -1), (1, 2)))
+    with pytest.raises(ValueError, match="sign must be"):
+        FreeWord(2, ((1, 1), (1, -1), (1, 2), (3, 1)))
