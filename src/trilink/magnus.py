@@ -15,6 +15,9 @@ the lowest degree of a surviving term bounds lower-central-series depth
 mu123 (and nilpotent.class_of) need only the a_i a_j coefficients with
 i != j, which the degree-2 route _degree_two reads off running exponent
 sums in one pass over the word, as in Fox's free differential calculus.
+The running sums, and each row of the a_i a_j table, are packed into
+one integer of fixed-width slots, so a letter costs two big-integer
+additions.
 lcs_depth reads degrees 1 and 2 the same way.  Above degree 2 a word is
 expanded into dense levels (_levels): its r distinct generators are
 relabelled 0..r-1, and level d is one list of the r**d coefficients of
@@ -55,10 +58,12 @@ MAX_DEPTH_TERMS = 2**16
 # 3.11.7, 2-CPU Xeon, via cli.main, just under the limit: depth of [[u, v],
 # g] over 40 generators at kmax 4 (9,718 letters) took 1.0 s, a weight-3
 # commutator nested in two more over 16 generators at kmax 5 (3,374
-# letters) 0.88 s, x1 ... x256 x1^-1 ... x256^-1 repeated at kmax 3
-# (65,024 letters) 0.86 s, a power of a weight-8 commutator at kmax 8 over
-# 3 generators (9,932 letters) 0.92 s and over 2 (67,996 letters) 1.8 s;
-# mu --show-series at cap 8 of a random 5,088-letter word 1.0 s.
+# letters) 0.88 s, a power of a weight-8 commutator at kmax 8 over 3
+# generators (9,932 letters) 0.92 s and over 2 (67,996 letters) 1.8 s;
+# mu --show-series at cap 8 of a random 5,088-letter word 1.0 s.  Degree
+# 2 alone costs far less per update, since _degree_two packs a row into
+# one integer: x1 ... x256 x1^-1 ... x256^-1 repeated at kmax 3 (65,024
+# letters, 256 generators) takes 0.18 s.
 MAX_DEPTH_WORK = 2**24
 
 
@@ -141,7 +146,8 @@ def _relabel(w: FreeWord) -> tuple[list[int], list[tuple[int, int]]]:
 def _updates(letters: int, r: int, d: int) -> int:
     """Slot updates of _levels up to cap d: letters * (1 + r + ... + r**(d-1)).
 
-    At d = 2 this also bounds _degree_two, one row of r per letter.
+    At d = 2 this also bounds _degree_two: a letter adds two packed
+    integers of r slots each.
     """
     return letters * sum(r**e for e in range(d))
 
@@ -206,21 +212,43 @@ def _degree_two(w: FreeWord) -> tuple[dict[int, int], dict[tuple[int, int], int]
     A single letter contributes no a_i a_j with i != j, and the degree-1
     coefficient of x_k^s is s; so each letter (j, s) adds s times the
     running exponent sums to row j of the a_i a_j table (Fox calculus
-    cut at degree 2), one list update of length r on the labels of
-    _relabel.  The diagonal of the table is not the a_j a_j coefficient
-    and is dropped.  The running sums end as the exponent sums of the
-    generators that occur.  Missing pairs have coefficient 0.
+    cut at degree 2).  The sums, and each row, are one integer in which
+    the k-th distinct generator in ascending order owns slot k of
+    `width` bits.  x_j adds the sums to row j and then unit[j] to the
+    sums; x_j^-1 subtracts unit[j] and then the sums from row j.  So slot
+    j of row j holds C(E_j, 2) for the running sum E_j, the a_j a_j
+    coefficient, which is dropped.  With n letters every |E| <= n and
+    every |coefficient| <= n**2, which a slot of 2 * bit_length(n + 1) + 2
+    bits or more holds as a signed value, so no slot carries into the
+    next.  The slots are read off once, after adding the bias
+    2**(width - 1) to each, as in seifert's adjacency masks.  Missing
+    pairs have coefficient 0.
     """
-    gens, letters = _relabel(w)
+    gens = sorted({index for index, _ in set(w.letters)})
     r = len(gens)
-    sums = [0] * r
-    rows = [[0] * r for _ in range(r)]
-    for j, s in letters:
-        rows[j] = list(map(add if s == 1 else sub, rows[j], sums))
-        sums[j] += s
-    coeffs = {(gens[i], gens[j]): c
-              for j, row in enumerate(rows) for i, c in enumerate(row) if c and i != j}
-    return dict(zip(gens, sums)), coeffs
+    step = (2 * (len(w.letters) + 1).bit_length() + 9) // 8  # bytes per slot
+    width = 8 * step
+    unit = {g: 1 << (width * k) for k, g in enumerate(gens)}
+    rows = dict.fromkeys(gens, 0)
+    sums = 0
+    for j, s in w.letters:
+        if s == 1:
+            rows[j] += sums
+            sums += unit[j]
+        else:
+            sums -= unit[j]
+            rows[j] -= sums
+    bias = 1 << (width - 1)
+    high = bias * sum(unit.values())  # the bias in every slot
+
+    def read(packed: int) -> list[int]:
+        raw = (packed + high).to_bytes(r * step, "little")
+        return [int.from_bytes(raw[k:k + step], "little") - bias for k in range(0, r * step, step)]
+
+    coeffs = {(i, j): c
+              for j, row in rows.items() if row
+              for i, c in zip(gens, read(row)) if c and i != j}
+    return dict(zip(gens, read(sums))), coeffs
 
 
 def _commutator_degree_two(w: FreeWord) -> dict[tuple[int, int], int]:
@@ -270,14 +298,20 @@ def lcs_depth(w: FreeWord, kmax: int) -> int:
         raise ValueError(f"kmax must be positive, got {kmax}")
     if kmax == 1 or not w.letters:
         return kmax
-    if any(abelianization(w).values()):
+    sums = abelianization(w)
+    if any(sums.values()):
         return 1
-    gens, letters = _relabel(w)
-    r = len(gens)
-    work = 0
-    for d in range(2, kmax):
-        work += _updates(len(letters), r, d)
+    if kmax == 2:
+        return kmax
+    r = len(sums)
+    work = _updates(len(w), r, 2)
+    _check_degree(r, 2, work)
+    if _degree_two(w)[1]:
+        return 2
+    _, letters = _relabel(w)  # degree 3 and up only
+    for d in range(3, kmax):
+        work += _updates(len(w), r, d)
         _check_degree(r, d, work)
-        if _degree_two(w)[1] if d == 2 else any(_levels(letters, r, d)[d]):
+        if any(_levels(letters, r, d)[d]):
             return d
     return kmax

@@ -1,11 +1,13 @@
 """Freely reduced words in a finitely generated free group.
 
 A word is a sequence of letters (generator index, sign) with indices in
-1..rank and sign +1 or -1.  Construction validates and reduces in one
-pass: each letter is checked, then cancels the top of a stack of kept
+1..rank and sign +1 or -1, both exact integers.  Construction validates
+and reduces in one pass: a letter cancels the top of a stack of kept
 letters if it is that letter's inverse and is pushed otherwise, so
-adjacent inverse pairs never survive and the first bad letter is the
-one reported.  The commutator convention is
+adjacent inverse pairs never survive.  Each distinct letter is checked
+once, the first time it occurs, so the first bad letter is the one
+reported and a long word over few generators costs one dict lookup per
+letter.  The commutator convention is
 
     [a, b] = a b a^-1 b^-1
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import index as _as_index
 
 Letter = tuple[int, int]
 
@@ -33,17 +36,26 @@ class FreeWord:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError(f"rank must be positive, got {self.rank}")
-        out: list[Letter] = []
-        for index, sign in self.letters:
-            if not 1 <= index <= self.rank:
-                raise ValueError(f"generator index {index} out of range 1..{self.rank}")
-            if sign not in (1, -1):
-                raise ValueError(f"letter sign must be +1 or -1, got {sign}")
-            if out and out[-1][0] == index and out[-1][1] == -sign:
+        # each distinct letter -> (its checked form, the checked form of its
+        # inverse); equal letters share one entry, so (1.0, 1) after (1, 1)
+        # takes the form (1, 1) and is not checked again
+        checked: dict = {}
+        out: list = [None]  # the stack of kept letters, above a sentinel
+        for letter in self.letters:
+            entry = checked.get(letter)
+            if entry is None:
+                index, sign = map(_as_index, letter)
+                if not 1 <= index <= self.rank:
+                    raise ValueError(f"generator index {index} out of range 1..{self.rank}")
+                if sign not in (1, -1):
+                    raise ValueError(f"letter sign must be +1 or -1, got {sign}")
+                entry = checked[letter] = (index, sign), (index, -sign)
+            form, inverse = entry
+            if out[-1] == inverse:
                 out.pop()
             else:
-                out.append((index, sign))
-        object.__setattr__(self, "letters", tuple(out))
+                out.append(form)
+        object.__setattr__(self, "letters", tuple(out[1:]))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -73,22 +85,20 @@ def parse_word(text: str, rank: int) -> FreeWord:
     """Parse whitespace-separated tokens ``x<k>`` / ``x<k>^-1``.
 
     Empty text is the empty word.  Round trip: parsing str(w) gives w
-    back for any reduced word w.  Each distinct token is matched once.
+    back for any reduced word w.  Each distinct token is matched once, in
+    order of first occurrence, so the first bad token is the one reported.
     """
-    letters = []
-    seen: dict[str, Letter] = {}
-    for token in text.split():
-        letter = seen.get(token)
-        if letter is None:
-            m = _TOKEN.match(token)
-            if m is None:
-                raise ValueError(f"malformed token {token!r}")
-            index = int(m.group(1))
-            if index > rank:
-                raise ValueError(f"generator index {index} out of range 1..{rank}")
-            letter = seen[token] = (index, -1 if m.group(2) else 1)
-        letters.append(letter)
-    return FreeWord(rank, tuple(letters))
+    tokens = text.split()
+    letter_of: dict[str, Letter] = {}
+    for token in dict.fromkeys(tokens):
+        m = _TOKEN.match(token)
+        if m is None:
+            raise ValueError(f"malformed token {token!r}")
+        index = int(m.group(1))
+        if index > rank:
+            raise ValueError(f"generator index {index} out of range 1..{rank}")
+        letter_of[token] = (index, -1 if m.group(2) else 1)
+    return FreeWord(rank, tuple(map(letter_of.__getitem__, tokens)))
 
 
 def word_product(w1: FreeWord, w2: FreeWord) -> FreeWord:

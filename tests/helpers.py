@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the package's own routines: the
 determinant is cofactor expansion (the package uses Bareiss), the Magnus
 expansion is a plain dict convolution per letter (the package reads
-degree 2 off exponent sums and updates dense per-degree levels), and
+degree 2 off exponent sums packed into one integer and updates dense
+per-degree levels), the degree-2 table is also kept in its older form,
+one list row of exponent sums per letter, and
 primitivity is gcd of maximal minors (the package uses Smith form),
 and the skew part M - M^T is read off the entries (the package uses the
 ordering's intersection form).  The ledger's commutator pairs are
@@ -231,6 +233,27 @@ def lattice_key(vectors) -> tuple[tuple[int, ...], ...]:
 
 def lattice_keys(bases) -> set:
     return {lattice_key(v.columns) for v in bases}
+
+
+def rows_degree_two(w: FreeWord) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
+    """Exponent sums and nonzero a_i a_j (i != j) coefficients, one list row per letter.
+
+    Letter (j, s) adds s times the running exponent sums to row j of the
+    a_i a_j table, a new list of r ints, on the labels 0..r-1 of the
+    distinct generators in ascending order; the diagonal is dropped.
+    """
+    gens = sorted({index for index, _ in w.letters})
+    label = {g: n for n, g in enumerate(gens)}
+    r = len(gens)
+    sums = [0] * r
+    rows = [[0] * r for _ in range(r)]
+    for index, s in w.letters:
+        j = label[index]
+        rows[j] = [c + s * e for c, e in zip(rows[j], sums)]
+        sums[j] += s
+    coeffs = {(gens[i], gens[j]): c
+              for j, row in enumerate(rows) for i, c in enumerate(row) if c and i != j}
+    return dict(zip(gens, sums)), coeffs
 
 
 def series_product(s1: dict, s2: dict, cap: int) -> dict[tuple[int, ...], int]:

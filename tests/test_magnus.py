@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     random_commutator_subgroup_word,
     random_word,
+    rows_degree_two,
     series_dict,
     series_product,
     spread_word,
@@ -15,6 +16,7 @@ from trilink.errors import PreconditionError
 from trilink.magnus import MagnusSeries, _degree_two, lcs_depth, mu123, phi
 from trilink.words import (
     FreeWord,
+    abelianization,
     commutator,
     generator,
     parse_word,
@@ -158,12 +160,53 @@ def test_degree_two_against_independent_expansion():
                         assert got.get((i, j), 0) == expected.get((i, j), 0), (w, i, j)
 
 
+def test_packed_degree_two_against_rows_route():
+    rng = Random(43)
+    words = [FreeWord(1), FreeWord(40), FreeWord(256, spread_word(256).letters * 127)]
+    for rank, lengths in ((1, (1, 9, 500)), (2, (7, 300, 10**4)), (3, (5, 200, 10**4)),
+                          (5, (50, 10**4)), (40, (100, 10**4))):
+        for n in lengths:
+            for _ in range(3):
+                letters = tuple((rng.randint(1, rank), rng.choice((1, -1))) for _ in range(n))
+                words.append(FreeWord(rank, letters))
+    assert max(map(len, words)) == 65024
+    for w in words:
+        assert _degree_two(w) == rows_degree_two(w), w.rank
+    assert _degree_two(FreeWord(3)) == ({}, {})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 63, 64, 65, 255, 256, 1023, 1024, 4095, 4096, 5000])
+def test_degree_two_holds_the_largest_slot_values(n):
+    # x1^n x2^n x1^-n x2^-n: coefficient +-n**2, the largest off the diagonal
+    x1n, x2n = word_power(X1, n), word_power(X2, n)
+    w = commutator(x1n, x2n)
+    assert _degree_two(w) == ({1: 0, 2: 0}, {(1, 2): n * n, (2, 1): -n * n})
+    assert _degree_two(w) == rows_degree_two(w)
+    # x1^n x2^n: n**2 from 2n letters; x1^n: diagonal slot C(n, 2), dropped
+    assert _degree_two(x1n * x2n) == ({1: n, 2: n}, {(1, 2): n * n})
+    assert _degree_two(word_power(X1, -n) * word_power(X2, -n)) == ({1: -n, 2: -n}, {(1, 2): n * n})
+    assert _degree_two(x1n) == ({1: n}, {})
+
+
+def test_long_words_read_degree_two_as_the_series_does():
+    rng = Random(47)
+    for _ in range(4):
+        w = FreeWord(3, tuple((rng.randint(1, 3), rng.choice((1, -1))) for _ in range(16000)))
+        for i, e in abelianization(w).items():
+            w = w * word_power(generator(3, i), -e)
+        assert len(w) >= 10**4 and not any(abelianization(w).values())
+        s = phi(w, 2)
+        assert mu123(w) == s.coefficient((1, 2))
+        assert nilpotent.class_of(w) == tuple(s.coefficient(m) for m in ((1, 2), (1, 3), (2, 3)))
+
+
 def test_mu123_and_class_of_do_not_expand_the_series(monkeypatch):
     def no_phi(*args):
         raise AssertionError("the series was expanded")
 
     monkeypatch.setattr(magnus, "phi", no_phi)
     monkeypatch.setattr(magnus, "_levels", no_phi)
+    monkeypatch.setattr(magnus, "_relabel", no_phi)
     w = word_product(commutator(X1, X2), commutator(X2, X3))
     assert mu123(w) == 1
     assert nilpotent.class_of(w) == (1, 0, 1)
@@ -211,6 +254,7 @@ def test_lcs_depth_reads_degrees_one_and_two_without_the_series(monkeypatch):
 
     monkeypatch.setattr(magnus, "phi", no_phi)
     monkeypatch.setattr(magnus, "_levels", no_phi)
+    monkeypatch.setattr(magnus, "_relabel", no_phi)
     for w, depth in cases:
         for kmax in (1, 2, 3, 8):
             assert lcs_depth(w, kmax) == min(depth, kmax), (w, kmax)
@@ -226,6 +270,9 @@ def test_lcs_depth_refuses_degrees_over_the_term_limit():
     # r**d against MAX_DEPTH_TERMS = 2**16 for r distinct generators at degree d
     assert magnus.MAX_DEPTH_TERMS == 2**16
     assert lcs_depth(spread_word(256), 3) == 2
+    wide = FreeWord(256, spread_word(256).letters * 127)  # 65,024 letters
+    assert len(wide) == 65024
+    assert lcs_depth(wide, 3) == 2
     assert lcs_depth(spread_word(257), 2) == 2  # degree 2 is read only below kmax
     for n in (257, 500, 1000, 2000, 4000):
         with pytest.raises(ValueError, match="MAX_DEPTH_TERMS"):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import random_word
+from trilink import words as words_module
 from trilink.words import (
     FreeWord,
     commutator,
@@ -159,3 +160,61 @@ def test_constructor_validates():
         FreeWord(2, ((1, 1), (3, 1), (3, -1), (1, 2)))
     with pytest.raises(ValueError, match="sign must be"):
         FreeWord(2, ((1, 1), (1, -1), (1, 2), (3, 1)))
+
+
+@pytest.mark.parametrize("letters", [
+    ((1.5, 1), (2, 1)),
+    ((2, -1.0),),
+    (("1", 1),),
+    ((1, "-1"),),
+    ((1, 1), (2, 1), (3.0, 1)),  # integral, but equal to no letter seen before
+])
+def test_constructor_refuses_non_integer_letters(letters):
+    with pytest.raises(TypeError):
+        FreeWord(3, letters)
+
+
+def test_constructor_letter_forms():
+    # a letter must be hashable: lists are refused
+    with pytest.raises(TypeError, match="unhashable"):
+        FreeWord(3, ([1, 1],))
+    # bools are ints; the stored letters are exact ints either way
+    assert FreeWord(3, ((True, -1),)).letters == ((1, -1),)
+    assert type(FreeWord(3, ((True, True),)).letters[0][1]) is int
+    # each distinct letter is checked once, and an equal letter shares that
+    # check: (1.0, 1) after (1, 1) is the letter (1, 1)
+    w = FreeWord(3, ((1, 1), (1.0, 1), (2, 1)))
+    assert w.letters == ((1, 1), (1, 1), (2, 1))
+    assert str(w) == "x1 x1 x2"
+
+
+def test_constructor_reports_first_bad_letter_in_a_long_word():
+    good = tuple((1 + k % 3, 1 - 2 * (k % 2)) for k in range(10**4))
+    with pytest.raises(ValueError, match="sign must be"):
+        FreeWord(3, good + ((2, 0), (4, 1)) + good)
+    with pytest.raises(ValueError, match="index 4 out of range"):
+        FreeWord(3, good + ((4, 1), (2, 0)) + good)
+
+
+def test_constructor_checks_each_distinct_letter_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(words_module, "_as_index", lambda x: calls.append(x) or x)
+    w = FreeWord(3, ((1, 1), (2, -1), (2, 1), (1, 1), (3, 1), (1, -1)) * 500)
+    assert calls == [1, 1, 2, -1, 2, 1, 3, 1, 1, -1]  # index and sign of each distinct letter
+    # each copy reduces to x1 x1 x3 x1^-1, and x1^-1 x1 cancels where copies meet
+    assert len(w) == 4 + 2 * 499
+
+
+def test_parse_matches_each_distinct_token_once(monkeypatch):
+    matched = []
+    token = words_module._TOKEN
+
+    class Counting:
+        def match(self, text):
+            matched.append(text)
+            return token.match(text)
+
+    monkeypatch.setattr(words_module, "_TOKEN", Counting())
+    w = parse_word("x2 x1^-1 x3 " * 400 + "x1", 3)
+    assert matched == ["x2", "x1^-1", "x3", "x1"]
+    assert len(w) == 1201
