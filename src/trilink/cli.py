@@ -247,13 +247,18 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(first) -> argparse.ArgumentParser:
+    """The parser, with only the subparser that first (argv[:1]) names.
+
+    Any other first word gets them all, so that usage and "invalid
+    choice" messages list every subcommand.
+    """
     parser = _Parser(
         prog="trilink",
         description="Exact computations for triple linking numbers of derivative links.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
-    for name in _HANDLERS:
+    for name in [c for c in first if c in _HANDLERS] or _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--input", default=None, help="JSON input file (default: stdin)")
         p.add_argument("--output", choices=("json", "text"), default="json")
@@ -301,8 +306,10 @@ def _emit_error(code: str, detail: str) -> None:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv[:1]).parse_args(argv)
         payload = _load_payload(args)
         text = _render(_HANDLERS[args.command](payload, args), args.output)
     except SystemExit as exc:  # only --help exits, after printing the help text

@@ -31,7 +31,7 @@ the size of a level and MAX_DEPTH_WORK the slot updates of a request.
 from __future__ import annotations
 
 from itertools import compress, product
-from operator import add, sub
+from operator import add, index, sub
 
 from .errors import PreconditionError
 from .words import FreeWord, abelianization
@@ -76,6 +76,7 @@ class MagnusSeries:
     __slots__ = ("rank", "degree_cap", "terms")
 
     def __init__(self, rank: int, degree_cap: int, terms=None):
+        rank, degree_cap = index(rank), index(degree_cap)
         if rank < 1:
             raise ValueError(f"rank must be positive, got {rank}")
         if degree_cap < 1:

@@ -53,8 +53,8 @@ ORDERINGS = ("interleaved", "blocked")
 MAX_SEARCH_GENUS = 3
 # Largest coefficient box (2*bound+1)**(2*genus) a search may scan: genus 3
 # at bound 2, genus 2 at bound 5, genus 1 at bound 62.  Python 3.11.7,
-# shared 2-CPU Xeon: the genus-3 unknot surface took 0.015-0.017 s at
-# bound 1 and 0.25-0.26 s at bound 2 (medians of 5, four sets); genus 3
+# shared 2-CPU Xeon: the genus-3 unknot surface took 0.008-0.012 s at
+# bound 1 and 0.08-0.13 s at bound 2 (medians of 5, four sets); genus 3
 # at bound 2 with 40-digit entries took 0.021-0.038 s (5 matrices); every
 # bound up to the limit took at most 0.010 s at genus 1 (6 matrices) and
 # at most 0.019 s at genus 2 (7 matrices, the slowest the unknot surface
@@ -262,35 +262,29 @@ def _wedge(coeffs: list[tuple[int, ...]], v) -> list[int]:
     return [v[a] * x + v[b] * y + v[c] * z for a, x, b, y, c, z in coeffs]
 
 
-def _primitive_cliques(cands, adj, tables, clique, plucker, allowed, seen):
+def _primitive_cliques(cands, adj, tables, clique, bits, plucker, allowed, seen):
     """Yield each primitive full extension of clique, one per lattice.
 
-    The clique grows by candidates from the bitmask allowed, in
-    increasing index order and pairwise adjacent by adj, for as long as
-    the gcd of its exterior product is 1.  tables[level] is
-    _wedge_table(n, level), one per column of a full clique.  seen maps
-    a candidate index to the member masks of the lattices already
-    yielded that contain it; a prefix inside such a lattice skips its
-    members as leaves.
+    The clique, whose member bitmask is bits, grows by candidates from
+    the bitmask allowed, in increasing index order and pairwise adjacent
+    by adj, for as long as the gcd of its exterior product is 1.
+    tables[level] is _wedge_table(n, level), one per column of a full
+    clique.  seen maps a candidate index to the member masks of the
+    lattices already yielded that contain it.  A child prefix whose
+    extensions are leaves drops the members of every such lattice that
+    contains it; a child prefix left with no extension is never wedged.
     """
-    full = len(clique) + 1 == len(tables)
-    if full and clique:
-        bits = sum(1 << c for c in clique)
-        for members in seen.get(clique[0], ()):
-            if members & bits == bits:
-                allowed &= ~members
-        if not allowed:
-            return
-    coeffs = _wedge_coefficients(tables[len(clique)], plucker)
+    level = len(clique)
+    full = level + 1 == len(tables)
+    coeffs = _wedge_coefficients(tables[level], plucker)
     rest = allowed
     while rest:
         low = rest & -rest
         j = low.bit_length() - 1
         rest ^= low
-        ext = _wedge(coeffs, cands[j])
-        if gcd(*ext) != 1:
-            continue
         if full:
+            if gcd(*_wedge(coeffs, cands[j])) != 1:
+                continue
             yield clique + [j]
             members = adj[j] | low
             for c in clique:
@@ -303,7 +297,17 @@ def _primitive_cliques(cands, adj, tables, clique, plucker, allowed, seen):
                 todo ^= bit
         else:
             later = allowed & adj[j] & ~((low << 1) - 1)
-            yield from _primitive_cliques(cands, adj, tables, clique + [j], ext, later, seen)
+            prefix = bits | low
+            if level + 2 == len(tables):  # the child's extensions are leaves
+                for members in seen.get(clique[0] if clique else j, ()):
+                    if members & prefix == prefix:
+                        later &= ~members
+            if not later:
+                continue
+            ext = _wedge(coeffs, cands[j])
+            if gcd(*ext) == 1:
+                yield from _primitive_cliques(cands, adj, tables, clique + [j], prefix, ext,
+                                              later, seen)
 
 
 def _box_candidates(m: SeifertMatrix, bound: int) -> list[tuple[int, ...]]:
@@ -391,7 +395,9 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
     that set spans the lattice again or fails the gcd test, so the
     search drops the set from the leaves of the current prefix and of
     every later prefix inside it, and only the first basis found pays
-    for the Hermite form and the is_metabolizer cross-check.
+    for the Hermite form and the is_metabolizer cross-check.  The drop
+    is made before a prefix is wedged: a prefix left without leaves
+    costs no exterior product, no gcd and no recursion.
 
     Candidates and adjacency are built in bulk.  A box vector v = (u, w)
     with halves of length g has v^T M v = q_top(u) + q_bot(w) + (C^T u).w,
@@ -421,7 +427,7 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
     adj = _adjacency_masks(m, cands, coeff_bound)
     tables = [_wedge_table(m.dim, level) for level in range(m.genus)]
     found = []
-    for clique in _primitive_cliques(cands, adj, tables, [], [1], (1 << len(cands)) - 1, {}):
+    for clique in _primitive_cliques(cands, adj, tables, [], 0, [1], (1 << len(cands)) - 1, {}):
         # the clique's rows are independent (their minors have gcd 1), so
         # their Hermite form has no zero row and is the lattice's canonical basis
         basis = MetabolizerBasis(tuple(map(tuple, row_hnf([cands[i] for i in clique]))))

@@ -34,8 +34,10 @@ class FreeWord:
     letters: tuple[Letter, ...] = ()
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"rank must be positive, got {self.rank}")
+        rank = _as_index(self.rank)
+        if rank < 1:
+            raise ValueError(f"rank must be positive, got {rank}")
+        object.__setattr__(self, "rank", rank)
         # each distinct letter -> (its checked form, the checked form of its
         # inverse); equal letters share one entry, so (1.0, 1) after (1, 1)
         # takes the form (1, 1) and is not checked again
@@ -45,8 +47,8 @@ class FreeWord:
             entry = checked.get(letter)
             if entry is None:
                 index, sign = map(_as_index, letter)
-                if not 1 <= index <= self.rank:
-                    raise ValueError(f"generator index {index} out of range 1..{self.rank}")
+                if not 1 <= index <= rank:
+                    raise ValueError(f"generator index {index} out of range 1..{rank}")
                 if sign not in (1, -1):
                     raise ValueError(f"letter sign must be +1 or -1, got {sign}")
                 entry = checked[letter] = (index, sign), (index, -sign)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -84,8 +85,10 @@ def test_non_object_payload_exit_2(capsys, monkeypatch):
 
 
 def test_unknown_subcommand_exit_2(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("{}"))
-    assert cli.main(["frobnicate"]) == 2
+    code, out = run_json(capsys, monkeypatch, ["frobnicate"], {})
+    assert code == 2 and out["error"] == "bad-input"
+    assert "invalid choice: 'frobnicate'" in out["detail"]
+    assert all(repr(name) in out["detail"] for name in cli._HANDLERS)
 
 
 def test_missing_field_exit_2(capsys, monkeypatch):
@@ -305,6 +308,38 @@ def test_bad_argv_emits_one_error_object(capsys, monkeypatch, argv):
 def test_help_prints_usage(capsys):
     assert cli.main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: trilink")
+
+
+def _subcommands(parser) -> list[str]:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+def test_parser_builds_only_the_named_subcommand():
+    assert _subcommands(cli._build_parser(["enumerate"])) == ["enumerate"]
+    for first in ([], ["--help"], ["-h"], ["bogus"], ["--seed"], ["Enumerate"]):
+        assert _subcommands(cli._build_parser(first)) == list(cli._HANDLERS)
+
+
+@pytest.mark.parametrize("argv", [[name, "--help"] for name in cli._HANDLERS] + [
+    ["--help"], [], ["bogus"], ["--seed", "1", "mu"], ["mu", "--seed", "abc"],
+    ["mu", "--bogus"], ["class", "--output", "xml"], ["enumerate", "depth"],
+    ["genus-one", "--input"],
+], ids=lambda argv: " ".join(argv) or "no-argv")
+def test_per_command_parser_matches_a_full_build(capsys, monkeypatch, argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO("{}"))
+    served = cli.main(argv), capsys.readouterr()
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda first: build([]))
+    assert (cli.main(argv), capsys.readouterr()) == served
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["trilink", "enumerate"])
+    payload = {"matrix": {"genus": 1, "ordering": "interleaved", "entries": [[0, 1], [0, 0]]},
+               "bound": 1}
+    code, out = run_json(capsys, monkeypatch, None, payload)
+    assert code == 0 and out["count"] == 2
 
 
 def test_degree_ceiling_exit_2(capsys, monkeypatch):

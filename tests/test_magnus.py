@@ -366,6 +366,17 @@ def test_series_invariants_enforced():
     assert MagnusSeries(3, 2, {(1,): 0}).terms == {}  # zeros dropped
 
 
+def test_series_rank_and_cap_are_exact_ints():
+    for rank, cap in ((2.5, 2), (2, 2.0), ("2", 2)):
+        with pytest.raises(TypeError):
+            MagnusSeries(rank, cap)
+    s = MagnusSeries(True, True, {(1,): 1})
+    assert (type(s.rank), type(s.degree_cap)) == (int, int)
+    assert s == MagnusSeries(1, 1, {(1,): 1})
+    w = phi(FreeWord(True, ((1, 1),)), 2)
+    assert type(w.rank) is int and w == MagnusSeries(1, 2, {(): 1, (1,): 1})
+
+
 def test_to_text_canonical():
     assert MagnusSeries(3, 2, {(): 1}).to_text() == "1"
     assert MagnusSeries(3, 2, {}).to_text() == "0"

@@ -424,6 +424,23 @@ def test_enumerate_canonicalizes_each_lattice_once(unknot, monkeypatch, bound):
     assert len(calls) == len(found) == (28, 100)[bound - 1]
 
 
+@pytest.mark.parametrize("bound, lattices, most_wedges", [(1, 28, 178), (2, 100, 1250)])
+def test_enumerate_wedges_only_prefixes_that_keep_leaves(unknot, monkeypatch, bound, lattices,
+                                                         most_wedges):
+    # unknot is unknot_sum_rows(3); a prefix whose leaves membership
+    # pruning has dropped is never wedged
+    calls = 0
+
+    def counting(coeffs, v):
+        nonlocal calls
+        calls += 1
+        return _wedge(coeffs, v)
+
+    monkeypatch.setattr(seifert, "_wedge", counting)
+    assert len(enumerate_metabolizers(unknot, bound)) == lattices
+    assert calls <= most_wedges
+
+
 @pytest.mark.parametrize("bound", [1, 2])
 @pytest.mark.parametrize("genus", [1, 2])
 def test_enumerate_agrees_with_brute_force_random(genus, bound):

@@ -174,6 +174,23 @@ def test_constructor_refuses_non_integer_letters(letters):
         FreeWord(3, letters)
 
 
+@pytest.mark.parametrize("rank", [2.5, 2.0, "2", None])
+def test_constructor_refuses_non_integer_rank(rank):
+    with pytest.raises(TypeError):
+        FreeWord(rank, ((1, 1), (2, 1)))
+
+
+def test_constructor_rank_forms():
+    # the rank goes through operator.index, as letters do: a bool rank
+    # is the int it stands for, and the stored rank is an exact int
+    w = FreeWord(True, ((1, 1),))
+    assert type(w.rank) is int and w.rank == 1
+    assert repr(w) == "FreeWord(rank=1, 'x1')"
+    assert w == FreeWord(1, ((1, 1),))
+    with pytest.raises(ValueError, match="rank must be positive"):
+        FreeWord(False)
+
+
 def test_constructor_letter_forms():
     # a letter must be hashable: lists are refused
     with pytest.raises(TypeError, match="unhashable"):
@@ -200,7 +217,8 @@ def test_constructor_checks_each_distinct_letter_once(monkeypatch):
     calls = []
     monkeypatch.setattr(words_module, "_as_index", lambda x: calls.append(x) or x)
     w = FreeWord(3, ((1, 1), (2, -1), (2, 1), (1, 1), (3, 1), (1, -1)) * 500)
-    assert calls == [1, 1, 2, -1, 2, 1, 3, 1, 1, -1]  # index and sign of each distinct letter
+    # the rank, then the index and sign of each distinct letter
+    assert calls == [3, 1, 1, 2, -1, 2, 1, 3, 1, 1, -1]
     # each copy reduces to x1 x1 x3 x1^-1, and x1^-1 x1 cancels where copies meet
     assert len(w) == 4 + 2 * 499
 
