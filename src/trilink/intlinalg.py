@@ -19,6 +19,7 @@ computes.  So the code favors being checkable over being fast.
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import mul
 
 Matrix = list[list[int]]
 
@@ -37,7 +38,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
     bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def bilinear(u: list[int], m: Matrix, v: list[int]) -> int:

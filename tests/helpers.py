@@ -12,7 +12,9 @@ ordering's intersection form).  The ledger's commutator pairs are
 assembled here from exponent sums, and the genus-one Bezout pair is
 found by search.  The metabolizer
 search is kept in its older form, which reaches every box basis of a
-lattice and drops repeats by Pluecker key.
+lattice and drops repeats by Pluecker key.  Matrix products are the
+textbook triple loop, and symplectic changes of basis are built from
+transvections, apart from the package's completion.
 """
 
 from __future__ import annotations
@@ -84,6 +86,43 @@ def random_unimodular(rng: Random, n: int, steps: int = 12) -> list[list[int]]:
         else:
             m[i] = [-x for x in m[i]]
     return m
+
+
+def plain_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """a times b by the textbook triple loop (the package maps mul over rows)."""
+    cols = len(b[0]) if b else 0
+    out = [[0] * cols for _ in a]
+    for i in range(len(a)):
+        for j in range(cols):
+            for t in range(len(b)):
+                out[i][j] += a[i][t] * b[t][j]
+    return out
+
+
+def random_symplectic(
+    rng: Random, genus: int, ordering: str, steps: int = 8
+) -> tuple[list[list[int]], list[list[int]]]:
+    """A random T in Sp(2g, Z) for the ordering's intersection form J, and T^-1.
+
+    T is a product of transvections I + k v v^T J.  Each keeps J, since
+    v^T J v = 0, and has inverse I - k v v^T J.  So for a Seifert matrix M
+    of that ordering, T^T M T is one too, and T^-1 maps metabolizers of M
+    to metabolizers of T^T M T.
+    """
+    n = 2 * genus
+    j = [[0] * n for _ in range(n)]
+    for i in range(genus):
+        a, b = (2 * i, 2 * i + 1) if ordering == "interleaved" else (i, genus + i)
+        j[a][b], j[b][a] = 1, -1
+    t, t_inv = identity(n), identity(n)
+    for _ in range(steps):
+        v = [rng.randint(-2, 2) for _ in range(n)]
+        k = rng.choice((-2, -1, 1, 2))
+        vj = plain_product([v], j)[0]
+        step = [[int(r == c) + k * v[r] * vj[c] for c in range(n)] for r in range(n)]
+        step_inv = [[int(r == c) - k * v[r] * vj[c] for c in range(n)] for r in range(n)]
+        t, t_inv = plain_product(t, step), plain_product(step_inv, t_inv)
+    return t, t_inv
 
 
 def unimodular_inverse(m: list[list[int]]) -> list[list[int]]:

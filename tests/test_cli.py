@@ -5,6 +5,7 @@ import json
 import sys
 import time
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -310,15 +311,72 @@ def test_help_prints_usage(capsys):
     assert capsys.readouterr().out.startswith("usage: trilink")
 
 
-def _subcommands(parser) -> list[str]:
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return list(action.choices)
+def _served(argv, stdin_text="{}") -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
 
 
-def test_parser_builds_only_the_named_subcommand():
-    assert _subcommands(cli._build_parser(["enumerate"])) == ["enumerate"]
-    for first in ([], ["--help"], ["-h"], ["bogus"], ["--seed"], ["Enumerate"]):
-        assert _subcommands(cli._build_parser(first)) == list(cli._HANDLERS)
+def _full_build() -> argparse.ArgumentParser:
+    """The trilink parser with all nine subparsers, written out apart from cli."""
+    parser = cli._Parser(
+        prog="trilink",
+        description="Exact computations for triple linking numbers of derivative links.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
+    for name in cli._HANDLERS:
+        p = sub.add_parser(name)
+        p.add_argument("--input", default=None, help="JSON input file (default: stdin)")
+        p.add_argument("--output", choices=("json", "text"), default="json")
+        p.add_argument("--seed", type=int, default=0, help="seed for self-checks")
+        if name == "mu":
+            p.add_argument(
+                "--show-series",
+                action="store_true",
+                help=f"include the Magnus series (cap from ${cli.ENV_DEGREE_CAP}, default "
+                f"{magnus.DEFAULT_DEGREE_CAP})",
+            )
+    return parser
+
+
+def _served_by_full_build(full, argv) -> tuple[int, str, str]:
+    """_served(argv), with every argv parsed whole by the parser full."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_full_parser", lambda: full)
+        mp.setattr(cli, "_command_parser", lambda name: SimpleNamespace(
+            parse_args=lambda rest: full.parse_args([name, *rest])))
+        return _served(argv)
+
+
+def test_parser_builds_only_the_named_subcommand(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for name in cli._HANDLERS:
+        built.clear()
+        _served([name, "--seed", "1"])
+        assert built == [f"trilink {name}"]
+    for argv in ([], ["--help"], ["-h"], ["bogus"], ["--seed", "1", "mu"], ["Enumerate"]):
+        built.clear()
+        _served(argv)
+        assert built == ["trilink"] + [f"trilink {name}" for name in cli._HANDLERS]
+
+
+@pytest.fixture(scope="module")
+def full_build():
+    return _full_build()
 
 
 @pytest.mark.parametrize("argv", [[name, "--help"] for name in cli._HANDLERS] + [
@@ -326,12 +384,25 @@ def test_parser_builds_only_the_named_subcommand():
     ["mu", "--bogus"], ["class", "--output", "xml"], ["enumerate", "depth"],
     ["genus-one", "--input"],
 ], ids=lambda argv: " ".join(argv) or "no-argv")
-def test_per_command_parser_matches_a_full_build(capsys, monkeypatch, argv):
-    monkeypatch.setattr("sys.stdin", io.StringIO("{}"))
-    served = cli.main(argv), capsys.readouterr()
-    build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda first: build([]))
-    assert (cli.main(argv), capsys.readouterr()) == served
+def test_per_command_parser_matches_a_full_build(full_build, argv):
+    assert _served(argv) == _served_by_full_build(full_build, argv)
+
+
+_ARGV_TOKENS = [
+    "Mu", "bogus", "--seed=3", "--seed", "3", "-1", "abc", "--s", "--se", "--in", "--input",
+    "--input=", "--output=text", "--output", "text", "xml", "--show-series", "--show", "--",
+    "-", "-h", "-hh", "--help", "--he", "-x", "",
+]
+
+
+def test_random_argv_matches_a_full_build(full_build):
+    rng = Random(12)
+    names = list(cli._HANDLERS)
+    for _ in range(3000):
+        argv = rng.choices(_ARGV_TOKENS + names, k=rng.randint(0, 5))
+        if argv and rng.random() < 0.7:
+            argv[0] = rng.choice(names)
+        assert _served(argv) == _served_by_full_build(full_build, argv), argv
 
 
 def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
@@ -407,17 +478,9 @@ _payloads = st.one_of(
 
 
 def _assert_one_reply(command, payload):
-    out, err = io.StringIO(), io.StringIO()
-    stdin = sys.stdin
-    sys.stdin = io.StringIO(json.dumps(payload))
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([command])
-    finally:
-        sys.stdin = stdin
+    code, text, err = _served([command], json.dumps(payload))
     assert code in (0, 2, 3, 4)
-    assert err.getvalue() == ""
-    text = out.getvalue()
+    assert err == ""
     assert text.count("\n") == 1 and text.endswith("\n")
     assert isinstance(json.loads(text), dict)
 

@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from helpers import cofactor_det, minors_gcd, random_unimodular
+from helpers import cofactor_det, minors_gcd, plain_product, random_unimodular
 from trilink.intlinalg import (
     bilinear,
     det,
@@ -36,6 +36,28 @@ def test_det_against_cofactor():
         n = rng.randint(0, 5)
         m = random_matrix(rng, n, n)
         assert det(m) == cofactor_det(m)
+
+
+def test_mat_mul_against_triple_loop():
+    rng = Random(17)
+    for _ in range(300):
+        rows, inner, cols = rng.randint(0, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a, b = random_matrix(rng, rows, inner), random_matrix(rng, inner, cols)
+        assert mat_mul(a, b) == plain_product(a, b)
+    big = 10**40
+    for _ in range(50):
+        n = rng.randint(1, 6)
+        row = random_matrix(rng, 1, n, big)
+        col = random_matrix(rng, n, 1, big)
+        assert mat_mul(row, col) == plain_product(row, col)
+        assert mat_mul(col, row) == plain_product(col, row)
+    for a, b in (([], [[1, 2]]), ([[], []], []), ([[1, 2]], [[], []]), ([], [])):
+        assert mat_mul(a, b) == plain_product(a, b)
+
+
+def test_mat_mul_rejects_mismatched_dimensions():
+    with pytest.raises(ValueError, match=r"^cannot multiply 2x3 by 2x2$"):
+        mat_mul([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4]])
 
 
 def test_det_multiplicative():

@@ -15,6 +15,8 @@ from helpers import (
     lattice_keys,
     minors_gcd,
     pairwise_candidates_and_adjacency,
+    plain_product,
+    random_symplectic,
     random_unimodular,
     skew_part,
     unimodular_inverse,
@@ -23,7 +25,7 @@ from helpers import (
 )
 from trilink import seifert
 from trilink.errors import CrossCheckError, PreconditionError
-from trilink.intlinalg import det, mat_mul, row_hnf, transpose
+from trilink.intlinalg import det, identity, mat_mul, row_hnf, transpose
 from trilink.realization import GenusThreeParams
 from trilink.seifert import (
     MAX_VERDICT_GENUS,
@@ -523,9 +525,7 @@ def test_complete_postcondition_random():
     rng = Random(8)
     for _ in range(40):
         m = random_params(rng, 5).seifert_matrix(random_stars(rng, 5))
-        u = random_unimodular(rng, 3, steps=6)
-        vmat = mat_mul(standard_metabolizer(m).as_matrix(), u)
-        v = MetabolizerBasis(tuple(tuple(c) for c in transpose(vmat)))
+        v = mixed_b_curves(rng, m)
         t = symplectic_complete(m, v, rng=rng)
         got = mat_mul(transpose(t), mat_mul(skew_part(m), t))
         assert got == intersection_form(3, "blocked")
@@ -548,6 +548,64 @@ def test_complete_blocked_ordering(genus):
             assert transpose(t)[genus:] == [list(c) for c in v.columns]
             completed += 1
     assert completed >= 6
+
+
+def symplectic_change(rng, m, bases):
+    """(T^T M T, [T^-1 V for V in bases]) for a random symplectic T."""
+    t, t_inv = random_symplectic(rng, m.genus, m.ordering)
+    assert plain_product(t, t_inv) == identity(m.dim)
+    assert plain_product(transpose(t), plain_product(skew_part(m), t)) == skew_part(m)
+    moved = plain_product(transpose(t), plain_product([list(r) for r in m.entries], t))
+    return validate(moved, m.ordering), [
+        basis_of_columns(transpose(plain_product(t_inv, v.as_matrix()))) for v in bases]
+
+
+def basis_of_columns(cols):
+    return MetabolizerBasis(tuple(tuple(c) for c in cols))
+
+
+def mixed_b_curves(rng, m):
+    """The b-curves of a metabolic matrix, mixed by a random unimodular matrix."""
+    vmat = mat_mul(standard_metabolizer(m).as_matrix(), random_unimodular(rng, m.genus, steps=6))
+    return basis_of_columns(transpose(vmat))
+
+
+@pytest.mark.parametrize("ordering", ["interleaved", "blocked"])
+def test_generator_is_symplectic_invariant(ordering):
+    rng = Random(71 if ordering == "interleaved" else 72)
+    for _ in range(40):
+        m = random_seifert(rng, 3, ordering, metabolic=True, entries=range(-6, 7))
+        v = mixed_b_curves(rng, m)
+        expected = generator_for_metabolizer(m, v).generator
+        moved, (v_moved,) = symplectic_change(rng, m, [v])
+        assert generator_for_metabolizer(moved, v_moved).generator == expected
+        assert generator_for_metabolizer(moved, v_moved, rng=rng).generator == expected
+
+
+@pytest.mark.parametrize("ordering", ["interleaved", "blocked"])
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_verdict_and_completion_are_symplectic_invariant(genus, ordering):
+    rng = Random(80 + 2 * genus + (ordering == "blocked"))
+    blocked = intersection_form(genus, "blocked")
+    verdicts = set()
+    for _ in range(15):
+        m = random_seifert(rng, genus, ordering, metabolic=True, entries=range(-6, 7))
+        v = mixed_b_curves(rng, m)
+        cols = [list(c) for c in v.columns]
+        index_two = basis_of_columns(cols[:-1] + [[2 * x for x in cols[-1]]])
+        dependent = basis_of_columns(cols[:-1] + [cols[0] if genus > 1 else [0] * m.dim])
+        random_cols = basis_of_columns(
+            [[rng.randint(-2, 2) for _ in range(m.dim)] for _ in range(genus)])
+        bases = [v, index_two, dependent, random_cols]
+        moved, moved_bases = symplectic_change(rng, m, bases)
+        for before, after in zip(bases, moved_bases):
+            verdict = metabolizer_verdict(m, before)
+            assert metabolizer_verdict(moved, after) == verdict
+            verdicts.add(verdict)
+        t = symplectic_complete(moved, moved_bases[0], rng=rng)
+        assert mat_mul(transpose(t), mat_mul(skew_part(moved), t)) == blocked
+        assert transpose(t)[genus:] == [list(c) for c in moved_bases[0].columns]
+    assert len(verdicts) >= 3
 
 
 def test_complete_refuses_non_metabolizer(unknot):
