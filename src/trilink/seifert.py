@@ -53,8 +53,8 @@ ORDERINGS = ("interleaved", "blocked")
 MAX_SEARCH_GENUS = 3
 # Largest coefficient box (2*bound+1)**(2*genus) a search may scan: genus 3
 # at bound 2, genus 2 at bound 5, genus 1 at bound 62.  Python 3.11.7,
-# shared 2-CPU Xeon: the genus-3 unknot surface took 0.008-0.012 s at
-# bound 1 and 0.08-0.13 s at bound 2 (medians of 5, four sets); genus 3
+# shared 2-CPU Xeon: the genus-3 unknot surface took 0.004-0.008 s at
+# bound 1 and 0.08-0.13 s at bound 2 (medians of 5, eight sets); genus 3
 # at bound 2 with 40-digit entries took 0.021-0.038 s (5 matrices); every
 # bound up to the limit took at most 0.010 s at genus 1 (6 matrices) and
 # at most 0.019 s at genus 2 (7 matrices, the slowest the unknot surface
@@ -383,7 +383,11 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
     which the form vanishes both ways grows only while the gcd of its
     exterior product (its Pluecker coordinates, the maximal minors) is
     1.  A gcd of 0 means dependent columns; a gcd above 1 means the span
-    is not a summand.
+    is not a summand.  So a full clique is a metabolizer by construction
+    and is not re-tested: its columns are isotropic and pairwise adjacent
+    both ways, so V^T M V = 0, and its g columns span a summand.  Its row
+    Hermite form, reached by unimodular row operations, has no zero row
+    at rank g, so it is a basis of the same lattice.
 
     Each lattice is yielded once, because a metabolizer is a Lagrangian
     of the unimodular form J = M - M^T: it is its own J-orthogonal
@@ -395,9 +399,9 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
     that set spans the lattice again or fails the gcd test, so the
     search drops the set from the leaves of the current prefix and of
     every later prefix inside it, and only the first basis found pays
-    for the Hermite form and the is_metabolizer cross-check.  The drop
-    is made before a prefix is wedged: a prefix left without leaves
-    costs no exterior product, no gcd and no recursion.
+    for the Hermite form.  The drop is made before a prefix is wedged: a
+    prefix left without leaves costs no exterior product, no gcd and no
+    recursion.
 
     Candidates and adjacency are built in bulk.  A box vector v = (u, w)
     with halves of length g has v^T M v = q_top(u) + q_bot(w) + (C^T u).w,
@@ -428,12 +432,7 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
     tables = [_wedge_table(m.dim, level) for level in range(m.genus)]
     found = []
     for clique in _primitive_cliques(cands, adj, tables, [], 0, [1], (1 << len(cands)) - 1, {}):
-        # the clique's rows are independent (their minors have gcd 1), so
-        # their Hermite form has no zero row and is the lattice's canonical basis
-        basis = MetabolizerBasis(tuple(map(tuple, row_hnf([cands[i] for i in clique]))))
-        if not is_metabolizer(m, basis):  # canonical basis spans the same lattice
-            raise CrossCheckError("canonicalized basis lost the metabolizer property")
-        found.append(basis)
+        found.append(MetabolizerBasis(tuple(map(tuple, row_hnf([cands[i] for i in clique])))))
     return sorted(found, key=lambda basis: basis.columns)
 
 

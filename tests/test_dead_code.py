@@ -7,6 +7,8 @@ function's reference to itself.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import trilink
@@ -55,3 +57,13 @@ def test_every_public_function_is_exported_or_used():
                     for ref, where, owner in refs)
     ]
     assert dead == []
+
+
+def test_functions_the_benchmark_tracer_names_are_public():
+    # perfbench/tracer.py wraps the public functions each module defines,
+    # then looks these two up by name in every traced run
+    for module, name in (("seifert", "enumerate_metabolizers"), ("intlinalg", "snf")):
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        assert name in {top.name for top in tree.body if isinstance(top, ast.FunctionDef)}
+        fn = getattr(importlib.import_module(f"trilink.{module}"), name)
+        assert inspect.isfunction(fn) and fn.__module__ == f"trilink.{module}"

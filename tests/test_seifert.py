@@ -329,8 +329,21 @@ def test_enumerate_matches_visit_every_basis_oracle(genus, bound):
         m = random_seifert(rng, genus, rng.choice(("interleaved", "blocked")), trial % 2 == 1)
         found = enumerate_metabolizers(m, bound)
         assert found == visit_every_basis_metabolizers(m, bound)
+        for v in found:  # the search does not re-test what it returns
+            assert metabolizer_verdict(m, v) == (True, True, True)
         total += len(found)
     assert total > 0
+
+
+@pytest.mark.parametrize("bound, lattices", [(1, 28), (2, 100)])
+def test_enumerate_runs_no_metabolizer_test(unknot, monkeypatch, bound, lattices):
+    # each clique is a metabolizer by construction, so the search never tests one
+    def no_test(*args):
+        raise AssertionError("metabolizer test called")
+
+    for name in ("is_metabolizer", "metabolizer_verdict"):
+        monkeypatch.setattr(seifert, name, no_test)
+    assert len(enumerate_metabolizers(unknot, bound)) == lattices
 
 
 def assert_bulk_builders_match_pairwise(m, bound) -> tuple[int, int]:
@@ -550,9 +563,9 @@ def test_complete_blocked_ordering(genus):
     assert completed >= 6
 
 
-def symplectic_change(rng, m, bases):
+def symplectic_change(rng, m, bases, steps=8):
     """(T^T M T, [T^-1 V for V in bases]) for a random symplectic T."""
-    t, t_inv = random_symplectic(rng, m.genus, m.ordering)
+    t, t_inv = random_symplectic(rng, m.genus, m.ordering, steps)
     assert plain_product(t, t_inv) == identity(m.dim)
     assert plain_product(transpose(t), plain_product(skew_part(m), t)) == skew_part(m)
     moved = plain_product(transpose(t), plain_product([list(r) for r in m.entries], t))
@@ -606,6 +619,24 @@ def test_verdict_and_completion_are_symplectic_invariant(genus, ordering):
         assert mat_mul(transpose(t), mat_mul(skew_part(moved), t)) == blocked
         assert transpose(t)[genus:] == [list(c) for c in moved_bases[0].columns]
     assert len(verdicts) >= 3
+
+
+@pytest.mark.parametrize("genus", [8, 16])
+@pytest.mark.parametrize("steps", [20, 40])
+def test_verdict_known_answers_at_scale(genus, steps):
+    # T^-1 V of the unknot sum's b-curves is a metabolizer of T^T M T whose
+    # largest entries have 19 to 38 digits; scaling a column by k gives
+    # index k, and repeating a column makes the set dependent
+    m = validate(unknot_sum_rows(genus), "interleaved")
+    moved, (v,) = symplectic_change(Random(100 * genus + steps), m, [standard_metabolizer(m)], steps)
+    cols = [list(c) for c in v.columns]
+    assert max(abs(x) for col in cols for x in col) > 10**16
+    assert metabolizer_verdict(moved, basis_of_columns(cols)) == (True, True, True)
+    for k in (2, 3, 7):
+        scaled = [[k * x for x in cols[0]]] + cols[1:]
+        assert metabolizer_verdict(moved, basis_of_columns(scaled)) == (True, True, False)
+    repeated = cols[:-1] + [cols[0]]
+    assert metabolizer_verdict(moved, basis_of_columns(repeated)) == (True, False, False)
 
 
 def test_complete_refuses_non_metabolizer(unknot):
