@@ -46,7 +46,7 @@ def bilinear(u: list[int], m: Matrix, v: list[int]) -> int:
     if len(u) != len(m) or (m and len(m[0]) != len(v)):
         raise ValueError(f"bilinear form needs lengths {len(m)}/{len(m[0]) if m else 0}, "
                          f"got {len(u)}/{len(v)}")
-    return sum(u[i] * m[i][j] * v[j] for i in range(len(u)) for j in range(len(v)))
+    return sum(map(mul, u, [sum(map(mul, row, v)) for row in m]))
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -194,8 +194,9 @@ def phi(w: FreeWord, degree_cap: int = DEFAULT_DEGREE_CAP) -> MagnusSeries:
 
     A cap with r**cap > MAX_DEPTH_TERMS, for r distinct generators in w,
     or with more than MAX_DEPTH_WORK slot updates is refused with
-    ValueError before its work starts.
+    ValueError before its work starts.  The cap goes through operator.index.
     """
+    degree_cap = index(degree_cap)
     if degree_cap < 1:
         raise ValueError(f"degree cap must be positive, got {degree_cap}")
     gens, letters = _relabel(w)
@@ -293,8 +294,10 @@ def lcs_depth(w: FreeWord, kmax: int) -> int:
 
     A degree d with r**d > MAX_DEPTH_TERMS, for r distinct generators in
     w, or whose slot updates bring the total past MAX_DEPTH_WORK, is
-    refused with ValueError before its work starts.
+    refused with ValueError before its work starts.  kmax goes through
+    operator.index.
     """
+    kmax = index(kmax)
     if kmax < 1:
         raise ValueError(f"kmax must be positive, got {kmax}")
     if kmax == 1 or not w.letters:

@@ -109,12 +109,6 @@ def _raw_terms(p: GenusThreeParams, n: int) -> tuple[int, int, int, int]:
     return band1, band3, band5, residual
 
 
-def _swapped(p: GenusThreeParams) -> GenusThreeParams:
-    # sliding the middle band pair past the last swaps the roles of the
-    # second and third derivative components
-    return GenusThreeParams(p.a, p.c, p.b, p.y1, p.y2, p.x1, p.x2, p.z2, p.z1)
-
-
 def ledger(p: GenusThreeParams, n: int) -> Ledger:
     """Contribution ledger of the n-pass derivative link.
 
@@ -122,21 +116,13 @@ def ledger(p: GenusThreeParams, n: int) -> Ledger:
     each pass contributes -(c-1) - b; band3 and band5 contribute x1 per
     x2 passes and y1 per y2 passes; the surface's own core pair
     contributes -bc + z1*z2.  Totals are asserted against n times the
-    generator, and negative n against the band-slide mirror (second and
-    third components swapped, which negates mu-bar and fixes the
-    generator).
+    generator.
     """
     band1, band3, band5, residual = _raw_terms(p, n)
     total = band1 + band3 + band5 + residual
     expected = n * p.generator()
     if total != expected:
         raise CrossCheckError(f"ledger total {total} != n * generator {expected}")
-    if n < 0:
-        mirror = -sum(_raw_terms(_swapped(p), -n))
-        if total != mirror:
-            raise CrossCheckError(
-                f"band-slide mirror disagrees: total {total}, mirror {mirror}"
-            )
     return Ledger(
         band1, band3, band5, residual, total, n,
         LedgerDescription(parallel_copies=n, wrap_count=n - 2, inner_alteration_count=n - 1),

@@ -9,8 +9,8 @@ one list row of exponent sums per letter, and
 primitivity is gcd of maximal minors (the package uses Smith form),
 and the skew part M - M^T is read off the entries (the package uses the
 ordering's intersection form).  The ledger's commutator pairs are
-assembled here from exponent sums, and the genus-one Bezout pair is
-found by search.  The metabolizer
+assembled here from exponent sums, their band-slide mirror is kept
+here, and the genus-one Bezout pair is found by search.  The metabolizer
 search is kept in its older form, which reaches every box basis of a
 lattice and drops repeats by Pluecker key.  Matrix products are the
 textbook triple loop, and symplectic changes of basis are built from
@@ -24,6 +24,7 @@ from math import gcd
 from random import Random
 
 from trilink.intlinalg import identity
+from trilink.realization import GenusThreeParams
 from trilink.words import FreeWord, exponent_sum, generator, word_power, word_product
 
 UNKNOT_ROWS = [
@@ -330,6 +331,15 @@ def assemble_commutator_contribution(e12: int, e13: int, f12: int, f13: int) -> 
     the core pair is (b,z1) against (-z2,-c).
     """
     return e12 * f13 - e13 * f12
+
+
+def swapped(p: GenusThreeParams) -> GenusThreeParams:
+    """The band-slide mirror of p: sliding the middle band pair past the last
+    swaps the second and third derivative components (b<->c, x<->y, z1<->z2).
+
+    The swap fixes the generator and trades the band3 and band5 terms.
+    """
+    return GenusThreeParams(p.a, p.c, p.b, p.y1, p.y2, p.x1, p.x2, p.z2, p.z1)
 
 
 def brute_force_bezout(x: int, y: int) -> tuple[int, int]:

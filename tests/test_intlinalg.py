@@ -77,8 +77,23 @@ def test_bilinear():
     m = [[1, 2], [3, 4]]
     assert bilinear([1, 0], m, [0, 1]) == 2
     assert bilinear([1, 1], m, [1, 1]) == 10
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lengths 2/2, got 1/2"):
         bilinear([1], m, [1, 1])
+    with pytest.raises(ValueError, match="lengths 2/2, got 2/3"):
+        bilinear([1, 1], m, [1, 1, 1])
+    with pytest.raises(ValueError, match="lengths 0/0, got 1/0"):
+        bilinear([1], [], [])
+
+
+def test_bilinear_against_triple_loop():
+    rng = Random(19)
+    for bound in (9, 10**40):
+        for _ in range(200):
+            rows, cols = rng.randint(0, 5), rng.randint(1, 5)
+            u, v = random_matrix(rng, 1, rows, bound)[0], random_matrix(rng, 1, cols, bound)[0]
+            m = random_matrix(rng, rows, cols, bound)
+            want = sum(u[i] * m[i][j] * v[j] for i in range(rows) for j in range(cols))
+            assert bilinear(u, m, v) == want
 
 
 def test_row_hnf_properties():
@@ -138,7 +153,7 @@ def test_snf_properties():
                 assert b == 0
 
 
-def test_invariant_factors_match_minor_gcds():
+def test_snf_matches_minor_gcds():
     # d_1 * ... * d_k = gcd of all k x k minors
     rng = Random(23)
     for _ in range(120):

@@ -377,6 +377,31 @@ def test_series_rank_and_cap_are_exact_ints():
     assert type(w.rank) is int and w == MagnusSeries(1, 2, {(): 1, (1,): 1})
 
 
+@pytest.mark.parametrize("cap", [2.0, 3.0, 5.0, 2.5, "3"])
+@pytest.mark.parametrize("text", [
+    "x1 x2 x1^-1 x2^-1",  # depth 2
+    "x1 x2 x1^-1 x2^-1 x3 x2 x1 x2^-1 x1^-1 x3^-1",  # [[x1, x2], x3], depth 3
+])
+def test_kmax_and_degree_cap_go_through_index(text, cap):
+    w = parse_word(text, 3)
+    with pytest.raises(TypeError):
+        lcs_depth(w, cap)
+    with pytest.raises(TypeError):
+        phi(w, cap)
+
+
+def test_bool_kmax_and_degree_cap_become_ints():
+    w = parse_word("x1 x2 x1^-1 x2^-1 x3 x2 x1 x2^-1 x1^-1 x3^-1", 3)
+    assert lcs_depth(w, 5) == 3
+    depth = lcs_depth(w, True)
+    assert type(depth) is int and depth == 1
+    assert phi(w, True) == phi(w, 1)
+    with pytest.raises(ValueError, match="positive"):
+        lcs_depth(w, False)
+    with pytest.raises(ValueError, match="positive"):
+        phi(w, False)
+
+
 def test_to_text_canonical():
     assert MagnusSeries(3, 2, {(): 1}).to_text() == "1"
     assert MagnusSeries(3, 2, {}).to_text() == "0"

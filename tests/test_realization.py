@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from helpers import assemble_commutator_contribution
+from helpers import assemble_commutator_contribution, swapped
 from trilink.realization import GenusThreeParams, ledger, pushoff_ledger_entries
 from trilink.seifert import generator_from_block
 
@@ -52,6 +52,22 @@ def test_ledger_negative_passes():
         p = random_params(rng)
         n = rng.randint(1, 10)
         assert ledger(p, -n).total == -ledger(p, n).total
+
+
+def test_band_slide_mirror():
+    # the mirror fixes the generator and every term but band3 and band5,
+    # which trade places; at -n it negates the total
+    rng = Random(6)
+    for _ in range(600):
+        p = random_params(rng, bound=20)
+        n = rng.randint(-9, 9)
+        led, mirror = ledger(p, n), ledger(swapped(p), n)
+        assert swapped(p).generator() == p.generator()
+        assert mirror.total == led.total
+        assert (mirror.band3_term, mirror.band5_term) == (led.band5_term, led.band3_term)
+        assert (mirror.band1_term, mirror.residual_term) == (led.band1_term, led.residual_term)
+        assert ledger(swapped(p), -n).total == -led.total
+        assert swapped(swapped(p)) == p
 
 
 def test_pushoff_entries_closed_forms():

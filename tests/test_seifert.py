@@ -156,6 +156,78 @@ def test_reorder_refuses_unknown_ordering(unknot):
         reorder(unknot, "bogus")
 
 
+def curve_position(genus, ordering, k):
+    """Position of curve k of (a1..ag, b1..bg) in an ordering's basis, as the
+    README writes the orderings: (a1, b1, ..., ag, bg) or (a1..ag, b1..bg)."""
+    if ordering == "blocked":
+        return k
+    return 2 * k if k < genus else 2 * (k - genus) + 1
+
+
+def written_form(genus, ordering):
+    """The README's forms: the block diagonal of [[0, 1], [-1, 0]] for
+    interleaved, [[0, I], [-I, 0]] for blocked."""
+    n = 2 * genus
+    if ordering == "interleaved":
+        return [[int(i % 2 == 0 and j == i + 1) - int(j % 2 == 0 and i == j + 1)
+                 for j in range(n)] for i in range(n)]
+    return [[int(j == i + genus) - int(i == j + genus) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("genus", range(1, 6))
+@pytest.mark.parametrize("ordering", seifert.ORDERINGS)
+def test_layout_at_every_genus(genus, ordering):
+    assert intersection_form(genus, ordering) == written_form(genus, ordering)
+    other = next(o for o in seifert.ORDERINGS if o != ordering)
+    where = [curve_position(genus, ordering, k) for k in range(2 * genus)]
+    there = [curve_position(genus, other, k) for k in range(2 * genus)]
+    rng = Random(10 * genus + len(ordering))
+    for _ in range(10):
+        m = random_seifert(rng, genus, ordering, entries=range(-9, 10))
+        moved = reorder(m, other)
+        assert reorder(moved, ordering) == m
+        assert reorder(m, ordering) is m
+        assert all(moved.entries[there[k]][there[l]] == m.entries[where[k]][where[l]]
+                   for k in range(2 * genus) for l in range(2 * genus))
+        permuted = []
+        for col in standard_metabolizer(m).columns:
+            new = [0] * 2 * genus
+            for k in range(2 * genus):
+                new[there[k]] = col[where[k]]
+            permuted.append(tuple(new))
+        assert standard_metabolizer(moved).columns == tuple(permuted)
+        assert standard_metabolizer(m).columns == tuple(
+            unit(where[genus + i], 2 * genus) for i in range(genus))
+
+
+@pytest.mark.parametrize("genus", range(1, 6))
+def test_unknown_ordering_reported_at_every_genus(genus):
+    rows = unknot_sum_rows(genus)
+    m = validate(rows, "interleaved")
+    calls = [
+        lambda: intersection_form(genus, "bogus"),
+        lambda: validate(rows, "bogus"),
+        lambda: reorder(m, "bogus"),
+        lambda: SeifertMatrix(genus, "bogus", m.entries),
+        # a bad ordering and a bad shape: the ordering is reported
+        lambda: SeifertMatrix(genus + 1, "bogus", m.entries),
+        lambda: SeifertMatrix(genus, "bogus", m.entries[1:]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^unknown ordering 'bogus'$"):
+            call()
+
+
+def test_shape_is_checked_before_the_form_is_built(monkeypatch):
+    # 200,000 empty rows: building the form first would take 4 * 10**10 slots
+    def refuse(*args):
+        raise AssertionError("intersection form built before the shape check")
+
+    monkeypatch.setattr(seifert, "intersection_form", refuse)
+    with pytest.raises(ValueError, match="expected a 200000x200000 matrix"):
+        validate([[]] * 200_000, "interleaved")
+
+
 def test_reorder_parametrized_matrix_to_blocked():
     blocked = reorder(PARAMS.seifert_matrix(), "blocked")
     top_right = [list(row[3:]) for row in blocked.entries[:3]]
@@ -758,8 +830,11 @@ def test_genus_one_normalize_examples():
 
 def test_genus_one_normalize_identities_random():
     rng = Random(20)
-    for _ in range(400):
-        d, e = rng.randint(-10, 10), rng.randint(-10, 10)
+    big = 10**40
+    pairs = [(rng.randint(-10, 10), rng.randint(-10, 10)) for _ in range(400)]
+    pairs += [(0, e) for e in range(-5, 6)]  # y = 0, x = +-1
+    pairs += [(rng.randint(-big, big), rng.randint(-big, big)) for _ in range(100)]
+    for d, e in pairs:
         r = genus_one_normalize(d, e)
         m = [[d, e], [e - 1, 0]]
         zw, xy = [r.z, r.w], [r.x, r.y]
@@ -770,6 +845,7 @@ def test_genus_one_normalize_identities_random():
         assert r.new_matrix.entries[0][1] == 1 - e
         assert r.new_matrix.entries[1] == (-e, 0)
         assert r.n > 0 and r.n * r.x == 2 * e - 1 and r.n * r.y == -d
+        assert gcd(r.x, r.y) == 1
 
 
 def test_genus_one_bezout_canonical():
