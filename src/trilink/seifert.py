@@ -53,12 +53,19 @@ ORDERINGS = ("interleaved", "blocked")
 MAX_SEARCH_GENUS = 3
 # Largest coefficient box (2*bound+1)**(2*genus) a search may scan: genus 3
 # at bound 2, genus 2 at bound 5, genus 1 at bound 62.  Python 3.11.7,
-# shared 2-CPU Xeon: the genus-3 unknot surface took 0.004-0.008 s at
-# bound 1 and 0.08-0.13 s at bound 2 (medians of 5, eight sets); genus 3
-# at bound 2 with 40-digit entries took 0.021-0.038 s (5 matrices); every
-# bound up to the limit took at most 0.010 s at genus 1 (6 matrices) and
-# at most 0.019 s at genus 2 (7 matrices, the slowest the unknot surface
-# at bound 5).
+# shared 2-CPU Xeon, medians of 5, with the packed box scan and adjacency
+# of enumerate_metabolizers against the per-vector scan and per-candidate
+# functionals they replaced: the genus-3 unknot surface took 3.5-3.6 ms
+# (was 5.0-5.2) at bound 1 and 72-108 ms (86-124) at bound 2, three sets;
+# genus 3 at bound 2 with 40-digit entries 2.3-3.6 ms (13-17), 5 matrices;
+# every bound up to the limit at most 2.7 ms (7.6) at genus 1, 6 matrices,
+# and 6.7 ms (8.5) at genus 2, 7 matrices with the unknot surface.  Slots
+# widen with the entries: through cli.main, dense 4,300-digit entries (the
+# int-string limit) took 183-188 ms (74-96) at genus 3 bound 2 and 153-155
+# ms (84-86) at genus 2 bound 5, 3 matrices each.  Many candidates with
+# wide slots cost most, as each candidate's adjacency read spans 2k slots: an
+# unknot surface with one symmetric pair of 4,300-digit entries has 456
+# candidates at genus 3 bound 2 and took 6.8 s (17.9).
 MAX_SEARCH_BOX = 5**6
 # Largest genus metabolizer_verdict takes: its Smith form lets entries grow.
 # Python 3.11.7, 2-CPU Xeon, dense random columns via cli.main: genus 16
@@ -297,60 +304,103 @@ def _primitive_cliques(cands, adj, tables, clique, bits, plucker, allowed, seen)
                                               later, seen)
 
 
+_FLAG_CLEAR = bytes.maketrans(b"\0\x80", b"10")  # top byte of a flagged slot -> zero bit
+
+
+class _Slots:
+    """k signed slots of w = 8 * step bits in one integer, slot j at bit w * j.
+
+    pack and fill store v + 2^(w-1) in a slot (the bias), so a value must
+    lie in [-2^(w-1), 2^(w-1)).  Subtracting high, the bias in every
+    slot, gives the unbiased sum of v_j * 2^(w*j): sums of multiples of
+    such integers are exact slot by slot, borrows included, and any sum
+    whose slots all lie inside (-2^(w-1), 2^(w-1)) reads back once one
+    bias is added again.
+    """
+
+    def __init__(self, k: int, step: int):
+        self.k, self.step = k, step
+        self.bias = 1 << (8 * step - 1)
+        ones = int.from_bytes(b"\1".ljust(step, b"\0") * k, "little")
+        self.high = ones << (8 * step - 1)
+        self.low = self.high - ones
+
+    def pack(self, values) -> int:
+        """Slot j holds values[j] + bias."""
+        bias, step = self.bias, self.step
+        return int.from_bytes(b"".join((v + bias).to_bytes(step, "little") for v in values),
+                              "little")
+
+    def fill(self, value: int) -> int:
+        """value + bias in every slot."""
+        return int.from_bytes((value + self.bias).to_bytes(self.step, "little") * self.k,
+                              "little")
+
+    def zeros(self, biased: int) -> int:
+        """Bitmask of the slots of a biased integer that hold exactly the bias."""
+        x = biased ^ self.high  # slot j: v_j mod 2^w
+        flags = (((x & self.low) + self.low) | x) & self.high  # top bit set iff v_j != 0
+        # one character per slot, slot k-1 first; the leading "0" reads k = 0 as 0
+        return int(b"0" + flags.to_bytes(self.k * self.step, "big")[::self.step]
+                   .translate(_FLAG_CLEAR), 2)
+
+
+def _slot_bytes(m: SeifertMatrix, bound: int) -> int:
+    """Slot width in bytes for the box: 8 * step > bit length of bound^2 * sum |M_st|."""
+    return (bound * bound * sum(abs(x) for row in m.entries for x in row)).bit_length() // 8 + 1
+
+
 def _box_candidates(m: SeifertMatrix, bound: int) -> list[tuple[int, ...]]:
     """Primitive isotropic vectors of the box, one sign each, in product order."""
     g, e = m.genus, m.entries
     halves = list(itertools.product(range(-bound, bound + 1), repeat=g))
+    h = len(halves)
+    slots = _Slots(h, _slot_bytes(m, bound))
 
     def quad(offset):  # u^T M[half, half] u for every half u
         block = [e[offset + i][offset:offset + g] for i in range(g)]
         return [sum(x * sum(map(mul, row, u)) for x, row in zip(u, block)) for u in halves]
 
+    top = slots.pack(quad(0)) - slots.high  # slot j: q_top(u_j)
     cross = [[e[i][g + j] + e[g + j][i] for i in range(g)] for j in range(g)]  # columns of C
-    bottom = list(zip(halves, quad(g)))
+    cu = [slots.pack([sum(map(mul, u, col)) for u in halves]) - slots.high for col in cross]
+    hits = []
+    for b, (w, q) in enumerate(zip(halves, quad(g))):
+        zero = slots.zeros(top + sum(map(mul, w, cu)) + slots.fill(q))
+        while zero:
+            low = zero & -zero
+            hits.append((low.bit_length() - 1) * h + b)  # index of (u_j, w_b) in product order
+            zero ^= low
     cands = []
-    for u, q in zip(halves, quad(0)):
-        cu = [sum(map(mul, u, col)) for col in cross]
-        for w in [w for w, qw in bottom if q + qw + sum(map(mul, cu, w)) == 0]:
-            v = u + w
-            if gcd(*v) == 1 and next(x for x in v if x) > 0:  # -v spans the same lattice
-                cands.append(v)
+    for hit in sorted(hits):
+        a, b = divmod(hit, h)
+        v = halves[a] + halves[b]
+        if gcd(*v) == 1 and next(x for x in v if x) > 0:  # -v spans the same lattice
+            cands.append(v)
     return cands
 
 
 def _adjacency_masks(m: SeifertMatrix, cands, bound: int) -> list[int]:
     """Bit j of mask i is set iff candidates i != j pair to 0 under M both ways.
 
-    Every f . c_j for one functional f is read off one big-integer sum;
+    Both pairings of c_i with every c_j are read off one big-integer sum;
     the slot layout is explained in enumerate_metabolizers.
     """
     k = len(cands)
     if not k:
         return []
-    cols = list(zip(*m.entries))
-    funcs = [([sum(map(mul, c, col)) for col in cols], [sum(map(mul, row, c)) for row in m.entries])
-             for c in cands]  # c^T M and M c
-    norm = max(sum(map(abs, f)) for pair in funcs for f in pair)
-    step = (norm * bound).bit_length() // 8 + 1  # bytes per slot, w = 8 * step
-    ones = int.from_bytes(b"\1".ljust(step, b"\0") * k, "little")
-    high = ones << (8 * step - 1)  # bias 2^(w-1) in every slot
-    low = high - ones
-    # packed[t] holds coordinate t of candidate j in slot j; c[t] + bound
-    # fits the slot's low byte because the box limit keeps bound below 63
-    packed = []
-    layout = bytearray(k * step)
-    for t in range(m.dim):
-        layout[::step] = bytes(c[t] + bound for c in cands)
-        packed.append(int.from_bytes(layout, "little") - bound * ones)
-    read = bytes.maketrans(b"\0\x80", b"10")  # top byte of a slot: flag clear means zero
+    step = _slot_bytes(m, bound)
+    one, both = _Slots(k, step), _Slots(2 * k, step)
+    coords = [one.pack([c[t] for c in cands]) - one.high for t in range(m.dim)]
+    shift = 8 * step * k
+    # image t: (M c_j)_t in slot j and (M^T c_j)_t in slot k + j
+    images = [sum(map(mul, row, coords)) + (sum(map(mul, col, coords)) << shift)
+              for row, col in zip(m.entries, zip(*m.entries))]
     adj = []
-    for i, pair in enumerate(funcs):
-        flags = 0
-        for f in pair:
-            x = (sum(map(mul, f, packed)) + high) ^ high  # slot j: f . c_j mod 2^w
-            flags |= ((x & low) + low) | x  # top bit of slot j set iff slot j is nonzero
-        zero = int((flags & high).to_bytes(k * step, "big")[::step].translate(read), 2)
-        adj.append(zero & ~(1 << i))  # c_i is isotropic, so it pairs to 0 with itself
+    for i, c in enumerate(cands):
+        zero = both.zeros(sum(map(mul, c, images)) + both.high)
+        # both pairings vanish; c_i is isotropic, so it pairs to 0 with itself
+        adj.append(zero & (zero >> k) & ~(1 << i))
     return adj
 
 
@@ -390,20 +440,27 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
     prefix left without leaves costs no exterior product, no gcd and no
     recursion.
 
-    Candidates and adjacency are built in bulk.  A box vector v = (u, w)
-    with halves of length g has v^T M v = q_top(u) + q_bot(w) + (C^T u).w,
-    where C = M[top, bot] + M[bot, top]^T and q_top, q_bot are the forms
-    of the diagonal blocks.  So q_bot is computed once per half, q_top(u)
-    and C^T u once per u, and each vector costs one g-term dot product;
-    u runs outside w, which is itertools.product order.  Candidates c_i
-    and c_j are adjacent iff r_i.c_j = s_i.c_j = 0, for r_i = c_i^T M and
-    s_i = M c_i.  Coordinate t of all k candidates is packed into one
-    integer, candidate j in slot j of w bits, so one big-integer sum per
-    functional f holds every f.c_j.  As |f.c_j| <= |f|_1 * bound, w is
-    the least multiple of 8 above the bit length of the largest
-    |f|_1 * bound: with a bias of 2^(w-1) added, every slot lies in
-    [1, 2^w), no slot borrows from its neighbour, and the sums are exact
-    for entries of any size.
+    Candidates and adjacency are built in bulk, in packed integers of
+    signed slots (_Slots).  A box vector v = (u, w) with halves of length
+    g has v^T M v = q_top(u) + q_bot(w) + sum_t w_t (C^T u)_t, where
+    C = M[top, bot] + M[bot, top]^T and q_top, q_bot are the forms of the
+    diagonal blocks.  The top halves u are packed, u_j in slot j: one
+    integer holds every q_top(u_j) and one per t every (C^T u_j)_t.  The
+    bottom halves w are looped over, and each w costs one sum of g
+    products whose multipliers w_t are box coordinates, at most bound in
+    size, plus q_bot(w) in every slot; its zero slots are the isotropic
+    vectors (u_j, w).  The hits are sorted back into itertools.product
+    order (u outside w) before the gcd and sign filter.  Candidates c_i
+    and c_j are adjacent iff c_i^T M c_j = c_i^T M^T c_j = 0.  Coordinate
+    t of all k candidates is packed once, c_j in slot j, and 2g images
+    are built once from M's entries: image t holds (M c_j)_t in slot j
+    and (M^T c_j)_t in slot k + j.  So one sum of 2g small products,
+    c_i's coordinates times the images, holds both pairings of c_i with
+    every c_j.  Every slot read is some v^T M v' with v, v' in the box,
+    at most bound^2 * sum |M_st| in size, so the slot width w is the
+    least multiple of 8 above that figure's bit length: with a bias of
+    2^(w-1) added, every slot lies in [1, 2^w), no slot borrows from its
+    neighbour, and the sums are exact for entries of any size.
     """
     if coeff_bound < 1:
         raise ValueError(f"coefficient bound must be >= 1, got {coeff_bound}")

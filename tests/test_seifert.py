@@ -6,6 +6,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     UNKNOT_ROWS,
@@ -450,22 +451,59 @@ def test_bulk_builders_match_pairwise_oracle(genus, bounds):
 
 @pytest.mark.parametrize("genus, bound", [(1, 2), (2, 1), (2, 2), (3, 1)])
 def test_bulk_builders_at_slot_width_edges(genus, bound):
-    # An unknot-like surface with d = +-2^j or +-(2^j - 1) added to the
-    # symmetric pair of entries (0, n-1) and (n-1, 0): e_0 and e_(n-1) stay
-    # isotropic, and the largest pairings |f.c_j| come within a few units
-    # of |f|_1 * bound, on either side of each power of two where the slot
-    # width steps up.
-    # At genus 3 only the j next to a multiple of 8 run, to bound the oracle's time.
-    js = [j for j in range(1, 70) if genus < 3 or j % 8 in (7, 0)]
+    # An unknot-like surface with d added to the symmetric pair of entries
+    # (0, n-1) and (n-1, 0): e_0 and e_(n-1) stay isotropic, and the width
+    # rule's figure bound^2 * sum |M_st| = bound^2 * (genus + 2|d|) is
+    # reached by |v^T M v| for a box vector v.  |d| puts that figure within
+    # 4 * bound^2 either side of 2^(8s - 1), where the slot width steps
+    # from s to s + 1 bytes, for both builders.
     work = []
-    for j in js:
-        for d in (2**j, -(2**j), 2**j - 1, 1 - 2**j):
-            rows = unknot_sum_rows(genus)
-            rows[0][-1] += d
-            rows[-1][0] += d
-            m = reorder(validate(rows, "interleaved"), seifert.ORDERINGS[j % 2])
-            work.append(assert_bulk_builders_match_pairwise(m, bound))
+    for s in range(1, 10):
+        base = (2 ** (8 * s - 1) // bound**2 - genus) // 2
+        widths = set()
+        for d in (base - 1, base, base + 1, base + 2):
+            for sign in (1, -1):
+                rows = unknot_sum_rows(genus)
+                rows[0][-1] += sign * d
+                rows[-1][0] += sign * d
+                m = reorder(validate(rows, "interleaved"), seifert.ORDERINGS[(d + s) % 2])
+                widths.add(seifert._slot_bytes(m, bound))
+                work.append(assert_bulk_builders_match_pairwise(m, bound))
+        assert widths == {s, s + 1}
     assert_some_work(genus, work)
+
+
+@pytest.mark.parametrize("digits", [40, 1000, 4300])
+@pytest.mark.parametrize("genus, bound", [(3, 1), (1, 62)])
+def test_bulk_builders_on_large_symmetric_perturbations(genus, bound, digits):
+    # An unknot-like surface plus a symmetric perturbation (M - M^T
+    # unchanged): d on the pair (0, n-1), (n-1, 0) and diag on a diagonal
+    # entry other than the last, so that e_(n-1) stays isotropic.
+    rng = Random(900 + digits + genus)
+    work = []
+    for ordering in seifert.ORDERINGS:
+        d, diag = (rng.choice((1, -1)) * rng.randrange(10 ** (digits - 1), 10 ** digits)
+                   for _ in range(2))
+        rows = unknot_sum_rows(genus)
+        rows[0][-1] += d
+        rows[-1][0] += d
+        p = rng.randrange(2 * genus - 1)
+        rows[p][p] += diag
+        m = reorder(validate(rows, "interleaved"), ordering)
+        work.append(assert_bulk_builders_match_pairwise(m, bound))
+    assert_some_work(genus, work)
+
+
+@settings(deadline=None)
+@given(data=st.data(), step=st.integers(1, 4), k=st.integers(0, 300))
+def test_slots_pack_fill_and_zeros(data, step, k):
+    edge = 2 ** (8 * step - 1) - 1
+    value = st.one_of(st.sampled_from((0, edge, -edge)), st.integers(-edge, edge))
+    values = data.draw(st.lists(value, min_size=k, max_size=k))
+    c = data.draw(value)
+    slots = seifert._Slots(k, step)
+    assert slots.zeros(slots.pack(values)) == sum(1 << j for j, v in enumerate(values) if v == 0)
+    assert slots.fill(c) == slots.pack([c] * k)
 
 
 def test_bulk_builders_without_candidates():
