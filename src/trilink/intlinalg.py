@@ -14,6 +14,15 @@ row_hnf([m | I]).  Most matrices here are 6x6 or smaller; the largest
 are the metabolizer test's at seifert.MAX_VERDICT_GENUS = 16, a 32x32
 Seifert matrix against a 32x16 basis, whose Smith diagonal this module
 computes.  So the code favors being checkable over being fast.
+
+The packed kernels of magnus and seifert keep k signed integers v_j
+in one Python int, sum of v_j * 2^(w*j), through the private
+_Slots(k, limit): w = 8 * step bits, step the fewest bytes with w above
+the bit length of limit.  Sums of small multiples of such ints are
+exact slot by slot, borrows included, and read back exactly while every
+|v_j| <= limit < 2^(w-1).  Only zeros and read add the bias 2^(w-1) to
+every slot; it lifts each v_j into [1, 2^w), where no slot borrows from
+the next and each slot is its own bytes.
 """
 
 from __future__ import annotations
@@ -151,3 +160,50 @@ def snf(m: Matrix) -> list[int]:
         for j in range(i + 1, len(d)):
             d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
     return d
+
+
+_FLAG_CLEAR = bytes.maketrans(b"\0\x80", b"10")  # top byte of a flagged slot -> zero bit
+
+
+class _Slots:
+    """k signed slots of width bits in one integer, each holding |v| <= limit.
+
+    pack returns, and zeros and read take, the unbiased integer sum of
+    v_j * 2^(width*j); the bias is added inside zeros and read.
+    """
+
+    def __init__(self, k: int, limit: int):
+        self.k, self.step = k, limit.bit_length() // 8 + 1  # 8 * step > bit length of limit
+        self.width = 8 * self.step
+        self.bias = 1 << (self.width - 1)
+        ones = int.from_bytes(b"\1".ljust(self.step, b"\0") * k, "little")
+        self.high = ones << (self.width - 1)  # the bias in every slot
+        self.low = self.high - ones
+
+    def pack(self, values) -> int:
+        """values[j] in slot j."""
+        bias, step = self.bias, self.step
+        return int.from_bytes(b"".join((v + bias).to_bytes(step, "little") for v in values),
+                              "little") - self.high
+
+    def zeros(self, packed: int, shift: int = 0) -> int:
+        """Bitmask of the slots j with v_j + shift == 0; each |v_j + shift| <= limit.
+
+        shift + bias fills every slot as one linear byte repeat.  Rebinding
+        packed frees the caller's unbiased total before the flag arithmetic.
+        """
+        packed += (int.from_bytes((shift + self.bias).to_bytes(self.step, "little") * self.k,
+                                  "little")
+                   if shift else self.high)
+        x = packed ^ self.high  # slot j: v_j + shift mod 2^width
+        flags = (((x & self.low) + self.low) | x) & self.high  # top bit set iff v_j + shift != 0
+        # one character per slot, slot k-1 first; the leading "0" reads k = 0 as 0
+        return int(b"0" + flags.to_bytes(self.k * self.step, "big")[::self.step]
+                   .translate(_FLAG_CLEAR), 2)
+
+    def read(self, packed: int) -> list[int]:
+        """The value of every slot, slot 0 first."""
+        bias, step = self.bias, self.step
+        raw = (packed + self.high).to_bytes(self.k * step, "little")
+        return [int.from_bytes(raw[i:i + step], "little") - bias
+                for i in range(0, len(raw), step)]

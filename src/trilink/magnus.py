@@ -34,6 +34,7 @@ from itertools import compress, product
 from operator import add, index, sub
 
 from .errors import PreconditionError
+from .intlinalg import _Slots
 from .words import FreeWord, abelianization
 
 Monomial = tuple[int, ...]
@@ -214,23 +215,18 @@ def _degree_two(w: FreeWord) -> tuple[dict[int, int], dict[tuple[int, int], int]
     A single letter contributes no a_i a_j with i != j, and the degree-1
     coefficient of x_k^s is s; so each letter (j, s) adds s times the
     running exponent sums to row j of the a_i a_j table (Fox calculus
-    cut at degree 2).  The sums, and each row, are one integer in which
-    the k-th distinct generator in ascending order owns slot k of
-    `width` bits.  x_j adds the sums to row j and then unit[j] to the
-    sums; x_j^-1 subtracts unit[j] and then the sums from row j.  So slot
-    j of row j holds C(E_j, 2) for the running sum E_j, the a_j a_j
+    cut at degree 2).  The sums, and each row, are one packed integer
+    (intlinalg._Slots) in which the k-th distinct generator in ascending
+    order owns slot k.  x_j adds the sums to row j and then unit[j] to
+    the sums; x_j^-1 subtracts unit[j] and then the sums from row j.  So
+    slot j of row j holds C(E_j, 2) for the running sum E_j, the a_j a_j
     coefficient, which is dropped.  With n letters every |E| <= n and
-    every |coefficient| <= n**2, which a slot of 2 * bit_length(n + 1) + 2
-    bits or more holds as a signed value, so no slot carries into the
-    next.  The slots are read off once, after adding the bias
-    2**(width - 1) to each, as in seifert's adjacency masks.  Missing
-    pairs have coefficient 0.
+    every |coefficient| <= n**2, the slots' limit.  Missing pairs have
+    coefficient 0.
     """
     gens = sorted({index for index, _ in set(w.letters)})
-    r = len(gens)
-    step = (2 * (len(w.letters) + 1).bit_length() + 9) // 8  # bytes per slot
-    width = 8 * step
-    unit = {g: 1 << (width * k) for k, g in enumerate(gens)}
+    slots = _Slots(len(gens), len(w.letters) ** 2)
+    unit = {g: 1 << (slots.width * k) for k, g in enumerate(gens)}
     rows = dict.fromkeys(gens, 0)
     sums = 0
     for j, s in w.letters:
@@ -240,17 +236,10 @@ def _degree_two(w: FreeWord) -> tuple[dict[int, int], dict[tuple[int, int], int]
         else:
             sums -= unit[j]
             rows[j] -= sums
-    bias = 1 << (width - 1)
-    high = bias * sum(unit.values())  # the bias in every slot
-
-    def read(packed: int) -> list[int]:
-        raw = (packed + high).to_bytes(r * step, "little")
-        return [int.from_bytes(raw[k:k + step], "little") - bias for k in range(0, r * step, step)]
-
     coeffs = {(i, j): c
               for j, row in rows.items() if row
-              for i, c in zip(gens, read(row)) if c and i != j}
-    return dict(zip(gens, read(sums))), coeffs
+              for i, c in zip(gens, slots.read(row)) if c and i != j}
+    return dict(zip(gens, slots.read(sums))), coeffs
 
 
 def _commutator_degree_two(w: FreeWord) -> dict[tuple[int, int], int]:

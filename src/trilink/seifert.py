@@ -36,6 +36,7 @@ from typing import NamedTuple
 from .errors import CrossCheckError, PreconditionError
 from .intlinalg import (
     Matrix,
+    _Slots,
     bilinear,
     det,
     identity,
@@ -290,9 +291,9 @@ def _primitive_cliques(cands, adj, tables, clique, bits, plucker, allowed, seen)
                 seen.setdefault(bit.bit_length() - 1, []).append(members)
                 todo ^= bit
         else:
-            later = allowed & adj[j] & ~((low << 1) - 1)
+            later = rest & adj[j]  # rest holds exactly the allowed bits above j
             prefix = bits | low
-            if level + 2 == len(tables):  # the child's extensions are leaves
+            if later and level + 2 == len(tables):  # the child's extensions are leaves
                 for members in seen.get(clique[0] if clique else j, ()):
                     if members & prefix == prefix:
                         later &= ~members
@@ -304,69 +305,23 @@ def _primitive_cliques(cands, adj, tables, clique, bits, plucker, allowed, seen)
                                               later, seen)
 
 
-_FLAG_CLEAR = bytes.maketrans(b"\0\x80", b"10")  # top byte of a flagged slot -> zero bit
-
-
-class _Slots:
-    """k signed slots of w = 8 * step bits in one integer, slot j at bit w * j.
-
-    pack and fill store v + 2^(w-1) in a slot (the bias), so a value must
-    lie in [-2^(w-1), 2^(w-1)).  Subtracting high, the bias in every
-    slot, gives the unbiased sum of v_j * 2^(w*j): sums of multiples of
-    such integers are exact slot by slot, borrows included, and any sum
-    whose slots all lie inside (-2^(w-1), 2^(w-1)) reads back once one
-    bias is added again.
-    """
-
-    def __init__(self, k: int, step: int):
-        self.k, self.step = k, step
-        self.bias = 1 << (8 * step - 1)
-        ones = int.from_bytes(b"\1".ljust(step, b"\0") * k, "little")
-        self.high = ones << (8 * step - 1)
-        self.low = self.high - ones
-
-    def pack(self, values) -> int:
-        """Slot j holds values[j] + bias."""
-        bias, step = self.bias, self.step
-        return int.from_bytes(b"".join((v + bias).to_bytes(step, "little") for v in values),
-                              "little")
-
-    def fill(self, value: int) -> int:
-        """value + bias in every slot."""
-        return int.from_bytes((value + self.bias).to_bytes(self.step, "little") * self.k,
-                              "little")
-
-    def zeros(self, biased: int) -> int:
-        """Bitmask of the slots of a biased integer that hold exactly the bias."""
-        x = biased ^ self.high  # slot j: v_j mod 2^w
-        flags = (((x & self.low) + self.low) | x) & self.high  # top bit set iff v_j != 0
-        # one character per slot, slot k-1 first; the leading "0" reads k = 0 as 0
-        return int(b"0" + flags.to_bytes(self.k * self.step, "big")[::self.step]
-                   .translate(_FLAG_CLEAR), 2)
-
-
-def _slot_bytes(m: SeifertMatrix, bound: int) -> int:
-    """Slot width in bytes for the box: 8 * step > bit length of bound^2 * sum |M_st|."""
-    return (bound * bound * sum(abs(x) for row in m.entries for x in row)).bit_length() // 8 + 1
-
-
 def _box_candidates(m: SeifertMatrix, bound: int) -> list[tuple[int, ...]]:
     """Primitive isotropic vectors of the box, one sign each, in product order."""
     g, e = m.genus, m.entries
     halves = list(itertools.product(range(-bound, bound + 1), repeat=g))
     h = len(halves)
-    slots = _Slots(h, _slot_bytes(m, bound))
+    slots = _Slots(h, bound * bound * sum(abs(x) for row in e for x in row))
 
     def quad(offset):  # u^T M[half, half] u for every half u
         block = [e[offset + i][offset:offset + g] for i in range(g)]
         return [sum(x * sum(map(mul, row, u)) for x, row in zip(u, block)) for u in halves]
 
-    top = slots.pack(quad(0)) - slots.high  # slot j: q_top(u_j)
+    top = slots.pack(quad(0))  # slot j: q_top(u_j)
     cross = [[e[i][g + j] + e[g + j][i] for i in range(g)] for j in range(g)]  # columns of C
-    cu = [slots.pack([sum(map(mul, u, col)) for u in halves]) - slots.high for col in cross]
+    cu = [slots.pack([sum(map(mul, u, col)) for u in halves]) for col in cross]
     hits = []
     for b, (w, q) in enumerate(zip(halves, quad(g))):
-        zero = slots.zeros(top + sum(map(mul, w, cu)) + slots.fill(q))
+        zero = slots.zeros(sum(map(mul, w, cu), top), q)
         while zero:
             low = zero & -zero
             hits.append((low.bit_length() - 1) * h + b)  # index of (u_j, w_b) in product order
@@ -389,16 +344,16 @@ def _adjacency_masks(m: SeifertMatrix, cands, bound: int) -> list[int]:
     k = len(cands)
     if not k:
         return []
-    step = _slot_bytes(m, bound)
-    one, both = _Slots(k, step), _Slots(2 * k, step)
-    coords = [one.pack([c[t] for c in cands]) - one.high for t in range(m.dim)]
-    shift = 8 * step * k
+    limit = bound * bound * sum(abs(x) for row in m.entries for x in row)
+    one, both = _Slots(k, limit), _Slots(2 * k, limit)
+    coords = [one.pack([c[t] for c in cands]) for t in range(m.dim)]
+    shift = one.width * k
     # image t: (M c_j)_t in slot j and (M^T c_j)_t in slot k + j
     images = [sum(map(mul, row, coords)) + (sum(map(mul, col, coords)) << shift)
               for row, col in zip(m.entries, zip(*m.entries))]
     adj = []
     for i, c in enumerate(cands):
-        zero = both.zeros(sum(map(mul, c, images)) + both.high)
+        zero = both.zeros(sum(map(mul, c, images)))
         # both pairings vanish; c_i is isotropic, so it pairs to 0 with itself
         adj.append(zero & (zero >> k) & ~(1 << i))
     return adj
@@ -441,10 +396,10 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
     recursion.
 
     Candidates and adjacency are built in bulk, in packed integers of
-    signed slots (_Slots).  A box vector v = (u, w) with halves of length
-    g has v^T M v = q_top(u) + q_bot(w) + sum_t w_t (C^T u)_t, where
-    C = M[top, bot] + M[bot, top]^T and q_top, q_bot are the forms of the
-    diagonal blocks.  The top halves u are packed, u_j in slot j: one
+    signed slots (intlinalg._Slots).  A box vector v = (u, w) with halves
+    of length g has v^T M v = q_top(u) + q_bot(w) + sum_t w_t (C^T u)_t,
+    where C = M[top, bot] + M[bot, top]^T and q_top, q_bot are the forms
+    of the diagonal blocks.  The top halves u are packed, u_j in slot j: one
     integer holds every q_top(u_j) and one per t every (C^T u_j)_t.  The
     bottom halves w are looped over, and each w costs one sum of g
     products whose multipliers w_t are box coordinates, at most bound in
@@ -457,10 +412,8 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
     and (M^T c_j)_t in slot k + j.  So one sum of 2g small products,
     c_i's coordinates times the images, holds both pairings of c_i with
     every c_j.  Every slot read is some v^T M v' with v, v' in the box,
-    at most bound^2 * sum |M_st| in size, so the slot width w is the
-    least multiple of 8 above that figure's bit length: with a bias of
-    2^(w-1) added, every slot lies in [1, 2^w), no slot borrows from its
-    neighbour, and the sums are exact for entries of any size.
+    so bound^2 * sum |M_st| is the limit of both builders' slots, and the
+    sums are exact for entries of any size.
     """
     if coeff_bound < 1:
         raise ValueError(f"coefficient bound must be >= 1, got {coeff_bound}")

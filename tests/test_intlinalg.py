@@ -1,9 +1,11 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import cofactor_det, minors_gcd, plain_product, random_unimodular
 from trilink.intlinalg import (
+    _Slots,
     bilinear,
     det,
     identity,
@@ -173,3 +175,64 @@ def test_unimodular_detection():
     assert det([[2, 0], [0, 1]]) == 2
     assert transpose([[1, 2], [3, 4]]) == [[1, 3], [2, 4]]
     assert identity(2) == [[1, 0], [0, 1]]
+
+
+def between(lo, hi):
+    """Integers in [lo, hi], with 0 and both ends drawn often; lo <= 0 <= hi."""
+    return st.one_of(st.sampled_from((0, lo, hi)), st.integers(lo, hi))
+
+
+@settings(deadline=None)
+@given(data=st.data(), limit=st.integers(0, 2**40), k=st.integers(0, 300))
+def test_slots_pack_zeros_and_read(data, limit, k):
+    # every v_j and v_j + shift within limit, some v_j = -shift
+    shift = data.draw(between(-limit, limit))
+    lo, hi = max(-limit, -limit - shift), min(limit, limit - shift)
+    value = st.one_of(st.just(-shift), between(lo, hi))
+    values = data.draw(st.lists(value, min_size=k, max_size=k))
+    slots = _Slots(k, limit)
+    packed = slots.pack(values)
+    assert packed == sum(v << (slots.width * j) for j, v in enumerate(values))
+    assert slots.read(packed) == values
+    assert slots.zeros(packed) == sum(1 << j for j, v in enumerate(values) if v == 0)
+    assert slots.zeros(packed, shift) == sum(1 << j for j, v in enumerate(values) if v == -shift)
+
+
+@settings(deadline=None)
+@given(data=st.data(), limit=st.integers(0, 2**40), k=st.integers(0, 40))
+def test_slots_read_back_integer_combinations(data, limit, k):
+    # sum of a_i * v_i with sum |a_i| * max |v_i| <= limit: every slot exact
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+    part = limit // max(1, sum(map(abs, coeffs)))
+    vectors = [data.draw(st.lists(between(-part, part), min_size=k, max_size=k))
+               for _ in coeffs]
+    slots = _Slots(k, limit)
+    packed = sum(a * slots.pack(v) for a, v in zip(coeffs, vectors))
+    combo = [sum(a * v[j] for a, v in zip(coeffs, vectors)) for j in range(k)]
+    assert slots.read(packed) == combo
+    assert slots.zeros(packed) == sum(1 << j for j, x in enumerate(combo) if x == 0)
+
+
+@pytest.mark.parametrize("s", range(1, 6))
+def test_slots_at_limits_where_the_width_steps(s):
+    # bit_length(limit) is 8s - 1 for the first two limits and 8s for the
+    # last two: the width steps from 8s to 8s + 8 bits between them
+    top = 2 ** (8 * s - 1)
+    for limit, width in ((top // 2, 8 * s), (top - 1, 8 * s),
+                         (top, 8 * s + 8), (2 * top - 1, 8 * s + 8)):
+        slots = _Slots(3, limit)
+        assert slots.width == width
+        for values in ([limit, -limit, 0], [-limit, 0, limit], [limit, limit, -limit]):
+            packed = slots.pack(values)
+            assert slots.read(packed) == values
+            assert slots.zeros(packed) == sum(1 << j for j, v in enumerate(values) if v == 0)
+        for c in (limit, -limit):
+            assert slots.zeros(slots.pack([c, 0, c]), -c) == 0b101
+
+
+def test_slots_of_no_values():
+    for limit in (0, 1, 2**64):
+        slots = _Slots(0, limit)
+        assert slots.pack([]) == 0
+        assert slots.zeros(0) == slots.zeros(0, limit) == slots.zeros(0, -limit) == 0
+        assert slots.read(0) == []

@@ -175,7 +175,13 @@ def test_packed_degree_two_against_rows_route():
     assert _degree_two(FreeWord(3)) == ({}, {})
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 63, 64, 65, 255, 256, 1023, 1024, 4095, 4096, 5000])
+# The words below have L = n, 2n and 4n letters.  The slot width steps
+# from 8s to 8s + 8 bits where bit_length(L**2) passes 8s - 1, and the
+# pairs n = 11|12, 181|182, 2896|2897 (L = n), 5|6, 90|91, 1448|1449
+# (L = 2n) and 2|3, 45|46, 724|725 (L = 4n) sit on its two sides, s = 1, 2, 3.
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 8, 11, 12, 45, 46, 63, 64, 65, 90, 91, 181, 182,
+                               255, 256, 724, 725, 1023, 1024, 1448, 1449, 2896, 2897, 4095,
+                               4096, 5000])
 def test_degree_two_holds_the_largest_slot_values(n):
     # x1^n x2^n x1^-n x2^-n: coefficient +-n**2, the largest off the diagonal
     x1n, x2n = word_power(X1, n), word_power(X2, n)

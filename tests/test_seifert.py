@@ -6,7 +6,6 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from helpers import (
     UNKNOT_ROWS,
@@ -26,7 +25,7 @@ from helpers import (
 )
 from trilink import seifert
 from trilink.errors import CrossCheckError, PreconditionError
-from trilink.intlinalg import det, identity, mat_mul, row_hnf, transpose
+from trilink.intlinalg import _Slots, det, identity, mat_mul, row_hnf, transpose
 from trilink.realization import GenusThreeParams
 from trilink.seifert import (
     MAX_VERDICT_GENUS,
@@ -455,8 +454,8 @@ def test_bulk_builders_at_slot_width_edges(genus, bound):
     # (0, n-1) and (n-1, 0): e_0 and e_(n-1) stay isotropic, and the width
     # rule's figure bound^2 * sum |M_st| = bound^2 * (genus + 2|d|) is
     # reached by |v^T M v| for a box vector v.  |d| puts that figure within
-    # 4 * bound^2 either side of 2^(8s - 1), where the slot width steps
-    # from s to s + 1 bytes, for both builders.
+    # 4 * bound^2 either side of 2^(8s - 1), where the width of both
+    # builders' _Slots(k, figure) steps from 8s to 8s + 8 bits.
     work = []
     for s in range(1, 10):
         base = (2 ** (8 * s - 1) // bound**2 - genus) // 2
@@ -467,9 +466,9 @@ def test_bulk_builders_at_slot_width_edges(genus, bound):
                 rows[0][-1] += sign * d
                 rows[-1][0] += sign * d
                 m = reorder(validate(rows, "interleaved"), seifert.ORDERINGS[(d + s) % 2])
-                widths.add(seifert._slot_bytes(m, bound))
+                widths.add(_Slots(0, bound**2 * sum(map(abs, itertools.chain(*rows)))).width)
                 work.append(assert_bulk_builders_match_pairwise(m, bound))
-        assert widths == {s, s + 1}
+        assert widths == {8 * s, 8 * s + 8}
     assert_some_work(genus, work)
 
 
@@ -492,18 +491,6 @@ def test_bulk_builders_on_large_symmetric_perturbations(genus, bound, digits):
         m = reorder(validate(rows, "interleaved"), ordering)
         work.append(assert_bulk_builders_match_pairwise(m, bound))
     assert_some_work(genus, work)
-
-
-@settings(deadline=None)
-@given(data=st.data(), step=st.integers(1, 4), k=st.integers(0, 300))
-def test_slots_pack_fill_and_zeros(data, step, k):
-    edge = 2 ** (8 * step - 1) - 1
-    value = st.one_of(st.sampled_from((0, edge, -edge)), st.integers(-edge, edge))
-    values = data.draw(st.lists(value, min_size=k, max_size=k))
-    c = data.draw(value)
-    slots = seifert._Slots(k, step)
-    assert slots.zeros(slots.pack(values)) == sum(1 << j for j, v in enumerate(values) if v == 0)
-    assert slots.fill(c) == slots.pack([c] * k)
 
 
 def test_bulk_builders_without_candidates():
