@@ -18,7 +18,6 @@ self-checks are seeded (--seed) and the seed is echoed in the output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import re
@@ -89,6 +88,11 @@ def _parse_matrix(raw) -> seifert.SeifertMatrix:
 
 def _matrix_json(m: seifert.SeifertMatrix) -> dict:
     return {"genus": m.genus, "ordering": m.ordering, "entries": [list(r) for r in m.entries]}
+
+
+def _record_json(record) -> dict:
+    """A record's fields by name, in order."""
+    return {name: getattr(record, name) for name in record.__slots__}
 
 
 def _parse_metabolizer(raw) -> seifert.MetabolizerBasis:
@@ -217,14 +221,14 @@ def cmd_ledger(payload: dict, args) -> dict:
     raw = _require(payload, "params")
     if not isinstance(raw, dict):
         raise ValueError("params must be an object")
-    params = realization.GenusThreeParams(**{
-        f.name: _as_int(_require(raw, f.name), f.name)
-        for f in dataclasses.fields(realization.GenusThreeParams)
-    })
+    params = realization.GenusThreeParams(*(
+        _as_int(_require(raw, name), name) for name in realization.GenusThreeParams.__slots__
+    ))
     n = _as_int(_require(payload, "n"), "n")
     led = realization.ledger(params, n)
     entries = realization.pushoff_ledger_entries(params, n)
-    return dataclasses.asdict(led) | {"pushoff_entries": [list(e) for e in entries]}
+    return _record_json(led) | {"description": _record_json(led.description),
+                                "pushoff_entries": [list(e) for e in entries]}
 
 
 _HANDLERS = {

@@ -15,9 +15,9 @@ checked here -- callers assert them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 
+from ._record import Record
 from .intlinalg import det
 
 # the six permutations of (0, 1, 2) with their signs, for the band-sum count
@@ -38,29 +38,27 @@ def _check_3x3(rows, what: str) -> tuple[tuple[int, int, int], ...]:
     return rows
 
 
-@dataclass(frozen=True, slots=True)
-class IntersectionProfile:
+class IntersectionProfile(Record):
     """rows[i][j] = algebraic intersection of disk i with component j."""
 
-    rows: tuple[tuple[int, int, int], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", _check_3x3(self.rows, "intersection profile"))
+    def __init__(self, rows):
+        object.__setattr__(self, "rows", _check_3x3(rows, "intersection profile"))
 
 
-@dataclass(frozen=True, slots=True)
-class BandSumCounts:
+class BandSumCounts(Record):
     """Separate positive/negative intersection counts per disk and component."""
 
-    alpha: tuple[tuple[int, int, int], ...]
-    beta: tuple[tuple[int, int, int], ...]
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _check_3x3(self.alpha, "alpha"))
-        object.__setattr__(self, "beta", _check_3x3(self.beta, "beta"))
-        for name, mat in (("alpha", self.alpha), ("beta", self.beta)):
+    def __init__(self, alpha, beta):
+        alpha, beta = _check_3x3(alpha, "alpha"), _check_3x3(beta, "beta")
+        for name, mat in (("alpha", alpha), ("beta", beta)):
             if any(x < 0 for row in mat for x in row):
                 raise ValueError(f"{name} entries must be nonnegative")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     def net_profile(self) -> IntersectionProfile:
         """alpha - beta: the signed counts the infection formula sees."""

@@ -10,18 +10,16 @@ Magnus expansion and is used to cross-check it.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .magnus import _commutator_degree_two
 from .words import FreeWord, abelianization
 
 
-class CommutatorClass(NamedTuple):
+class CommutatorClass(namedtuple("CommutatorClass", "n1 n2 n3")):
     """Exponents of [x1,x2], [x1,x3], [x2,x3], in that order."""
 
-    n1: int
-    n2: int
-    n3: int
+    __slots__ = ()
 
 
 def commutator_class(w1: FreeWord, w2: FreeWord) -> CommutatorClass:

@@ -26,25 +26,15 @@ symmetric choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import CrossCheckError
 from .seifert import SeifertMatrix, form, generator_from_block, validate
 
 
-@dataclass(frozen=True, slots=True)
-class GenusThreeParams:
+class GenusThreeParams(Record):
     """The nine free entries of the genus-3 matrix above."""
 
-    a: int
-    b: int
-    c: int
-    x1: int
-    x2: int
-    y1: int
-    y2: int
-    z1: int
-    z2: int
+    __slots__ = ("a", "b", "c", "x1", "x2", "y1", "y2", "z1", "z2")
 
     def block(self) -> list[list[int]]:
         """The a-to-b block of the matrix rewritten in blocked ordering."""
@@ -74,8 +64,7 @@ class GenusThreeParams:
         return generator_from_block(self.block()).signed
 
 
-@dataclass(frozen=True, slots=True)
-class LedgerDescription:
+class LedgerDescription(Record):
     """Construction bookkeeping only; nothing is computed from these.
 
     wrap_count and inner_alteration_count mirror how the n-pass first
@@ -83,22 +72,14 @@ class LedgerDescription:
     it are altered n-1 times); they describe the picture, not the sum.
     """
 
-    parallel_copies: int
-    wrap_count: int
-    inner_alteration_count: int
+    __slots__ = ("parallel_copies", "wrap_count", "inner_alteration_count")
 
 
-@dataclass(frozen=True, slots=True)
-class Ledger:
+class Ledger(Record):
     """The four band contributions and their certified total."""
 
-    band1_term: int
-    band3_term: int
-    band5_term: int
-    residual_term: int
-    total: int
-    n: int
-    description: LedgerDescription
+    __slots__ = ("band1_term", "band3_term", "band5_term", "residual_term", "total", "n",
+                 "description")
 
 
 def _raw_terms(p: GenusThreeParams, n: int) -> tuple[int, int, int, int]:

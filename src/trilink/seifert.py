@@ -27,12 +27,12 @@ Conventions fixed for the whole package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 from operator import index, mul
 from random import Random
-from typing import NamedTuple
 
+from ._record import Record
 from .errors import CrossCheckError, PreconditionError
 from .intlinalg import (
     Matrix,
@@ -93,28 +93,28 @@ def intersection_form(genus: int, ordering: str) -> Matrix:
     return j
 
 
-@dataclass(frozen=True, slots=True)
-class SeifertMatrix:
+class SeifertMatrix(Record):
     """Validated 2g x 2g integer matrix with its basis-ordering tag."""
 
-    genus: int
-    ordering: str
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("genus", "ordering", "entries")
 
-    def __post_init__(self):
-        _curve_positions(self.genus, self.ordering)  # the ordering is checked before the shape
-        n = 2 * self.genus
-        if self.genus < 1 or len(self.entries) != n or any(len(r) != n for r in self.entries):
-            raise ValueError(f"expected a {n}x{n} matrix for genus {self.genus}")
-        want = intersection_form(self.genus, self.ordering)
+    def __init__(self, genus: int, ordering: str, entries: tuple[tuple[int, ...], ...]):
+        _curve_positions(genus, ordering)  # the ordering is checked before the shape
+        n = 2 * genus
+        if genus < 1 or len(entries) != n or any(len(r) != n for r in entries):
+            raise ValueError(f"expected a {n}x{n} matrix for genus {genus}")
+        want = intersection_form(genus, ordering)
         for i in range(n):
             for j in range(n):
-                skew = self.entries[i][j] - self.entries[j][i]
+                skew = entries[i][j] - entries[j][i]
                 if skew != want[i][j]:
                     raise ValueError(
                         f"skew part fails at entries ({i},{j})/({j},{i}): "
                         f"M[i][j]-M[j][i] = {skew}, intersection form needs {want[i][j]}"
                     )
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "ordering", ordering)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def dim(self) -> int:
@@ -153,20 +153,20 @@ def form(m: SeifertMatrix, u: list[int], v: list[int]) -> int:
     return bilinear(u, m.entries, v)
 
 
-@dataclass(frozen=True, slots=True)
-class MetabolizerBasis:
+class MetabolizerBasis(Record):
     """g candidate columns (length 2g each) spanning a sublattice."""
 
-    columns: tuple[tuple[int, ...], ...]
+    __slots__ = ("columns",)
 
-    def __post_init__(self):
-        if not self.columns:
+    def __init__(self, columns: tuple[tuple[int, ...], ...]):
+        if not columns:
             raise ValueError("at least one column required")
-        length = len(self.columns[0])
+        length = len(columns[0])
         if length == 0 or length % 2 != 0:
             raise ValueError(f"column length must be a positive even number, got {length}")
-        if any(len(c) != length for c in self.columns):
+        if any(len(c) != length for c in columns):
             raise ValueError("columns must all have the same length")
+        object.__setattr__(self, "columns", columns)
 
     @property
     def count(self) -> int:
@@ -187,12 +187,10 @@ def standard_metabolizer(m: SeifertMatrix) -> MetabolizerBasis:
     return MetabolizerBasis(tuple(tuple(int(i == p) for i in range(m.dim)) for p in b))
 
 
-class MetabolizerVerdict(NamedTuple):
+class MetabolizerVerdict(namedtuple("MetabolizerVerdict", "form_vanishes independent primitive")):
     """The three facts a metabolizer test rests on, from one pass each."""
 
-    form_vanishes: bool
-    independent: bool
-    primitive: bool
+    __slots__ = ()
 
     @property
     def is_metabolizer(self) -> bool:
@@ -483,16 +481,14 @@ def symplectic_complete(
     return t
 
 
-@dataclass(frozen=True, slots=True)
-class GeneratorResult:
+class GeneratorResult(Record):
     """|n0| plus the sign-sensitive raw value it was computed from.
 
     The attached set {n * n0 : n integer} is reported as contained in
     the realizable differences; whether it exhausts them is open.
     """
 
-    generator: int
-    signed: int
+    __slots__ = ("generator", "signed")
 
     @property
     def meaning(self) -> str:
@@ -549,8 +545,7 @@ def connected_sum(m1: SeifertMatrix, m2: SeifertMatrix, m3: SeifertMatrix) -> Se
     return validate(rows, "interleaved")
 
 
-@dataclass(frozen=True, slots=True)
-class GenusOneNormalization:
+class GenusOneNormalization(Record):
     """Data moving a genus-1 matrix [[d, e], [e-1, 0]] to its normal form.
 
     (x, y) spans the new metabolizer column, (z, w) its symplectic dual
@@ -558,12 +553,7 @@ class GenusOneNormalization:
     (z*a + w*b, x*a + y*b), of the shape [[*, 1-e], [-e, 0]].
     """
 
-    n: int
-    x: int
-    y: int
-    z: int
-    w: int
-    new_matrix: SeifertMatrix
+    __slots__ = ("n", "x", "y", "z", "w", "new_matrix")
 
 
 def genus_one_normalize(d: int, e: int) -> GenusOneNormalization:

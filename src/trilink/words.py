@@ -18,23 +18,22 @@ here once and nowhere else.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import index as _as_index
+
+from ._record import Record
 
 Letter = tuple[int, int]
 
 _TOKEN = re.compile(r"x([1-9][0-9]*)(\^-1)?\Z")
 
 
-@dataclass(frozen=True, slots=True)
-class FreeWord:
+class FreeWord(Record):
     """A reduced word; rank is carried explicitly, never inferred."""
 
-    rank: int
-    letters: tuple[Letter, ...] = ()
+    __slots__ = ("rank", "letters")
 
-    def __post_init__(self):
-        rank = _as_index(self.rank)
+    def __init__(self, rank: int, letters: tuple[Letter, ...] = ()):
+        rank = _as_index(rank)
         if rank < 1:
             raise ValueError(f"rank must be positive, got {rank}")
         object.__setattr__(self, "rank", rank)
@@ -43,7 +42,7 @@ class FreeWord:
         # takes the form (1, 1) and is not checked again
         checked: dict = {}
         out: list = [None]  # the stack of kept letters, above a sentinel
-        for letter in self.letters:
+        for letter in letters:
             entry = checked.get(letter)
             if entry is None:
                 index, sign = map(_as_index, letter)

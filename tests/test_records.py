@@ -7,16 +7,24 @@ built by position or by keyword.
 """
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trilink
+from trilink._record import Record
 from trilink.infection import BandSumCounts, IntersectionProfile
+from trilink.nilpotent import CommutatorClass
 from trilink.realization import GenusThreeParams, Ledger, LedgerDescription
 from trilink.seifert import (
     GeneratorResult,
     GenusOneNormalization,
     MetabolizerBasis,
+    MetabolizerVerdict,
     SeifertMatrix,
     validate,
 )
@@ -41,12 +49,13 @@ RECORDS = [
 IDS = [cls.__name__ for cls, _ in RECORDS]
 
 
-def _values(record, cls=None) -> tuple:
-    return tuple(getattr(record, name) for name in (cls or type(record)).__slots__)
+def _values(record) -> tuple:
+    return tuple(getattr(record, name) for name in type(record).__slots__)
 
 
 def test_every_record_is_listed_once():
     assert len({cls for cls, _ in RECORDS}) == len(RECORDS) == 10
+    assert all(issubclass(cls, Record) for cls, _ in RECORDS)
 
 
 @pytest.mark.parametrize("cls, args", RECORDS, ids=IDS)
@@ -66,9 +75,9 @@ def test_equal_fields_give_equal_records_and_hashes(cls, args):
 
 @pytest.mark.parametrize("cls, args", RECORDS, ids=IDS)
 def test_other_types_with_the_same_values_are_unequal(cls, args):
-    twin_type = type(f"Twin{cls.__name__}", (cls,), {"__slots__": ()})
+    twin_type = type(f"Twin{cls.__name__}", (Record,), {"__slots__": cls.__slots__})
     record, twin = cls(*args), twin_type(*args)
-    assert _values(twin, cls) == _values(record)
+    assert _values(twin) == _values(record)
     assert record != twin and twin != record
     assert record != args and args != record
 
@@ -76,7 +85,7 @@ def test_other_types_with_the_same_values_are_unequal(cls, args):
 @pytest.mark.parametrize("cls, args", RECORDS, ids=IDS)
 def test_assignment_and_deletion_raise(cls, args):
     record = cls(*args)
-    for name in cls.__slots__:
+    for name in (*cls.__slots__, "extra"):
         with pytest.raises(AttributeError):
             setattr(record, name, 0)
         with pytest.raises(AttributeError):
@@ -130,3 +139,37 @@ def test_free_word_with_rank_alone_is_the_empty_word():
     assert w.letters == () and len(w) == 0
     assert w == FreeWord(3, ()) == FreeWord(rank=3)
     assert repr(w) == "FreeWord(rank=3, '')"
+
+
+def test_tuple_results_keep_their_fields_and_reprs():
+    c = CommutatorClass(1, 0, -2)
+    assert c == (1, 0, -2) and c._fields == ("n1", "n2", "n3")
+    assert repr(c) == "CommutatorClass(n1=1, n2=0, n3=-2)"
+    v = MetabolizerVerdict(form_vanishes=True, independent=True, primitive=False)
+    assert repr(v) == "MetabolizerVerdict(form_vanishes=True, independent=True, primitive=False)"
+    assert not v.is_metabolizer and v._replace(primitive=True).is_metabolizer
+    for t in (c, v):
+        assert not hasattr(t, "__dict__")
+        assert pickle.loads(pickle.dumps(t)) == t
+
+
+def _modules_after_cli_import(*flags: str) -> set[str]:
+    """sys.modules of a fresh interpreter that has imported trilink.cli."""
+    src = str(Path(trilink.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", "import sys, trilink.cli; print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    ).stdout
+    return set(out.split())
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    modules = _modules_after_cli_import()
+    assert "trilink.cli" in modules
+    assert not {"dataclasses", "inspect"} & modules
+
+
+def test_cli_import_without_site_leaves_out_typing_too():
+    modules = _modules_after_cli_import("-S")
+    assert "trilink.cli" in modules
+    assert not {"dataclasses", "inspect", "typing"} & modules
