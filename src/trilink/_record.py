@@ -17,11 +17,16 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
-        rest = names[len(args):]
-        if len(args) > len(names) or kwargs.keys() != set(rest):
-            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}; got "
-                            f"{len(args)} by position and {', '.join(kwargs) or 'none'} by name")
-        for name, value in zip(names, (*args, *map(kwargs.__getitem__, rest))):
+        if kwargs:
+            rest = names[len(args):]
+            if kwargs.keys() != set(rest):
+                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}; "
+                                f"got {len(args)} by position and {', '.join(kwargs)} by name")
+            args += tuple(map(kwargs.__getitem__, rest))
+        elif len(args) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}; "
+                            f"got {len(args)} by position")
+        for name, value in zip(names, args):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
