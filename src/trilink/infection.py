@@ -43,7 +43,7 @@ class IntersectionProfile(Record):
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows):
+    def __init__(self, rows: tuple[tuple[int, int, int], ...]):
         object.__setattr__(self, "rows", _check_3x3(rows, "intersection profile"))
 
 
@@ -52,7 +52,8 @@ class BandSumCounts(Record):
 
     __slots__ = ("alpha", "beta")
 
-    def __init__(self, alpha, beta):
+    def __init__(self, alpha: tuple[tuple[int, int, int], ...],
+                 beta: tuple[tuple[int, int, int], ...]):
         alpha, beta = _check_3x3(alpha, "alpha"), _check_3x3(beta, "beta")
         for name, mat in (("alpha", alpha), ("beta", beta)):
             if any(x < 0 for row in mat for x in row):
