@@ -6,10 +6,21 @@ the same type, print in the dataclass format ``Name(field=value, ...)``,
 refuse assignment and deletion, and rebuild themselves through the
 constructor for ``copy``, ``deepcopy`` and ``pickle``.  A subclass that
 checks or normalizes its fields writes its own ``__init__`` and stores
-them with ``object.__setattr__``.
+them with one ``Record.__init__`` call, the one way a field is stored.
+
+Every matrix or series a caller hands a constructor goes through
+``_int_rows`` first: each entry through ``operator.index``, so a float
+or a string raises TypeError, and the rows are stored as tuples.
 """
 
 from __future__ import annotations
+
+from operator import index
+
+
+def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """rows as a tuple of tuples of exact ints (operator.index on each entry)."""
+    return tuple([tuple(map(index, row)) for row in rows])
 
 
 class Record:

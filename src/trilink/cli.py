@@ -22,7 +22,6 @@ import json
 import os
 import re
 import sys
-from random import Random
 
 from . import infection, magnus, nilpotent, realization, seifert
 from .errors import CrossCheckError, PreconditionError
@@ -86,10 +85,6 @@ def _parse_matrix(raw) -> seifert.SeifertMatrix:
     return m
 
 
-def _matrix_json(m: seifert.SeifertMatrix) -> dict:
-    return {"genus": m.genus, "ordering": m.ordering, "entries": [list(r) for r in m.entries]}
-
-
 def _record_json(record) -> dict:
     """A record's fields by name, in order."""
     return {name: getattr(record, name) for name in record.__slots__}
@@ -98,8 +93,7 @@ def _record_json(record) -> dict:
 def _parse_metabolizer(raw) -> seifert.MetabolizerBasis:
     if not isinstance(raw, dict):
         raise ValueError("metabolizer must be an object with a 'columns' field")
-    cols = _int_matrix(_require(raw, "columns"), "metabolizer column")
-    return seifert.MetabolizerBasis(tuple(tuple(c) for c in cols))
+    return seifert.MetabolizerBasis(_int_matrix(_require(raw, "columns"), "metabolizer column"))
 
 
 def _degree_cap_from_env() -> int:
@@ -137,10 +131,12 @@ def cmd_depth(payload: dict, args) -> dict:
 def cmd_class(payload: dict, args) -> dict:
     word = _word(payload, "word", 3)
     cls = nilpotent.class_of(word)
-    return {"class": list(cls), "mu123": cls.n1}
+    return {"class": cls, "mu123": cls.n1}
 
 
 def cmd_generator(payload: dict, args) -> dict:
+    from random import Random  # the one subcommand that draws random numbers
+
     m = _parse_matrix(_require(payload, "matrix"))
     v = _parse_metabolizer(_require(payload, "metabolizer"))
     result = seifert.generator_for_metabolizer(m, v)
@@ -175,7 +171,7 @@ def cmd_enumerate(payload: dict, args) -> dict:
     results = seifert.enumerate_metabolizers(m, bound)
     return {
         "count": len(results),
-        "metabolizers": [{"columns": [list(c) for c in v.columns]} for v in results],
+        "metabolizers": [_record_json(v) for v in results],
     }
 
 
@@ -183,14 +179,12 @@ def cmd_infect(payload: dict, args) -> dict:
     mu_j = _as_int(_require(payload, "mu_J"), "mu_J")
     mu_l = _as_int(_require(payload, "mu_L"), "mu_L")
     if "N" in payload:
-        profile = infection.IntersectionProfile(
-            tuple(tuple(r) for r in _int_matrix(payload["N"], "N"))
-        )
+        profile = infection.IntersectionProfile(_int_matrix(payload["N"], "N"))
         return {"mu": infection.infected_mu(mu_j, profile, mu_l), "route": "profile"}
     if "alpha" in payload or "beta" in payload:
         counts = infection.BandSumCounts(
-            tuple(tuple(r) for r in _int_matrix(_require(payload, "alpha"), "alpha")),
-            tuple(tuple(r) for r in _int_matrix(_require(payload, "beta"), "beta")),
+            _int_matrix(_require(payload, "alpha"), "alpha"),
+            _int_matrix(_require(payload, "beta"), "beta"),
         )
         via_bands = infection.band_sum_expansion(mu_j, counts, mu_l)
         via_profile = infection.infected_mu(mu_j, counts.net_profile(), mu_l)
@@ -213,7 +207,7 @@ def cmd_genus_one(payload: dict, args) -> dict:
         "z": r.z,
         "w": r.w,
         "normalized_e": seifert.normalize_e(e),
-        "new_matrix": _matrix_json(r.new_matrix),
+        "new_matrix": _record_json(r.new_matrix),
     }
 
 
@@ -226,9 +220,8 @@ def cmd_ledger(payload: dict, args) -> dict:
     ))
     n = _as_int(_require(payload, "n"), "n")
     led = realization.ledger(params, n)
-    entries = realization.pushoff_ledger_entries(params, n)
     return _record_json(led) | {"description": _record_json(led.description),
-                                "pushoff_entries": [list(e) for e in entries]}
+                                "pushoff_entries": realization.pushoff_ledger_entries(params, n)}
 
 
 _HANDLERS = {

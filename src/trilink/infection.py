@@ -15,9 +15,7 @@ checked here -- callers assert them.
 
 from __future__ import annotations
 
-from operator import index
-
-from ._record import Record
+from ._record import Record, _int_rows
 from .intlinalg import det
 
 # the six permutations of (0, 1, 2) with their signs, for the band-sum count
@@ -32,7 +30,7 @@ _S3 = (
 
 
 def _check_3x3(rows, what: str) -> tuple[tuple[int, int, int], ...]:
-    rows = tuple(tuple(index(x) for x in row) for row in rows)
+    rows = _int_rows(rows)
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise ValueError(f"{what} must be 3x3")
     return rows
@@ -44,7 +42,7 @@ class IntersectionProfile(Record):
     __slots__ = ("rows",)
 
     def __init__(self, rows: tuple[tuple[int, int, int], ...]):
-        object.__setattr__(self, "rows", _check_3x3(rows, "intersection profile"))
+        Record.__init__(self, _check_3x3(rows, "intersection profile"))
 
 
 class BandSumCounts(Record):
@@ -58,16 +56,12 @@ class BandSumCounts(Record):
         for name, mat in (("alpha", alpha), ("beta", beta)):
             if any(x < 0 for row in mat for x in row):
                 raise ValueError(f"{name} entries must be nonnegative")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        Record.__init__(self, alpha, beta)
 
     def net_profile(self) -> IntersectionProfile:
         """alpha - beta: the signed counts the infection formula sees."""
         return IntersectionProfile(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.alpha, self.beta)
-            )
+            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.alpha, self.beta)]
         )
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 from itertools import compress, product
 from operator import add, index, sub
 
+from ._record import Record, _int_rows
 from .errors import PreconditionError
 from .intlinalg import _Slots
 from .words import FreeWord, abelianization
@@ -68,10 +69,10 @@ MAX_DEPTH_TERMS = 2**16
 MAX_DEPTH_WORK = 2**24
 
 
-class MagnusSeries:
+class MagnusSeries(Record):
     """Truncated series: map monomial -> nonzero integer coefficient.
 
-    Treat instances as immutable.
+    Treat the terms dict as immutable.
     """
 
     __slots__ = ("rank", "degree_cap", "terms")
@@ -82,18 +83,17 @@ class MagnusSeries:
             raise ValueError(f"rank must be positive, got {rank}")
         if degree_cap < 1:
             raise ValueError(f"degree cap must be positive, got {degree_cap}")
-        self.rank = rank
-        self.degree_cap = degree_cap
+        terms = terms or {}
+        (coeffs,) = _int_rows([terms.values()])  # the coefficients as one row
         clean: dict[Monomial, int] = {}
-        for mono, coeff in (terms or {}).items():
-            mono = tuple(mono)
+        for mono, coeff in zip(_int_rows(terms), coeffs):
             if len(mono) > degree_cap:
                 raise ValueError(f"monomial {mono} longer than degree cap {degree_cap}")
             if any(not 1 <= i <= rank for i in mono):
                 raise ValueError(f"monomial {mono} uses a variable outside 1..{rank}")
             if coeff:
                 clean[mono] = coeff
-        self.terms = clean
+        Record.__init__(self, rank, degree_cap, clean)
 
     def coefficient(self, monomial) -> int:
         mono = tuple(monomial)
@@ -102,13 +102,6 @@ class MagnusSeries:
         if any(not 1 <= i <= self.rank for i in mono):
             raise ValueError(f"monomial {mono} uses a variable outside 1..{self.rank}")
         return self.terms.get(mono, 0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MagnusSeries):
-            return NotImplemented
-        return (self.rank == other.rank
-                and self.degree_cap == other.degree_cap
-                and self.terms == other.terms)
 
     __hash__ = None  # mutable dict inside; equality is by content
 

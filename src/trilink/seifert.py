@@ -29,11 +29,11 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from math import gcd
-from operator import index, mul
-from random import Random
+from operator import mul
 
-from ._record import Record
+from ._record import Record, _int_rows
 from .errors import CrossCheckError, PreconditionError
+from .infection import _check_3x3
 from .intlinalg import (
     Matrix,
     _Slots,
@@ -54,19 +54,17 @@ ORDERINGS = ("interleaved", "blocked")
 MAX_SEARCH_GENUS = 3
 # Largest coefficient box (2*bound+1)**(2*genus) a search may scan: genus 3
 # at bound 2, genus 2 at bound 5, genus 1 at bound 62.  Python 3.11.7,
-# shared 2-CPU Xeon, medians of 5, with the packed box scan and adjacency
-# of enumerate_metabolizers against the per-vector scan and per-candidate
-# functionals they replaced: the genus-3 unknot surface took 3.5-3.6 ms
-# (was 5.0-5.2) at bound 1 and 72-108 ms (86-124) at bound 2, three sets;
-# genus 3 at bound 2 with 40-digit entries 2.3-3.6 ms (13-17), 5 matrices;
-# every bound up to the limit at most 2.7 ms (7.6) at genus 1, 6 matrices,
-# and 6.7 ms (8.5) at genus 2, 7 matrices with the unknot surface.  Slots
-# widen with the entries: through cli.main, dense 4,300-digit entries (the
-# int-string limit) took 183-188 ms (74-96) at genus 3 bound 2 and 153-155
-# ms (84-86) at genus 2 bound 5, 3 matrices each.  Many candidates with
-# wide slots cost most, as each candidate's adjacency read spans 2k slots: an
-# unknot surface with one symmetric pair of 4,300-digit entries has 456
-# candidates at genus 3 bound 2 and took 6.8 s (17.9).
+# shared 2-CPU Xeon, medians of 5: the genus-3 unknot surface took 3.5-3.6
+# ms at bound 1 and 72-108 ms at bound 2, three sets; genus 3 at bound 2
+# with 40-digit entries 2.3-3.6 ms, 5 matrices; every bound up to the
+# limit at most 2.7 ms at genus 1, 6 matrices, and 6.7 ms at genus 2, 7
+# matrices with the unknot surface.  Slots widen with the entries: through
+# cli.main, dense 4,300-digit entries (the int-string limit) took 183-188
+# ms at genus 3 bound 2 and 153-155 ms at genus 2 bound 5, 3 matrices
+# each.  Many candidates with wide slots cost most, as each candidate's
+# adjacency read spans 2k slots: an unknot surface with one symmetric pair
+# of 4,300-digit entries has 456 candidates at genus 3 bound 2 and took
+# 6.8 s.
 MAX_SEARCH_BOX = 5**6
 # Largest genus metabolizer_verdict takes: its Smith form lets entries grow.
 # Python 3.11.7, 2-CPU Xeon, dense random columns via cli.main: genus 16
@@ -99,6 +97,7 @@ class SeifertMatrix(Record):
     __slots__ = ("genus", "ordering", "entries")
 
     def __init__(self, genus: int, ordering: str, entries: tuple[tuple[int, ...], ...]):
+        entries = _int_rows(entries)
         _curve_positions(genus, ordering)  # the ordering is checked before the shape
         n = 2 * genus
         if genus < 1 or len(entries) != n or any(len(r) != n for r in entries):
@@ -112,9 +111,7 @@ class SeifertMatrix(Record):
                         f"skew part fails at entries ({i},{j})/({j},{i}): "
                         f"M[i][j]-M[j][i] = {skew}, intersection form needs {want[i][j]}"
                     )
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "ordering", ordering)
-        object.__setattr__(self, "entries", entries)
+        Record.__init__(self, genus, ordering, entries)
 
     @property
     def dim(self) -> int:
@@ -122,11 +119,8 @@ class SeifertMatrix(Record):
 
 
 def validate(entries, ordering: str) -> SeifertMatrix:
-    """Build a SeifertMatrix from raw rows, rejecting invalid input.
-
-    Entries go through operator.index, so a float or a string raises TypeError.
-    """
-    rows = tuple(tuple(index(x) for x in row) for row in entries)
+    """Build a SeifertMatrix from raw rows, inferring the genus from their count."""
+    rows = tuple(entries)
     if not rows or len(rows) % 2 != 0:
         raise ValueError(f"Seifert matrices have even dimension, got {len(rows)}")
     return SeifertMatrix(len(rows) // 2, ordering, rows)
@@ -139,9 +133,7 @@ def reorder(m: SeifertMatrix, target_ordering: str) -> SeifertMatrix:
     # position p of the target ordering holds source position perm[p]
     perm = dict(zip(itertools.chain(*_curve_positions(m.genus, target_ordering)),
                     itertools.chain(*_curve_positions(m.genus, m.ordering))))
-    entries = tuple(
-        tuple(m.entries[perm[i]][perm[j]] for j in range(m.dim)) for i in range(m.dim)
-    )
+    entries = [[m.entries[perm[i]][perm[j]] for j in range(m.dim)] for i in range(m.dim)]
     return SeifertMatrix(m.genus, target_ordering, entries)
 
 
@@ -159,6 +151,7 @@ class MetabolizerBasis(Record):
     __slots__ = ("columns",)
 
     def __init__(self, columns: tuple[tuple[int, ...], ...]):
+        columns = _int_rows(columns)
         if not columns:
             raise ValueError("at least one column required")
         length = len(columns[0])
@@ -166,7 +159,7 @@ class MetabolizerBasis(Record):
             raise ValueError(f"column length must be a positive even number, got {length}")
         if any(len(c) != length for c in columns):
             raise ValueError("columns must all have the same length")
-        object.__setattr__(self, "columns", columns)
+        Record.__init__(self, columns)
 
     @property
     def count(self) -> int:
@@ -184,7 +177,7 @@ class MetabolizerBasis(Record):
 def standard_metabolizer(m: SeifertMatrix) -> MetabolizerBasis:
     """The b-curve columns of m's ordering (not always a metabolizer)."""
     _, b = _curve_positions(m.genus, m.ordering)
-    return MetabolizerBasis(tuple(tuple(int(i == p) for i in range(m.dim)) for p in b))
+    return MetabolizerBasis([[int(i == p) for i in range(m.dim)] for p in b])
 
 
 class MetabolizerVerdict(namedtuple("MetabolizerVerdict", "form_vanishes independent primitive")):
@@ -427,7 +420,7 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
     tables = [_wedge_table(m.dim, level) for level in range(m.genus)]
     found = []
     for clique in _primitive_cliques(cands, adj, tables, [], 0, [1], (1 << len(cands)) - 1, {}):
-        found.append(MetabolizerBasis(tuple(map(tuple, row_hnf([cands[i] for i in clique])))))
+        found.append(MetabolizerBasis(row_hnf([cands[i] for i in clique])))
     return sorted(found, key=lambda basis: basis.columns)
 
 
@@ -501,9 +494,7 @@ def generator_from_block(block) -> GeneratorResult:
     Evaluates both the nine-parameter polynomial and det(B^T - I) -
     det(B) and insists they agree.  Entries go through operator.index.
     """
-    b = [[index(x) for x in row] for row in block]
-    if len(b) != 3 or any(len(row) != 3 for row in b):
-        raise ValueError("block must be 3x3")
+    b = _check_3x3(block, "block")
     (pa, x1, y1), (x2, pb, z1), (y2, z2, pc) = b
     expanded = (pa - 1) * (pb - 1) * (pc - 1) - pa * pb * pc + x1 * x2 + y1 * y2 + z1 * z2
     bt_minus_id = [[b[j][i] - (1 if i == j else 0) for j in range(3)] for i in range(3)]

@@ -36,7 +36,6 @@ class FreeWord(Record):
         rank = _as_index(rank)
         if rank < 1:
             raise ValueError(f"rank must be positive, got {rank}")
-        object.__setattr__(self, "rank", rank)
         # each distinct letter -> (its checked form, the checked form of its
         # inverse); equal letters share one entry, so (1.0, 1) after (1, 1)
         # takes the form (1, 1) and is not checked again
@@ -56,7 +55,7 @@ class FreeWord(Record):
                 out.pop()
             else:
                 out.append(form)
-        object.__setattr__(self, "letters", tuple(out[1:]))
+        Record.__init__(self, rank, tuple(out[1:]))
 
     def __len__(self) -> int:
         return len(self.letters)

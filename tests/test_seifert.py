@@ -763,6 +763,12 @@ def test_generator_from_block_refuses_floats():
         generator_from_block([[1.5, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
+def test_generator_from_block_refuses_a_block_that_is_not_3x3():
+    for block in ([[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 1], [0, 0, 1]]):
+        with pytest.raises(ValueError, match="block must be 3x3"):
+            generator_from_block(block)
+
+
 def test_generator_from_block_matches_cofactor_route():
     rng = Random(10)
     for _ in range(200):
