@@ -10,7 +10,8 @@ them with one ``Record.__init__`` call, the one way a field is stored.
 
 Every matrix or series a caller hands a constructor goes through
 ``_int_rows`` first: each entry through ``operator.index``, so a float
-or a string raises TypeError, and the rows are stored as tuples.
+or a string raises TypeError, and the rows are stored as tuples;
+``_check_3x3`` adds the shape rule of every 3x3 matrix.
 """
 
 from __future__ import annotations
@@ -21,6 +22,14 @@ from operator import index
 def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
     """rows as a tuple of tuples of exact ints (operator.index on each entry)."""
     return tuple([tuple(map(index, row)) for row in rows])
+
+
+def _check_3x3(rows, what: str) -> tuple[tuple[int, int, int], ...]:
+    """_int_rows of a 3x3 matrix; ValueError naming what for any other shape."""
+    rows = _int_rows(rows)
+    if len(rows) != 3 or any(len(r) != 3 for r in rows):
+        raise ValueError(f"{what} must be 3x3")
+    return rows
 
 
 class Record:

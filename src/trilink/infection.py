@@ -15,7 +15,7 @@ checked here -- callers assert them.
 
 from __future__ import annotations
 
-from ._record import Record, _int_rows
+from ._record import Record, _check_3x3
 from .intlinalg import det
 
 # the six permutations of (0, 1, 2) with their signs, for the band-sum count
@@ -27,13 +27,6 @@ _S3 = (
     ((2, 1, 0), -1),
     ((1, 0, 2), -1),
 )
-
-
-def _check_3x3(rows, what: str) -> tuple[tuple[int, int, int], ...]:
-    rows = _int_rows(rows)
-    if len(rows) != 3 or any(len(r) != 3 for r in rows):
-        raise ValueError(f"{what} must be 3x3")
-    return rows
 
 
 class IntersectionProfile(Record):

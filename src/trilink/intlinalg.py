@@ -38,8 +38,6 @@ def identity(n: int) -> Matrix:
 
 
 def transpose(m: Matrix) -> Matrix:
-    if not m:
-        return []
     return [list(col) for col in zip(*m)]
 
 

@@ -82,14 +82,6 @@ class Ledger(Record):
                  "description")
 
 
-def _raw_terms(p: GenusThreeParams, n: int) -> tuple[int, int, int, int]:
-    band1 = n * (p.a - 1) * (-(p.c - 1) - p.b)
-    band3 = n * p.x1 * p.x2
-    band5 = n * p.y1 * p.y2
-    residual = n * (-p.b * p.c + p.z1 * p.z2)
-    return band1, band3, band5, residual
-
-
 def ledger(p: GenusThreeParams, n: int) -> Ledger:
     """Contribution ledger of the n-pass derivative link.
 
@@ -99,7 +91,10 @@ def ledger(p: GenusThreeParams, n: int) -> Ledger:
     contributes -bc + z1*z2.  Totals are asserted against n times the
     generator.
     """
-    band1, band3, band5, residual = _raw_terms(p, n)
+    band1 = n * (p.a - 1) * (-(p.c - 1) - p.b)
+    band3 = n * p.x1 * p.x2
+    band5 = n * p.y1 * p.y2
+    residual = n * (-p.b * p.c + p.z1 * p.z2)
     total = band1 + band3 + band5 + residual
     expected = n * p.generator()
     if total != expected:

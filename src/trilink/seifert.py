@@ -29,11 +29,10 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from math import gcd
-from operator import mul
+from operator import index, mul
 
-from ._record import Record, _int_rows
+from ._record import Record, _check_3x3, _int_rows
 from .errors import CrossCheckError, PreconditionError
-from .infection import _check_3x3
 from .intlinalg import (
     Matrix,
     _Slots,
@@ -97,14 +96,14 @@ class SeifertMatrix(Record):
     __slots__ = ("genus", "ordering", "entries")
 
     def __init__(self, genus: int, ordering: str, entries: tuple[tuple[int, ...], ...]):
-        entries = _int_rows(entries)
+        genus, entries = index(genus), _int_rows(entries)
         _curve_positions(genus, ordering)  # the ordering is checked before the shape
         n = 2 * genus
         if genus < 1 or len(entries) != n or any(len(r) != n for r in entries):
             raise ValueError(f"expected a {n}x{n} matrix for genus {genus}")
         want = intersection_form(genus, ordering)
         for i in range(n):
-            for j in range(n):
+            for j in range(i + 1, n):  # both sides are antisymmetric: (j, i) fails iff (i, j)
                 skew = entries[i][j] - entries[j][i]
                 if skew != want[i][j]:
                     raise ValueError(
@@ -171,7 +170,7 @@ class MetabolizerBasis(Record):
 
     def as_matrix(self) -> Matrix:
         """dim x count matrix whose columns are the basis vectors."""
-        return transpose([list(c) for c in self.columns])
+        return transpose(self.columns)
 
 
 def standard_metabolizer(m: SeifertMatrix) -> MetabolizerBasis:
@@ -205,7 +204,7 @@ def metabolizer_verdict(m: SeifertMatrix, v: MetabolizerBasis) -> MetabolizerVer
     if v.count != m.genus:
         raise ValueError(f"need exactly {m.genus} columns, got {v.count}")
     vmat = v.as_matrix()
-    gram = mat_mul(transpose(vmat), mat_mul(m.entries, vmat))
+    gram = mat_mul(v.columns, mat_mul(m.entries, vmat))
     vanishes = not any(x for row in gram for x in row)
     factors = snf(vmat)
     return MetabolizerVerdict(vanishes, all(factors), all(f == 1 for f in factors))
@@ -511,16 +510,15 @@ def generator_for_metabolizer(
 ) -> GeneratorResult:
     """Generator attached to a genus-3 matrix and one of its metabolizers.
 
-    Completes v to a symplectic basis, rewrites M in it (blocked form by
-    construction), and reads the generator off the a-to-b block.  The
-    magnitude does not depend on the completion.
+    Completes v to a symplectic basis T = (A | V), whose b-part V spans
+    v, and computes only the a-to-b block B = A^T (M V) of M rewritten
+    in it: the generator reads nothing else of T^T M T.  The magnitude
+    does not depend on the completion.
     """
     if m.genus != 3:
         raise ValueError(f"genus-3 matrices only, got genus {m.genus}")
     t = symplectic_complete(m, v, rng=rng)
-    big = mat_mul(transpose(t), mat_mul(m.entries, t))
-    block = [[big[i][3 + j] for j in range(3)] for i in range(3)]
-    return generator_from_block(block)
+    return generator_from_block(mat_mul(transpose(t)[:3], mat_mul(m.entries, [r[3:] for r in t])))
 
 
 def connected_sum(m1: SeifertMatrix, m2: SeifertMatrix, m3: SeifertMatrix) -> SeifertMatrix:
@@ -552,8 +550,10 @@ def genus_one_normalize(d: int, e: int) -> GenusOneNormalization:
 
     n = gcd(2e-1, -d) is always defined (2e-1 is odd, so nonzero); the
     Bezout pair is canonicalized by minimal |w| with ties toward w <= 0
-    (and minimal |z| in the degenerate y = 0 case).  The defining
-    identities hold by construction, so none is re-checked:
+    (and minimal |z| in the degenerate y = 0 case).  Of the new matrix
+    only the corner (z w) M (z w)^T is computed; the other three entries
+    are written as 1-e, -e and 0, the identities proved below, and
+    validate checks that they fit the intersection form:
 
     * x = (2e-1)/n and y = -d/n are coprime, so xgcd(y, -x) gives
       z0*y - w0*x = 1.  Every shift w = w0 + t*y, z = z0 + t*x keeps it,
@@ -564,7 +564,6 @@ def genus_one_normalize(d: int, e: int) -> GenusOneNormalization:
       2d*x*z + (2e-1)*(z*y + w*x) = n*x*(w*x - z*y) = -(2e-1); so the two
       are 1-e and -e.
     """
-    matrix = [[d, e], [e - 1, 0]]
     n = gcd(2 * e - 1, -d)
     x = (2 * e - 1) // n
     y = -d // n
@@ -577,11 +576,8 @@ def genus_one_normalize(d: int, e: int) -> GenusOneNormalization:
         half = abs(y) // 2
         w = (w0 + half) % abs(y) - half
         z = z0 + (w - w0) // y * x
-    new = validate(
-        [[bilinear([z, w], matrix, [z, w]), bilinear([z, w], matrix, [x, y])],
-         [bilinear([x, y], matrix, [z, w]), bilinear([x, y], matrix, [x, y])]],
-        "interleaved",
-    )
+    corner = bilinear([z, w], [[d, e], [e - 1, 0]], [z, w])
+    new = validate([[corner, 1 - e], [-e, 0]], "interleaved")
     return GenusOneNormalization(n, x, y, z, w, new)
 
 

@@ -8,7 +8,8 @@ per-degree levels), the degree-2 table is also kept in its older form,
 one list row of exponent sums per letter, and
 primitivity is gcd of maximal minors (the package uses Smith form),
 and the skew part M - M^T is read off the entries (the package uses the
-ordering's intersection form).  The ledger's commutator pairs are
+ordering's intersection form), its first failure by a scan of every
+entry (the package reads the upper triangle).  The ledger's commutator pairs are
 assembled here from exponent sums, their band-slide mirror is kept
 here, and the genus-one Bezout pair is found by search.  The metabolizer
 search is kept in its older form, which reaches every box basis of a
@@ -73,6 +74,30 @@ def skew_part(m) -> list[list[int]]:
     return [[e[i][j] - e[j][i] for j in range(m.dim)] for i in range(m.dim)]
 
 
+def form_of_ordering(genus: int, ordering: str) -> list[list[int]]:
+    """The intersection form J of an ordering, built from its pairs (a_i, b_i)."""
+    n = 2 * genus
+    j = [[0] * n for _ in range(n)]
+    for i in range(genus):
+        a, b = (2 * i, 2 * i + 1) if ordering == "interleaved" else (i, genus + i)
+        j[a][b], j[b][a] = 1, -1
+    return j
+
+
+def first_skew_failure(rows, ordering: str) -> str | None:
+    """SeifertMatrix's skew-part message for the first failing (i, j) of a
+    scan of every entry in row order, or None if M - M^T is the form."""
+    n = len(rows)
+    j = form_of_ordering(n // 2, ordering)
+    for r in range(n):
+        for c in range(n):
+            skew = rows[r][c] - rows[c][r]
+            if skew != j[r][c]:
+                return (f"skew part fails at entries ({r},{c})/({c},{r}): "
+                        f"M[i][j]-M[j][i] = {skew}, intersection form needs {j[r][c]}")
+    return None
+
+
 def random_unimodular(rng: Random, n: int, steps: int = 12) -> list[list[int]]:
     """Random +-1 determinant integer matrix from elementary operations."""
     m = identity(n)
@@ -111,10 +136,7 @@ def random_symplectic(
     to metabolizers of T^T M T.
     """
     n = 2 * genus
-    j = [[0] * n for _ in range(n)]
-    for i in range(genus):
-        a, b = (2 * i, 2 * i + 1) if ordering == "interleaved" else (i, genus + i)
-        j[a][b], j[b][a] = 1, -1
+    j = form_of_ordering(genus, ordering)
     t, t_inv = identity(n), identity(n)
     for _ in range(steps):
         v = [rng.randint(-2, 2) for _ in range(n)]

@@ -3,7 +3,10 @@ and the package exports each one under its own name.
 
 References are read off the syntax tree (names and attribute names), so
 a word in a docstring or comment does not count, and neither does a
-function's reference to itself.
+function's reference to itself.  Imports between the package's modules
+are read the same way: the Seifert layer takes nothing from the
+infection layer, and private names cross modules only from _record or
+where the design shares one (the slot helper and the degree-2 read).
 """
 
 import ast
@@ -24,6 +27,41 @@ def _exported() -> set[tuple[str, str]]:
         for node in INIT.body if isinstance(node, ast.ImportFrom)
         for alias in node.names if alias.name in trilink.__all__
     }
+
+
+def _sibling_imports() -> list[tuple[str, str, str | None]]:
+    """(module, sibling it imports, name taken from it or None) for each
+    import of the package's own modules, read off the syntax tree."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found += [(path.stem, alias.name.split(".")[1], None)
+                          for alias in node.names if alias.name.startswith("trilink.")]
+            elif isinstance(node, ast.ImportFrom):
+                source = ".".join(filter(None, ["trilink" if node.level else "", node.module]))
+                if source == "trilink":  # from . import a, b
+                    found += [(path.stem, alias.name, None) for alias in node.names]
+                elif source.startswith("trilink."):
+                    found += [(path.stem, source.split(".")[1], alias.name)
+                              for alias in node.names]
+    return found
+
+
+def test_seifert_imports_nothing_from_infection():
+    # the Seifert layer sits below the infection layer
+    assert [i for i in _sibling_imports() if i[:2] == ("seifert", "infection")] == []
+
+
+def test_private_names_cross_modules_only_from_record_or_by_design():
+    shared = {("intlinalg", "_Slots"), ("magnus", "_commutator_degree_two")}
+    crossing = [
+        f"{module}: from {sibling} import {name}"
+        for module, sibling, name in _sibling_imports()
+        if name and name.startswith("_") and sibling != "_record"
+        and (sibling, name) not in shared
+    ]
+    assert crossing == []
 
 
 def test_no_export_is_renamed():

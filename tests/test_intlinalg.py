@@ -174,6 +174,7 @@ def test_unimodular_detection():
         assert abs(det(random_unimodular(rng, 4))) == 1
     assert det([[2, 0], [0, 1]]) == 2
     assert transpose([[1, 2], [3, 4]]) == [[1, 3], [2, 4]]
+    assert transpose([]) == []
     assert identity(2) == [[1, 0], [0, 1]]
 
 

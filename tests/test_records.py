@@ -244,6 +244,15 @@ def test_rows_given_as_lists_are_stored_as_tuples(build, rows):
     assert from_lists == build(rows) and hash(from_lists) == hash(build(rows))
 
 
+def test_seifert_genus_goes_through_operator_index():
+    rows = ((0, 1), (0, 0))
+    m, one = SeifertMatrix(True, "interleaved", rows), SeifertMatrix(1, "interleaved", rows)
+    assert type(m.genus) is int and m.genus == 1 and repr(m) == repr(one)
+    assert m == one and hash(m) == hash(one)
+    with pytest.raises(TypeError):
+        SeifertMatrix(1.0, "interleaved", rows)
+
+
 def test_series_coefficients_and_monomials_must_be_integral():
     assert MagnusSeries(3, 2, {(1, 2): True}).terms == {(1, 2): 1}
     for terms in ({(1, 2): 2.0}, {(1, 2): "2"}, {(1.0, 2): 1}, {"12": 1}):

@@ -12,6 +12,7 @@ from helpers import (
     brute_force_bezout,
     brute_force_metabolizer_lattices,
     cofactor_det,
+    first_skew_failure,
     lattice_keys,
     minors_gcd,
     pairwise_candidates_and_adjacency,
@@ -102,6 +103,29 @@ def test_validate_unknot(unknot):
 def test_validate_rejects_zero_matrix():
     with pytest.raises(ValueError, match="skew part fails"):
         validate([[0] * 6 for _ in range(6)], "interleaved")
+
+
+def test_skew_error_is_the_first_failure_of_a_full_scan():
+    # SeifertMatrix reads the skew part above the diagonal only; its message
+    # must still name the pair a scan of every (i, j) in row order fails first
+    rng = Random(37)
+    for genus in range(1, 5):
+        n = 2 * genus
+        for ordering in ("interleaved", "blocked"):
+            for trial in range(40):
+                rows = [list(row) for row in random_seifert(rng, genus, ordering).entries]
+                for step in range(1 + trial % 3):
+                    i, j = rng.sample(range(n), 2)
+                    if (i < j) != (step % 2 == 0):  # alternate upper and lower triangle
+                        i, j = j, i
+                    rows[i][j] += rng.choice((-2, -1, 1, 3))
+                want = first_skew_failure(rows, ordering)
+                if want is None:  # two changes cancelled in M - M^T
+                    assert validate(rows, ordering).entries == tuple(map(tuple, rows))
+                    continue
+                with pytest.raises(ValueError) as exc:
+                    validate(rows, ordering)
+                assert str(exc.value) == want
 
 
 def test_validate_rejects_odd_dimension():
@@ -865,10 +889,15 @@ def test_genus_one_normalize_identities_random():
     pairs = [(rng.randint(-10, 10), rng.randint(-10, 10)) for _ in range(400)]
     pairs += [(0, e) for e in range(-5, 6)]  # y = 0, x = +-1
     pairs += [(rng.randint(-big, big), rng.randint(-big, big)) for _ in range(100)]
+    huge = 10**1000
+    pairs += [(rng.randint(-huge, huge), rng.randint(-huge, huge)) for _ in range(4)]
     for d, e in pairs:
         r = genus_one_normalize(d, e)
         m = [[d, e], [e - 1, 0]]
         zw, xy = [r.z, r.w], [r.x, r.y]
+        # the one entry genus_one_normalize computes; the other three are proved
+        assert r.new_matrix.entries[0][0] == sum(
+            zw[i] * m[i][j] * zw[j] for i in range(2) for j in range(2))
         assert sum(zw[i] * m[i][j] * xy[j] for i in range(2) for j in range(2)) == 1 - e
         assert sum(xy[i] * m[i][j] * zw[j] for i in range(2) for j in range(2)) == -e
         assert sum(xy[i] * m[i][j] * xy[j] for i in range(2) for j in range(2)) == 0
