@@ -140,11 +140,13 @@ def cmd_generator(payload: dict, args) -> dict:
     m = _parse_matrix(_require(payload, "matrix"))
     v = _parse_metabolizer(_require(payload, "metabolizer"))
     result = seifert.generator_for_metabolizer(m, v)
-    again = seifert.generator_for_metabolizer(m, v, rng=Random(args.seed))
-    if again.generator != result.generator:
-        raise CrossCheckError(
-            f"completions disagree: {result.generator} vs {again.generator}"
-        )
+    # another basis of the same metabolizer, never v's own: its columns are independent
+    cols = list(v.columns)
+    Random(args.seed).shuffle(cols)
+    cols[0] = [-x for x in cols[0]]
+    again = seifert.generator_for_metabolizer(m, seifert.MetabolizerBasis(cols))
+    if again != result:
+        raise CrossCheckError(f"completions disagree: {result.signed} vs {again.signed}")
     return {
         "generator": result.generator,
         "signed": result.signed,

@@ -20,8 +20,9 @@ Conventions fixed for the whole package:
   the same number is (a-1)(b-1)(c-1) - abc + x1*x2 + y1*y2 + z1*z2;
   both routes are evaluated and compared on every call.  Differences of
   triple linking numbers across derivative links on a fixed metabolizer
-  sweep out (at least) all integer multiples of it.  The magnitude is
-  basis-independent; the sign is not, so both are reported.
+  sweep out (at least) all integer multiples of it.  Its value, sign
+  included, depends only on the matrix and the metabolizer (see
+  generator_for_metabolizer); both it and its magnitude are reported.
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ MAX_SEARCH_BOX = 5**6
 # Python 3.11.7, 2-CPU Xeon, dense random columns via cli.main: genus 16
 # took at most 0.011 s with entries in +-9 and 0.40 s in +-10**6 (26 seeds
 # each); genus 24 up to 1.1 s, genus 32 over 30 s, genus 48 over 3 minutes.
+# The cap bounds the genus, not the entries (ROADMAP item 2): d-digit
+# entries, seeds 1-3, one run each in CPU time, took 0.16-3.4 s at genus 16
+# and d = 50, 2.9-12 s at genus 16 and d = 200, 1.4-2.1 s at genus 8 and d = 1,000.
 MAX_VERDICT_GENUS = 16
 
 
@@ -423,9 +427,7 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
     return sorted(found, key=lambda basis: basis.columns)
 
 
-def symplectic_complete(
-    m: SeifertMatrix, v: MetabolizerBasis, rng: Random | None = None
-) -> Matrix:
+def symplectic_complete(m: SeifertMatrix, v: MetabolizerBasis) -> Matrix:
     """Extend a metabolizer basis to a symplectic basis of the homology.
 
     Returns a unimodular 2g x 2g matrix T whose first g columns are the
@@ -433,9 +435,7 @@ def symplectic_complete(
     T^T J T = J_b = [[0, I], [-I, 0]] exactly, for J = M - M^T, the
     intersection form of m's ordering.  That postcondition is re-verified
     on every call, and it also proves T unimodular: det(J) = det(J_b) = 1,
-    so det(T)^2 = 1.  Passing an rng picks a different (still valid)
-    completion, used to confirm downstream outputs don't depend on the
-    choice.
+    so det(T)^2 = 1.
 
     The duals come from one Hermite form.  A primitive V has row
     Hermite form [I; 0], so the first g rows of row_hnf([V | I]) are
@@ -455,11 +455,6 @@ def symplectic_complete(
     h = row_hnf([vmat[r] + eye[r] for r in range(m.dim)])
     a = mat_mul(j, transpose([row[g:] for row in h[:g]]))
 
-    if rng is not None:
-        shift = [[rng.randint(-3, 3) for _ in range(g)] for _ in range(g)]
-        a = [[a[r][i] + sum(vmat[r][t] * shift[t][i] for t in range(g)) for i in range(g)]
-             for r in range(m.dim)]
-
     # Gram correction: kill the a-a pairings without touching duality
     gram = mat_mul(transpose(a), mat_mul(j, a))
     x = [[-gram[r][c] if r > c else 0 for c in range(g)] for r in range(g)]
@@ -474,7 +469,7 @@ def symplectic_complete(
 
 
 class GeneratorResult(Record):
-    """|n0| plus the sign-sensitive raw value it was computed from.
+    """|n0| plus the signed value n0, which depends only on the matrix and metabolizer.
 
     The attached set {n * n0 : n integer} is reported as contained in
     the realizable differences; whether it exhausts them is open.
@@ -505,19 +500,19 @@ def generator_from_block(block) -> GeneratorResult:
     return GeneratorResult(abs(expanded), expanded)
 
 
-def generator_for_metabolizer(
-    m: SeifertMatrix, v: MetabolizerBasis, rng: Random | None = None
-) -> GeneratorResult:
+def generator_for_metabolizer(m: SeifertMatrix, v: MetabolizerBasis) -> GeneratorResult:
     """Generator attached to a genus-3 matrix and one of its metabolizers.
 
     Completes v to a symplectic basis T = (A | V), whose b-part V spans
     v, and computes only the a-to-b block B = A^T (M V) of M rewritten
-    in it: the generator reads nothing else of T^T M T.  The magnitude
-    does not depend on the completion.
+    in it: the generator reads nothing else of T^T M T.  B, and so the
+    signed value, depends only on m and v's span: any two completions
+    give the same B, re-basing v by U in GL(3, Z) turns B into U^-1 B U,
+    and a symplectic change of m's basis carries completions to completions.
     """
     if m.genus != 3:
         raise ValueError(f"genus-3 matrices only, got genus {m.genus}")
-    t = symplectic_complete(m, v, rng=rng)
+    t = symplectic_complete(m, v)
     return generator_from_block(mat_mul(transpose(t)[:3], mat_mul(m.entries, [r[3:] for r in t])))
 
 

@@ -26,6 +26,7 @@ from random import Random
 
 from trilink.intlinalg import identity
 from trilink.realization import GenusThreeParams
+from trilink.seifert import MetabolizerBasis, standard_metabolizer
 from trilink.words import FreeWord, exponent_sum, generator, word_power, word_product
 
 UNKNOT_ROWS = [
@@ -112,6 +113,17 @@ def random_unimodular(rng: Random, n: int, steps: int = 12) -> list[list[int]]:
         else:
             m[i] = [-x for x in m[i]]
     return m
+
+
+def rebased(rng: Random, v: MetabolizerBasis, steps: int = 6) -> MetabolizerBasis:
+    """v's lattice in another basis: its columns times a random unimodular matrix."""
+    vmat = plain_product(v.as_matrix(), random_unimodular(rng, v.count, steps))
+    return MetabolizerBasis(tuple(zip(*vmat)))
+
+
+def mixed_b_curves(rng: Random, m) -> MetabolizerBasis:
+    """The b-curves of a metabolic matrix, mixed by a random unimodular matrix."""
+    return rebased(rng, standard_metabolizer(m))
 
 
 def plain_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

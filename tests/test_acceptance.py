@@ -17,9 +17,10 @@ from helpers import (
     brute_force_metabolizer_lattices,
     cofactor_det,
     lattice_keys,
+    mixed_b_curves,
     random_commutator_subgroup_word,
-    random_unimodular,
     random_word,
+    rebased,
     skew_part,
 )
 from trilink import cli
@@ -29,7 +30,6 @@ from trilink.magnus import mu123, phi
 from trilink.nilpotent import class_of, commutator_class
 from trilink.realization import GenusThreeParams, ledger, pushoff_ledger_entries
 from trilink.seifert import (
-    MetabolizerBasis,
     connected_sum,
     enumerate_metabolizers,
     generator_for_metabolizer,
@@ -257,15 +257,13 @@ def test_criterion_10_symplectic_completion():
         p = GenusThreeParams(*(rng.randint(-5, 5) for _ in range(9)))
         stars = tuple(rng.randint(-5, 5) for _ in range(6))
         m = p.seifert_matrix(stars)
-        mix = random_unimodular(rng, 3, steps=6)
-        vmat = mat_mul(standard_metabolizer(m).as_matrix(), mix)
-        v = MetabolizerBasis(tuple(tuple(c) for c in transpose(vmat)))
-        t = symplectic_complete(m, v, rng=Random(rng.randrange(10**6)))
+        v = mixed_b_curves(rng, m)
+        t = symplectic_complete(m, v)
         ok &= mat_mul(transpose(t), mat_mul(skew_part(m), t)) == blocked
-        r1 = generator_for_metabolizer(m, v, rng=Random(rng.randrange(10**6)))
-        r2 = generator_for_metabolizer(m, v, rng=Random(rng.randrange(10**6)))
-        ok &= r1.generator == r2.generator
-    report(10, "completions satisfy the symplectic postcondition; generator stable",
+        r1 = generator_for_metabolizer(m, rebased(rng, v))
+        r2 = generator_for_metabolizer(m, rebased(rng, v))
+        ok &= r1 == r2 and r1.signed == p.generator()
+    report(10, "completions satisfy the symplectic postcondition; generator and sign stable",
            ok, time.perf_counter() - start)
 
 

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import UNKNOT_ROWS, spread_word, unknot_sum_rows
+from helpers import UNKNOT_ROWS, lattice_key, spread_word, unknot_sum_rows
 from trilink import cli, infection, magnus, seifert
 from trilink.realization import GenusThreeParams
 from trilink.seifert import reorder, standard_metabolizer, validate
@@ -117,6 +117,43 @@ def test_generator_unknot(capsys, monkeypatch):
     assert out["generator"] == 1
     assert out["signed"] == -1
     assert out["self_check"] == {"seed": 11, "completions_agree": True}
+
+
+def test_generator_self_check_completes_another_seeded_basis(capsys, monkeypatch):
+    calls = []
+    real = seifert.generator_for_metabolizer
+
+    def recording(m, v):
+        calls.append(v)
+        return real(m, v)
+
+    monkeypatch.setattr(seifert, "generator_for_metabolizer", recording)
+    payload = {"matrix": UNKNOT_JSON, "metabolizer": STANDARD_COLS}
+    for seed in (0, 1, 0):
+        code, out = run_json(capsys, monkeypatch, ["generator", "--seed", str(seed)], payload)
+        assert code == 0 and out["self_check"] == {"seed": seed, "completions_agree": True}
+    given_bases, checked = calls[::2], calls[1::2]
+    assert all(v.columns == tuple(map(tuple, STANDARD_COLS["columns"])) for v in given_bases)
+    assert checked[0] == checked[2]  # the seed fixes the second basis
+    for v in checked:
+        assert v != given_bases[0]
+        assert lattice_key(v.columns) == lattice_key(given_bases[0].columns)
+
+
+def test_generator_self_check_compares_the_signed_value(capsys, monkeypatch):
+    real = seifert.generator_for_metabolizer
+    calls = []
+
+    def flipping(m, v):  # the self-check's call: same magnitude, opposite sign
+        calls.append(v)
+        r = real(m, v)
+        return r if len(calls) == 1 else seifert.GeneratorResult(r.generator, -r.signed)
+
+    monkeypatch.setattr(seifert, "generator_for_metabolizer", flipping)
+    payload = {"matrix": UNKNOT_JSON, "metabolizer": STANDARD_COLS}
+    code, out = run_json(capsys, monkeypatch, ["generator"], payload)
+    assert code == 4
+    assert out == {"error": "internal-check", "detail": "completions disagree: -1 vs 1"}
 
 
 def test_generator_non_metabolizer_exit_3(capsys, monkeypatch):

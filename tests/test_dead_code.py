@@ -7,6 +7,7 @@ function's reference to itself.  Imports between the package's modules
 are read the same way: the Seifert layer takes nothing from the
 infection layer, and private names cross modules only from _record or
 where the design shares one (the slot helper and the degree-2 read).
+No public function takes an rng, and only the CLI imports random.
 """
 
 import ast
@@ -105,3 +106,31 @@ def test_functions_the_benchmark_tracer_names_are_public():
         assert name in {top.name for top in tree.body if isinstance(top, ast.FunctionDef)}
         fn = getattr(importlib.import_module(f"trilink.{module}"), name)
         assert inspect.isfunction(fn) and fn.__module__ == f"trilink.{module}"
+
+
+def _trees():
+    """(module, syntax tree) for each module of the package."""
+    for path in sorted(SRC.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_no_public_function_takes_an_rng():
+    # each operation is a function of its inputs; a seeded self-check varies the inputs
+    takes_rng = [
+        f"{module}.{node.name}"
+        for module, tree in _trees() for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and any(isinstance(a, ast.arg) and a.arg == "rng" for a in ast.walk(node.args))
+    ]
+    assert takes_rng == []
+
+
+def test_only_the_cli_imports_random():
+    importers = {
+        module
+        for module, tree in _trees() for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "random" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and not node.level
+        and node.module.split(".")[0] == "random"
+    }
+    assert importers == {"cli"}

@@ -15,10 +15,12 @@ from helpers import (
     first_skew_failure,
     lattice_keys,
     minors_gcd,
+    mixed_b_curves,
     pairwise_candidates_and_adjacency,
     plain_product,
     random_symplectic,
     random_unimodular,
+    rebased,
     skew_part,
     unimodular_inverse,
     unknot_sum_rows,
@@ -660,11 +662,12 @@ def test_complete_postcondition_random():
     for _ in range(40):
         m = random_params(rng, 5).seifert_matrix(random_stars(rng, 5))
         v = mixed_b_curves(rng, m)
-        t = symplectic_complete(m, v, rng=rng)
-        got = mat_mul(transpose(t), mat_mul(skew_part(m), t))
-        assert got == intersection_form(3, "blocked")
-        assert abs(det(t)) == 1
-        assert transpose(t)[3:] == [list(c) for c in v.columns]
+        for basis in (v, rebased(rng, v)):
+            t = symplectic_complete(m, basis)
+            got = mat_mul(transpose(t), mat_mul(skew_part(m), t))
+            assert got == intersection_form(3, "blocked")
+            assert abs(det(t)) == 1
+            assert transpose(t)[3:] == [list(c) for c in basis.columns]
 
 
 @pytest.mark.parametrize("genus", [1, 2, 3])
@@ -676,10 +679,11 @@ def test_complete_blocked_ordering(genus):
     for _ in range(6):
         m = random_seifert(rng, genus, "blocked", metabolic=True)
         for v in enumerate_metabolizers(m, 1)[:8]:
-            t = symplectic_complete(m, v, rng=rng)
-            assert mat_mul(transpose(t), mat_mul(skew_part(m), t)) == blocked
-            assert abs(det(t)) == 1
-            assert transpose(t)[genus:] == [list(c) for c in v.columns]
+            for basis in (v, rebased(rng, v)):
+                t = symplectic_complete(m, basis)
+                assert mat_mul(transpose(t), mat_mul(skew_part(m), t)) == blocked
+                assert abs(det(t)) == 1
+                assert transpose(t)[genus:] == [list(c) for c in basis.columns]
             completed += 1
     assert completed >= 6
 
@@ -698,22 +702,18 @@ def basis_of_columns(cols):
     return MetabolizerBasis(tuple(tuple(c) for c in cols))
 
 
-def mixed_b_curves(rng, m):
-    """The b-curves of a metabolic matrix, mixed by a random unimodular matrix."""
-    vmat = mat_mul(standard_metabolizer(m).as_matrix(), random_unimodular(rng, m.genus, steps=6))
-    return basis_of_columns(transpose(vmat))
-
-
 @pytest.mark.parametrize("ordering", ["interleaved", "blocked"])
 def test_generator_is_symplectic_invariant(ordering):
     rng = Random(71 if ordering == "interleaved" else 72)
     for _ in range(40):
         m = random_seifert(rng, 3, ordering, metabolic=True, entries=range(-6, 7))
         v = mixed_b_curves(rng, m)
-        expected = generator_for_metabolizer(m, v).generator
+        expected = generator_for_metabolizer(m, v)
         moved, (v_moved,) = symplectic_change(rng, m, [v])
-        assert generator_for_metabolizer(moved, v_moved).generator == expected
-        assert generator_for_metabolizer(moved, v_moved, rng=rng).generator == expected
+        for basis in (v_moved, rebased(rng, v_moved)):
+            got = generator_for_metabolizer(moved, basis)
+            assert got.generator == expected.generator
+            assert got.signed == expected.signed
 
 
 @pytest.mark.parametrize("ordering", ["interleaved", "blocked"])
@@ -736,9 +736,10 @@ def test_verdict_and_completion_are_symplectic_invariant(genus, ordering):
             verdict = metabolizer_verdict(m, before)
             assert metabolizer_verdict(moved, after) == verdict
             verdicts.add(verdict)
-        t = symplectic_complete(moved, moved_bases[0], rng=rng)
+        again = rebased(rng, moved_bases[0])
+        t = symplectic_complete(moved, again)
         assert mat_mul(transpose(t), mat_mul(skew_part(moved), t)) == blocked
-        assert transpose(t)[genus:] == [list(c) for c in moved_bases[0].columns]
+        assert transpose(t)[genus:] == [list(c) for c in again.columns]
     assert len(verdicts) >= 3
 
 
@@ -831,9 +832,9 @@ def test_generator_independent_of_completion_and_stars():
         )
         m = p.seifert_matrix(random_stars(rng, 5))
         v = standard_metabolizer(m)
-        r1 = generator_for_metabolizer(m, v, rng=Random(rng.randrange(10**6)))
-        r2 = generator_for_metabolizer(m, v, rng=Random(rng.randrange(10**6)))
-        assert r1.generator == r2.generator == base.generator
+        r1 = generator_for_metabolizer(m, rebased(rng, v))
+        r2 = generator_for_metabolizer(m, rebased(rng, v))
+        assert r1 == r2 == base  # the signed value too
         assert base.signed == p.generator()
 
 

@@ -1,0 +1,154 @@
+"""Worst-case accepted input: the largest requests of each subcommand
+answer, or exit with their documented code, within a wall-clock budget.
+
+Each case is one request at a limit the README states (the CLI's
+4,300-digit integers, or a word far longer than any other test's), run
+through cli.main.  Beside each case is its time through cli.main in a
+fresh process, measured on a shared 2-CPU Xeon under Python 3.11.7
+(medians of 5); the budgets are upper limits with room for slower
+machines, not targets.
+
+Two rows are left out, because their work is not bounded yet:
+
+* `metabolizer` at genus 16 with large entries: the verdict's Smith
+  form grows with the entries' digits, to seconds at 200 digits and
+  about a minute at 1,000 (ROADMAP item 2).
+* `enumerate` with many candidates and wide slots: the genus-3 unknot
+  plus one symmetric pair of 4,300-digit entries has 456 candidates at
+  bound 2 and takes 6-7 s (ROADMAP item 9).
+"""
+
+import io
+import json
+import sys
+import time
+from random import Random
+
+import pytest
+
+from helpers import form_of_ordering
+from trilink import cli
+
+DIGITS = 4300  # Python's default int-to-string limit: the longest integer the CLI reads
+
+HAS_INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() != 0
+
+
+def _digits(rng, n):
+    """A random n-digit integer of random sign; +-1 keeps it at n digits."""
+    return rng.choice((1, -1)) * rng.randrange(10 ** (n - 1) + 1, 10 ** n - 1)
+
+
+def _generator_case():
+    # the signed value is cubic in the parameters: 4,200 digits
+    rng = Random(1)
+    a, b, c, x1, x2, y1, y2, z1, z2 = (_digits(rng, 1400) for _ in range(9))
+    rows = [
+        [0, a, 0, x1, 0, y1],
+        [a - 1, 0, x2, 0, y2, 0],
+        [0, x2, 0, b, 0, z1],
+        [x1, 0, b - 1, 0, z2, 0],
+        [0, y2, 0, z2, 0, c],
+        [y1, 0, z1, 0, c - 1, 0],
+    ]
+    b_curves = [[int(i == p) for i in range(6)] for p in (1, 3, 5)]
+    payload = {"matrix": {"ordering": "interleaved", "entries": [list(map(str, r)) for r in rows]},
+               "metabolizer": {"columns": b_curves}}
+    signed = (a - 1) * (b - 1) * (c - 1) - a * b * c + x1 * x2 + y1 * y2 + z1 * z2
+
+    def check(code, out):
+        assert code == 0
+        assert (int(out["generator"]), int(out["signed"])) == (abs(signed), signed)
+        assert out["self_check"] == {"seed": 0, "completions_agree": True}
+
+    return ["generator"], payload, check
+
+
+def _genus_one_case():
+    rng = Random(2)
+    d = _digits(rng, DIGITS)
+    e = rng.randrange(10 ** (DIGITS - 1), 4 * 10 ** (DIGITS - 1))  # 2e - 1 has 4,300 digits too
+
+    def check(code, out):
+        assert code == 0
+        n, x, y, z, w = (int(out[k]) for k in "nxyzw")
+        assert (n * x, n * y, z * y - w * x) == (2 * e - 1, -d, 1)
+        assert out["new_matrix"]["entries"][0][1] == str(1 - e)
+
+    return ["genus-one"], {"d": str(d), "e": str(e)}, check
+
+
+def _ledger_case():
+    rng = Random(3)
+    names = ("a", "b", "c", "x1", "x2", "y1", "y2", "z1", "z2")
+    payload = {"params": {k: str(_digits(rng, 2000)) for k in names},
+               "n": str(_digits(rng, 2000))}
+
+    def check(code, out):  # the terms have about 8,000 digits, past the int-to-string limit
+        assert code == 2 and out["error"] == "bad-input" and "limit" in out["detail"]
+
+    return ["ledger"], payload, check
+
+
+def _enumerate_case():
+    # dense 4,300-digit entries at the genus-3 box cap, M - M^T the interleaved form
+    rng = Random(4)
+    j = form_of_ordering(3, "interleaved")
+    rows = [[0] * 6 for _ in range(6)]
+    for r in range(6):
+        for c in range(r, 6):
+            rows[r][c] = _digits(rng, DIGITS)
+            rows[c][r] = rows[r][c] - j[r][c]
+    payload = {"matrix": {"ordering": "interleaved", "entries": [list(map(str, r)) for r in rows]},
+               "bound": 2}
+
+    def check(code, out):
+        assert code == 0 and out == {"count": 0, "metabolizers": []}
+
+    return ["enumerate"], payload, check
+
+
+def _mu_case():
+    # [x1^k, x2^k] with k = 50,000: 200,000 letters, mu-bar(123) = k^2
+    k = 50_000
+    word = " ".join(["x1"] * k + ["x2"] * k + ["x1^-1"] * k + ["x2^-1"] * k)
+
+    def check(code, out):
+        assert code == 0 and out == {"mu123": k * k}
+
+    return ["mu"], {"longitude3": word}, check
+
+
+# name: (request builder, budget in seconds)
+CASES = {
+    "generator-1400-digits": (_generator_case, 0.5),  # measured 0.005 s
+    "genus-one-4300-digits": (_genus_one_case, 0.5),  # measured 0.035 s
+    "ledger-2000-digits-overflows": (_ledger_case, 0.5),  # measured 0.006 s
+    "enumerate-dense-4300-digits": (_enumerate_case, 2.0),  # measured 0.20 s
+    "mu-200000-letters": (_mu_case, 1.0),  # measured 0.092 s
+}
+
+
+def run_case(name) -> float:
+    """Seconds one case spends in cli.main; its check raises on a wrong answer."""
+    argv, payload, check = CASES[name][0]()
+    stdin, stdout = sys.stdin, sys.stdout
+    sys.stdin, sys.stdout = io.StringIO(json.dumps(payload)), io.StringIO()
+    try:
+        start = time.perf_counter()
+        code = cli.main(argv)
+        elapsed = time.perf_counter() - start
+        text = sys.stdout.getvalue()
+    finally:
+        sys.stdin, sys.stdout = stdin, stdout
+    (line,) = text.splitlines()
+    check(code, json.loads(line))
+    return elapsed
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_worst_case_answers_within_budget(name):
+    if name.startswith("ledger") and not HAS_INT_LIMIT:
+        pytest.skip("this interpreter has no int-to-string digit limit")
+    elapsed, budget = run_case(name), CASES[name][1]
+    assert elapsed < budget, f"{name} took {elapsed:.2f} s, budget {budget} s"
