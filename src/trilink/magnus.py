@@ -18,20 +18,24 @@ sums in one pass over the word, as in Fox's free differential calculus.
 The running sums, and each row of the a_i a_j table, are packed into
 one integer of fixed-width slots, so a letter costs two big-integer
 additions.
-lcs_depth reads degrees 1 and 2 the same way.  Above degree 2 a word is
-expanded into dense levels (_levels): its r distinct generators are
-relabelled 0..r-1, and level d is one list of the r**d coefficients of
-degree d, indexed by the monomial read as a base-r number.  A letter
-then updates one slice of each level.  lcs_depth builds the levels from
-degree 3 up; phi decodes them into a MagnusSeries for --show-series,
-and it is the cross-check of the degree-2 route.  MAX_DEPTH_TERMS bounds
-the size of a level and MAX_DEPTH_WORK the slot updates of a request.
+lcs_depth reads degrees 1 and 2 the same way.  Above degree 2,
+_packed_levels carries the running sums to every degree: for a word
+with r distinct generators, level d below the cap is one integer of
+r**d slots and the top level is r integers, one per last letter, so a
+letter costs one shifted big-integer addition per degree.  lcs_depth
+builds the levels from degree 3 up and asks only whether the top is
+zero; phi decodes every slot into a MagnusSeries for --show-series, and
+it is the cross-check of the degree-2 route.  mu123 and class_of keep
+_degree_two, which costs about half as much as the levels at cap 2.
+MAX_DEPTH_TERMS bounds the size of a level and MAX_DEPTH_WORK the slot
+updates of a request.
 """
 
 from __future__ import annotations
 
 from itertools import compress, product
-from operator import add, index, sub
+from math import comb
+from operator import index
 
 from ._record import Record, _int_rows
 from .errors import PreconditionError
@@ -43,29 +47,33 @@ Monomial = tuple[int, ...]
 DEFAULT_DEGREE_CAP = 3
 # Highest degree cap (TRILINK_DEGREE_CAP) and depth kmax the CLI accepts.
 # The work grows about 3x per degree on rank-3 words.  Python 3.11.7,
-# 2-CPU Xeon: lcs_depth of a weight-k left-normed commutator at kmax k
-# (3 * 2**(k-1) - 2 letters) took 0.007 s at k = 7, 0.032 s at 8 and
-# 0.21 s at 9; phi of an 80-letter random word took 0.013 s at cap 7,
-# 0.036 s at 8, 0.12 s at 9 and 0.37 s at 10.
+# 2-CPU Xeon, fresh processes, medians of 5, list levels -> packed levels:
+# lcs_depth of a weight-k left-normed commutator at kmax k (3 * 2**(k-1)
+# - 2 letters) took 0.0086 -> 0.0015 s at k = 7, 0.042 -> 0.0062 s at 8
+# and 0.21 -> 0.028 s at 9; phi of an 80-letter random word, whose time
+# goes to decoding the 3**cap monomials, took 0.015 -> 0.013 s at cap 7,
+# 0.048 -> 0.040 s at 8, 0.15 -> 0.13 s at 9 and 0.50 -> 0.27 s at 10.
 MAX_DEGREE_CAP = 8
 # Most monomials r**d of one degree d for a word with r distinct
-# generators, which kmax does not bound: a level of _levels holds r**d
-# ints.  lcs_depth refuses to read such a degree and phi such a cap.
+# generators, which kmax does not bound: level d of _packed_levels has
+# r**d slots, and phi decodes every one of them.  lcs_depth refuses to
+# read such a degree and phi such a cap.
 # r <= 256 at degree 2, r <= 40 at degree 3, r <= 16 at degree 4.
 MAX_DEPTH_TERMS = 2**16
 # Most slot updates, letters * (1 + r + ... + r**(d-1)) to build levels up
 # to degree d (about letters * r**(d-1) for large r), summed over the
 # degrees 2..d that lcs_depth reads; phi counts its one cap.  The running
 # time follows this count and the size of the coefficients.  Python
-# 3.11.7, 2-CPU Xeon, via cli.main, just under the limit: depth of [[u, v],
-# g] over 40 generators at kmax 4 (9,718 letters) took 1.0 s, a weight-3
-# commutator nested in two more over 16 generators at kmax 5 (3,374
-# letters) 0.88 s, a power of a weight-8 commutator at kmax 8 over 3
-# generators (9,932 letters) 0.92 s and over 2 (67,996 letters) 1.8 s;
-# mu --show-series at cap 8 of a random 5,088-letter word 1.0 s.  Degree
-# 2 alone costs far less per update, since _degree_two packs a row into
-# one integer: x1 ... x256 x1^-1 ... x256^-1 repeated at kmax 3 (65,024
-# letters, 256 generators) takes 0.18 s.
+# 3.11.7, 2-CPU Xeon, via cli.main in fresh processes, medians of 5, just
+# under the limit, list levels -> packed levels: depth of [[x1, x2], x3]**990
+# conjugated by x4 ... x40 at kmax 4 (9,974 letters) took 0.86 -> 0.077 s,
+# a weight-3 commutator nested in two more over 16 generators at kmax 5
+# (3,360 letters) 0.79 -> 0.056 s, a power of a weight-8 commutator at kmax
+# 8 over 3 generators (9,932 letters) 1.10 -> 0.19 s and over 2 (67,662
+# letters) 2.3 -> 0.51 s; mu --show-series at cap 8 of a random 5,088-letter
+# word 1.34 -> 0.26 s.  Degree 2 alone costs far less per update, since
+# _degree_two packs a row into one integer: x1 ... x256 x1^-1 ... x256^-1
+# repeated at kmax 3 (65,024 letters, 256 generators) takes 0.19 s.
 MAX_DEPTH_WORK = 2**24
 
 
@@ -139,7 +147,7 @@ def _relabel(w: FreeWord) -> tuple[list[int], list[tuple[int, int]]]:
 
 
 def _updates(letters: int, r: int, d: int) -> int:
-    """Slot updates of _levels up to cap d: letters * (1 + r + ... + r**(d-1)).
+    """Slot updates of _packed_levels up to cap d: letters * (1 + r + ... + r**(d-1)).
 
     At d = 2 this also bounds _degree_two: a letter adds two packed
     integers of r slots each.
@@ -161,30 +169,43 @@ def _check_degree(r: int, d: int, work: int) -> None:
         )
 
 
-def _levels(letters: list[tuple[int, int]], r: int, cap: int) -> list[list[int]]:
-    """Dense levels 0..cap of the series of a word relabelled by _relabel.
+def _packed_levels(letters: list[tuple[int, int]], r: int, cap: int):
+    """Packed levels 0..cap of the series of a word relabelled by _relabel.
 
-    Level d holds the r**d coefficients of degree d, the monomial read
-    as a base-r number indexing its slot.  Right-multiplying by x_k
-    adds c_m to c_{m k} for every m below the cap; the slots m k of
-    level d form the slice [k::r], in the order of level d - 1.  So
-    x_k adds the old level d - 1 from the top down, and x_k^-1, whose
-    image S' solves S' (1 + a_k) = S, subtracts the new level d - 1
-    from the bottom up.  A letter updates 1 + r + ... + r**(cap-1) slots.
+    Returns the _Slots layouts of levels 0..cap-1 (one width), those
+    levels as packed integers, and the top level as r blocks, block k
+    holding the monomials that end in k in the layout of level cap - 1.
+    Slot k*r**(d-1) + m of level d holds the monomial m followed by k.
+    Right-multiplying by x_k adds c_m to c_{m k} for every m below the
+    cap: level d - 1, shifted by k*r**(d-1) slots, into level d.  So x_k
+    adds the old levels from the top down, and x_k^-1, whose image S'
+    solves S' (1 + a_k) = S, subtracts the new ones from the bottom up.
+    A whole top level would make every shift r**cap slots long.
+
+    A degree-d coefficient of a prefix sums +-1 over the ways to cut its
+    monomial into one run per letter, so with n letters no slot passes
+    C(n + d - 1, d) <= C(n + cap, cap), the slots' limit.
     """
-    levels = [[1]] + [[0] * r**d for d in range(1, cap + 1)]
-    top_down = range(cap, 0, -1)
-    bottom_up = range(1, cap + 1)
+    limit = comb(len(letters) + cap, cap)
+    slots = [_Slots(r**d, limit) for d in range(cap)]
+    width = slots[0].width
+    down = [[(d, k * r ** (d - 1) * width) for d in range(cap - 1, 0, -1)] for k in range(r)]
+    levels = [1] + [0] * (cap - 1)
+    top = [0] * r
     for k, sign in letters:
-        op, order = (add, top_down) if sign == 1 else (sub, bottom_up)
-        for d in order:
-            level = levels[d]
-            level[k::r] = map(op, level[k::r], levels[d - 1])
-    return levels
+        if sign == 1:
+            top[k] += levels[-1]
+            for d, shift in down[k]:
+                levels[d] += levels[d - 1] << shift
+        else:
+            for d, shift in reversed(down[k]):
+                levels[d] -= levels[d - 1] << shift
+            top[k] -= levels[-1]
+    return slots, levels, top
 
 
 def phi(w: FreeWord, degree_cap: int = DEFAULT_DEGREE_CAP) -> MagnusSeries:
-    """Magnus image of a word: its dense levels, decoded into monomials.
+    """Magnus image of a word: its packed levels, decoded into monomials.
 
     A cap with r**cap > MAX_DEPTH_TERMS, for r distinct generators in w,
     or with more than MAX_DEPTH_WORK slot updates is refused with
@@ -196,9 +217,13 @@ def phi(w: FreeWord, degree_cap: int = DEFAULT_DEGREE_CAP) -> MagnusSeries:
     gens, letters = _relabel(w)
     r = len(gens)
     _check_degree(r, degree_cap, _updates(len(letters), r, degree_cap))
+    slots, levels, top = _packed_levels(letters, r, degree_cap)
+    values = [layout.read(level) for layout, level in zip(slots, levels)]
+    values.append([c for block in top for c in slots[-1].read(block)])
     terms: dict[Monomial, int] = {}
-    for d, level in enumerate(_levels(letters, r, degree_cap)):
-        terms.update(zip(compress(product(gens, repeat=d), level), filter(None, level)))
+    for d, level in enumerate(values):
+        monomials = (m[::-1] for m in product(gens, repeat=d))  # in slot order
+        terms.update(zip(compress(monomials, level), filter(None, level)))
     return MagnusSeries(w.rank, degree_cap, terms)
 
 
@@ -298,6 +323,6 @@ def lcs_depth(w: FreeWord, kmax: int) -> int:
     for d in range(3, kmax):
         work += _updates(len(w), r, d)
         _check_degree(r, d, work)
-        if any(_levels(letters, r, d)[d]):
+        if any(_packed_levels(letters, r, d)[2]):
             return d
     return kmax

@@ -3,9 +3,10 @@
 The oracles here deliberately avoid the package's own routines: the
 determinant is cofactor expansion (the package uses Bareiss), the Magnus
 expansion is a plain dict convolution per letter (the package reads
-degree 2 off exponent sums packed into one integer and updates dense
-per-degree levels), the degree-2 table is also kept in its older form,
-one list row of exponent sums per letter, and
+degree 2 off exponent sums packed into one integer and updates one
+packed integer per degree), the degree-2 table is also kept in its older
+form, one list row of exponent sums per letter, the per-degree levels in
+theirs, one list of coefficients per degree updated slice by slice, and
 primitivity is gcd of maximal minors (the package uses Smith form),
 and the skew part M - M^T is read off the entries (the package uses the
 ordering's intersection form), its first failure by a scan of every
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd
+from operator import add, sub
 from random import Random
 
 from trilink.intlinalg import identity
@@ -328,6 +330,28 @@ def rows_degree_two(w: FreeWord) -> tuple[dict[int, int], dict[tuple[int, int], 
     coeffs = {(gens[i], gens[j]): c
               for j, row in enumerate(rows) for i, c in enumerate(row) if c and i != j}
     return dict(zip(gens, sums)), coeffs
+
+
+def list_levels(letters: list[tuple[int, int]], r: int, cap: int) -> list[list[int]]:
+    """Dense levels 0..cap of the series of a word relabelled by magnus._relabel.
+
+    Level d holds the r**d coefficients of degree d, the monomial read
+    as a base-r number indexing its slot.  Right-multiplying by x_k
+    adds c_m to c_{m k} for every m below the cap; the slots m k of
+    level d form the slice [k::r], in the order of level d - 1.  So
+    x_k adds the old level d - 1 from the top down, and x_k^-1, whose
+    image S' solves S' (1 + a_k) = S, subtracts the new level d - 1
+    from the bottom up.  A letter updates 1 + r + ... + r**(cap-1) slots.
+    """
+    levels = [[1]] + [[0] * r**d for d in range(1, cap + 1)]
+    top_down = range(cap, 0, -1)
+    bottom_up = range(1, cap + 1)
+    for k, sign in letters:
+        op, order = (add, top_down) if sign == 1 else (sub, bottom_up)
+        for d in order:
+            level = levels[d]
+            level[k::r] = map(op, level[k::r], levels[d - 1])
+    return levels
 
 
 def series_product(s1: dict, s2: dict, cap: int) -> dict[tuple[int, ...], int]:

@@ -1,9 +1,12 @@
+from itertools import product
+from math import comb
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    list_levels,
     random_commutator_subgroup_word,
     random_word,
     rows_degree_two,
@@ -97,6 +100,64 @@ def test_phi_against_independent_expansion():
                 words.append(_inverse_heavy_word(rng, rank, 9))
             for w in words:
                 assert phi(w, cap).terms == series_dict(w, cap), (w, cap)
+
+
+def _unpacked(letters, r, cap):
+    """magnus._packed_levels read slot by slot, in list_levels' order of monomials."""
+    slots, levels, top = magnus._packed_levels(letters, r, cap)
+    values = [layout.read(level) for layout, level in zip(slots, levels)]
+    values.append([c for block in top for c in slots[-1].read(block)])
+    out = []
+    for d, level in enumerate(values):
+        by_monomial = dict(zip((m[::-1] for m in product(range(r), repeat=d)), level))
+        out.append([by_monomial[m] for m in product(range(r), repeat=d)])
+    return out
+
+
+@st.composite
+def _relabelled_words(draw):
+    """Letters on labels 0..r-1 for r = 1-6, and a cap 1-8 whose r**cap fits MAX_DEPTH_TERMS."""
+    r = draw(st.integers(1, 6))
+    cap = draw(st.integers(1, max(c for c in range(1, 9) if r**c <= magnus.MAX_DEPTH_TERMS)))
+    letters = draw(st.lists(st.tuples(st.integers(0, r - 1), st.sampled_from((1, -1))),
+                            max_size=12 if r**cap > 4096 else 40))
+    return letters, r, cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(_relabelled_words())
+def test_packed_levels_against_list_levels(case):
+    letters, r, cap = case
+    assert _unpacked(letters, r, cap) == list_levels(letters, r, cap)
+
+
+def _width_edges():
+    """(cap, n, slot width) on both sides of each byte step of the width, s = 1, 2, 3:
+    the last n with bit_length(C(n + cap, cap)) < 8s, the first with 8s or more, and
+    the next, whose x^-n has a degree-cap coefficient C(n + cap - 1, cap) of 8s bits."""
+    edges = []
+    for cap in range(1, 9):
+        for s in (1, 2, 3):
+            n = next((n for n in range(1, 40001) if comb(n + cap, cap).bit_length() >= 8 * s), None)
+            if n is not None:
+                edges += [(cap, n - 1, 8 * s), (cap, n, 8 * s + 8), (cap, n + 1, 8 * s + 8)]
+    return edges
+
+
+@pytest.mark.parametrize("cap, n, width", _width_edges())
+def test_packed_levels_hold_the_coefficient_bound_at_slot_width_edges(cap, n, width):
+    # x^n has a^d coefficient C(n, d); x^-n has (-1)**d C(n + d - 1, d), the bound itself
+    for sign in (1, -1):
+        letters = [(0, sign)] * n
+        slots, _, _ = magnus._packed_levels(letters, 1, cap)
+        assert slots[0].width == width
+        levels = _unpacked(letters, 1, cap)
+        assert levels == list_levels(letters, 1, cap)
+        expected = [comb(n, d) if sign == 1 else (-1) ** d * comb(n + d - 1, d)
+                    for d in range(cap + 1)]
+        assert [c for (c,) in levels] == expected
+        w = word_power(generator(3, 2), sign * n)
+        assert phi(w, cap).terms == {(2,) * d: c for d, c in enumerate(expected) if c}
 
 
 def test_mu123_examples():
@@ -211,7 +272,7 @@ def test_mu123_and_class_of_do_not_expand_the_series(monkeypatch):
         raise AssertionError("the series was expanded")
 
     monkeypatch.setattr(magnus, "phi", no_phi)
-    monkeypatch.setattr(magnus, "_levels", no_phi)
+    monkeypatch.setattr(magnus, "_packed_levels", no_phi)
     monkeypatch.setattr(magnus, "_relabel", no_phi)
     w = word_product(commutator(X1, X2), commutator(X2, X3))
     assert mu123(w) == 1
@@ -259,7 +320,7 @@ def test_lcs_depth_reads_degrees_one_and_two_without_the_series(monkeypatch):
         raise AssertionError("the series was expanded")
 
     monkeypatch.setattr(magnus, "phi", no_phi)
-    monkeypatch.setattr(magnus, "_levels", no_phi)
+    monkeypatch.setattr(magnus, "_packed_levels", no_phi)
     monkeypatch.setattr(magnus, "_relabel", no_phi)
     for w, depth in cases:
         for kmax in (1, 2, 3, 8):
@@ -313,7 +374,7 @@ def test_lcs_depth_refuses_work_over_the_limit_before_building(monkeypatch):
     below = _conjugated(_repeat(core, 990), 37)  # 9,974 letters * (41 + 1641)
     above = _conjugated(_repeat(core, 991), 37)  # 9,984 letters
     assert 9974 * 1682 <= magnus.MAX_DEPTH_WORK < 9984 * 1682
-    _forbid(monkeypatch, "_levels")
+    _forbid(monkeypatch, "_packed_levels")
     with pytest.raises(AssertionError, match="work started"):
         lcs_depth(below, 4)
     with pytest.raises(ValueError, match=r"degrees up to 3 .* 40 distinct .* MAX_DEPTH_WORK = 16777216"):
@@ -332,7 +393,7 @@ def test_lcs_depth_refuses_work_over_the_limit_before_building(monkeypatch):
 
 
 def test_phi_refuses_caps_over_the_limits_before_building(monkeypatch):
-    _forbid(monkeypatch, "_levels")
+    _forbid(monkeypatch, "_packed_levels")
     long = _repeat(commutator(X1, X2), 1279)  # 5,116 letters * (1 + 2 + ... + 2**7)
     assert 5116 * 255 <= magnus.MAX_DEPTH_WORK
     with pytest.raises(AssertionError, match="work started"):

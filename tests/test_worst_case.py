@@ -2,11 +2,14 @@
 answer, or exit with their documented code, within a wall-clock budget.
 
 Each case is one request at a limit the README states (the CLI's
-4,300-digit integers, or a word far longer than any other test's), run
-through cli.main.  Beside each case is its time through cli.main in a
-fresh process, measured on a shared 2-CPU Xeon under Python 3.11.7
-(medians of 5); the budgets are upper limits with room for slower
-machines, not targets.
+4,300-digit integers, a word far longer than any other test's, the
+largest search box of each genus, or MAX_DEPTH_WORK at the highest
+degree cap), run through cli.main.  Beside each case is its time
+through cli.main in a fresh process, measured on a shared 2-CPU Xeon
+under Python 3.11.7 (medians of 5), and in parentheses, for the depth
+and series rows, the time with the list levels that the packed ones
+replaced (helpers.list_levels); the budgets are upper limits with room
+for slower machines, not targets.
 
 Two rows are left out, because their work is not bounded yet:
 
@@ -20,14 +23,18 @@ Two rows are left out, because their work is not bounded yet:
 
 import io
 import json
+import os
+import re
 import sys
 import time
+from functools import partial
 from random import Random
 
 import pytest
 
 from helpers import form_of_ordering
 from trilink import cli
+from trilink.words import FreeWord, commutator, generator
 
 DIGITS = 4300  # Python's default int-to-string limit: the longest integer the CLI reads
 
@@ -90,17 +97,17 @@ def _ledger_case():
     return ["ledger"], payload, check
 
 
-def _enumerate_case():
-    # dense 4,300-digit entries at the genus-3 box cap, M - M^T the interleaved form
-    rng = Random(4)
-    j = form_of_ordering(3, "interleaved")
-    rows = [[0] * 6 for _ in range(6)]
-    for r in range(6):
-        for c in range(r, 6):
+def _enumerate_case(genus, bound, seed):
+    # dense 4,300-digit entries at the genus's box cap, M - M^T the interleaved form
+    rng = Random(seed)
+    j = form_of_ordering(genus, "interleaved")
+    rows = [[0] * 2 * genus for _ in range(2 * genus)]
+    for r in range(2 * genus):
+        for c in range(r, 2 * genus):
             rows[r][c] = _digits(rng, DIGITS)
             rows[c][r] = rows[r][c] - j[r][c]
     payload = {"matrix": {"ordering": "interleaved", "entries": [list(map(str, r)) for r in rows]},
-               "bound": 2}
+               "bound": bound}
 
     def check(code, out):
         assert code == 0 and out == {"count": 0, "metabolizers": []}
@@ -119,21 +126,79 @@ def _mu_case():
     return ["mu"], {"longitude3": word}, check
 
 
+def _text(w):
+    return " ".join(f"x{g}" if s == 1 else f"x{g}^-1" for g, s in w.letters)
+
+
+X1, X2, X3 = (generator(3, i) for i in (1, 2, 3))
+CORE = commutator(commutator(X1, X2), X3)  # depth 3
+
+
+def _depth_work_case():
+    # CORE**990 conjugated by x4 ... x40: 9,974 letters over 40 generators, whose
+    # degrees 2 and 3 take 9,974 * (41 + 1,641) slot updates, just under MAX_DEPTH_WORK
+    c = FreeWord(40, tuple((i, 1) for i in range(4, 41)))
+    w = c * FreeWord(40, CORE.letters * 990) * ~c
+    assert len(w) == 9974
+
+    def check(code, out):
+        assert code == 0 and out == {"depth": 3}
+
+    return ["depth"], {"rank": 40, "kmax": 4, "word": _text(w)}, check
+
+
+def _depth_weight_eight_case():
+    # the 13th power of the weight-8 commutator [[..[x1, x2], x3].., x2]: 4,966 letters, depth 8
+    w = commutator(X1, X2)
+    for g in (3, 1, 2, 3, 1, 2):
+        w = commutator(w, generator(3, g))
+    w = FreeWord(3, w.letters * 13)
+    assert len(w) == 4966
+
+    def check(code, out):
+        assert code == 0 and out == {"depth": 8}
+
+    return ["depth"], {"rank": 3, "kmax": 8, "word": _text(w)}, check
+
+
+def _mu_series_case():
+    # ([x1, x2] CORE)**364: 5,096 letters, 5,096 * 3,280 slot updates at cap 8
+    w = FreeWord(3, (commutator(X1, X2) * CORE).letters * 364)
+    assert len(w) == 5096
+
+    def check(code, out):
+        assert code == 0 and (out["mu123"], out["degree_cap"]) == (364, 8)
+        assert out["series"].startswith("1 + 364*a1 a2 ")
+        assert max(len(m.split()) for m in re.findall(r"\*([a\d ]+)", out["series"])) == 8
+
+    return ["mu", "--show-series"], {"longitude3": _text(w)}, check
+
+
 # name: (request builder, budget in seconds)
 CASES = {
     "generator-1400-digits": (_generator_case, 0.5),  # measured 0.005 s
     "genus-one-4300-digits": (_genus_one_case, 0.5),  # measured 0.035 s
     "ledger-2000-digits-overflows": (_ledger_case, 0.5),  # measured 0.006 s
-    "enumerate-dense-4300-digits": (_enumerate_case, 2.0),  # measured 0.20 s
+    "enumerate-dense-4300-digits": (partial(_enumerate_case, 3, 2, 4), 2.0),  # measured 0.20 s
+    "enumerate-dense-4300-digits-genus-1": (partial(_enumerate_case, 1, 62, 5), 2.0),  # measured 0.17 s
+    "enumerate-dense-4300-digits-genus-2": (partial(_enumerate_case, 2, 5, 6), 2.0),  # measured 0.21 s
     "mu-200000-letters": (_mu_case, 1.0),  # measured 0.092 s
+    "depth-max-work-9974-letters": (_depth_work_case, 0.5),  # measured 0.076 s (list levels: 0.86 s)
+    "depth-weight-8-power-4966-letters": (_depth_weight_eight_case, 0.5),  # measured 0.090 s (0.54 s)
+    "mu-series-cap-8-5096-letters": (_mu_series_case, 1.0),  # measured 0.11 s (0.95 s)
 }
+# environment a case runs under
+CASE_ENV = {"mu-series-cap-8-5096-letters": {"TRILINK_DEGREE_CAP": "8"}}
 
 
 def run_case(name) -> float:
     """Seconds one case spends in cli.main; its check raises on a wrong answer."""
     argv, payload, check = CASES[name][0]()
+    env = CASE_ENV.get(name, {})
+    saved = {key: os.environ.get(key) for key in env}
     stdin, stdout = sys.stdin, sys.stdout
     sys.stdin, sys.stdout = io.StringIO(json.dumps(payload)), io.StringIO()
+    os.environ.update(env)
     try:
         start = time.perf_counter()
         code = cli.main(argv)
@@ -141,6 +206,11 @@ def run_case(name) -> float:
         text = sys.stdout.getvalue()
     finally:
         sys.stdin, sys.stdout = stdin, stdout
+        for key, value in saved.items():
+            if value is None:
+                del os.environ[key]
+            else:
+                os.environ[key] = value
     (line,) = text.splitlines()
     check(code, json.loads(line))
     return elapsed
