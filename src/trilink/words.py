@@ -1,13 +1,24 @@
 """Freely reduced words in a finitely generated free group.
 
 A word is a sequence of letters (generator index, sign) with indices in
-1..rank and sign +1 or -1, both exact integers.  Construction validates
-and reduces in one pass: a letter cancels the top of a stack of kept
-letters if it is that letter's inverse and is pushed otherwise, so
-adjacent inverse pairs never survive.  Each distinct letter is checked
-once, the first time it occurs, so the first bad letter is the one
-reported and a long word over few generators costs one dict lookup per
-letter.  The commutator convention is
+1..rank and sign +1 or -1, both exact integers.  Both ways in, the
+constructor's letters and parse_word's tokens, go through one coder: a
+dict from each distinct letter or token to an integer code, 2k for the
+k-th distinct generator met and 2k + 1 for its inverse, so a letter and
+its inverse are the codes whose xor is 1.  The coder checks a key on
+its first miss, so each distinct letter or token is checked once, in
+input order, and the first bad one is the one reported.  parse_word
+stores the letters its coder checked with one Record.__init__ call, so
+no letter is checked twice.
+
+One reducer, used by the constructor and so by products, inverses and
+powers, cancels adjacent inverse pairs in the codes.  A C-level scan
+from the first letter finds the first pair (the first xor of
+neighbouring codes that is 1: a few big-integer operations while every
+code fits a byte, a map over the pairs otherwise); the codes before it
+are kept as they are, and a stack of kept codes runs from that pair on,
+so a word that is already reduced runs no Python-level loop per letter.
+The commutator convention is
 
     [a, b] = a b a^-1 b^-1
 
@@ -18,7 +29,8 @@ here once and nowhere else.
 from __future__ import annotations
 
 import re
-from operator import index as _as_index
+from itertools import islice
+from operator import index as _as_index, indexOf, xor
 
 from ._record import Record
 
@@ -27,35 +39,92 @@ Letter = tuple[int, int]
 _TOKEN = re.compile(r"x([1-9][0-9]*)(\^-1)?\Z")
 
 
+class _Coder(dict):
+    """Letter or token -> code; a key is checked on its first miss.
+
+    check(key) returns the key's letter (index, sign) or raises.  Equal
+    keys share one entry, so (1.0, 1) after (1, 1) takes the code of
+    (1, 1) and is not checked again.
+    """
+
+    __slots__ = ("check", "slot", "letters")
+
+    def __init__(self, check):
+        self.check = check
+        self.slot: dict[int, int] = {}  # generator index -> k
+        self.letters: list[Letter] = []  # code -> letter
+
+    def __missing__(self, key) -> int:
+        index, sign = self.check(key)
+        k = self.slot.get(index)
+        if k is None:
+            k = self.slot[index] = len(self.slot)
+            self.letters += ((index, 1), (index, -1))
+        code = self[key] = 2 * k + (sign == -1)
+        return code
+
+    def reduced(self, keys) -> tuple[Letter, ...]:
+        """The letters of keys, checked, with adjacent inverse pairs cancelled."""
+        codes = list(map(self.__getitem__, keys))
+        first = _first_pair(codes, len(self.letters))
+        if first < 0:  # already reduced
+            kept = codes
+        else:
+            kept = codes[:first]
+            for code in islice(codes, first, None):
+                if kept and kept[-1] == code ^ 1:
+                    kept.pop()
+                else:
+                    kept.append(code)
+        return tuple(map(self.letters.__getitem__, kept))
+
+
+_FLIP = bytes(code ^ 1 for code in range(256))
+
+
+def _first_pair(codes: list[int], ncodes: int) -> int:
+    """The first i with codes[i] ^ codes[i + 1] == 1, or -1; each code is below ncodes.
+
+    With one byte a code, the codes from the second on and the flipped
+    codes up to the last but one, each read as one integer, xor to an
+    integer whose byte i is 0 exactly at a pair, and bytes.find gives
+    the first.  Wider codes are xored pair by pair in one C-level map.
+    """
+    if ncodes <= 0x100:
+        packed = bytes(codes)
+        z = (int.from_bytes(packed[1:], "little")
+             ^ int.from_bytes(packed[:-1].translate(_FLIP), "little"))
+        return z.to_bytes(max(len(packed) - 1, 0), "little").find(0)
+    try:
+        return indexOf(map(xor, codes, islice(codes, 1, None)), 1)
+    except ValueError:
+        return -1
+
+
+def _positive(rank) -> int:
+    rank = _as_index(rank)
+    if rank < 1:
+        raise ValueError(f"rank must be positive, got {rank}")
+    return rank
+
+
 class FreeWord(Record):
     """A reduced word; rank is carried explicitly, never inferred."""
 
     __slots__ = ("rank", "letters")
 
     def __init__(self, rank: int, letters: tuple[Letter, ...] = ()):
-        rank = _as_index(rank)
-        if rank < 1:
-            raise ValueError(f"rank must be positive, got {rank}")
-        # each distinct letter -> (its checked form, the checked form of its
-        # inverse); equal letters share one entry, so (1.0, 1) after (1, 1)
-        # takes the form (1, 1) and is not checked again
-        checked: dict = {}
-        out: list = [None]  # the stack of kept letters, above a sentinel
-        for letter in letters:
-            entry = checked.get(letter)
-            if entry is None:
-                index, sign = map(_as_index, letter)
-                if not 1 <= index <= rank:
-                    raise ValueError(f"generator index {index} out of range 1..{rank}")
-                if sign not in (1, -1):
-                    raise ValueError(f"letter sign must be +1 or -1, got {sign}")
-                entry = checked[letter] = (index, sign), (index, -sign)
-            form, inverse = entry
-            if out[-1] == inverse:
-                out.pop()
-            else:
-                out.append(form)
-        Record.__init__(self, rank, tuple(out[1:]))
+        rank = _positive(rank)
+
+        def check(letter) -> Letter:
+            index, sign = map(_as_index, letter)
+            if not 1 <= index <= rank:
+                raise ValueError(f"generator index {index} out of range 1..{rank}")
+            if sign not in (1, -1):
+                raise ValueError(f"letter sign must be +1 or -1, got {sign}")
+            return index, sign
+
+        Record.__init__(self, rank, _Coder(check).reduced(letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -85,20 +154,26 @@ def parse_word(text: str, rank: int) -> FreeWord:
     """Parse whitespace-separated tokens ``x<k>`` / ``x<k>^-1``.
 
     Empty text is the empty word.  Round trip: parsing str(w) gives w
-    back for any reduced word w.  Each distinct token is matched once, in
-    order of first occurrence, so the first bad token is the one reported.
+    back for any reduced word w.  Each distinct token is matched once, on
+    its first occurrence, so the first bad token is the one reported; the
+    rank itself is checked after every token has passed.  The checked,
+    reduced letters are stored as they are, not checked again by
+    FreeWord's constructor.
     """
-    tokens = text.split()
-    letter_of: dict[str, Letter] = {}
-    for token in dict.fromkeys(tokens):
+
+    def check(token: str) -> Letter:
         m = _TOKEN.match(token)
         if m is None:
             raise ValueError(f"malformed token {token!r}")
         index = int(m.group(1))
         if index > rank:
             raise ValueError(f"generator index {index} out of range 1..{rank}")
-        letter_of[token] = (index, -1 if m.group(2) else 1)
-    return FreeWord(rank, tuple(map(letter_of.__getitem__, tokens)))
+        return index, -1 if m.group(2) else 1
+
+    letters = _Coder(check).reduced(text.split())
+    word = FreeWord.__new__(FreeWord)
+    Record.__init__(word, _positive(rank), letters)
+    return word
 
 
 def word_product(w1: FreeWord, w2: FreeWord) -> FreeWord:

@@ -1,7 +1,10 @@
 """Shared test utilities and independent oracles.
 
-The oracles here deliberately avoid the package's own routines: the
-determinant is cofactor expansion (the package uses Bareiss), the Magnus
+The oracles here deliberately avoid the package's own routines: word
+reduction is a per-letter stack loop over checked letters (the package
+reduces integer letter codes from the first inverse pair a C-level scan
+finds), the determinant is cofactor expansion (the package uses
+Bareiss), the Magnus
 expansion is a plain dict convolution per letter (the package reads
 degree 2 off exponent sums packed into one integer and updates one
 packed integer per degree), the degree-2 table is also kept in its older
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd
-from operator import add, sub
+from operator import add, index as as_index, sub
 from random import Random
 
 from trilink.intlinalg import identity
@@ -59,6 +62,38 @@ def random_word(rng: Random, rank: int, max_len: int) -> FreeWord:
     n = rng.randint(0, max_len)
     letters = tuple((rng.randint(1, rank), rng.choice((1, -1))) for _ in range(n))
     return FreeWord(rank, letters)
+
+
+def stack_reduced(rank, letters) -> tuple[tuple[int, int], ...]:
+    """The letters of FreeWord(rank, letters), checked and reduced one letter at a time.
+
+    The rank is checked first, then each distinct letter, the first time
+    it occurs; a letter cancels the top of a stack of kept letters if it
+    is that letter's inverse and is pushed otherwise.
+    """
+    rank = as_index(rank)
+    if rank < 1:
+        raise ValueError(f"rank must be positive, got {rank}")
+    # each distinct letter -> (its checked form, the checked form of its
+    # inverse); equal letters share one entry, so (1.0, 1) after (1, 1)
+    # takes the form (1, 1) and is not checked again
+    checked: dict = {}
+    out: list = [None]  # the stack of kept letters, above a sentinel
+    for letter in letters:
+        entry = checked.get(letter)
+        if entry is None:
+            index, sign = map(as_index, letter)
+            if not 1 <= index <= rank:
+                raise ValueError(f"generator index {index} out of range 1..{rank}")
+            if sign not in (1, -1):
+                raise ValueError(f"letter sign must be +1 or -1, got {sign}")
+            entry = checked[letter] = (index, sign), (index, -sign)
+        form, inverse = entry
+        if out[-1] == inverse:
+            out.pop()
+        else:
+            out.append(form)
+    return tuple(out[1:])
 
 
 def random_commutator_subgroup_word(rng: Random, rank: int = 3, max_len: int = 8) -> FreeWord:

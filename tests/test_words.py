@@ -1,9 +1,11 @@
+import pickle
+import re
 from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import random_word
+from helpers import random_word, stack_reduced
 from trilink import words as words_module
 from trilink.words import (
     FreeWord,
@@ -236,3 +238,172 @@ def test_parse_matches_each_distinct_token_once(monkeypatch):
     w = parse_word("x2 x1^-1 x3 " * 400 + "x1", 3)
     assert matched == ["x2", "x1^-1", "x3", "x1"]
     assert len(w) == 1201
+
+
+# --- the reducer against the per-letter stack loop (helpers.stack_reduced)
+
+def _text(letters) -> str:
+    return " ".join(f"x{i}" if s == 1 else f"x{i}^-1" for i, s in letters)
+
+
+def _agree(rank, letters):
+    """Both ways in reduce letters as the stack loop does; returns the reduced letters."""
+    want = stack_reduced(rank, letters)
+    assert FreeWord(rank, letters).letters == want
+    assert parse_word(_text(letters), rank).letters == want
+    return want
+
+
+@pytest.mark.parametrize("letters, want", [
+    # a cancellation at letter 0
+    (((1, 1), (1, -1), (2, 1)), ((2, 1),)),
+    # at the last pair
+    (((2, 1), (3, -1), (1, -1), (1, 1)), ((2, 1), (3, -1))),
+    # a cascade from the first pair back to letter 0 and on past it
+    (((2, 1), (3, 1), (1, 1), (1, -1), (3, -1), (2, -1), (3, 1)), ((3, 1),)),
+    # a cascade back to before the first pair that stops at a kept letter
+    (((1, -1), (2, 1), (3, 1), (3, -1), (2, -1), (2, -1)), ((1, -1), (2, -1))),
+    # pairs that cancel completely, nested and side by side
+    (((1, 1), (2, 1), (3, 1), (3, -1), (2, -1), (1, -1)), ()),
+    (((1, 1), (1, -1)) * 50, ()),
+    (((2, -1), (2, 1)), ()),
+    # no pair: equal letters, and inverses that are not adjacent
+    (((1, 1), (1, 1), (2, -1), (1, -1)), ((1, 1), (1, 1), (2, -1), (1, -1))),
+    (((2, -1),), ((2, -1),)),
+    ((), ()),
+])
+def test_reducer_cases(letters, want):
+    assert _agree(3, letters) == want
+
+
+def test_reducer_agrees_with_stack_loop_on_random_words():
+    rng = Random(22)
+    for _ in range(400):
+        # few generators, so inverse pairs meet often, anywhere in the word
+        gens = rng.sample(range(1, 5), rng.randint(1, 3))
+        letters = tuple((rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(0, 40)))
+        _agree(4, letters)
+    for rank in (256, 300, 10**6):
+        for _ in range(30):
+            gens = rng.sample(range(1, rank + 1), rng.randint(1, min(rank, 300)))
+            u = [(g, rng.choice((1, -1))) for g in gens]
+            inverse = [(g, -s) for g, s in reversed(u)]
+            cut = rng.randint(0, len(u))
+            # u v u^-1 with v a random word over u's generators: the cascade
+            # reaches back through all of u when v cancels, and stops in u otherwise
+            v = [(rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(0, 6))]
+            _agree(rank, tuple(u[:cut] + v + u[cut:] + inverse))
+
+
+def test_reducer_over_many_generators_cancels_completely():
+    # 600 distinct generators: codes up to 1,199, and a cascade through all of them
+    u = tuple((g, 1 - 2 * (g % 2)) for g in range(1, 601))
+    inverse = tuple((g, -s) for g, s in reversed(u))
+    assert _agree(600, u + inverse) == ()
+    assert _agree(600, u + inverse[:-1]) == ((1, -1),)
+    big = 10**6
+    assert _agree(big, ((big, 1), (1, -1), (1, 1), (big, -1), (big, -1))) == ((big, -1),)
+
+
+@pytest.mark.parametrize("n", [127, 128, 129])
+def test_reducer_at_the_byte_code_edge(n):
+    # n distinct generators have codes 0..2n-1: one byte a code up to n = 128
+    u = tuple((g, 1) for g in range(1, n + 1))
+    inverse = tuple((g, -1) for g in range(n, 0, -1))
+    assert _agree(n, u) == u
+    assert _agree(n, u + inverse) == ()
+    assert _agree(n, u + ((n, -1),)) == u[:-1]  # the highest codes, at the last pair
+    assert _agree(n, ((1, 1), (1, -1)) + u) == u  # a pair at letter 0
+    assert _agree(n, u[:-1] + ((1, -1), (1, 1)) + u[-1:]) == u
+
+
+@st.composite
+def ranked_letters(draw):
+    rank = draw(st.sampled_from((1, 2, 3, 256, 10**6)))
+    gens = draw(st.lists(st.integers(min_value=1, max_value=rank), min_size=1, max_size=4))
+    letters = draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from((1, -1))),
+                            max_size=40))
+    return rank, tuple(letters)
+
+
+@given(ranked_letters())
+def test_reducer_agrees_with_stack_loop(case):
+    _agree(*case)
+
+
+def _raised(build, *args):
+    """(exception type, message) that build(*args) raises, or None."""
+    try:
+        build(*args)
+    except (TypeError, ValueError) as error:
+        return type(error), str(error)
+    return None
+
+
+BAD_LETTERS = [(4, 1), (0, -1), (1, 0), (2, 2), (1.5, 1), (2, -1.0), ("1", 1), [1, 1], (1, 1, 1), (1,)]
+
+
+def test_constructor_reports_the_same_first_bad_letter_as_the_stack_loop():
+    rng = Random(23)
+    for _ in range(300):
+        letters = [(rng.randint(1, 3), rng.choice((1, -1))) for _ in range(rng.randint(0, 30))]
+        for bad in rng.sample(BAD_LETTERS, 2):
+            letters.insert(rng.randint(0, len(letters)), bad)
+        got = _raised(FreeWord, 3, tuple(letters))
+        assert got is not None and got == _raised(stack_reduced, 3, tuple(letters))
+
+
+def test_parse_reports_the_first_bad_token():
+    rng = Random(24)
+    bad_tokens = {"y1": "malformed token 'y1'", "x0": "malformed token 'x0'",
+                  "x1^2": "malformed token 'x1^2'", "x4": "generator index 4 out of range 1..3",
+                  "x9^-1": "generator index 9 out of range 1..3"}
+    for _ in range(200):
+        tokens = _text((rng.randint(1, 3), rng.choice((1, -1))) for _ in range(rng.randint(0, 30)))
+        tokens = tokens.split()
+        first, second = rng.sample(sorted(bad_tokens), 2)
+        at = rng.randint(0, len(tokens))
+        tokens[at:at] = [first]
+        tokens.insert(rng.randint(at + 1, len(tokens)), second)
+        with pytest.raises(ValueError, match=re.escape(bad_tokens[first])):
+            parse_word(" ".join(tokens), 3)
+
+
+def test_parse_checks_the_rank_after_every_token():
+    with pytest.raises(ValueError, match="rank must be positive, got 0"):
+        parse_word("", 0)
+    with pytest.raises(ValueError, match="rank must be positive, got -2"):
+        parse_word(" \n ", -2)
+    # every token is out of range below rank 1, and a token is checked first
+    with pytest.raises(ValueError, match=re.escape("generator index 1 out of range 1..0")):
+        parse_word("x1 x1^-1", 0)
+    # a rank that is not an integer: the tokens, then the rank
+    with pytest.raises(ValueError, match="malformed token 'y1'"):
+        parse_word("x1 y1", 2.5)
+    with pytest.raises(ValueError, match=re.escape("generator index 3 out of range 1..2.5")):
+        parse_word("x1 x3", 2.5)
+    with pytest.raises(TypeError):
+        parse_word("x1 x2 x2^-1", 2.5)
+
+
+def test_equal_letters_share_the_first_ones_check():
+    # (1.0, 1) after (1, 1) is the letter (1, 1); before it, it is checked and refused
+    for letters, want in [(((1, 1), (1.0, 1)), ((1, 1), (1, 1))),
+                          (((1, 1), (2, 1), (2, -1), (1, -1), (1.0, 1)), ((1, 1),))]:
+        assert FreeWord(3, letters).letters == stack_reduced(3, letters) == want
+    for letters in [((1.0, 1), (1, 1)), ((1, 1), (1, -1.0))]:
+        assert _raised(FreeWord, 3, letters) == _raised(stack_reduced, 3, letters)
+        with pytest.raises(TypeError):
+            FreeWord(3, letters)
+
+
+def test_parse_stores_its_letters_without_checking_them_again(monkeypatch):
+    calls = []
+    monkeypatch.setattr(words_module, "_as_index", lambda x: calls.append(x) or x)
+    w = parse_word("x1 x2 x2^-1 x3^-1 " * 300, 3)
+    assert calls == [3]  # the rank only
+    monkeypatch.undo()
+    want = FreeWord(3, ((1, 1), (3, -1)) * 300)
+    assert w == want and hash(w) == hash(want)
+    assert pickle.loads(pickle.dumps(w)) == w
+    assert type(w) is FreeWord and type(w.rank) is int

@@ -2,14 +2,16 @@
 answer, or exit with their documented code, within a wall-clock budget.
 
 Each case is one request at a limit the README states (the CLI's
-4,300-digit integers, a word far longer than any other test's, the
-largest search box of each genus, or MAX_DEPTH_WORK at the highest
-degree cap), run through cli.main.  Beside each case is its time
-through cli.main in a fresh process, measured on a shared 2-CPU Xeon
-under Python 3.11.7 (medians of 5), and in parentheses, for the depth
-and series rows, the time with the list levels that the packed ones
-replaced (helpers.list_levels); the budgets are upper limits with room
-for slower machines, not targets.
+4,300-digit integers, words far longer than any other test's, reduced
+or cancelling to the empty word, the largest search box of each genus,
+or MAX_DEPTH_WORK at the highest degree cap), run through cli.main.
+Beside each case is its time through cli.main in a fresh process,
+measured on a shared 2-CPU Xeon under Python 3.11.7 (medians of 5), and
+in parentheses, for the depth and series rows, the time with the list
+levels that the packed ones replaced (helpers.list_levels), and for the
+word rows, the time with the per-letter stack loop that the coded
+reducer replaced (helpers.stack_reduced); the budgets are upper limits
+with room for slower machines, not targets.
 
 Two rows are left out, because their work is not bounded yet:
 
@@ -126,6 +128,26 @@ def _mu_case():
     return ["mu"], {"longitude3": word}, check
 
 
+def _mu_cancelling_case():
+    # x1 x2 x3 x1 ... (100,000 letters), then their inverses: 200,000 letters that
+    # cancel to the empty word in one cascade from the middle back to letter 0
+    head = [f"x{1 + i % 3}" for i in range(100_000)]
+    word = " ".join(head + [token + "^-1" for token in reversed(head)])
+
+    def check(code, out):
+        assert code == 0 and out == {"mu123": 0}
+
+    return ["mu"], {"longitude3": word}, check
+
+
+def _class_cancelling_case():
+    # (x1 x1^-1)^100,000: an inverse pair at every other letter
+    def check(code, out):
+        assert code == 0 and out == {"class": [0, 0, 0], "mu123": 0}
+
+    return ["class"], {"word": " ".join(["x1 x1^-1"] * 100_000)}, check
+
+
 def _text(w):
     return " ".join(f"x{g}" if s == 1 else f"x{g}^-1" for g, s in w.letters)
 
@@ -182,7 +204,9 @@ CASES = {
     "enumerate-dense-4300-digits": (partial(_enumerate_case, 3, 2, 4), 2.0),  # measured 0.20 s
     "enumerate-dense-4300-digits-genus-1": (partial(_enumerate_case, 1, 62, 5), 2.0),  # measured 0.17 s
     "enumerate-dense-4300-digits-genus-2": (partial(_enumerate_case, 2, 5, 6), 2.0),  # measured 0.21 s
-    "mu-200000-letters": (_mu_case, 1.0),  # measured 0.092 s
+    "mu-200000-letters": (_mu_case, 1.0),  # measured 0.063 s (stack loop: 0.094 s)
+    "mu-200000-letters-cancelling": (_mu_cancelling_case, 1.0),  # measured 0.033 s (0.049 s)
+    "class-200000-letters-cancelling": (_class_cancelling_case, 1.0),  # measured 0.051 s (0.068 s)
     "depth-max-work-9974-letters": (_depth_work_case, 0.5),  # measured 0.076 s (list levels: 0.86 s)
     "depth-weight-8-power-4966-letters": (_depth_weight_eight_case, 0.5),  # measured 0.090 s (0.54 s)
     "mu-series-cap-8-5096-letters": (_mu_series_case, 1.0),  # measured 0.11 s (0.95 s)
