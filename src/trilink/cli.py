@@ -18,6 +18,7 @@ self-checks are seeded (--seed) and the seed is echoed in the output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -28,6 +29,7 @@ from .errors import CrossCheckError, PreconditionError
 from .words import parse_word
 
 BIG = 2**53
+_DIGITS_TO_NINES = str.maketrans("012345678", "9" * 9)
 ENV_DEGREE_CAP = "TRILINK_DEGREE_CAP"
 
 
@@ -239,8 +241,26 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _help_width() -> int:
+    """argparse's default help width, read from the terminal once per process."""
+    import shutil
+
+    return shutil.get_terminal_size().columns - 2
+
+
+class _Formatter(argparse.HelpFormatter):
+    """argparse's help formatter, without a terminal query per argument."""
+
+    def __init__(self, prog, **kwargs):
+        super().__init__(prog, width=_help_width(), **kwargs)
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises ValueError on bad argv, where argparse prints usage and exits."""
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_Formatter, **kwargs)
 
     def error(self, message):
         raise ValueError(message)
@@ -302,13 +322,14 @@ def _load_payload(args) -> dict:
 
 
 def _render(result: dict, mode: str) -> str:
-    encoded = _encode(result)
     if mode == "text":
         return "\n".join(
             f"{key}: {json.dumps(value) if isinstance(value, (dict, list)) else value}"
-            for key, value in encoded.items()
+            for key, value in _encode(result).items()
         )
-    return json.dumps(encoded)
+    text = json.dumps(result)
+    # every |n| >= BIG has 16 or more digits: without a run of 16 no integer needs quoting
+    return json.dumps(_encode(result)) if "9" * 16 in text.translate(_DIGITS_TO_NINES) else text
 
 
 def _emit_error(code: str, detail: str) -> None:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from functools import cache
 from math import gcd
 from operator import index, mul
 
@@ -54,17 +55,19 @@ ORDERINGS = ("interleaved", "blocked")
 MAX_SEARCH_GENUS = 3
 # Largest coefficient box (2*bound+1)**(2*genus) a search may scan: genus 3
 # at bound 2, genus 2 at bound 5, genus 1 at bound 62.  Python 3.11.7,
-# shared 2-CPU Xeon, medians of 5: the genus-3 unknot surface took 3.5-3.6
-# ms at bound 1 and 72-108 ms at bound 2, three sets; genus 3 at bound 2
-# with 40-digit entries 2.3-3.6 ms, 5 matrices; every bound up to the
-# limit at most 2.7 ms at genus 1, 6 matrices, and 6.7 ms at genus 2, 7
-# matrices with the unknot surface.  Slots widen with the entries: through
-# cli.main, dense 4,300-digit entries (the int-string limit) took 183-188
-# ms at genus 3 bound 2 and 153-155 ms at genus 2 bound 5, 3 matrices
-# each.  Many candidates with wide slots cost most, as each candidate's
-# adjacency read spans 2k slots: an unknot surface with one symmetric pair
-# of 4,300-digit entries has 456 candidates at genus 3 bound 2 and took
-# 6.8 s.
+# shared 2-CPU Xeon, medians of 5, with the time of the scan of both signs
+# of the box, rebuilt wedge tables and level-0 wedges in parentheses: the
+# genus-3 unknot surface took 2.7-3.4 ms (5.6-5.7) at bound 1 and 60-65 ms
+# (66-105) at bound 2, three sets; genus 3 at bound 2 with 40-digit
+# entries 2.0-4.6 ms (3.1-6.6), 5 matrices, four sets; every bound up to
+# the limit at most 0.71 ms (1.1) at genus 1, 6 matrices, and 4.0 ms (6.7)
+# at genus 2, 7 matrices with the unknot surface.  Slots widen with the
+# entries: through cli.main, medians of 3, dense 4,300-digit entries (the
+# int-string limit) took 106-107 ms (201-204) at genus 3 bound 2 and
+# 105-111 ms (173-221) at genus 2 bound 5, 3 matrices each.  Many
+# candidates with wide slots cost most, as each candidate's adjacency read
+# spans 2k slots: an unknot surface with one symmetric pair of 4,300-digit
+# entries has 456 candidates at genus 3 bound 2 and took 6.5-7.2 s (7.4).
 MAX_SEARCH_BOX = 5**6
 # Largest genus metabolizer_verdict takes: its Smith form lets entries grow.
 # Python 3.11.7, 2-CPU Xeon, dense random columns via cli.main: genus 16
@@ -219,7 +222,8 @@ def is_metabolizer(m: SeifertMatrix, v: MetabolizerBasis) -> bool:
     return metabolizer_verdict(m, v).is_metabolizer
 
 
-def _wedge_table(n: int, k: int) -> list[tuple[int, ...]]:
+@cache
+def _wedge_table(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Laplace terms that append one column to a k-fold exterior product.
 
     Coordinates of a k-fold product are the k x k minors of an n x k
@@ -228,7 +232,9 @@ def _wedge_table(n: int, k: int) -> list[tuple[int, ...]]:
     (k+1)-subset T, so that appending a column v gives the minor
     sum(sign * v[t] * p[index]) (expansion along the new last column).
     Entries are flat and padded with (0, 0, 0) to three terms, which
-    cover every step of a search of genus <= MAX_SEARCH_GENUS.
+    cover every step of a search of genus <= MAX_SEARCH_GENUS.  A table
+    depends on (n, k) alone, so each is built once per process and then
+    shared by every search.
     """
     position = {s: i for i, s in enumerate(itertools.combinations(range(n), k))}
     table = []
@@ -237,7 +243,7 @@ def _wedge_table(n: int, k: int) -> list[tuple[int, ...]]:
         for pos, t in enumerate(sub):
             entry += (-1 if (pos + k) % 2 else 1, t, position[sub[:pos] + sub[pos + 1:]])
         table.append(tuple(entry) + (0, 0, 0) * (3 - len(sub)))
-    return table
+    return tuple(table)
 
 
 def _wedge_coefficients(table, p: list[int]) -> list[tuple[int, ...]]:
@@ -262,18 +268,36 @@ def _primitive_cliques(cands, adj, tables, clique, bits, plucker, allowed, seen)
     lattices already yielded that contain it.  A child prefix whose
     extensions are leaves drops the members of every such lattice that
     contains it; a child prefix left with no extension is never wedged.
+    A candidate is primitive, so it is its own exterior product: level 0
+    wedges nothing and takes no gcd.  A prefix folds its product into
+    coefficients on its first wedge, so one that wedges nothing folds none.
     """
     level = len(clique)
     full = level + 1 == len(tables)
-    coeffs = _wedge_coefficients(tables[level], plucker)
+    coeffs = None
     rest = allowed
     while rest:
         low = rest & -rest
         j = low.bit_length() - 1
         rest ^= low
-        if full:
-            if gcd(*_wedge(coeffs, cands[j])) != 1:
+        if not full:
+            later = rest & adj[j]  # rest holds exactly the allowed bits above j
+            prefix = bits | low
+            if later and level + 2 == len(tables):  # the child's extensions are leaves
+                for members in seen.get(clique[0] if clique else j, ()):
+                    if members & prefix == prefix:
+                        later &= ~members
+            if not later:
                 continue
+        if level:
+            if coeffs is None:
+                coeffs = _wedge_coefficients(tables[level], plucker)
+            ext = _wedge(coeffs, cands[j])
+            if gcd(*ext) != 1:
+                continue
+        else:
+            ext = cands[j]
+        if full:
             yield clique + [j]
             members = adj[j] | low
             for c in clique:
@@ -285,46 +309,40 @@ def _primitive_cliques(cands, adj, tables, clique, bits, plucker, allowed, seen)
                 seen.setdefault(bit.bit_length() - 1, []).append(members)
                 todo ^= bit
         else:
-            later = rest & adj[j]  # rest holds exactly the allowed bits above j
-            prefix = bits | low
-            if later and level + 2 == len(tables):  # the child's extensions are leaves
-                for members in seen.get(clique[0] if clique else j, ()):
-                    if members & prefix == prefix:
-                        later &= ~members
-            if not later:
-                continue
-            ext = _wedge(coeffs, cands[j])
-            if gcd(*ext) == 1:
-                yield from _primitive_cliques(cands, adj, tables, clique + [j], prefix, ext,
-                                              later, seen)
+            yield from _primitive_cliques(cands, adj, tables, clique + [j], prefix, ext, later,
+                                          seen)
 
 
 def _box_candidates(m: SeifertMatrix, bound: int) -> list[tuple[int, ...]]:
-    """Primitive isotropic vectors of the box, one sign each, in product order."""
+    """Primitive isotropic vectors of the box, first nonzero entry positive, in product order."""
     g, e = m.genus, m.entries
     halves = list(itertools.product(range(-bound, bound + 1), repeat=g))
     h = len(halves)
-    slots = _Slots(h, bound * bound * sum(abs(x) for row in e for x in row))
+    centre = h // 2  # halves[centre] is 0, and every later half has a positive first nonzero
+    tops = halves[centre:]
+    slots = _Slots(len(tops), bound * bound * sum(abs(x) for row in e for x in row))
 
-    def quad(offset):  # u^T M[half, half] u for every half u
+    def quad(offset, us):  # u^T M[half, half] u for every half u of us
         block = [e[offset + i][offset:offset + g] for i in range(g)]
-        return [sum(x * sum(map(mul, row, u)) for x, row in zip(u, block)) for u in halves]
+        return [sum(x * sum(map(mul, row, u)) for x, row in zip(u, block)) for u in us]
 
-    top = slots.pack(quad(0))  # slot j: q_top(u_j)
+    top = slots.pack(quad(0, tops))  # slot j: q_top(tops[j])
     cross = [[e[i][g + j] + e[g + j][i] for i in range(g)] for j in range(g)]  # columns of C
-    cu = [slots.pack([sum(map(mul, u, col)) for u in halves]) for col in cross]
+    cu = [slots.pack([sum(map(mul, u, col)) for u in tops]) for col in cross]
     hits = []
-    for b, (w, q) in enumerate(zip(halves, quad(g))):
+    for b, (w, q) in enumerate(zip(halves, quad(g, halves))):
         zero = slots.zeros(sum(map(mul, w, cu), top), q)
+        if b <= centre:  # with u = 0, only w after the centre has a positive first nonzero
+            zero &= -2
         while zero:
             low = zero & -zero
-            hits.append((low.bit_length() - 1) * h + b)  # index of (u_j, w_b) in product order
+            hits.append((centre + low.bit_length() - 1) * h + b)  # (u, w_b) in product order
             zero ^= low
     cands = []
     for hit in sorted(hits):
         a, b = divmod(hit, h)
         v = halves[a] + halves[b]
-        if gcd(*v) == 1 and next(x for x in v if x) > 0:  # -v spans the same lattice
+        if gcd(*v) == 1:
             cands.append(v)
     return cands
 
@@ -393,13 +411,17 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
     signed slots (intlinalg._Slots).  A box vector v = (u, w) with halves
     of length g has v^T M v = q_top(u) + q_bot(w) + sum_t w_t (C^T u)_t,
     where C = M[top, bot] + M[bot, top]^T and q_top, q_bot are the forms
-    of the diagonal blocks.  The top halves u are packed, u_j in slot j: one
-    integer holds every q_top(u_j) and one per t every (C^T u_j)_t.  The
-    bottom halves w are looped over, and each w costs one sum of g
-    products whose multipliers w_t are box coordinates, at most bound in
-    size, plus q_bot(w) in every slot; its zero slots are the isotropic
-    vectors (u_j, w).  The hits are sorted back into itertools.product
-    order (u outside w) before the gcd and sign filter.  Candidates c_i
+    of the diagonal blocks.  Of v and -v only the one whose first nonzero
+    entry is positive is a candidate, so only the top halves from the zero
+    half on in product order are packed, u_j in slot j: 0 and those with
+    a positive first nonzero.  One integer holds every q_top(u_j) and one
+    per t every (C^T u_j)_t.  Every bottom half w is looped over, and each
+    w costs one sum of g products whose multipliers w_t are box
+    coordinates, at most bound in size, plus q_bot(w) in every slot; its
+    zero slots are the isotropic vectors (u_j, w), except the slot of
+    u = 0 for w up to the zero half, whose first nonzero is not positive.
+    The hits, each with the sign of a candidate, are sorted back into
+    itertools.product order (u outside w) before the gcd test.  Candidates c_i
     and c_j are adjacent iff c_i^T M c_j = c_i^T M^T c_j = 0.  Coordinate
     t of all k candidates is packed once, c_j in slot j, and 2g images
     are built once from M's entries: image t holds (M c_j)_t in slot j
@@ -422,7 +444,7 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
     adj = _adjacency_masks(m, cands, coeff_bound)
     tables = [_wedge_table(m.dim, level) for level in range(m.genus)]
     found = []
-    for clique in _primitive_cliques(cands, adj, tables, [], 0, [1], (1 << len(cands)) - 1, {}):
+    for clique in _primitive_cliques(cands, adj, tables, [], 0, None, (1 << len(cands)) - 1, {}):
         found.append(MetabolizerBasis(row_hnf([cands[i] for i in clique])))
     return sorted(found, key=lambda basis: basis.columns)
 

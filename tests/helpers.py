@@ -269,23 +269,31 @@ def brute_force_metabolizer_lattices(m, bound: int) -> set:
     return keys
 
 
-def pairwise_candidates_and_adjacency(m, bound: int) -> tuple[list, list[int]]:
-    """Box candidates and adjacency masks of the metabolizer search, pair by pair.
+def pairwise_candidates(m, bound: int) -> list:
+    """Box candidates of the metabolizer search, vector by vector.
 
-    Candidates are the primitive isotropic vectors of the box in
-    itertools.product order, signed so that their first nonzero entry is
-    positive; bit j of adj[i] is set iff u^T M v and v^T M u both vanish
-    for candidates u = i and v = j, with i != j.
+    The primitive isotropic vectors of the box in itertools.product
+    order, signed so that their first nonzero entry is positive.
     """
-    cols_of_m = list(zip(*m.entries))
-    cands, row_of = [], []
+    cands = []
     for vec in itertools.product(range(-bound, bound + 1), repeat=m.dim):
         if gcd(*vec) != 1 or next(x for x in vec if x) < 0:
             continue
-        row = [sum(a * b for a, b in zip(vec, col)) for col in cols_of_m]
-        if sum(a * b for a, b in zip(row, vec)) == 0:
+        if sum(a * sum(b * c for b, c in zip(row, vec)) for a, row in zip(vec, m.entries)) == 0:
             cands.append(vec)
-            row_of.append(row)
+    return cands
+
+
+def pairwise_candidates_and_adjacency(m, bound: int) -> tuple[list, list[int]]:
+    """Box candidates and adjacency masks of the metabolizer search, pair by pair.
+
+    Candidates are pairwise_candidates(m, bound); bit j of adj[i] is set
+    iff u^T M v and v^T M u both vanish for candidates u = i and v = j,
+    with i != j.
+    """
+    cols_of_m = list(zip(*m.entries))
+    cands = pairwise_candidates(m, bound)
+    row_of = [[sum(a * b for a, b in zip(vec, col)) for col in cols_of_m] for vec in cands]
     adj = [0] * len(cands)
     for i, j in itertools.combinations(range(len(cands)), 2):
         if (sum(a * b for a, b in zip(row_of[i], cands[j])) == 0

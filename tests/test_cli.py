@@ -1,9 +1,12 @@
 import argparse
 import contextlib
+import importlib
 import io
 import json
+import shutil
 import sys
 import time
+from pathlib import Path
 from random import Random
 from types import SimpleNamespace
 
@@ -17,6 +20,8 @@ from trilink.seifert import reorder, standard_metabolizer, validate
 
 UNKNOT_JSON = {"genus": 3, "ordering": "interleaved", "entries": UNKNOT_ROWS}
 STANDARD_COLS = {"columns": [[0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1]]}
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+HAS_INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() != 0
 
 
 def run_cli(capsys, monkeypatch, argv, payload=None, stdin_text=None):
@@ -274,10 +279,7 @@ def test_big_integers_as_strings(capsys, monkeypatch):
     assert isinstance(out["total"], str)  # exceeds 2**53, so serialized as text
 
 
-@pytest.mark.skipif(
-    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
-    reason="this interpreter has no int-to-string digit limit",
-)
+@pytest.mark.skipif(not HAS_INT_LIMIT, reason="this interpreter has no int-to-string digit limit")
 @pytest.mark.parametrize("mode", ["json", "text"])
 def test_output_past_int_str_limit_is_bad_input(capsys, monkeypatch, mode):
     # products of 3000-digit parameters exceed the 4300-digit int->str limit
@@ -288,6 +290,77 @@ def test_output_past_int_str_limit_is_bad_input(capsys, monkeypatch, mode):
     lines = out.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "bad-input"
+
+
+BIG = cli.BIG
+
+
+@pytest.mark.parametrize("value, encoded", [
+    (BIG - 1, BIG - 1), (-(BIG - 1), -(BIG - 1)), (BIG, str(BIG)), (-BIG, str(-BIG)),
+    (10**15, 10**15), (10**16, str(10**16)),
+])
+def test_render_quotes_exactly_the_integers_past_2_53(value, encoded):
+    result = {"n": value, "rows": [[1, value], (value, True)], "s": "x"}
+    text = cli._render(result, "json")
+    assert text == json.dumps(cli._encode(result))
+    assert json.loads(text) == {"n": encoded, "rows": [[1, encoded], [encoded, True]], "s": "x"}
+
+
+@pytest.mark.parametrize("result", [
+    {"series": "1 + 9007199254740992*a1 a2", "mu123": 1},
+    {"word": "x1" * 3, "id": "1234567890123456", "n": 7},
+    {"detail": "12345678901234567890", "n": [BIG - 1, -BIG]},
+])
+def test_render_digit_runs_inside_strings_give_the_same_bytes(result):
+    assert cli._render(result, "json") == json.dumps(cli._encode(result))
+
+
+def test_render_without_a_16_digit_run_skips_the_walk(monkeypatch):
+    monkeypatch.setattr(cli, "_encode", lambda obj: pytest.fail("walked the reply"))
+    result = {"count": 2, "n": [10**15 - 1, -(10**15 - 1)], "ok": True, "s": "123456789012345"}
+    assert cli._render(result, "json") == json.dumps(result)
+
+
+def test_render_text_output_encodes_as_before():
+    result = {"n": BIG, "rows": [[1, BIG], [2, -3]], "s": "a b", "ok": False}
+    assert cli._render(result, "text") == (
+        f'n: {BIG}\nrows: [[1, "{BIG}"], [2, -3]]\ns: a b\nok: False')
+
+
+@pytest.mark.skipif(not HAS_INT_LIMIT, reason="this interpreter has no int-to-string digit limit")
+def test_render_past_int_str_limit_raises_the_encode_error():
+    result = {"n": 1, "rows": [[10**5000]]}
+    with pytest.raises(ValueError) as fast:
+        cli._render(result, "json")
+    with pytest.raises(ValueError) as walked:
+        json.dumps(cli._encode(result))
+    assert str(fast.value) == str(walked.value)
+    # products of 3,000-digit ledger parameters give the CLI that detail
+    params = {name: "9" * 3000 for name in ("a", "b", "c", "x1", "x2", "y1", "y2", "z1", "z2")}
+    code, out, err = _served(["ledger"], json.dumps({"params": params, "n": 1}))
+    assert (code, json.loads(out), err) == (2, {"error": "bad-input", "detail": str(walked.value)},
+                                            "")
+
+
+def test_render_matches_the_encode_walk_on_the_benchmark_pools(monkeypatch):
+    # every reply of the four perfbench pools at seeds 1-3
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    render, rendered = cli._render, []
+
+    def checked(result, mode):
+        text = render(result, mode)
+        assert text == json.dumps(cli._encode(result))
+        rendered.append(text)
+        return text
+
+    monkeypatch.setattr(cli, "_render", checked)
+    pool = [r for seed in (1, 2, 3) for name in workloads.WORKLOADS
+            for r in workloads.build(name, seed)]
+    assert len(pool) == 894
+    for request in pool:
+        _served(request["argv"], request["stdin"])
+    assert len(rendered) > 800  # the rest exit before a reply is rendered
 
 
 @pytest.mark.parametrize("text", [" +5 ", "1_000", "\u0661\u0662"])
@@ -440,6 +513,38 @@ def test_random_argv_matches_a_full_build(full_build):
         if argv and rng.random() < 0.7:
             argv[0] = rng.choice(names)
         assert _served(argv) == _served_by_full_build(full_build, argv), argv
+
+
+_HELP_ARGV = [[name, "--help"] for name in cli._HANDLERS] + [
+    ["--help"], [], ["bogus"], ["mu", "--bogus"], ["class", "--output", "xml"], ["-h"],
+]
+
+
+def test_help_width_is_read_once_per_process(monkeypatch):
+    calls = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or size(*a))
+    cli._help_width.cache_clear()
+    try:
+        for _ in range(3):
+            for argv in _HELP_ARGV + [["mu"], ["enumerate", "--seed", "2"]]:
+                _served(argv)
+    finally:
+        cli._help_width.cache_clear()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("columns", ["24", "60", "80", "200"])
+def test_help_and_errors_match_stock_argparse(monkeypatch, columns):
+    # argparse reads the width from COLUMNS on every formatter; the CLI once
+    monkeypatch.setenv("COLUMNS", columns)
+    cli._help_width.cache_clear()
+    try:
+        ours = [_served(argv) for argv in _HELP_ARGV]
+    finally:
+        cli._help_width.cache_clear()
+    monkeypatch.setattr(cli, "_Formatter", argparse.HelpFormatter)
+    assert ours == [_served(argv) for argv in _HELP_ARGV]
 
 
 def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):

@@ -16,6 +16,7 @@ from helpers import (
     lattice_keys,
     minors_gcd,
     mixed_b_curves,
+    pairwise_candidates,
     pairwise_candidates_and_adjacency,
     plain_product,
     random_symplectic,
@@ -538,6 +539,44 @@ def test_bulk_builders_pin_the_unknot_search_work(unknot):
         sys.set_int_max_str_digits(limit)
 
 
+def zero_top_half(cands, genus):
+    """The candidates (0, w): those whose top half u is 0."""
+    return [c for c in cands if not any(c[:genus])]
+
+
+def test_box_candidates_with_a_zero_top_half():
+    # The scan packs only the top halves u that are 0 or have a positive
+    # first nonzero, and with u = 0 keeps only w with a positive first
+    # nonzero.  The genus-2 unknot at its box cap has 2 of its 320
+    # candidates at u = 0; its hits (0, 0, 0, -1), (0, 0, -1, 0) and
+    # (0, 0, 0, 0) are dropped.
+    m = validate(unknot_sum_rows(2), "interleaved")
+    cands = seifert._box_candidates(m, 5)
+    assert cands == pairwise_candidates(m, 5)
+    assert len(cands) == 320
+    assert zero_top_half(cands, 2) == [(0, 0, 0, 1), (0, 0, 1, 0)]
+    # the bottom block [[1, -1], [-1, 1]] vanishes on w = (t, t): of the hits
+    # (0, 0, t, t), t <= 0 lies up to the centre, and t > 1 is not primitive
+    m = validate([[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, -1], [0, 0, -1, 1]], "blocked")
+    for bound in (1, 2, 5):
+        cands = seifert._box_candidates(m, bound)
+        assert cands == pairwise_candidates(m, bound)
+        assert zero_top_half(cands, 2) == [(0, 0, 1, 1)]
+
+
+@pytest.mark.parametrize("genus, bound, ordering, count, at_zero", [
+    (1, 62, "interleaved", 2, 1), (1, 62, "blocked", 2, 1),
+    (2, 5, "interleaved", 320, 2), (2, 5, "blocked", 320, 40),
+    (3, 2, "interleaved", 1034, 15), (3, 2, "blocked", 1034, 49),
+])
+def test_box_candidates_at_the_box_cap(genus, bound, ordering, count, at_zero):
+    # the unknot surface at each genus's largest box, with at_zero candidates (0, w)
+    m = reorder(validate(unknot_sum_rows(genus), "interleaved"), ordering)
+    cands = seifert._box_candidates(m, bound)
+    assert cands == pairwise_candidates(m, bound)
+    assert (len(cands), len(zero_top_half(cands, genus))) == (count, at_zero)
+
+
 def test_enumerate_prunes_only_prefixes_inside_a_found_lattice():
     # Pruning a prefix that merely meets a found lattice, instead of lying
     # inside it, loses two of these 13 lattices at bound 1.
@@ -562,21 +601,44 @@ def test_enumerate_canonicalizes_each_lattice_once(unknot, monkeypatch, bound):
     assert len(calls) == len(found) == (28, 100)[bound - 1]
 
 
-@pytest.mark.parametrize("bound, lattices, most_wedges", [(1, 28, 178), (2, 100, 1250)])
+@pytest.mark.parametrize("bound, lattices, most_wedges, most_folds", [(1, 28, 62, 30),
+                                                                    (2, 100, 234, 106)])
 def test_enumerate_wedges_only_prefixes_that_keep_leaves(unknot, monkeypatch, bound, lattices,
-                                                         most_wedges):
-    # unknot is unknot_sum_rows(3); a prefix whose leaves membership
-    # pruning has dropped is never wedged
-    calls = 0
+                                                         most_wedges, most_folds):
+    # unknot is unknot_sum_rows(3).  A prefix whose leaves membership
+    # pruning has dropped is never wedged, one candidate is its own
+    # exterior product, and a prefix folds its product into coefficients
+    # only on its first wedge.
+    calls = {"_wedge": 0, "_wedge_coefficients": 0}
 
-    def counting(coeffs, v):
-        nonlocal calls
-        calls += 1
-        return _wedge(coeffs, v)
+    def counting(name):
+        original = getattr(seifert, name)
 
-    monkeypatch.setattr(seifert, "_wedge", counting)
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(seifert, name, counted)
+
+    counting("_wedge")
+    counting("_wedge_coefficients")
     assert len(enumerate_metabolizers(unknot, bound)) == lattices
-    assert calls <= most_wedges
+    assert calls["_wedge"] <= most_wedges
+    assert calls["_wedge_coefficients"] <= most_folds
+
+
+def test_wedge_tables_are_built_once_per_dim_and_level(unknot):
+    _wedge_table.cache_clear()
+    try:
+        for bound in (1, 2, 1):
+            enumerate_metabolizers(unknot, bound)
+        enumerate_metabolizers(validate(unknot_sum_rows(2), "interleaved"), 1)
+        info = _wedge_table.cache_info()
+        assert (info.misses, info.currsize) == (5, 5)  # (6, 0..2) and (4, 0..1)
+        assert _wedge_table(6, 2) is _wedge_table(6, 2)
+        assert isinstance(_wedge_table(6, 2), tuple)  # shared, so immutable
+    finally:
+        _wedge_table.cache_clear()
 
 
 @pytest.mark.parametrize("bound", [1, 2])

@@ -8,10 +8,12 @@ or MAX_DEPTH_WORK at the highest degree cap), run through cli.main.
 Beside each case is its time through cli.main in a fresh process,
 measured on a shared 2-CPU Xeon under Python 3.11.7 (medians of 5), and
 in parentheses, for the depth and series rows, the time with the list
-levels that the packed ones replaced (helpers.list_levels), and for the
+levels that the packed ones replaced (helpers.list_levels), for the
 word rows, the time with the per-letter stack loop that the coded
-reducer replaced (helpers.stack_reduced); the budgets are upper limits
-with room for slower machines, not targets.
+reducer replaced (helpers.stack_reduced), and for the enumerate rows,
+the time with the box scan over both signs of every top half that the
+one-sign scan replaced; the budgets are upper limits with room for
+slower machines, not targets.
 
 Two rows are left out, because their work is not bounded yet:
 
@@ -201,9 +203,12 @@ CASES = {
     "generator-1400-digits": (_generator_case, 0.5),  # measured 0.005 s
     "genus-one-4300-digits": (_genus_one_case, 0.5),  # measured 0.035 s
     "ledger-2000-digits-overflows": (_ledger_case, 0.5),  # measured 0.006 s
-    "enumerate-dense-4300-digits": (partial(_enumerate_case, 3, 2, 4), 2.0),  # measured 0.20 s
-    "enumerate-dense-4300-digits-genus-1": (partial(_enumerate_case, 1, 62, 5), 2.0),  # measured 0.17 s
-    "enumerate-dense-4300-digits-genus-2": (partial(_enumerate_case, 2, 5, 6), 2.0),  # measured 0.21 s
+    # measured 0.11 s (two-sign scan: 0.23 s)
+    "enumerate-dense-4300-digits": (partial(_enumerate_case, 3, 2, 4), 2.0),
+    # measured 0.069 s (0.16 s)
+    "enumerate-dense-4300-digits-genus-1": (partial(_enumerate_case, 1, 62, 5), 2.0),
+    # measured 0.082 s (0.21 s)
+    "enumerate-dense-4300-digits-genus-2": (partial(_enumerate_case, 2, 5, 6), 2.0),
     "mu-200000-letters": (_mu_case, 1.0),  # measured 0.063 s (stack loop: 0.094 s)
     "mu-200000-letters-cancelling": (_mu_cancelling_case, 1.0),  # measured 0.033 s (0.049 s)
     "class-200000-letters-cancelling": (_class_cancelling_case, 1.0),  # measured 0.051 s (0.068 s)
