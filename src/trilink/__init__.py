@@ -42,16 +42,7 @@ from .seifert import (
     standard_metabolizer,
     symplectic_complete,
 )
-from .words import (
-    FreeWord,
-    commutator,
-    exponent_sum,
-    generator,
-    parse_word,
-    word_inverse,
-    word_power,
-    word_product,
-)
+from .words import FreeWord, commutator, generator, parse_word
 
 __version__ = "0.1.0"
 
@@ -77,7 +68,6 @@ __all__ = [
     "commutator_class",
     "connected_sum",
     "enumerate_metabolizers",
-    "exponent_sum",
     "generator",
     "generator_for_metabolizer",
     "generator_from_block",
@@ -95,7 +85,4 @@ __all__ = [
     "reorder",
     "standard_metabolizer",
     "symplectic_complete",
-    "word_inverse",
-    "word_power",
-    "word_product",
 ]

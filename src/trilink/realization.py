@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from ._record import Record
 from .errors import CrossCheckError
-from .seifert import SeifertMatrix, form, generator_from_block, validate
+from .intlinalg import bilinear
+from .seifert import SeifertMatrix, generator_from_block, validate
 
 
 class GenusThreeParams(Record):
@@ -141,7 +142,7 @@ def pushoff_ledger_entries(p: GenusThreeParams, n: int, stars=None) -> list[tupl
     ]
     out = []
     for name, row, col, want in specs:
-        value = form(m, row, col)
+        value = bilinear(row, m.entries, col)
         if value != want:
             raise CrossCheckError(f"entry {name}: matrix gives {value}, closed form {want}")
         out.append((name, value))

@@ -7,6 +7,9 @@ Conventions fixed for the whole package:
   "interleaved" (a1, b1, ..., ag, bg) pairs each curve with its dual,
   so the form is a block diagonal of [[0, 1], [-1, 0]]; "blocked"
   (a1..ag, b1..bg) gives [[0, I], [-I, 0]].
+* The Seifert form of classes u and v is u^T M v, the linking number
+  lk(u, v+) of u with the + pushoff of v; lk(u, v-), with the -
+  pushoff, is v^T M u.
 * A metabolizer is a primitive rank-g sublattice of the 2g-dimensional
   surface homology on which the Seifert form vanishes identically,
   handed around as g basis columns.
@@ -141,14 +144,6 @@ def reorder(m: SeifertMatrix, target_ordering: str) -> SeifertMatrix:
                     itertools.chain(*_curve_positions(m.genus, m.ordering))))
     entries = [[m.entries[perm[i]][perm[j]] for j in range(m.dim)] for i in range(m.dim)]
     return SeifertMatrix(m.genus, target_ordering, entries)
-
-
-def form(m: SeifertMatrix, u: list[int], v: list[int]) -> int:
-    """The Seifert form u^T M v: linking of u with the + pushoff of v.
-
-    Linking of u with the - pushoff of v is form(m, v, u).
-    """
-    return bilinear(u, m.entries, v)
 
 
 class MetabolizerBasis(Record):

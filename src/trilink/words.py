@@ -130,13 +130,19 @@ class FreeWord(Record):
         return len(self.letters)
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
-        return word_product(self, other)
+        if not isinstance(other, FreeWord):
+            return NotImplemented
+        if self.rank != other.rank:
+            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
+        return FreeWord(self.rank, self.letters + other.letters)
 
     def __invert__(self) -> "FreeWord":
-        return word_inverse(self)
+        return FreeWord(self.rank, tuple((i, -s) for i, s in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "FreeWord":
-        return word_power(self, n)
+        """w^n (the inverse's power for n < 0), reduced in one pass over |n| copies."""
+        w = ~self if n < 0 else self
+        return FreeWord(w.rank, w.letters * abs(n))
 
     def __str__(self) -> str:
         return " ".join(f"x{i}" if s == 1 else f"x{i}^-1" for i, s in self.letters)
@@ -176,23 +182,6 @@ def parse_word(text: str, rank: int) -> FreeWord:
     return word
 
 
-def word_product(w1: FreeWord, w2: FreeWord) -> FreeWord:
-    if w1.rank != w2.rank:
-        raise ValueError(f"rank mismatch: {w1.rank} vs {w2.rank}")
-    return FreeWord(w1.rank, w1.letters + w2.letters)
-
-
-def word_inverse(w: FreeWord) -> FreeWord:
-    return FreeWord(w.rank, tuple((i, -s) for i, s in reversed(w.letters)))
-
-
-def word_power(w: FreeWord, n: int) -> FreeWord:
-    """w^n (the inverse's power for n < 0), reduced in one pass over |n| copies."""
-    if n < 0:
-        w, n = word_inverse(w), -n
-    return FreeWord(w.rank, w.letters * n)
-
-
 def abelianization(w: FreeWord) -> dict[int, int]:
     """Exponent sum of each generator occurring in w (possibly 0), in one pass."""
     sums: dict[int, int] = {}
@@ -201,14 +190,6 @@ def abelianization(w: FreeWord) -> dict[int, int]:
     return sums
 
 
-def exponent_sum(w: FreeWord, index: int) -> int:
-    """Total exponent of x_index in w; additive under products."""
-    if not 1 <= index <= w.rank:
-        raise ValueError(f"generator index {index} out of range 1..{w.rank}")
-    return abelianization(w).get(index, 0)
-
-
 def commutator(w1: FreeWord, w2: FreeWord) -> FreeWord:
     """[w1, w2] = w1 w2 w1^-1 w2^-1, reduced."""
-    return word_product(word_product(w1, w2),
-                        word_product(word_inverse(w1), word_inverse(w2)))
+    return w1 * w2 * ~w1 * ~w2

@@ -32,7 +32,7 @@ from random import Random
 from trilink.intlinalg import identity
 from trilink.realization import GenusThreeParams
 from trilink.seifert import MetabolizerBasis, standard_metabolizer
-from trilink.words import FreeWord, exponent_sum, generator, word_power, word_product
+from trilink.words import FreeWord, abelianization, generator
 
 UNKNOT_ROWS = [
     [0, 1, 0, 0, 0, 0],
@@ -100,9 +100,9 @@ def random_commutator_subgroup_word(rng: Random, rank: int = 3, max_len: int = 8
     """Random word with all exponent sums zero (append cancelling tails)."""
     w = random_word(rng, rank, max_len)
     for i in range(1, rank + 1):
-        s = exponent_sum(w, i)
+        s = abelianization(w).get(i, 0)
         if s:
-            w = word_product(w, word_power(generator(rank, i), -s))
+            w = w * generator(rank, i) ** -s
     return w
 
 

@@ -7,7 +7,9 @@ function's reference to itself.  Imports between the package's modules
 are read the same way: the Seifert layer takes nothing from the
 infection layer, and private names cross modules only from _record or
 where the design shares one (the slot helper and the degree-2 read).
-No public function takes an rng, and only the CLI imports random.
+No public function takes an rng, and only the CLI imports random.  No
+public function is an alias: a body that only forwards its parameters to
+another public function is that function under a second name.
 """
 
 import ast
@@ -134,3 +136,42 @@ def test_only_the_cli_imports_random():
         and node.module.split(".")[0] == "random"
     }
     assert importers == {"cli"}
+
+
+# seifert.is_metabolizer stays until the benchmark stops naming it: perfbench's
+# tracer reports seifert.is_metabolizer.calls and .self_s (ROADMAP item 14)
+ALIASES_KEPT = {"seifert.is_metabolizer"}
+
+
+def _is_alias(fn: ast.FunctionDef, public: set[str]) -> bool:
+    """True if fn's body (after its docstring) is one return of a call to
+    another public function of the package, perhaps followed by one
+    attribute read, on fn's parameters or their attributes."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    call = body[0].value
+    if isinstance(call, ast.Attribute):
+        call = call.value
+    if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id in public and call.func.id != fn.name):
+        return False
+    params = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+
+    def of_a_parameter(node) -> bool:
+        if isinstance(node, ast.Attribute):
+            node = node.value
+        return isinstance(node, ast.Name) and node.id in params
+
+    arguments = call.args + [k.value for k in call.keywords]
+    return all(map(of_a_parameter, arguments))
+
+
+def test_no_public_function_is_an_alias():
+    functions = [(module, top) for module, tree in _trees() for top in tree.body
+                 if isinstance(top, ast.FunctionDef) and not top.name.startswith("_")]
+    public = {fn.name for _, fn in functions}
+    aliases = [f"{module}.{fn.name}" for module, fn in functions
+               if _is_alias(fn, public)]
+    assert sorted(set(aliases) - ALIASES_KEPT) == []
+    assert ALIASES_KEPT <= set(aliases)  # drop a name here once its alias is gone

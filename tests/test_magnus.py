@@ -17,16 +17,7 @@ from helpers import (
 from trilink import magnus, nilpotent
 from trilink.errors import PreconditionError
 from trilink.magnus import MagnusSeries, _degree_two, lcs_depth, mu123, phi
-from trilink.words import (
-    FreeWord,
-    abelianization,
-    commutator,
-    generator,
-    parse_word,
-    word_inverse,
-    word_power,
-    word_product,
-)
+from trilink.words import FreeWord, abelianization, commutator, generator, parse_word
 
 X1, X2, X3 = (generator(3, i) for i in (1, 2, 3))
 
@@ -38,7 +29,7 @@ def test_phi_generator():
 
 
 def test_phi_inverse_letter():
-    s = phi(word_inverse(X1), 3)
+    s = phi(~X1, 3)
     assert s.terms == {(): 1, (1,): -1, (1, 1): 1, (1, 1, 1): -1}
 
 
@@ -75,8 +66,8 @@ def test_phi_multiplicative_and_inverse_law_random():
         v = random_word(rng, 3, 8)
         cap = rng.randint(1, 4)
         product = series_product(phi(u, cap).terms, phi(v, cap).terms, cap)
-        assert phi(word_product(u, v), cap).terms == product
-        assert series_product(phi(u, cap).terms, phi(word_inverse(u), cap).terms, cap) == {(): 1}
+        assert phi(u * v, cap).terms == product
+        assert series_product(phi(u, cap).terms, phi(~u, cap).terms, cap) == {(): 1}
 
 
 def _inverse_heavy_word(rng, rank, max_len):
@@ -94,7 +85,7 @@ def test_phi_against_independent_expansion():
             if rank**cap > magnus.MAX_DEPTH_TERMS:
                 continue
             words = [FreeWord(rank)]
-            words += [word_power(generator(rank, rng.randint(1, rank)), n) for n in (1, -1, 3, -4)]
+            words += [generator(rank, rng.randint(1, rank)) ** n for n in (1, -1, 3, -4)]
             for _ in range(4):
                 words.append(random_word(rng, rank, 9))
                 words.append(_inverse_heavy_word(rng, rank, 9))
@@ -156,14 +147,14 @@ def test_packed_levels_hold_the_coefficient_bound_at_slot_width_edges(cap, n, wi
         expected = [comb(n, d) if sign == 1 else (-1) ** d * comb(n + d - 1, d)
                     for d in range(cap + 1)]
         assert [c for (c,) in levels] == expected
-        w = word_power(generator(3, 2), sign * n)
+        w = generator(3, 2) ** (sign * n)
         assert phi(w, cap).terms == {(2,) * d: c for d, c in enumerate(expected) if c}
 
 
 def test_mu123_examples():
     assert mu123(commutator(X1, X2)) == 1
     assert mu123(FreeWord(3)) == 0
-    assert mu123(word_power(commutator(X1, X2), 5)) == 5
+    assert mu123(commutator(X1, X2) ** 5) == 5
 
 
 def test_mu123_preconditions():
@@ -176,7 +167,7 @@ def test_mu123_preconditions():
 
 
 def test_mu123_cap_independent():
-    w = word_product(commutator(X1, X2), commutator(X2, X3))
+    w = commutator(X1, X2) * commutator(X2, X3)
     for cap in (2, 3, 4, 5):
         assert phi(w, cap).coefficient((1, 2)) == mu123(w)
 
@@ -186,7 +177,7 @@ def test_mu123_conjugation_invariance():
     for _ in range(300):
         w = random_commutator_subgroup_word(rng)
         g = random_word(rng, 3, 5)
-        conj = word_product(word_product(g, w), word_inverse(g))
+        conj = g * w * ~g
         assert mu123(conj) == mu123(w)
 
 
@@ -194,7 +185,7 @@ def test_mu123_inversion_antisymmetry():
     rng = Random(29)
     for _ in range(300):
         w = random_commutator_subgroup_word(rng)
-        assert mu123(word_inverse(w)) == -mu123(w)
+        assert mu123(~w) == -mu123(w)
 
 
 def test_lcs_depth_examples():
@@ -245,13 +236,13 @@ def test_packed_degree_two_against_rows_route():
                                4096, 5000])
 def test_degree_two_holds_the_largest_slot_values(n):
     # x1^n x2^n x1^-n x2^-n: coefficient +-n**2, the largest off the diagonal
-    x1n, x2n = word_power(X1, n), word_power(X2, n)
+    x1n, x2n = X1 ** n, X2 ** n
     w = commutator(x1n, x2n)
     assert _degree_two(w) == ({1: 0, 2: 0}, {(1, 2): n * n, (2, 1): -n * n})
     assert _degree_two(w) == rows_degree_two(w)
     # x1^n x2^n: n**2 from 2n letters; x1^n: diagonal slot C(n, 2), dropped
     assert _degree_two(x1n * x2n) == ({1: n, 2: n}, {(1, 2): n * n})
-    assert _degree_two(word_power(X1, -n) * word_power(X2, -n)) == ({1: -n, 2: -n}, {(1, 2): n * n})
+    assert _degree_two(X1 ** -n * X2 ** -n) == ({1: -n, 2: -n}, {(1, 2): n * n})
     assert _degree_two(x1n) == ({1: n}, {})
 
 
@@ -260,7 +251,7 @@ def test_long_words_read_degree_two_as_the_series_does():
     for _ in range(4):
         w = FreeWord(3, tuple((rng.randint(1, 3), rng.choice((1, -1))) for _ in range(16000)))
         for i, e in abelianization(w).items():
-            w = w * word_power(generator(3, i), -e)
+            w = w * generator(3, i) ** -e
         assert len(w) >= 10**4 and not any(abelianization(w).values())
         s = phi(w, 2)
         assert mu123(w) == s.coefficient((1, 2))
@@ -274,7 +265,7 @@ def test_mu123_and_class_of_do_not_expand_the_series(monkeypatch):
     monkeypatch.setattr(magnus, "phi", no_phi)
     monkeypatch.setattr(magnus, "_packed_levels", no_phi)
     monkeypatch.setattr(magnus, "_relabel", no_phi)
-    w = word_product(commutator(X1, X2), commutator(X2, X3))
+    w = commutator(X1, X2) * commutator(X2, X3)
     assert mu123(w) == 1
     assert nilpotent.class_of(w) == (1, 0, 1)
 
@@ -285,7 +276,7 @@ def _left_normed(rng, weight):
     w = commutator(g1, g2)
     for _ in range(weight - 2):
         g = rng.choice((X1, X2, X3))
-        w = commutator(w, g if rng.random() < 0.5 else word_inverse(g))
+        w = commutator(w, g if rng.random() < 0.5 else ~g)
     return w
 
 
@@ -415,7 +406,7 @@ def test_lcs_depth_caps_at_kmax():
 @settings(max_examples=60)
 @given(st.integers(min_value=-6, max_value=6))
 def test_mu123_scales_on_commutator_powers(n):
-    assert mu123(word_power(commutator(X1, X2), n)) == n
+    assert mu123(commutator(X1, X2) ** n) == n
 
 
 def test_degree_cap_validation():

@@ -6,14 +6,7 @@ from helpers import random_commutator_subgroup_word, random_word
 from trilink.errors import PreconditionError
 from trilink.magnus import mu123
 from trilink.nilpotent import CommutatorClass, class_of, commutator_class
-from trilink.words import (
-    FreeWord,
-    commutator,
-    generator,
-    parse_word,
-    word_inverse,
-    word_product,
-)
+from trilink.words import FreeWord, commutator, generator, parse_word
 
 X1, X2, X3 = (generator(3, i) for i in (1, 2, 3))
 
@@ -22,7 +15,7 @@ def test_commutator_class_examples():
     assert commutator_class(X1, X2) == (1, 0, 0)
     w = parse_word("x1 x3 x2^-1", 3)
     assert commutator_class(w, w) == (0, 0, 0)
-    assert commutator_class(word_product(X1, X3), X2) == (1, 0, -1)
+    assert commutator_class(X1 * X3, X2) == (1, 0, -1)
 
 
 def test_commutator_class_requires_rank_3():
@@ -33,7 +26,7 @@ def test_commutator_class_requires_rank_3():
 def test_class_of_examples():
     assert class_of(commutator(X1, X2)) == (1, 0, 0)
     assert class_of(FreeWord(3)) == (0, 0, 0)
-    w = word_product(commutator(X2, X3), word_inverse(commutator(X1, X2)))
+    w = commutator(X2, X3) * ~commutator(X1, X2)
     assert class_of(w) == (-1, 0, 1)
 
 
@@ -52,12 +45,12 @@ def test_bilinearity_random():
     rng = Random(5)
     for _ in range(300):
         u, v, w = (random_word(rng, 3, 6) for _ in range(3))
-        left = commutator_class(word_product(u, v), w)
+        left = commutator_class(u * v, w)
         split = tuple(
             a + b for a, b in zip(commutator_class(u, w), commutator_class(v, w))
         )
         assert tuple(left) == split
-        right = commutator_class(w, word_product(u, v))
+        right = commutator_class(w, u * v)
         split_r = tuple(
             a + b for a, b in zip(commutator_class(w, u), commutator_class(w, v))
         )

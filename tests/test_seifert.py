@@ -29,7 +29,7 @@ from helpers import (
 )
 from trilink import seifert
 from trilink.errors import CrossCheckError, PreconditionError
-from trilink.intlinalg import _Slots, det, identity, mat_mul, row_hnf, transpose
+from trilink.intlinalg import _Slots, bilinear, det, identity, mat_mul, row_hnf, transpose
 from trilink.realization import GenusThreeParams
 from trilink.seifert import (
     MAX_VERDICT_GENUS,
@@ -41,7 +41,6 @@ from trilink.seifert import (
     _wedge_table,
     connected_sum,
     enumerate_metabolizers,
-    form,
     generator_for_metabolizer,
     generator_from_block,
     genus_one_normalize,
@@ -275,16 +274,16 @@ def test_reorder_unknot_blocked_block_is_identity(unknot):
 
 def test_form_examples(unknot):
     b1 = list(unit(1))
-    assert form(unknot, b1, b1) == 0
-    assert form(unknot, [0] * 6, [1] * 6) == 0
+    assert bilinear(b1, unknot.entries, b1) == 0
+    assert bilinear([0] * 6, unknot.entries, [1] * 6) == 0
     m = PARAMS.seifert_matrix()
-    assert form(m, list(unit(0)), list(unit(1))) == PARAMS.a
-    assert form(m, list(unit(1)), list(unit(0))) == PARAMS.a - 1
+    assert bilinear(list(unit(0)), m.entries, list(unit(1))) == PARAMS.a
+    assert bilinear(list(unit(1)), m.entries, list(unit(0))) == PARAMS.a - 1
 
 
 def test_form_length_check(unknot):
     with pytest.raises(ValueError):
-        form(unknot, [1, 0], [0] * 6)
+        bilinear([1, 0], unknot.entries, [0] * 6)
 
 
 def test_skew_part_is_intersection_form():
@@ -295,13 +294,14 @@ def test_skew_part_is_intersection_form():
 
 
 def test_pushoff_examples():
-    # linking with the + pushoff is form(m, x, y), with the - pushoff form(m, y, x)
+    # lk(x, y+) is x^T M y, and lk(x, y-) is y^T M x
     m = PARAMS.seifert_matrix()
     e4, e6 = list(unit(3)), list(unit(5))
-    assert form(m, e6, [0, 0, 0, 0, -1, 0]) == -(PARAMS.c - 1) == -3
-    assert form(m, e4, [-1, 1, 0, 0, 0, -1]) == -PARAMS.x1 == -5
-    assert form(m, list(unit(1)), list(unit(0))) == PARAMS.a - 1  # a1 with b1's - pushoff
-    assert form(m, [1] * 6, [0] * 6) == form(m, [0] * 6, [1] * 6) == 0
+    assert bilinear(e6, m.entries, [0, 0, 0, 0, -1, 0]) == -(PARAMS.c - 1) == -3
+    assert bilinear(e4, m.entries, [-1, 1, 0, 0, 0, -1]) == -PARAMS.x1 == -5
+    # a1 with b1's - pushoff
+    assert bilinear(list(unit(1)), m.entries, list(unit(0))) == PARAMS.a - 1
+    assert bilinear([1] * 6, m.entries, [0] * 6) == bilinear([0] * 6, m.entries, [1] * 6) == 0
 
 
 # ------------------------------------------------------------ is_metabolizer
