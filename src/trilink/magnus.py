@@ -12,23 +12,19 @@ of a third longitude is Milnor's triple linking number mu-bar(123), and
 the lowest degree of a surviving term bounds lower-central-series depth
 (Magnus's criterion).
 
-mu123 (and nilpotent.class_of) need only the a_i a_j coefficients with
-i != j, which the degree-2 route _degree_two reads off running exponent
-sums in one pass over the word, as in Fox's free differential calculus.
-The running sums, and each row of the a_i a_j table, are packed into
-one integer of fixed-width slots, so a letter costs two big-integer
-additions.
-lcs_depth reads degrees 1 and 2 the same way.  Above degree 2,
-_packed_levels carries the running sums to every degree: for a word
-with r distinct generators, level d below the cap is one integer of
-r**d slots and the top level is r integers, one per last letter, so a
-letter costs one shifted big-integer addition per degree.  lcs_depth
-builds the levels from degree 3 up and asks only whether the top is
+mu123 and nilpotent.class_of read the a_i a_j coefficients (i != j) of
+a rank-3 word off running exponent sums in one pass, as in Fox's free
+differential calculus: _degree_two packs the three sums, and each row
+of the a_i a_j table, into one integer of fixed-width slots, so a
+letter costs two big-integer additions.  Every other question goes to
+_packed_levels, which carries the running sums to every degree: for a
+word with r distinct generators, level d below the cap is one integer
+of r**d slots and the top level is r integers, one per last letter, so
+a letter costs one shifted big-integer addition per degree.  lcs_depth
+builds the levels at caps 2, 3, ... and asks only whether the top is
 zero; phi decodes every slot into a MagnusSeries for --show-series, and
-it is the cross-check of the degree-2 route.  mu123 and class_of keep
-_degree_two, which costs about half as much as the levels at cap 2.
-MAX_DEPTH_TERMS bounds the size of a level and MAX_DEPTH_WORK the slot
-updates of a request.
+it is the cross-check of _degree_two.  MAX_DEPTH_TERMS bounds the size
+of a level and MAX_DEPTH_WORK the slot updates of a request.
 """
 
 from __future__ import annotations
@@ -71,9 +67,10 @@ MAX_DEPTH_TERMS = 2**16
 # (3,360 letters) 0.79 -> 0.056 s, a power of a weight-8 commutator at kmax
 # 8 over 3 generators (9,932 letters) 1.10 -> 0.19 s and over 2 (67,662
 # letters) 2.3 -> 0.51 s; mu --show-series at cap 8 of a random 5,088-letter
-# word 1.34 -> 0.26 s.  Degree 2 alone costs far less per update, since
-# _degree_two packs a row into one integer: x1 ... x256 x1^-1 ... x256^-1
-# repeated at kmax 3 (65,024 letters, 256 generators) takes 0.19 s.
+# word 1.34 -> 0.26 s.  Degree 2 alone costs less per update: x1 ... x256
+# x1^-1 ... x256^-1 repeated at kmax 3 (65,024 letters, 256 generators;
+# medians of 7) took 0.068 s through a degree-2 row table, and takes
+# 0.051 s on the levels at cap 2.
 MAX_DEPTH_WORK = 2**24
 
 
@@ -147,11 +144,7 @@ def _relabel(w: FreeWord) -> tuple[list[int], list[tuple[int, int]]]:
 
 
 def _updates(letters: int, r: int, d: int) -> int:
-    """Slot updates of _packed_levels up to cap d: letters * (1 + r + ... + r**(d-1)).
-
-    At d = 2 this also bounds _degree_two: a letter adds two packed
-    integers of r slots each.
-    """
+    """Slot updates of _packed_levels up to cap d: letters * (1 + r + ... + r**(d-1))."""
     return letters * sum(r**e for e in range(d))
 
 
@@ -227,25 +220,24 @@ def phi(w: FreeWord, degree_cap: int = DEFAULT_DEGREE_CAP) -> MagnusSeries:
     return MagnusSeries(w.rank, degree_cap, terms)
 
 
-def _degree_two(w: FreeWord) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
-    """Exponent sums and the nonzero a_i a_j (i != j) coefficients of phi(w), in one pass.
+def _degree_two(w: FreeWord) -> tuple[tuple[int, int, int], dict[tuple[int, int], int]]:
+    """Exponent sums and nonzero a_i a_j (i != j) coefficients of a rank-3 phi(w), in one pass.
 
     A single letter contributes no a_i a_j with i != j, and the degree-1
     coefficient of x_k^s is s; so each letter (j, s) adds s times the
     running exponent sums to row j of the a_i a_j table (Fox calculus
     cut at degree 2).  The sums, and each row, are one packed integer
-    (intlinalg._Slots) in which the k-th distinct generator in ascending
-    order owns slot k.  x_j adds the sums to row j and then unit[j] to
-    the sums; x_j^-1 subtracts unit[j] and then the sums from row j.  So
-    slot j of row j holds C(E_j, 2) for the running sum E_j, the a_j a_j
-    coefficient, which is dropped.  With n letters every |E| <= n and
-    every |coefficient| <= n**2, the slots' limit.  Missing pairs have
-    coefficient 0.
+    (intlinalg._Slots) in which generator g owns slot g - 1.  x_j adds
+    the sums to row j and then unit[j] to the sums; x_j^-1 subtracts
+    unit[j] and then the sums from row j.  So slot j - 1 of row j holds
+    C(E_j, 2) for the running sum E_j, the a_j a_j coefficient, which is
+    dropped.  With n letters every |E| <= n and every |coefficient| <=
+    n**2, the slots' limit.  Returns the sums of x1, x2, x3 in order;
+    missing pairs have coefficient 0.
     """
-    gens = sorted({index for index, _ in set(w.letters)})
-    slots = _Slots(len(gens), len(w.letters) ** 2)
-    unit = {g: 1 << (slots.width * k) for k, g in enumerate(gens)}
-    rows = dict.fromkeys(gens, 0)
+    slots = _Slots(3, len(w.letters) ** 2)
+    unit = [0] + [1 << (slots.width * k) for k in range(3)]
+    rows = [0] * 4
     sums = 0
     for j, s in w.letters:
         if s == 1:
@@ -255,9 +247,9 @@ def _degree_two(w: FreeWord) -> tuple[dict[int, int], dict[tuple[int, int], int]
             sums -= unit[j]
             rows[j] -= sums
     coeffs = {(i, j): c
-              for j, row in rows.items() if row
-              for i, c in zip(gens, slots.read(row)) if c and i != j}
-    return dict(zip(gens, slots.read(sums))), coeffs
+              for j in (1, 2, 3) if rows[j]
+              for i, c in enumerate(slots.read(rows[j]), 1) if c and i != j}
+    return tuple(slots.read(sums)), coeffs
 
 
 def _commutator_degree_two(w: FreeWord) -> dict[tuple[int, int], int]:
@@ -268,8 +260,8 @@ def _commutator_degree_two(w: FreeWord) -> dict[tuple[int, int], int]:
     if w.rank != 3:
         raise ValueError(f"need a word of rank 3, got rank {w.rank}")
     sums, coeffs = _degree_two(w)
-    for index in (1, 2, 3):
-        if sums.get(index, 0):
+    for index, e in enumerate(sums, 1):
+        if e:
             raise PreconditionError(f"nonzero exponent sum for generator {index}")
     return coeffs
 
@@ -290,14 +282,12 @@ def lcs_depth(w: FreeWord, kmax: int) -> int:
 
     By Magnus's criterion this witnesses membership in the k-th lower
     central subgroup; at finite truncation it cannot distinguish depths
-    beyond kmax, so kmax means "at least kmax".  Degrees 1 and 2 need no
-    series: the a_i coefficients are the exponent sums e_i, and the a_i^2
-    coefficient is C(e_i, 2), which vanishes once every e_i does, so
-    degree 2 survives iff some a_i a_j (i != j) coefficient of
-    _degree_two does.  From degree 3 up the levels are built at caps 3,
-    ..., kmax - 1 and stop at the first cap d whose top level has a
-    nonzero slot: truncation to a lower cap is a ring map, so the levels
-    below d were already zero.  No monomial is decoded.
+    beyond kmax, so kmax means "at least kmax".  Degree 1 needs no
+    series: its coefficients are the exponent sums.  From degree 2 up
+    the levels are built at caps 2, ..., kmax - 1 and stop at the first
+    cap d whose top level has a nonzero slot: truncation to a lower cap
+    is a ring map, so the levels below d were already zero.  No slot is
+    read.
 
     A degree d with r**d > MAX_DEPTH_TERMS, for r distinct generators in
     w, or whose slot updates bring the total past MAX_DEPTH_WORK, is
@@ -309,19 +299,12 @@ def lcs_depth(w: FreeWord, kmax: int) -> int:
         raise ValueError(f"kmax must be positive, got {kmax}")
     if kmax == 1 or not w.letters:
         return kmax
-    sums = abelianization(w)
-    if any(sums.values()):
+    if any(abelianization(w).values()):
         return 1
-    if kmax == 2:
-        return kmax
-    r = len(sums)
-    work = _updates(len(w), r, 2)
-    _check_degree(r, 2, work)
-    if _degree_two(w)[1]:
-        return 2
-    _, letters = _relabel(w)  # degree 3 and up only
-    for d in range(3, kmax):
-        work += _updates(len(w), r, d)
+    gens, letters = _relabel(w)
+    r, work = len(gens), 0
+    for d in range(2, kmax):
+        work += _updates(len(letters), r, d)
         _check_degree(r, d, work)
         if any(_packed_levels(letters, r, d)[2]):
             return d

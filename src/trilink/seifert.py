@@ -312,8 +312,7 @@ def _box_candidates(m: SeifertMatrix, bound: int) -> list[tuple[int, ...]]:
     """Primitive isotropic vectors of the box, first nonzero entry positive, in product order."""
     g, e = m.genus, m.entries
     halves = list(itertools.product(range(-bound, bound + 1), repeat=g))
-    h = len(halves)
-    centre = h // 2  # halves[centre] is 0, and every later half has a positive first nonzero
+    centre = len(halves) // 2  # halves[centre] is 0; every later half has a positive first nonzero
     tops = halves[centre:]
     slots = _Slots(len(tops), bound * bound * sum(abs(x) for row in e for x in row))
 
@@ -324,22 +323,18 @@ def _box_candidates(m: SeifertMatrix, bound: int) -> list[tuple[int, ...]]:
     top = slots.pack(quad(0, tops))  # slot j: q_top(tops[j])
     cross = [[e[i][g + j] + e[g + j][i] for i in range(g)] for j in range(g)]  # columns of C
     cu = [slots.pack([sum(map(mul, u, col)) for u in tops]) for col in cross]
-    hits = []
+    cands = []
     for b, (w, q) in enumerate(zip(halves, quad(g, halves))):
         zero = slots.zeros(sum(map(mul, w, cu), top), q)
         if b <= centre:  # with u = 0, only w after the centre has a positive first nonzero
             zero &= -2
         while zero:
             low = zero & -zero
-            hits.append((centre + low.bit_length() - 1) * h + b)  # (u, w_b) in product order
+            v = tops[low.bit_length() - 1] + w
+            if gcd(*v) == 1:
+                cands.append(v)
             zero ^= low
-    cands = []
-    for hit in sorted(hits):
-        a, b = divmod(hit, h)
-        v = halves[a] + halves[b]
-        if gcd(*v) == 1:
-            cands.append(v)
-    return cands
+    return sorted(cands)  # tuple order is itertools.product order
 
 
 def _adjacency_masks(m: SeifertMatrix, cands, bound: int) -> list[int]:
@@ -349,8 +344,6 @@ def _adjacency_masks(m: SeifertMatrix, cands, bound: int) -> list[int]:
     the slot layout is explained in enumerate_metabolizers.
     """
     k = len(cands)
-    if not k:
-        return []
     limit = bound * bound * sum(abs(x) for row in m.entries for x in row)
     one, both = _Slots(k, limit), _Slots(2 * k, limit)
     coords = [one.pack([c[t] for c in cands]) for t in range(m.dim)]
@@ -415,16 +408,16 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
     coordinates, at most bound in size, plus q_bot(w) in every slot; its
     zero slots are the isotropic vectors (u_j, w), except the slot of
     u = 0 for w up to the zero half, whose first nonzero is not positive.
-    The hits, each with the sign of a candidate, are sorted back into
-    itertools.product order (u outside w) before the gcd test.  Candidates c_i
-    and c_j are adjacent iff c_i^T M c_j = c_i^T M^T c_j = 0.  Coordinate
-    t of all k candidates is packed once, c_j in slot j, and 2g images
-    are built once from M's entries: image t holds (M c_j)_t in slot j
-    and (M^T c_j)_t in slot k + j.  So one sum of 2g small products,
-    c_i's coordinates times the images, holds both pairings of c_i with
-    every c_j.  Every slot read is some v^T M v' with v, v' in the box,
-    so bound^2 * sum |M_st| is the limit of both builders' slots, and the
-    sums are exact for entries of any size.
+    Each hit has the sign of a candidate, the primitive ones are kept,
+    and sorted as tuples they fall in itertools.product order (u outside
+    w).  Candidates c_i and c_j are adjacent iff c_i^T M c_j = c_i^T M^T
+    c_j = 0.  Coordinate t of all k candidates is packed once, c_j in
+    slot j, and 2g images are built once from M's entries: image t holds
+    (M c_j)_t in slot j and (M^T c_j)_t in slot k + j.  So one sum of 2g
+    small products, c_i's coordinates times the images, holds both
+    pairings of c_i with every c_j.  Every slot read is some v^T M v'
+    with v, v' in the box, so bound^2 * sum |M_st| is the limit of both
+    builders' slots, and the sums are exact for entries of any size.
     """
     if coeff_bound < 1:
         raise ValueError(f"coefficient bound must be >= 1, got {coeff_bound}")

@@ -12,12 +12,13 @@ stores the letters its coder checked with one Record.__init__ call, so
 no letter is checked twice.
 
 One reducer, used by the constructor and so by products, inverses and
-powers, cancels adjacent inverse pairs in the codes.  A C-level scan
-from the first letter finds the first pair (the first xor of
-neighbouring codes that is 1: a few big-integer operations while every
-code fits a byte, a map over the pairs otherwise); the codes before it
-are kept as they are, and a stack of kept codes runs from that pair on,
-so a word that is already reduced runs no Python-level loop per letter.
+powers, cancels adjacent inverse pairs in the codes with a stack of
+kept codes.  While every code fits a byte (at most 128 distinct
+generators), a C-level scan of a few big-integer operations finds the
+first pair, the first xor of neighbouring codes that is 1; the codes
+before it are kept as they are and the stack runs from that pair on, so
+a word that is already reduced runs no Python-level loop per letter.
+Wider codes run the stack from the first letter.
 The commutator convention is
 
     [a, b] = a b a^-1 b^-1
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import re
 from itertools import islice
-from operator import index as _as_index, indexOf, xor
+from operator import index as _as_index
 
 from ._record import Record
 
@@ -83,22 +84,20 @@ _FLIP = bytes(code ^ 1 for code in range(256))
 
 
 def _first_pair(codes: list[int], ncodes: int) -> int:
-    """The first i with codes[i] ^ codes[i + 1] == 1, or -1; each code is below ncodes.
+    """The stack loop starts here; -1 means there is no pair.  Each code is below ncodes.
 
-    With one byte a code, the codes from the second on and the flipped
-    codes up to the last but one, each read as one integer, xor to an
-    integer whose byte i is 0 exactly at a pair, and bytes.find gives
-    the first.  Wider codes are xored pair by pair in one C-level map.
+    A pair is an i with codes[i] ^ codes[i + 1] == 1.  With one byte a
+    code, the codes from the second on and the flipped codes up to the
+    last but one, each read as one integer, xor to an integer whose byte
+    i is 0 exactly at a pair, and bytes.find gives the first.  Wider
+    codes start the stack loop at letter 0.
     """
-    if ncodes <= 0x100:
-        packed = bytes(codes)
-        z = (int.from_bytes(packed[1:], "little")
-             ^ int.from_bytes(packed[:-1].translate(_FLIP), "little"))
-        return z.to_bytes(max(len(packed) - 1, 0), "little").find(0)
-    try:
-        return indexOf(map(xor, codes, islice(codes, 1, None)), 1)
-    except ValueError:
-        return -1
+    if ncodes > 0x100:
+        return 0
+    packed = bytes(codes)
+    z = (int.from_bytes(packed[1:], "little")
+         ^ int.from_bytes(packed[:-1].translate(_FLIP), "little"))
+    return z.to_bytes(max(len(packed) - 1, 0), "little").find(0)
 
 
 def _positive(rank) -> int:

@@ -14,7 +14,7 @@ from helpers import (
     series_product,
     spread_word,
 )
-from trilink import magnus, nilpotent
+from trilink import intlinalg, magnus, nilpotent
 from trilink.errors import PreconditionError
 from trilink.magnus import MagnusSeries, _degree_two, lcs_depth, mu123, phi
 from trilink.words import FreeWord, abelianization, commutator, generator, parse_word
@@ -196,13 +196,32 @@ def test_lcs_depth_examples():
     assert lcs_depth(FreeWord(3), 10**12) == 10**12  # at once, with no loop to kmax
 
 
+def _levels_degree_two(w):
+    """Exponent sums and nonzero a_i a_j (i != j) coefficients from the cap-2 _packed_levels,
+    in rows_degree_two's shape."""
+    gens, letters = magnus._relabel(w)
+    _, sums, pairs = _unpacked(letters, len(gens), 2)
+    coeffs = {m: c for m, c in zip(product(gens, repeat=2), pairs) if c and m[0] != m[1]}
+    return dict(zip(gens, sums)), coeffs
+
+
+def _rank_three(read):
+    """rows_degree_two's shape of a rank-3 word in _degree_two's: the sums of x1, x2, x3."""
+    sums, coeffs = read
+    return tuple(sums.get(i, 0) for i in (1, 2, 3)), coeffs
+
+
 def test_degree_two_against_independent_expansion():
     rng = Random(31)
     for rank, max_len in ((3, 12), (3, 40), (5, 20)):
         for _ in range(100):
             w = random_word(rng, rank, max_len)
             expected = series_dict(w, 2)
-            sums, got = _degree_two(w)
+            if rank == 3:
+                sums, got = _degree_two(w)
+                sums = dict(zip((1, 2, 3), sums))
+            else:
+                sums, got = _levels_degree_two(w)
             assert {i: e for i, e in sums.items() if e} == {
                 m[0]: c for m, c in expected.items() if len(m) == 1}
             assert all(i != j for i, j in got)
@@ -223,8 +242,11 @@ def test_packed_degree_two_against_rows_route():
                 words.append(FreeWord(rank, letters))
     assert max(map(len, words)) == 65024
     for w in words:
-        assert _degree_two(w) == rows_degree_two(w), w.rank
-    assert _degree_two(FreeWord(3)) == ({}, {})
+        if w.rank == 3:
+            assert _degree_two(w) == _rank_three(rows_degree_two(w))
+        else:
+            assert _levels_degree_two(w) == rows_degree_two(w), w.rank
+    assert _degree_two(FreeWord(3)) == ((0, 0, 0), {})
 
 
 # The words below have L = n, 2n and 4n letters.  The slot width steps
@@ -238,12 +260,12 @@ def test_degree_two_holds_the_largest_slot_values(n):
     # x1^n x2^n x1^-n x2^-n: coefficient +-n**2, the largest off the diagonal
     x1n, x2n = X1 ** n, X2 ** n
     w = commutator(x1n, x2n)
-    assert _degree_two(w) == ({1: 0, 2: 0}, {(1, 2): n * n, (2, 1): -n * n})
-    assert _degree_two(w) == rows_degree_two(w)
+    assert _degree_two(w) == ((0, 0, 0), {(1, 2): n * n, (2, 1): -n * n})
+    assert _degree_two(w) == _rank_three(rows_degree_two(w))
     # x1^n x2^n: n**2 from 2n letters; x1^n: diagonal slot C(n, 2), dropped
-    assert _degree_two(x1n * x2n) == ({1: n, 2: n}, {(1, 2): n * n})
-    assert _degree_two(X1 ** -n * X2 ** -n) == ({1: -n, 2: -n}, {(1, 2): n * n})
-    assert _degree_two(x1n) == ({1: n}, {})
+    assert _degree_two(x1n * x2n) == ((n, n, 0), {(1, 2): n * n})
+    assert _degree_two(X1 ** -n * X2 ** -n) == ((-n, -n, 0), {(1, 2): n * n})
+    assert _degree_two(x1n) == ((n, 0, 0), {})
 
 
 def test_long_words_read_degree_two_as_the_series_does():
@@ -298,7 +320,7 @@ def test_lcs_depth_against_lowest_degree():
             assert lcs_depth(w, kmax) == (min(degrees) if degrees else kmax), (w, kmax)
 
 
-def test_lcs_depth_reads_degrees_one_and_two_without_the_series(monkeypatch):
+def test_lcs_depth_reads_degree_one_without_the_series(monkeypatch):
     rng = Random(41)
     cases = [(spread_word(200), 2), (X1, 1), (commutator(X1, X2), 2)]  # a_i a_j = -1, i > j
     while len(cases) < 60:
@@ -311,11 +333,14 @@ def test_lcs_depth_reads_degrees_one_and_two_without_the_series(monkeypatch):
         raise AssertionError("the series was expanded")
 
     monkeypatch.setattr(magnus, "phi", no_phi)
-    monkeypatch.setattr(magnus, "_packed_levels", no_phi)
-    monkeypatch.setattr(magnus, "_relabel", no_phi)
     for w, depth in cases:
         for kmax in (1, 2, 3, 8):
-            assert lcs_depth(w, kmax) == min(depth, kmax), (w, kmax)
+            with monkeypatch.context() as m:
+                if depth == 1 or kmax == 1:  # answered from the exponent sums
+                    m.setattr(magnus, "_relabel", no_phi)
+                if depth == 1 or kmax <= 2:  # no degree below kmax is left to read
+                    m.setattr(magnus, "_packed_levels", no_phi)
+                assert lcs_depth(w, kmax) == min(depth, kmax), (w, kmax)
 
 
 def _conjugated(core, n):
@@ -365,14 +390,21 @@ def test_lcs_depth_refuses_work_over_the_limit_before_building(monkeypatch):
     below = _conjugated(_repeat(core, 990), 37)  # 9,974 letters * (41 + 1641)
     above = _conjugated(_repeat(core, 991), 37)  # 9,984 letters
     assert 9974 * 1682 <= magnus.MAX_DEPTH_WORK < 9984 * 1682
-    _forbid(monkeypatch, "_packed_levels")
+    build = magnus._packed_levels
+
+    def degree_two_only(letters, r, cap):
+        if cap > 2:
+            raise AssertionError("work started")
+        return build(letters, r, cap)
+
+    monkeypatch.setattr(magnus, "_packed_levels", degree_two_only)
     with pytest.raises(AssertionError, match="work started"):
         lcs_depth(below, 4)
     with pytest.raises(ValueError, match=r"degrees up to 3 .* 40 distinct .* MAX_DEPTH_WORK = 16777216"):
         lcs_depth(above, 4)
     assert lcs_depth(above, 3) == 3  # degree 2 alone: 9,984 * 41 updates
     wide = _repeat(spread_word(256), 128)  # 65,536 letters * 257 at degree 2
-    _forbid(monkeypatch, "_degree_two")
+    _forbid(monkeypatch, "_packed_levels")
     with pytest.raises(ValueError, match="degrees up to 2 .* MAX_DEPTH_WORK"):
         lcs_depth(wide, 3)
     monkeypatch.setattr(magnus, "MAX_DEPTH_WORK", 65536 * 257)  # the limit is inclusive
@@ -381,6 +413,24 @@ def test_lcs_depth_refuses_work_over_the_limit_before_building(monkeypatch):
     monkeypatch.setattr(magnus, "MAX_DEPTH_WORK", 65536 * 257 - 1)
     with pytest.raises(ValueError, match="MAX_DEPTH_WORK"):
         lcs_depth(wide, 3)
+
+
+def test_lcs_depth_reads_no_slot(monkeypatch):
+    # every degree asks only whether the packed top level is zero
+    def no_read(*args):
+        raise AssertionError("a slot was read")
+
+    monkeypatch.setattr(intlinalg._Slots, "read", no_read)
+    assert lcs_depth(spread_word(256), 3) == 2
+    assert lcs_depth(FreeWord(256, spread_word(256).letters * 127), 3) == 2
+    assert lcs_depth(_conjugated(commutator(commutator(X1, X2), X3), 37), 4) == 3
+    assert lcs_depth(_conjugated(commutator(commutator(X1, X2), X3), 80), 3) == 3
+    assert lcs_depth(commutator(X1, X2), 3) == 2
+    assert lcs_depth(commutator(commutator(X1, X2), X3), 3) == 3
+    rng = Random(37)
+    for kmax in range(3, 7):
+        assert lcs_depth(_left_normed(rng, kmax - 1), kmax) == kmax - 1
+        assert lcs_depth(_left_normed(rng, kmax), kmax) == kmax
 
 
 def test_phi_refuses_caps_over_the_limits_before_building(monkeypatch):
