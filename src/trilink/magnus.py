@@ -69,8 +69,9 @@ MAX_DEPTH_TERMS = 2**16
 # letters) 2.3 -> 0.51 s; mu --show-series at cap 8 of a random 5,088-letter
 # word 1.34 -> 0.26 s.  Degree 2 alone costs less per update: x1 ... x256
 # x1^-1 ... x256^-1 repeated at kmax 3 (65,024 letters, 256 generators;
-# medians of 7) took 0.068 s through a degree-2 row table, and takes
-# 0.051 s on the levels at cap 2.
+# medians of 7) took 0.068 s through a degree-2 row table, 0.050 s on the
+# levels at cap 2 with level 1 as a shifted level 0, and takes 0.043 s
+# with level 1 from a table of units.
 MAX_DEPTH_WORK = 2**24
 
 
@@ -173,7 +174,9 @@ def _packed_levels(letters: list[tuple[int, int]], r: int, cap: int):
     cap: level d - 1, shifted by k*r**(d-1) slots, into level d.  So x_k
     adds the old levels from the top down, and x_k^-1, whose image S'
     solves S' (1 + a_k) = S, subtracts the new ones from the bottom up.
-    A whole top level would make every shift r**cap slots long.
+    Level 0 is always 1, so level 1 takes a precomputed unit, slot k
+    set to 1, and no shift.  A whole top level would make every shift
+    r**cap slots long.
 
     A degree-d coefficient of a prefix sums +-1 over the ways to cut its
     monomial into one run per letter, so with n letters no slot passes
@@ -182,19 +185,26 @@ def _packed_levels(letters: list[tuple[int, int]], r: int, cap: int):
     limit = comb(len(letters) + cap, cap)
     slots = [_Slots(r**d, limit) for d in range(cap)]
     width = slots[0].width
-    down = [[(d, k * r ** (d - 1) * width) for d in range(cap - 1, 0, -1)] for k in range(r)]
-    levels = [1] + [0] * (cap - 1)
+    down = [[(d, k * r ** (d - 1) * width) for d in range(cap - 1, 1, -1)] for k in range(r)]
+    up = [shifts[::-1] for shifts in down]
+    unit = [1 << (k * width) for k in range(r)]  # level 0 is 1: its shift into level 1
+    last, deep = cap - 1, cap > 2  # below cap 3, down and up are empty
+    levels = [1] + [0] * max(last, 1)  # at cap 1 the top is level 1 and levels[1] is unread
     top = [0] * r
     for k, sign in letters:
         if sign == 1:
-            top[k] += levels[-1]
-            for d, shift in down[k]:
-                levels[d] += levels[d - 1] << shift
+            top[k] += levels[last]
+            if deep:
+                for d, shift in down[k]:
+                    levels[d] += levels[d - 1] << shift
+            levels[1] += unit[k]
         else:
-            for d, shift in reversed(down[k]):
-                levels[d] -= levels[d - 1] << shift
-            top[k] -= levels[-1]
-    return slots, levels, top
+            levels[1] -= unit[k]
+            if deep:
+                for d, shift in up[k]:
+                    levels[d] -= levels[d - 1] << shift
+            top[k] -= levels[last]
+    return slots, levels[:cap], top
 
 
 def phi(w: FreeWord, degree_cap: int = DEFAULT_DEGREE_CAP) -> MagnusSeries:

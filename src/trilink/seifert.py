@@ -72,7 +72,12 @@ MAX_SEARCH_GENUS = 3
 # spans 2k slots: an unknot surface with one symmetric pair of 4,300-digit
 # entries has 456 candidates at genus 3 bound 2 and took 6.5-7.2 s (7.4).
 MAX_SEARCH_BOX = 5**6
-# Largest genus metabolizer_verdict takes: its Smith form lets entries grow.
+# Largest genus metabolizer_verdict and symplectic_complete take; both
+# check it first, through _check_basis.  Only metabolizer_verdict runs a
+# Smith form, whose alternating Hermite forms let entries grow; the
+# completion takes one Hermite form, of [V | I], whose unreduced right
+# block can swell: at genus 16, on 3- to 8-digit bases, it took 0.08 s to
+# over 90 s (ROADMAP item 2).  The verdict, on
 # Python 3.11.7, 2-CPU Xeon, dense random columns via cli.main: genus 16
 # took at most 0.011 s with entries in +-9 and 0.40 s in +-10**6 (26 seeds
 # each); genus 24 up to 1.1 s, genus 32 over 30 s, genus 48 over 3 minutes.
@@ -181,6 +186,17 @@ def standard_metabolizer(m: SeifertMatrix) -> MetabolizerBasis:
     return MetabolizerBasis([[int(i == p) for i in range(m.dim)] for p in b])
 
 
+def _check_basis(m: SeifertMatrix, v: MetabolizerBasis) -> None:
+    """Refuse a genus above MAX_VERDICT_GENUS, then columns of the wrong length or count."""
+    if m.genus > MAX_VERDICT_GENUS:
+        raise ValueError(f"genus {m.genus} exceeds the metabolizer-test guard "
+                         f"({MAX_VERDICT_GENUS})")
+    if v.dim != m.dim:
+        raise ValueError(f"column length {v.dim} does not match matrix dimension {m.dim}")
+    if v.count != m.genus:
+        raise ValueError(f"need exactly {m.genus} columns, got {v.count}")
+
+
 class MetabolizerVerdict(namedtuple("MetabolizerVerdict", "form_vanishes independent primitive")):
     """The three facts a metabolizer test rests on, from one pass each."""
 
@@ -198,13 +214,7 @@ def metabolizer_verdict(m: SeifertMatrix, v: MetabolizerBasis) -> MetabolizerVer
     dependent set of columns is reported as not primitive.  A genus above
     MAX_VERDICT_GENUS is refused with ValueError before any work starts.
     """
-    if m.genus > MAX_VERDICT_GENUS:
-        raise ValueError(f"genus {m.genus} exceeds the metabolizer-test guard "
-                         f"({MAX_VERDICT_GENUS})")
-    if v.dim != m.dim:
-        raise ValueError(f"column length {v.dim} does not match matrix dimension {m.dim}")
-    if v.count != m.genus:
-        raise ValueError(f"need exactly {m.genus} columns, got {v.count}")
+    _check_basis(m, v)
     vmat = v.as_matrix()
     gram = mat_mul(v.columns, mat_mul(m.entries, vmat))
     vanishes = not any(x for row in gram for x in row)
@@ -447,33 +457,51 @@ def symplectic_complete(m: SeifertMatrix, v: MetabolizerBasis) -> Matrix:
     on every call, and it also proves T unimodular: det(J) = det(J_b) = 1,
     so det(T)^2 = 1.
 
-    The duals come from one Hermite form.  A primitive V has row
-    Hermite form [I; 0], so the first g rows of row_hnf([V | I]) are
+    The genus and shape of v are checked first, as in metabolizer_verdict.
+    The precondition is then read off this function's own work, with no
+    Smith form: the form vanishes on v iff V^T M V = 0, and the left
+    block of row_hnf([V | I]) is row_hnf(V), which is [I; 0] iff V's
+    columns are independent and primitive (Cohen, GTM 138, section 2.4).
+    A basis that fails either is refused with PreconditionError.
+
+    The duals come from the same Hermite form.  Its first g rows are
     [I | L] with L V = I, and A = J L^T satisfies A^T J V = I because
     J^T J = I.  Any dual is fixed modulo V, since V is its own
     J-orthogonal complement, so the a-to-b block A^T M V that the
     generator reads does not depend on which one is picked.
+
+    J is a signed permutation: for each pair (p, q) of an a-position and
+    its b-position, (J x)_p = x_q and (J x)_q = -x_p.  It is applied by
+    moving rows, for A = J L^T, the Gram correction A^T (J A) and the
+    postcondition T^T (J T), and never built as a matrix.
     """
-    if not is_metabolizer(m, v):
-        raise PreconditionError("not a metabolizer; completion refused")
-    g = m.genus
-    j = intersection_form(g, m.ordering)
+    _check_basis(m, v)
+    g, n = m.genus, m.dim
     vmat = v.as_matrix()
+    form_values = mat_mul(v.columns, mat_mul(m.entries, vmat))
+    eye = identity(n)
+    h = row_hnf([vmat[r] + eye[r] for r in range(n)])
+    if any(x for row in form_values for x in row) or [row[:g] for row in h[:g]] != identity(g):
+        raise PreconditionError("not a metabolizer; completion refused")
+    pairs = tuple(zip(*_curve_positions(g, m.ordering)))
+
+    def apply_j(x: Matrix) -> Matrix:  # J x, for x with 2g rows
+        jx = [None] * n
+        for p, q in pairs:
+            jx[p], jx[q] = x[q], [-e for e in x[p]]
+        return jx
 
     # duality: A^T J V = I, with A = J L^T read off the Hermite form
-    eye = identity(m.dim)
-    h = row_hnf([vmat[r] + eye[r] for r in range(m.dim)])
-    a = mat_mul(j, transpose([row[g:] for row in h[:g]]))
+    a = apply_j(transpose([row[g:] for row in h[:g]]))
 
     # Gram correction: kill the a-a pairings without touching duality
-    gram = mat_mul(transpose(a), mat_mul(j, a))
+    gram = mat_mul(transpose(a), apply_j(a))
     x = [[-gram[r][c] if r > c else 0 for c in range(g)] for r in range(g)]
     corr = mat_mul(vmat, x)
-    a = [[a[r][c] + corr[r][c] for c in range(g)] for r in range(m.dim)]
+    a = [[a[r][c] + corr[r][c] for c in range(g)] for r in range(n)]
 
-    t = [a[r] + vmat[r] for r in range(m.dim)]
-    check = mat_mul(transpose(t), mat_mul(j, t))
-    if check != intersection_form(g, "blocked"):
+    t = [a[r] + vmat[r] for r in range(n)]
+    if mat_mul(transpose(t), apply_j(t)) != intersection_form(g, "blocked"):
         raise CrossCheckError("completion failed its symplectic-form postcondition")
     return t
 

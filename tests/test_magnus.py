@@ -249,6 +249,22 @@ def test_packed_degree_two_against_rows_route():
     assert _degree_two(FreeWord(3)) == ((0, 0, 0), {})
 
 
+
+@pytest.mark.parametrize("kmax", [3, 4])
+def test_commutator_of_long_powers_against_the_oracles(kmax):
+    # [x1^3000, x2^3000], 12,000 letters: every letter puts a unit into level 1,
+    # and lcs_depth reads the caps 2..kmax-1 whose levels are compared here
+    w = commutator(X1 ** 3000, X2 ** 3000)
+    gens, letters = magnus._relabel(w)
+    for cap in range(2, kmax):
+        levels = _unpacked(letters, len(gens), cap)
+        assert levels == list_levels(letters, len(gens), cap)
+        assert levels[2] == [0, 9 * 10**6, -9 * 10**6, 0]
+    assert _levels_degree_two(w) == rows_degree_two(w) == ({1: 0, 2: 0},
+                                                             {(1, 2): 9 * 10**6,
+                                                              (2, 1): -9 * 10**6})
+    assert lcs_depth(w, kmax) == 2
+
 # The words below have L = n, 2n and 4n letters.  The slot width steps
 # from 8s to 8s + 8 bits where bit_length(L**2) passes 8s - 1, and the
 # pairs n = 11|12, 181|182, 2896|2897 (L = n), 5|6, 90|91, 1448|1449

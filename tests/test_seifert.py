@@ -832,6 +832,99 @@ def test_complete_refuses_non_metabolizer(unknot):
         symplectic_complete(unknot, MetabolizerBasis(cols))
 
 
+
+def completion_matches_verdict(m, basis):
+    """Check that symplectic_complete refuses basis exactly when is_metabolizer
+    rejects it, and otherwise meets its postcondition; return the oracle's answer."""
+    if not is_metabolizer(m, basis):
+        with pytest.raises(PreconditionError, match="^not a metabolizer; completion refused$"):
+            symplectic_complete(m, basis)
+        return False
+    t = symplectic_complete(m, basis)
+    assert mat_mul(transpose(t), mat_mul(skew_part(m), t)) == intersection_form(m.genus, "blocked")
+    assert transpose(t)[m.genus:] == [list(c) for c in basis.columns]
+    return True
+
+
+@pytest.mark.parametrize("ordering", ["interleaved", "blocked"])
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_completion_refuses_exactly_the_bases_the_verdict_rejects(genus, ordering):
+    rng = Random(90 + 2 * genus + (ordering == "blocked"))
+    n = 2 * genus
+    a_curves, b_curves = ([[int(i == p) for i in range(n)] for p in positions]
+                          for positions in seifert._curve_positions(genus, ordering))
+    verdicts = set()
+    for _ in range(10):
+        m = random_seifert(rng, genus, ordering, metabolic=True, entries=range(-6, 7))
+        v = mixed_b_curves(rng, m)
+        cols = [list(c) for c in v.columns]
+        bases = [v, rebased(rng, v)]
+        bases += [basis_of_columns(cols[:-1] + [[k * x for x in cols[-1]]]) for k in (2, 3, 7)]
+        bases.append(basis_of_columns(cols[:-1] + [[0] * n]))
+        if genus > 1:  # the last column is the sum of the others
+            bases.append(basis_of_columns(cols[:-1] + [[sum(c) for c in zip(*cols[:-1])]]))
+            # a1 pairs with b1 under J, so the form cannot vanish on these
+            bases.append(basis_of_columns(a_curves[:1] + b_curves[:-1]))
+        bases.append(basis_of_columns(a_curves[:1] + b_curves[1:]))
+        bases.append(basis_of_columns(
+            [[rng.randint(-2, 2) for _ in range(n)] for _ in range(genus)]))
+        moved, moved_bases = symplectic_change(rng, m, bases)
+        for matrix, group in ((m, bases), (moved, moved_bases)):
+            for basis in group:
+                verdicts.add(metabolizer_verdict(matrix, basis))
+                completion_matches_verdict(matrix, basis)
+    assert {(True, True, True), (True, True, False), (True, False, False),
+            (False, True, True)} <= verdicts
+
+
+@pytest.mark.parametrize("genus, steps", [(8, 20), (8, 40), (16, 0)])
+def test_completion_known_answers_at_scale(genus, steps):
+    # at genus 8, the bases of test_verdict_known_answers_at_scale, with entries of
+    # 19 to 38 digits; at genus 16 the unknot sum's own b-curves, since row_hnf([V | I])
+    # of a moved genus-16 basis can take minutes
+    m = validate(unknot_sum_rows(genus), "interleaved")
+    moved, (v,) = symplectic_change(Random(100 * genus + steps), m, [standard_metabolizer(m)], steps)
+    cols = [list(c) for c in v.columns]
+    assert max(abs(x) for col in cols for x in col) > (10**16 if steps else 0)
+    assert completion_matches_verdict(moved, basis_of_columns(cols))
+    for k in (2, 3, 7):
+        scaled = [[k * x for x in cols[0]]] + cols[1:]
+        assert not completion_matches_verdict(moved, basis_of_columns(scaled))
+    assert not completion_matches_verdict(moved, basis_of_columns(cols[:-1] + [cols[0]]))
+
+
+def test_completion_runs_no_smith_form_and_no_verdict(unknot, monkeypatch):
+    def banned(*args):
+        raise AssertionError("the completion reads its precondition off its own Hermite form")
+
+    for name in ("snf", "metabolizer_verdict", "is_metabolizer"):
+        monkeypatch.setattr(seifert, name, banned)
+    real_form = seifert.intersection_form
+
+    def blocked_only(genus, ordering):  # J_b is the target; J itself is never built
+        assert ordering == "blocked"
+        return real_form(genus, ordering)
+
+    monkeypatch.setattr(seifert, "intersection_form", blocked_only)
+    t = symplectic_complete(unknot, standard_metabolizer(unknot))
+    assert transpose(t)[3:] == [list(unit(1)), list(unit(3)), list(unit(5))]
+    assert generator_for_metabolizer(unknot, basis_from(1, 3, 5)).signed == -1
+    for refused in (basis_from(0, 1, 3), basis_from(1, 3, 3),
+                    MetabolizerBasis((unit(1), unit(3), tuple(2 * x for x in unit(5))))):
+        with pytest.raises(PreconditionError, match="completion refused"):
+            symplectic_complete(unknot, refused)
+
+
+def test_completion_checks_the_genus_guard_then_the_shape(unknot):
+    big = validate(unknot_sum_rows(MAX_VERDICT_GENUS + 1), "interleaved")
+    for wrong in (MetabolizerBasis(((0, 1),)), standard_metabolizer(unknot)):
+        with pytest.raises(ValueError, match=r"^genus 17 exceeds the metabolizer-test guard \(16\)$"):
+            symplectic_complete(big, wrong)
+    with pytest.raises(ValueError, match="^column length 2 does not match matrix dimension 6$"):
+        symplectic_complete(unknot, MetabolizerBasis(((0, 1), (1, 0))))
+    with pytest.raises(ValueError, match="^need exactly 3 columns, got 2$"):
+        symplectic_complete(unknot, MetabolizerBasis((unit(1), unit(3))))
+
 # --------------------------------------------------------------- generators
 
 
