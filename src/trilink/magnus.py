@@ -13,10 +13,13 @@ the lowest degree of a surviving term bounds lower-central-series depth
 (Magnus's criterion).
 
 mu123 and nilpotent.class_of read the a_i a_j coefficients (i != j) of
-a rank-3 word off running exponent sums in one pass, as in Fox's free
-differential calculus: _degree_two packs the three sums, and each row
-of the a_i a_j table, into one integer of fixed-width slots, so a
-letter costs two big-integer additions.  Every other question goes to
+a rank-3 word off the codes its reducer kept (words._Coded), as in
+Fox's free differential calculus: c_ij is the signed count of the
+pairs of an x_i-letter before an x_j-letter.  _degree_two takes it from
+two views of the codes per pair, each one bytes.translate read as one
+base-4 integer, by sums of letter positions that are popcounts under
+masks cached per size; no Python-level loop runs per letter, and the
+letter tuples are not read.  Every other question goes to
 _packed_levels, which carries the running sums to every degree: for a
 word with r distinct generators, level d below the cap is one integer
 of r**d slots and the top level is r integers, one per last letter, so
@@ -29,6 +32,7 @@ of a level and MAX_DEPTH_WORK the slot updates of a request.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import compress, product
 from math import comb
 from operator import index
@@ -230,46 +234,109 @@ def phi(w: FreeWord, degree_cap: int = DEFAULT_DEGREE_CAP) -> MagnusSeries:
     return MagnusSeries(w.rank, degree_cap, terms)
 
 
-def _degree_two(w: FreeWord) -> tuple[tuple[int, int, int], dict[tuple[int, int], int]]:
-    """Exponent sums and nonzero a_i a_j (i != j) coefficients of a rank-3 phi(w), in one pass.
+_PAIRS = ((1, 2), (1, 3), (2, 3))
 
-    A single letter contributes no a_i a_j with i != j, and the degree-1
-    coefficient of x_k^s is s; so each letter (j, s) adds s times the
-    running exponent sums to row j of the a_i a_j table (Fox calculus
-    cut at degree 2).  The sums, and each row, are one packed integer
-    (intlinalg._Slots) in which generator g owns slot g - 1.  x_j adds
-    the sums to row j and then unit[j] to the sums; x_j^-1 subtracts
-    unit[j] and then the sums from row j.  So slot j - 1 of row j holds
-    C(E_j, 2) for the running sum E_j, the a_j a_j coefficient, which is
-    dropped.  With n letters every |E| <= n and every |coefficient| <=
-    n**2, the slots' limit.  Returns the sums of x1, x2, x3 in order;
-    missing pairs have coefficient 0.
+
+@cache
+def _views(ki: int, kj: int) -> tuple[tuple[bytes, bytes], ...]:
+    """bytes.translate arguments of the views V+ and V- of code pairs ki (x_i) and kj (x_j).
+
+    Each keeps x_j as b"1", x_j^-1 as b"2" and one sign of x_i as b"0"
+    (x_i in V+, x_i^-1 in V-), and deletes every other code.
     """
-    slots = _Slots(3, len(w.letters) ** 2)
-    unit = [0] + [1 << (slots.width * k) for k in range(3)]
-    rows = [0] * 4
-    sums = 0
-    for j, s in w.letters:
-        if s == 1:
-            rows[j] += sums
-            sums += unit[j]
-        else:
-            sums -= unit[j]
-            rows[j] -= sums
-    coeffs = {(i, j): c
-              for j in (1, 2, 3) if rows[j]
-              for i, c in enumerate(slots.read(rows[j]), 1) if c and i != j}
-    return tuple(slots.read(sums)), coeffs
+    views = []
+    for code in (2 * ki, 2 * ki + 1):
+        keep = bytes((code, 2 * kj, 2 * kj + 1))
+        delete = bytes(c for c in range(256) if c not in keep)
+        views.append((bytes.maketrans(keep, b"012"), delete))
+    return tuple(views)
 
 
-def _commutator_degree_two(w: FreeWord) -> dict[tuple[int, int], int]:
-    """_degree_two of a rank-3 word, checked to have all exponent sums zero.
+@cache
+def _position_masks(bits: int) -> tuple[tuple[int, int], ...]:
+    """(even, odd) masks of a base-4 view of up to 2**(bits - 1) letters: all, then level t.
+
+    Letter r of a view, counted from the right, owns bits 2r (even) and
+    2r + 1 (odd).  The first pair of masks sets them for every letter,
+    the pair of level t = 0, 1, ... for the letters r with bit t set.
+    Cached per bits: the longest view read keeps 2 * bits masks of
+    2**bits bits.
+    """
+    every = int.from_bytes(b"\x55" * (1 << max(bits - 3, 0)), "little")
+    masks = [(every, every << 1)]
+    for u in range(1, bits):  # bit u of 2r + f is bit u - 1 of r
+        level, period = ((1 << (1 << u)) - 1) << (1 << u), 2 << u
+        while period < 1 << bits:
+            level |= level << period
+            period *= 2
+        masks.append((level & every, level & every << 1))
+    return tuple(masks)
+
+
+def _read_view(view: bytes) -> tuple[int, int]:
+    """(E, R) over a view's x_j-letters q: sums of s_q and of s_q times q's place from the right.
+
+    The view is one base-4 integer, x_j a digit 1 and x_j^-1 a digit 2,
+    so both are signed popcounts under _position_masks: E of every
+    digit, and R the sum over t of 2**t times that of the digits whose
+    place has bit t set.
+    """
+    if not view:
+        return 0, 0
+    digits = int(view, 4)
+    total, *levels = [(digits & even).bit_count() - (digits & odd).bit_count()
+                      for even, odd in _position_masks((2 * len(view) - 1).bit_length())]
+    return total, sum(c << t for t, c in enumerate(levels))
+
+
+def _degree_two(
+    w: FreeWord, pairs=_PAIRS
+) -> tuple[tuple[int, int, int], dict[tuple[int, int], int]]:
+    """Exponent sums and the nonzero a_i a_j, a_j a_i coefficients of a rank-3 phi(w).
+
+    For i != j the a_i a_j coefficient is c_ij = sum of s_p s_q over each
+    x_i^s_p at position p before an x_j^s_q at q (Fox calculus cut at
+    degree 2), and c_ij + c_ji = E_i E_j for the exponent sums E.  Both
+    are read off the word's codes with no loop per letter.  One
+    bytes.translate makes the view V+ of the codes, which keeps the
+    letters x_i, x_j and x_j^-1, and another V-, which keeps x_i^-1, x_j
+    and x_j^-1.  In a view, an x_j-letter q stands, counted from the
+    right, at the number of kept x_i-letters after it plus the number of
+    x_j-letters after it.  The second term is the same in both views, so
+    the sums R of s_q times that position give c_ji = R(V+) - R(V-)
+    (_read_view).  E_i is the length of V+ less that of V-, and E_j the
+    signed count of x_j-letters in either view; a generator in no pair
+    is counted in the codes.  Returns the sums of x1, x2, x3 in order and
+    both coefficients of each pair (i, j) that pairs names; the others
+    are left out, as are zeros.
+    """
+    codes, slot = w._codes
+    sums: dict[int, int] = {}
+    coeffs: dict[tuple[int, int], int] = {}
+    for i, j in pairs:
+        if i in slot and j in slot:
+            up, down = (codes.translate(*view) for view in _views(slot[i], slot[j]))
+            (sums[j], back), (_, down_back) = _read_view(up), _read_view(down)
+            sums[i] = len(up) - len(down)
+            back -= down_back  # c_ji
+            for key, c in (((i, j), sums[i] * sums[j] - back), ((j, i), back)):
+                if c:
+                    coeffs[key] = c
+    for g in (1, 2, 3):
+        if g not in sums:
+            k = slot.get(g)
+            sums[g] = 0 if k is None else codes.count(2 * k) - codes.count(2 * k + 1)
+    return (sums[1], sums[2], sums[3]), coeffs
+
+
+def _commutator_degree_two(w: FreeWord, pairs=_PAIRS) -> dict[tuple[int, int], int]:
+    """_degree_two of a rank-3 word at the given pairs, checked to have all exponent sums zero.
 
     The one degree-2 read behind mu123 and nilpotent.class_of.
     """
     if w.rank != 3:
         raise ValueError(f"need a word of rank 3, got rank {w.rank}")
-    sums, coeffs = _degree_two(w)
+    sums, coeffs = _degree_two(w, pairs)
     for index, e in enumerate(sums, 1):
         if e:
             raise PreconditionError(f"nonzero exponent sum for generator {index}")
@@ -281,10 +348,10 @@ def mu123(lambda3: FreeWord) -> int:
 
     Requires rank 3 and all exponent sums zero (the pairwise linking
     number zero hypothesis); the value is the a1*a2 coefficient of
-    phi(lambda3) at any degree cap >= 2, read off in one pass by the
-    degree-2 route; phi is its cross-check in the tests.
+    phi(lambda3) at any degree cap >= 2, read off the word's codes by
+    the degree-2 route; phi is its cross-check in the tests.
     """
-    return _commutator_degree_two(lambda3).get((1, 2), 0)
+    return _commutator_degree_two(lambda3, ((1, 2),)).get((1, 2), 0)
 
 
 def lcs_depth(w: FreeWord, kmax: int) -> int:

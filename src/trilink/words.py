@@ -19,6 +19,15 @@ first pair, the first xor of neighbouring codes that is 1; the codes
 before it are kept as they are and the stack runs from that pair on, so
 a word that is already reduced runs no Python-level loop per letter.
 Wider codes run the stack from the first letter.
+
+The word keeps the reducer's codes, as bytes while every code fits one,
+with the coder's map from generator index to k, in a private slot
+outside its fields (_Coded); magnus reads degree 2 off them.  The codes
+number the generators in order of first appearance in the input,
+letters that cancel included, so equal words may keep different codes.
+The fields are rank and letters alone, and equality, hashing, repr,
+copy and pickle read only them.
+
 The commutator convention is
 
     [a, b] = a b a^-1 b^-1
@@ -64,12 +73,16 @@ class _Coder(dict):
         code = self[key] = 2 * k + (sign == -1)
         return code
 
-    def reduced(self, keys) -> tuple[Letter, ...]:
-        """The letters of keys, checked, with adjacent inverse pairs cancelled."""
+    def reduced(self, keys, word: "_Coded") -> tuple[Letter, ...]:
+        """The letters of keys, checked, with adjacent inverse pairs cancelled.
+
+        The kept codes and the generator index -> k map go to word._codes.
+        """
         codes = list(map(self.__getitem__, keys))
-        first = _first_pair(codes, len(self.letters))
+        packed = bytes(codes) if len(self.letters) <= 0x100 else None
+        first = 0 if packed is None else _first_pair(packed)
         if first < 0:  # already reduced
-            kept = codes
+            kept = packed
         else:
             kept = codes[:first]
             for code in islice(codes, first, None):
@@ -77,24 +90,23 @@ class _Coder(dict):
                     kept.pop()
                 else:
                     kept.append(code)
+            if packed is not None:
+                packed = bytes(kept)
+        object.__setattr__(word, "_codes", (packed, self.slot))
         return tuple(map(self.letters.__getitem__, kept))
 
 
 _FLIP = bytes(code ^ 1 for code in range(256))
 
 
-def _first_pair(codes: list[int], ncodes: int) -> int:
-    """The stack loop starts here; -1 means there is no pair.  Each code is below ncodes.
+def _first_pair(packed: bytes) -> int:
+    """The stack loop starts here; -1 means there is no pair.  One byte a code.
 
-    A pair is an i with codes[i] ^ codes[i + 1] == 1.  With one byte a
-    code, the codes from the second on and the flipped codes up to the
-    last but one, each read as one integer, xor to an integer whose byte
-    i is 0 exactly at a pair, and bytes.find gives the first.  Wider
-    codes start the stack loop at letter 0.
+    A pair is an i with codes[i] ^ codes[i + 1] == 1.  The codes from
+    the second on and the flipped codes up to the last but one, each
+    read as one integer, xor to an integer whose byte i is 0 exactly at
+    a pair, and bytes.find gives the first.
     """
-    if ncodes > 0x100:
-        return 0
-    packed = bytes(codes)
     z = (int.from_bytes(packed[1:], "little")
          ^ int.from_bytes(packed[:-1].translate(_FLIP), "little"))
     return z.to_bytes(max(len(packed) - 1, 0), "little").find(0)
@@ -107,7 +119,18 @@ def _positive(rank) -> int:
     return rank
 
 
-class FreeWord(Record):
+class _Coded(Record):
+    """A record that keeps, outside its fields, the codes its letters were reduced in.
+
+    _codes is the pair (codes, slot): the kept codes as bytes, or None
+    if some code does not fit a byte, and the coder's generator index ->
+    k, so that x_g is code 2k and x_g^-1 is code 2k + 1 for k = slot[g].
+    """
+
+    __slots__ = ("_codes",)
+
+
+class FreeWord(_Coded):
     """A reduced word; rank is carried explicitly, never inferred."""
 
     __slots__ = ("rank", "letters")
@@ -123,7 +146,7 @@ class FreeWord(Record):
                 raise ValueError(f"letter sign must be +1 or -1, got {sign}")
             return index, sign
 
-        Record.__init__(self, rank, _Coder(check).reduced(letters))
+        Record.__init__(self, rank, _Coder(check).reduced(letters, self))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -175,8 +198,8 @@ def parse_word(text: str, rank: int) -> FreeWord:
             raise ValueError(f"generator index {index} out of range 1..{rank}")
         return index, -1 if m.group(2) else 1
 
-    letters = _Coder(check).reduced(text.split())
     word = FreeWord.__new__(FreeWord)
+    letters = _Coder(check).reduced(text.split(), word)
     Record.__init__(word, _positive(rank), letters)
     return word
 

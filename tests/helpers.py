@@ -6,9 +6,11 @@ reduces integer letter codes from the first inverse pair a C-level scan
 finds), the determinant is cofactor expansion (the package uses
 Bareiss), the Magnus
 expansion is a plain dict convolution per letter (the package reads
-degree 2 off exponent sums packed into one integer and updates one
-packed integer per degree), the degree-2 table is also kept in its older
-form, one list row of exponent sums per letter, the per-degree levels in
+degree 2 off position sums over views of the word's codes and updates
+one packed integer per degree), the degree-2 table is also kept in its
+two older forms, the running exponent sums and each row packed into
+one integer and updated per letter, and one list row of exponent sums
+per letter, the per-degree levels in
 theirs, one list of coefficients per degree updated slice by slice, and
 primitivity is gcd of maximal minors (the package uses Smith form),
 and the skew part M - M^T is read off the entries (the package uses the
@@ -29,7 +31,7 @@ from math import gcd
 from operator import add, index as as_index, sub
 from random import Random
 
-from trilink.intlinalg import identity
+from trilink.intlinalg import _Slots, identity
 from trilink.realization import GenusThreeParams
 from trilink.seifert import MetabolizerBasis, standard_metabolizer
 from trilink.words import FreeWord, abelianization, generator
@@ -373,6 +375,38 @@ def rows_degree_two(w: FreeWord) -> tuple[dict[int, int], dict[tuple[int, int], 
     coeffs = {(gens[i], gens[j]): c
               for j, row in enumerate(rows) for i, c in enumerate(row) if c and i != j}
     return dict(zip(gens, sums)), coeffs
+
+
+def packed_degree_two(w: FreeWord) -> tuple[tuple[int, int, int], dict[tuple[int, int], int]]:
+    """magnus._degree_two's reply for a rank-3 word, from running exponent sums, one pass.
+
+    A single letter contributes no a_i a_j with i != j, and the degree-1
+    coefficient of x_k^s is s; so each letter (j, s) adds s times the
+    running exponent sums to row j of the a_i a_j table (Fox calculus
+    cut at degree 2).  The sums, and each row, are one packed integer
+    (intlinalg._Slots) in which generator g owns slot g - 1.  x_j adds
+    the sums to row j and then unit[j] to the sums; x_j^-1 subtracts
+    unit[j] and then the sums from row j.  So slot j - 1 of row j holds
+    C(E_j, 2) for the running sum E_j, the a_j a_j coefficient, which is
+    dropped.  With n letters every |E| <= n and every |coefficient| <=
+    n**2, the slots' limit.  Returns the sums of x1, x2, x3 in order;
+    missing pairs have coefficient 0.
+    """
+    slots = _Slots(3, len(w.letters) ** 2)
+    unit = [0] + [1 << (slots.width * k) for k in range(3)]
+    rows = [0] * 4
+    sums = 0
+    for j, s in w.letters:
+        if s == 1:
+            rows[j] += sums
+            sums += unit[j]
+        else:
+            sums -= unit[j]
+            rows[j] -= sums
+    coeffs = {(i, j): c
+              for j in (1, 2, 3) if rows[j]
+              for i, c in enumerate(slots.read(rows[j]), 1) if c and i != j}
+    return tuple(slots.read(sums)), coeffs
 
 
 def list_levels(letters: list[tuple[int, int]], r: int, cap: int) -> list[list[int]]:

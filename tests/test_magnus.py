@@ -1,4 +1,6 @@
-from itertools import product
+import copy
+import pickle
+from itertools import permutations, product
 from math import comb
 from random import Random
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     list_levels,
+    packed_degree_two,
     random_commutator_subgroup_word,
     random_word,
     rows_degree_two,
@@ -265,10 +268,12 @@ def test_commutator_of_long_powers_against_the_oracles(kmax):
                                                               (2, 1): -9 * 10**6})
     assert lcs_depth(w, kmax) == 2
 
-# The words below have L = n, 2n and 4n letters.  The slot width steps
-# from 8s to 8s + 8 bits where bit_length(L**2) passes 8s - 1, and the
-# pairs n = 11|12, 181|182, 2896|2897 (L = n), 5|6, 90|91, 1448|1449
-# (L = 2n) and 2|3, 45|46, 724|725 (L = 4n) sit on its two sides, s = 1, 2, 3.
+# The words below have L = n, 2n and 4n letters.  The slot width of the
+# per-letter oracle (helpers.packed_degree_two) steps from 8s to 8s + 8
+# bits where bit_length(L**2) passes 8s - 1, and the pairs n = 11|12,
+# 181|182, 2896|2897 (L = n), 5|6, 90|91, 1448|1449 (L = 2n) and 2|3,
+# 45|46, 724|725 (L = 4n) sit on its two sides, s = 1, 2, 3.  _degree_two
+# reads the same values as popcount sums, which have no slot width.
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 8, 11, 12, 45, 46, 63, 64, 65, 90, 91, 181, 182,
                                255, 256, 724, 725, 1023, 1024, 1448, 1449, 2896, 2897, 4095,
                                4096, 5000])
@@ -277,11 +282,118 @@ def test_degree_two_holds_the_largest_slot_values(n):
     x1n, x2n = X1 ** n, X2 ** n
     w = commutator(x1n, x2n)
     assert _degree_two(w) == ((0, 0, 0), {(1, 2): n * n, (2, 1): -n * n})
-    assert _degree_two(w) == _rank_three(rows_degree_two(w))
+    assert _degree_two(w) == _rank_three(rows_degree_two(w)) == packed_degree_two(w)
     # x1^n x2^n: n**2 from 2n letters; x1^n: diagonal slot C(n, 2), dropped
     assert _degree_two(x1n * x2n) == ((n, n, 0), {(1, 2): n * n})
     assert _degree_two(X1 ** -n * X2 ** -n) == ((-n, -n, 0), {(1, 2): n * n})
     assert _degree_two(x1n) == ((n, 0, 0), {})
+
+
+def _agreeing_degree_two(w):
+    """_degree_two of a rank-3 word, checked against the per-letter loop, the list
+    rows and phi(w, 2), at every pair and at each pair alone."""
+    got = _degree_two(w)
+    assert got == packed_degree_two(w) == _rank_three(rows_degree_two(w)), w
+    s = phi(w, 2)
+    assert got[0] == tuple(s.coefficient((g,)) for g in (1, 2, 3))
+    assert got[1] == {m: s.coefficient(m) for m in permutations((1, 2, 3), 2) if s.coefficient(m)}
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        assert _degree_two(w, ((i, j),)) == (got[0], {m: c for m, c in got[1].items()
+                                                       if set(m) == {i, j}})
+    return got
+
+
+def _exact_length(rng, n, letters):
+    """A reduced rank-3 word of exactly n letters drawn from letters, no inverse pair adjacent."""
+    out = []
+    while len(out) < n:
+        g, s = rng.choice(letters)
+        if not out or out[-1] != (g, -s):
+            out.append((g, s))
+    w = FreeWord(3, tuple(out))
+    assert len(w) == n
+    return w
+
+
+def _worst_case_words():
+    """The three 200,000-letter words of tests/test_worst_case.py, parsed."""
+    import test_worst_case
+
+    for name, field in (("mu-200000-letters", "longitude3"),
+                        ("mu-200000-letters-cancelling", "longitude3"),
+                        ("class-200000-letters-cancelling", "word")):
+        _, payload, _ = test_worst_case.CASES[name][0]()
+        yield parse_word(payload[field], 3)
+
+
+def test_degree_two_from_codes_against_the_oracles():
+    rng = Random(53)
+    u, v = random_word(rng, 3, 30), random_word(rng, 3, 30)
+    words = [
+        FreeWord(3),  # empty
+        X2 ** 5, ~X3,  # one generator
+        commutator(X1, X3) * X1 ** 2, commutator(X3 ** 2, X2),  # one generator missing
+        parse_word("x3 x1 x3^-1 x1^-1", 3),  # x3 met before x1
+        parse_word("x3 x2^-1 x1 x2 x3^-1 x1^-1", 3),
+        # cancels in the constructor, and in parse_word
+        FreeWord(3, ((2, 1), (2, -1), (1, 1), (3, 1), (3, -1), (2, 1))),
+        parse_word("x2 x2^-1 x1 x3 x1^-1 x3^-1", 3),
+        parse_word("x1 x2 x3 x3^-1 x2^-1 x1^-1 x2 x1", 3),  # cancels back to letter 0
+        u * v, ~u, u ** 3, u ** -2, v * ~v * u,  # products, inverses and powers
+        pickle.loads(pickle.dumps(u)), copy.deepcopy(v), copy.copy(u * v),
+        commutator(X1 ** 3000, X2 ** 3000),
+        *_worst_case_words(),
+    ]
+    # lengths where the count of position masks steps; the second alphabet
+    # makes the whole word the view V+ of the pair (1, 2)
+    for alphabet in (((1, 1), (1, -1), (2, 1), (2, -1), (3, 1), (3, -1)),
+                     ((1, 1), (2, 1), (2, -1))):
+        for t in range(1, 12):
+            words += [_exact_length(rng, n, alphabet) for n in (2**t - 1, 2**t, 2**t + 1)]
+    for _ in range(300):
+        words.append(random_word(rng, 3, rng.choice((6, 40, 400))))
+        words.append(random_commutator_subgroup_word(rng, 3, 60))
+    for w in words:
+        _agreeing_degree_two(w)
+    assert _agreeing_degree_two(parse_word("x3 x1 x3^-1 x1^-1", 3)) == (
+        (0, 0, 0), {(1, 3): -1, (3, 1): 1})
+    assert _agreeing_degree_two(commutator(X1 ** 3000, X2 ** 3000)) == (
+        (0, 0, 0), {(1, 2): 9 * 10**6, (2, 1): -9 * 10**6})
+
+
+def test_words_with_different_codes_are_equal_by_their_letters():
+    # the codes number generators by first appearance, letters that cancel included
+    a = parse_word("x2 x2^-1 x1 x3", 3)
+    b = FreeWord(3, ((1, 1), (3, 1)))
+    c = generator(3, 3) * ~generator(3, 3) * generator(3, 1) * generator(3, 3)
+    d = FreeWord(3, ((3, 1), (2, 1), (2, -1), (3, -1), (1, 1), (3, 1)))
+    assert len({a._codes[1].get(1), b._codes[1].get(1), d._codes[1].get(1)}) == 3
+    for w in (b, c, d, pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert w == a and a == w and hash(w) == hash(a) and repr(w) == repr(a)
+        assert w.letters == a.letters == ((1, 1), (3, 1))
+        assert _degree_two(w) == _degree_two(a) == ((1, 0, 1), {(1, 3): 1})
+    assert len({a, b, c, d}) == 1
+
+
+def test_mu123_and_class_of_read_no_letter(monkeypatch):
+    w = commutator(X1, X2) * commutator(X2, X3)
+    out_of_order = parse_word("x3 x1 x3^-1 x1^-1", 3)
+    long = commutator(X1 ** 3000, X2 ** 3000)
+    refused = parse_word("x3 x1 x2", 3)
+
+    def no_letters(self):
+        raise AssertionError("a letter tuple was read")
+
+    monkeypatch.setattr(FreeWord, "letters", property(no_letters))
+    with pytest.raises(AssertionError, match="letter tuple"):
+        w.letters
+    assert mu123(w) == 1
+    assert nilpotent.class_of(w) == (1, 0, 1)
+    assert (mu123(out_of_order), nilpotent.class_of(out_of_order)) == (0, (0, -1, 0))
+    assert (mu123(long), nilpotent.class_of(long)) == (9 * 10**6, (9 * 10**6, 0, 0))
+    for read in (mu123, nilpotent.class_of):
+        with pytest.raises(PreconditionError, match="nonzero exponent sum for generator 1"):
+            read(refused)
 
 
 def test_long_words_read_degree_two_as_the_series_does():

@@ -9,8 +9,10 @@ Beside each case is its time through cli.main in a fresh process,
 measured on a shared 2-CPU Xeon under Python 3.11.7 (medians of 5), and
 in parentheses, for the depth and series rows, the time with the list
 levels that the packed ones replaced (helpers.list_levels), for the
-word rows, the time with the per-letter stack loop that the coded
-reducer replaced (helpers.stack_reduced), and for the enumerate rows,
+word rows, the time with the per-letter degree-2 loop that the read off
+the word's codes replaced (helpers.packed_degree_two; the two
+cancelling words reduce to the empty word, so their rows time the
+reducer), and for the enumerate rows,
 the time with the box scan over both signs of every top half that the
 one-sign scan replaced; the budgets are upper limits with room for
 slower machines, not targets.
@@ -209,9 +211,9 @@ CASES = {
     "enumerate-dense-4300-digits-genus-1": (partial(_enumerate_case, 1, 62, 5), 2.0),
     # measured 0.082 s (0.21 s)
     "enumerate-dense-4300-digits-genus-2": (partial(_enumerate_case, 2, 5, 6), 2.0),
-    "mu-200000-letters": (_mu_case, 1.0),  # measured 0.063 s (stack loop: 0.094 s)
-    "mu-200000-letters-cancelling": (_mu_cancelling_case, 1.0),  # measured 0.033 s (0.049 s)
-    "class-200000-letters-cancelling": (_class_cancelling_case, 1.0),  # measured 0.051 s (0.068 s)
+    "mu-200000-letters": (_mu_case, 1.0),  # measured 0.024 s (degree-2 loop: 0.031 s)
+    "mu-200000-letters-cancelling": (_mu_cancelling_case, 1.0),  # measured 0.020 s (0.019 s)
+    "class-200000-letters-cancelling": (_class_cancelling_case, 1.0),  # measured 0.025 s (0.025 s)
     "depth-max-work-9974-letters": (_depth_work_case, 0.5),  # measured 0.076 s (list levels: 0.86 s)
     "depth-weight-8-power-4966-letters": (_depth_weight_eight_case, 0.5),  # measured 0.090 s (0.54 s)
     "mu-series-cap-8-5096-letters": (_mu_series_case, 1.0),  # measured 0.11 s (0.95 s)
