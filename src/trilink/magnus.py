@@ -12,22 +12,24 @@ of a third longitude is Milnor's triple linking number mu-bar(123), and
 the lowest degree of a surviving term bounds lower-central-series depth
 (Magnus's criterion).
 
-mu123 and nilpotent.class_of read the a_i a_j coefficients (i != j) of
-a rank-3 word off the codes its reducer kept (words._Coded), as in
-Fox's free differential calculus: c_ij is the signed count of the
-pairs of an x_i-letter before an x_j-letter.  _degree_two takes it from
-two views of the codes per pair, each one bytes.translate read as one
-base-4 integer, by sums of letter positions that are popcounts under
-masks cached per size; no Python-level loop runs per letter, and the
-letter tuples are not read.  Every other question goes to
-_packed_levels, which carries the running sums to every degree: for a
-word with r distinct generators, level d below the cap is one integer
-of r**d slots and the top level is r integers, one per last letter, so
-a letter costs one shifted big-integer addition per degree.  lcs_depth
-builds the levels at caps 2, 3, ... and asks only whether the top is
-zero; phi decodes every slot into a MagnusSeries for --show-series, and
-it is the cross-check of _degree_two.  MAX_DEPTH_TERMS bounds the size
-of a level and MAX_DEPTH_WORK the slot updates of a request.
+Every question reads the word through the codes its reducer kept
+(words._Coded), never its letter tuples.  mu123 and
+nilpotent.class_of read the a_i a_j coefficients (i != j) of a rank-3
+word as in Fox's free differential calculus: c_ij is the signed count
+of the pairs of an x_i-letter before an x_j-letter.  _degree_two takes
+it from two views of the codes per pair, each one bytes.translate read
+as one base-4 integer, by sums of letter positions that are popcounts
+under masks cached per size; no Python-level loop runs per letter.
+Every other question goes to _packed_levels, which carries the running
+sums to every degree over the codes as they are: for a word with r
+distinct generators, level d below the cap is one integer of r**d slots
+and the top level is r integers, one per last letter, so a letter costs
+one shifted big-integer addition per degree.  lcs_depth builds the
+levels at caps 2, 3, ... and asks only whether the top is zero; phi
+decodes every slot into a MagnusSeries for --show-series, mapping each
+k back to its generator, and it is the cross-check of _degree_two.
+MAX_DEPTH_TERMS bounds the size of a level and MAX_DEPTH_WORK the slot
+updates of a request.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import compress, product
 from math import comb
-from operator import index
+from operator import index, sub
 
 from ._record import Record, _int_rows
 from .errors import PreconditionError
@@ -74,8 +76,10 @@ MAX_DEPTH_TERMS = 2**16
 # word 1.34 -> 0.26 s.  Degree 2 alone costs less per update: x1 ... x256
 # x1^-1 ... x256^-1 repeated at kmax 3 (65,024 letters, 256 generators;
 # medians of 7) took 0.068 s through a degree-2 row table, 0.050 s on the
-# levels at cap 2 with level 1 as a shifted level 0, and takes 0.043 s
-# with level 1 from a table of units.
+# levels at cap 2 with level 1 as a shifted level 0 and 0.044 s with level
+# 1 from a table of units, and takes 0.035 s with the levels and the
+# exponent sums read off the word's codes, which no walk relabels (0.044
+# -> 0.035 s side by side).
 MAX_DEPTH_WORK = 2**24
 
 
@@ -137,17 +141,6 @@ class MagnusSeries(Record):
         return " ".join(parts)
 
 
-def _relabel(w: FreeWord) -> tuple[list[int], list[tuple[int, int]]]:
-    """The distinct generators of w in ascending order, and w's letters on labels 0..r-1.
-
-    Equal letters share one relabelled tuple, so a long word costs one
-    list of references and no new tuple per letter.
-    """
-    gens = sorted({index for index, _ in w.letters})
-    label = {(g, s): (n, s) for n, g in enumerate(gens) for s in (1, -1)}
-    return gens, [label[letter] for letter in w.letters]
-
-
 def _updates(letters: int, r: int, d: int) -> int:
     """Slot updates of _packed_levels up to cap d: letters * (1 + r + ... + r**(d-1))."""
     return letters * sum(r**e for e in range(d))
@@ -167,48 +160,52 @@ def _check_degree(r: int, d: int, work: int) -> None:
         )
 
 
-def _packed_levels(letters: list[tuple[int, int]], r: int, cap: int):
-    """Packed levels 0..cap of the series of a word relabelled by _relabel.
+def _packed_levels(codes, r: int, cap: int):
+    """Packed levels 0..cap of the series of a word's codes (words._Coded), r generators.
 
     Returns the _Slots layouts of levels 0..cap-1 (one width), those
     levels as packed integers, and the top level as r blocks, block k
     holding the monomials that end in k in the layout of level cap - 1.
     Slot k*r**(d-1) + m of level d holds the monomial m followed by k.
-    Right-multiplying by x_k adds c_m to c_{m k} for every m below the
-    cap: level d - 1, shifted by k*r**(d-1) slots, into level d.  So x_k
-    adds the old levels from the top down, and x_k^-1, whose image S'
-    solves S' (1 + a_k) = S, subtracts the new ones from the bottom up.
-    Level 0 is always 1, so level 1 takes a precomputed unit, slot k
-    set to 1, and no shift.  A whole top level would make every shift
-    r**cap slots long.
+    Right-multiplying by x_k (code 2k) adds c_m to c_{m k} for every m
+    below the cap: level d - 1, shifted by k*r**(d-1) slots, into level
+    d.  So x_k adds the old levels from the top down, and x_k^-1 (code
+    2k + 1), whose image S' solves S' (1 + a_k) = S, subtracts the new
+    ones from the bottom up.  Level 0 is always 1, so level 1 takes a
+    precomputed signed unit per code, slot k set to +-1, and no shift.
+    The top gathers what each code adds, as one positive sum per code,
+    and block k is the sum of code 2k less that of 2k + 1.  A whole top
+    level would make every shift r**cap slots long.
 
     A degree-d coefficient of a prefix sums +-1 over the ways to cut its
     monomial into one run per letter, so with n letters no slot passes
     C(n + d - 1, d) <= C(n + cap, cap), the slots' limit.
     """
-    limit = comb(len(letters) + cap, cap)
+    limit = comb(len(codes) + cap, cap)
     slots = [_Slots(r**d, limit) for d in range(cap)]
     width = slots[0].width
-    down = [[(d, k * r ** (d - 1) * width) for d in range(cap - 1, 1, -1)] for k in range(r)]
-    up = [shifts[::-1] for shifts in down]
-    unit = [1 << (k * width) for k in range(r)]  # level 0 is 1: its shift into level 1
-    last, deep = cap - 1, cap > 2  # below cap 3, down and up are empty
+    shifts, unit = [], []  # per code: x_k top down, x_k^-1 bottom up; +-1 in slot k of level 1
+    for k in range(r):
+        down = [(d, k * r ** (d - 1) * width) for d in range(cap - 1, 1, -1)]
+        shifts += down, down[::-1]
+        unit += 1 << (k * width), -1 << (k * width)
+    last, deep = cap - 1, cap > 2  # below cap 3, the shifts are empty
     levels = [1] + [0] * max(last, 1)  # at cap 1 the top is level 1 and levels[1] is unread
-    top = [0] * r
-    for k, sign in letters:
-        if sign == 1:
-            top[k] += levels[last]
+    top = [0] * (2 * r)
+    for code in codes:
+        if code & 1:
+            levels[1] += unit[code]
             if deep:
-                for d, shift in down[k]:
-                    levels[d] += levels[d - 1] << shift
-            levels[1] += unit[k]
-        else:
-            levels[1] -= unit[k]
-            if deep:
-                for d, shift in up[k]:
+                for d, shift in shifts[code]:
                     levels[d] -= levels[d - 1] << shift
-            top[k] -= levels[last]
-    return slots, levels[:cap], top
+            top[code] += levels[last]
+        else:
+            top[code] += levels[last]
+            if deep:
+                for d, shift in shifts[code]:
+                    levels[d] += levels[d - 1] << shift
+            levels[1] += unit[code]
+    return slots, levels[:cap], list(map(sub, top[::2], top[1::2]))
 
 
 def phi(w: FreeWord, degree_cap: int = DEFAULT_DEGREE_CAP) -> MagnusSeries:
@@ -221,10 +218,11 @@ def phi(w: FreeWord, degree_cap: int = DEFAULT_DEGREE_CAP) -> MagnusSeries:
     degree_cap = index(degree_cap)
     if degree_cap < 1:
         raise ValueError(f"degree cap must be positive, got {degree_cap}")
-    gens, letters = _relabel(w)
-    r = len(gens)
-    _check_degree(r, degree_cap, _updates(len(letters), r, degree_cap))
-    slots, levels, top = _packed_levels(letters, r, degree_cap)
+    codes, slot = w._codes
+    r = len(slot)
+    _check_degree(r, degree_cap, _updates(len(codes), r, degree_cap))
+    slots, levels, top = _packed_levels(codes, r, degree_cap)
+    gens = sorted(slot, key=slot.get)  # k -> generator
     values = [layout.read(level) for layout, level in zip(slots, levels)]
     values.append([c for block in top for c in slots[-1].read(block)])
     terms: dict[Monomial, int] = {}
@@ -374,15 +372,15 @@ def lcs_depth(w: FreeWord, kmax: int) -> int:
     kmax = index(kmax)
     if kmax < 1:
         raise ValueError(f"kmax must be positive, got {kmax}")
-    if kmax == 1 or not w.letters:
+    codes, slot = w._codes
+    if kmax == 1 or not codes:
         return kmax
     if any(abelianization(w).values()):
         return 1
-    gens, letters = _relabel(w)
-    r, work = len(gens), 0
+    r, work = len(slot), 0
     for d in range(2, kmax):
-        work += _updates(len(letters), r, d)
+        work += _updates(len(codes), r, d)
         _check_degree(r, d, work)
-        if any(_packed_levels(letters, r, d)[2]):
+        if any(_packed_levels(codes, r, d)[2]):
             return d
     return kmax

@@ -20,13 +20,15 @@ before it are kept as they are and the stack runs from that pair on, so
 a word that is already reduced runs no Python-level loop per letter.
 Wider codes run the stack from the first letter.
 
-The word keeps the reducer's codes, as bytes while every code fits one,
-with the coder's map from generator index to k, in a private slot
-outside its fields (_Coded); magnus reads degree 2 off them.  The codes
-number the generators in order of first appearance in the input,
-letters that cancel included, so equal words may keep different codes.
-The fields are rank and letters alone, and equality, hashing, repr,
-copy and pickle read only them.
+The word keeps the reducer's codes, as bytes while every code fits one
+and otherwise as the stack's list of ints, with the map from generator
+index to k, in a private slot outside its fields (_Coded); every magnus
+question and the exponent sums read them.  The map names exactly the
+generators left in the reduced word, numbered 0..r-1 in order of first
+appearance in the input: the stack, the one path that can cancel every
+letter of a generator, numbers the ones left again.  So equal words may
+keep different codes.  The fields are rank and letters alone, and
+equality, hashing, repr, copy and pickle read only them.
 
 The commutator convention is
 
@@ -39,6 +41,7 @@ here once and nowhere else.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from itertools import islice
 from operator import index as _as_index
 
@@ -81,8 +84,8 @@ class _Coder(dict):
         codes = list(map(self.__getitem__, keys))
         packed = bytes(codes) if len(self.letters) <= 0x100 else None
         first = 0 if packed is None else _first_pair(packed)
-        if first < 0:  # already reduced
-            kept = packed
+        if first < 0:  # already reduced: every generator met is left
+            kept, coded = packed, (packed, self.slot)
         else:
             kept = codes[:first]
             for code in islice(codes, first, None):
@@ -90,10 +93,27 @@ class _Coder(dict):
                     kept.pop()
                 else:
                     kept.append(code)
-            if packed is not None:
-                packed = bytes(kept)
-        object.__setattr__(word, "_codes", (packed, self.slot))
+            coded = _renumbered(kept, self.slot)
+        object.__setattr__(word, "_codes", coded)
         return tuple(map(self.letters.__getitem__, kept))
+
+
+def _renumbered(kept: list[int], slot: dict[int, int]) -> tuple[bytes | list[int], dict[int, int]]:
+    """(codes, slot) of the word the stack kept: the generators left close up to k = 0..r-1.
+
+    They keep their order; byte codes are renumbered by one
+    bytes.translate, and the codes are bytes exactly when 2r <= 256.
+    """
+    wide = 2 * len(slot) > 0x100
+    codes = kept if wide else bytes(kept)
+    seen = set(kept) if wide else codes
+    left = [k for k in range(len(slot)) if 2 * k in seen or 2 * k + 1 in seen]
+    if len(left) < len(slot):
+        new = dict(zip(left, range(len(left))))  # old k -> new k
+        table = [2 * new.get(c >> 1, 0) + (c & 1) for c in range(max(2 * len(slot), 0x100))]
+        codes = list(map(table.__getitem__, kept)) if wide else codes.translate(bytes(table))
+        slot = {g: new[k] for g, k in slot.items() if k in new}
+    return (codes if 2 * len(slot) > 0x100 else bytes(codes)), slot
 
 
 _FLIP = bytes(code ^ 1 for code in range(256))
@@ -122,9 +142,11 @@ def _positive(rank) -> int:
 class _Coded(Record):
     """A record that keeps, outside its fields, the codes its letters were reduced in.
 
-    _codes is the pair (codes, slot): the kept codes as bytes, or None
-    if some code does not fit a byte, and the coder's generator index ->
-    k, so that x_g is code 2k and x_g^-1 is code 2k + 1 for k = slot[g].
+    _codes is the pair (codes, slot): the kept codes, as bytes if every
+    code fits a byte (2 * len(slot) <= 256) and as a list of ints
+    otherwise, and the generator index -> k of exactly the generators
+    left in the letters, with k in 0..r-1, so that x_g is code 2k and
+    x_g^-1 is code 2k + 1 for k = slot[g].
     """
 
     __slots__ = ("_codes",)
@@ -205,11 +227,10 @@ def parse_word(text: str, rank: int) -> FreeWord:
 
 
 def abelianization(w: FreeWord) -> dict[int, int]:
-    """Exponent sum of each generator occurring in w (possibly 0), in one pass."""
-    sums: dict[int, int] = {}
-    for i, s in w.letters:
-        sums[i] = sums.get(i, 0) + s
-    return sums
+    """Exponent sum of each generator occurring in w (possibly 0), off its codes in one pass."""
+    codes, slot = w._codes
+    counts = Counter(codes)
+    return {g: counts[2 * k] - counts[2 * k + 1] for g, k in slot.items()}
 
 
 def commutator(w1: FreeWord, w2: FreeWord) -> FreeWord:

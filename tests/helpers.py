@@ -409,22 +409,25 @@ def packed_degree_two(w: FreeWord) -> tuple[tuple[int, int, int], dict[tuple[int
     return tuple(slots.read(sums)), coeffs
 
 
-def list_levels(letters: list[tuple[int, int]], r: int, cap: int) -> list[list[int]]:
-    """Dense levels 0..cap of the series of a word relabelled by magnus._relabel.
+def list_levels(codes, r: int, cap: int) -> list[list[int]]:
+    """Dense levels 0..cap of the series of a word's codes, on r generators.
 
-    Level d holds the r**d coefficients of degree d, the monomial read
-    as a base-r number indexing its slot.  Right-multiplying by x_k
-    adds c_m to c_{m k} for every m below the cap; the slots m k of
-    level d form the slice [k::r], in the order of level d - 1.  So
-    x_k adds the old level d - 1 from the top down, and x_k^-1, whose
-    image S' solves S' (1 + a_k) = S, subtracts the new level d - 1
-    from the bottom up.  A letter updates 1 + r + ... + r**(cap-1) slots.
+    Code 2k is x_k and code 2k + 1 is x_k^-1, for k in 0..r-1, as in
+    words._Coded.  Level d holds the r**d coefficients of degree d, the
+    monomial read as a base-r number indexing its slot.
+    Right-multiplying by x_k adds c_m to c_{m k} for every m below the
+    cap; the slots m k of level d form the slice [k::r], in the order of
+    level d - 1.  So x_k adds the old level d - 1 from the top down, and
+    x_k^-1, whose image S' solves S' (1 + a_k) = S, subtracts the new
+    level d - 1 from the bottom up.  A letter updates 1 + r + ... +
+    r**(cap-1) slots.
     """
     levels = [[1]] + [[0] * r**d for d in range(1, cap + 1)]
     top_down = range(cap, 0, -1)
     bottom_up = range(1, cap + 1)
-    for k, sign in letters:
-        op, order = (add, top_down) if sign == 1 else (sub, bottom_up)
+    for code in codes:
+        k = code >> 1
+        op, order = (sub, bottom_up) if code & 1 else (add, top_down)
         for d in order:
             level = levels[d]
             level[k::r] = map(op, level[k::r], levels[d - 1])

@@ -96,9 +96,37 @@ def test_phi_against_independent_expansion():
                 assert phi(w, cap).terms == series_dict(w, cap), (w, cap)
 
 
-def _unpacked(letters, r, cap):
+def _out_of_order_or_vanishing(rng, rank):
+    """u g^e v g^-e w and g, with u, v, w random over the generators other than g, met
+    in a shuffled order; v is empty half the time, and then g leaves the reduced word."""
+    gens = rng.sample(range(1, rank + 1), rank)
+    g, rest = gens[0], gens[1:]
+
+    def part(n):
+        return [(rng.choice(rest), rng.choice((1, -1))) for _ in range(rng.randint(0, n))]
+
+    e = rng.choice((1, -1))
+    v = part(4) if rng.random() < 0.5 else []
+    return FreeWord(rank, tuple(part(5) + [(g, e)] * 2 + v + [(g, -e)] * 2 + part(5))), g
+
+
+def test_phi_on_codes_met_out_of_order_and_with_vanished_generators():
+    rng = Random(59)
+    cases = [(parse_word("x3 x1 x3^-1 x1^-1", 3), 3),
+             (parse_word("x2 x3 x3^-1 x1 x2^-1 x1^-1", 3), 3),
+             (FreeWord(5, ((5, 1), (2, -1), (4, 1), (4, -1), (3, 1), (5, -1))), 4)]
+    cases += [_out_of_order_or_vanishing(rng, rng.randint(2, 5)) for _ in range(150)]
+    vanished = 0
+    for w, g in cases:
+        vanished += g not in w._codes[1]
+        for cap in (1, 2, 3, 4):
+            assert phi(w, cap).terms == series_dict(w, cap), (w, cap)
+    assert vanished > 30
+
+
+def _unpacked(codes, r, cap):
     """magnus._packed_levels read slot by slot, in list_levels' order of monomials."""
-    slots, levels, top = magnus._packed_levels(letters, r, cap)
+    slots, levels, top = magnus._packed_levels(codes, r, cap)
     values = [layout.read(level) for layout, level in zip(slots, levels)]
     values.append([c for block in top for c in slots[-1].read(block)])
     out = []
@@ -109,20 +137,20 @@ def _unpacked(letters, r, cap):
 
 
 @st.composite
-def _relabelled_words(draw):
-    """Letters on labels 0..r-1 for r = 1-6, and a cap 1-8 whose r**cap fits MAX_DEPTH_TERMS."""
+def _coded_words(draw):
+    """Codes 0..2r-1 for r = 1-6, as bytes or a list, and a cap 1-8 whose r**cap fits
+    MAX_DEPTH_TERMS."""
     r = draw(st.integers(1, 6))
     cap = draw(st.integers(1, max(c for c in range(1, 9) if r**c <= magnus.MAX_DEPTH_TERMS)))
-    letters = draw(st.lists(st.tuples(st.integers(0, r - 1), st.sampled_from((1, -1))),
-                            max_size=12 if r**cap > 4096 else 40))
-    return letters, r, cap
+    codes = draw(st.lists(st.integers(0, 2 * r - 1), max_size=12 if r**cap > 4096 else 40))
+    return draw(st.sampled_from((bytes, list)))(codes), r, cap
 
 
 @settings(max_examples=150, deadline=None)
-@given(_relabelled_words())
+@given(_coded_words())
 def test_packed_levels_against_list_levels(case):
-    letters, r, cap = case
-    assert _unpacked(letters, r, cap) == list_levels(letters, r, cap)
+    codes, r, cap = case
+    assert _unpacked(codes, r, cap) == list_levels(codes, r, cap)
 
 
 def _width_edges():
@@ -142,11 +170,11 @@ def _width_edges():
 def test_packed_levels_hold_the_coefficient_bound_at_slot_width_edges(cap, n, width):
     # x^n has a^d coefficient C(n, d); x^-n has (-1)**d C(n + d - 1, d), the bound itself
     for sign in (1, -1):
-        letters = [(0, sign)] * n
-        slots, _, _ = magnus._packed_levels(letters, 1, cap)
+        codes = bytes([sign == -1]) * n
+        slots, _, _ = magnus._packed_levels(codes, 1, cap)
         assert slots[0].width == width
-        levels = _unpacked(letters, 1, cap)
-        assert levels == list_levels(letters, 1, cap)
+        levels = _unpacked(codes, 1, cap)
+        assert levels == list_levels(codes, 1, cap)
         expected = [comb(n, d) if sign == 1 else (-1) ** d * comb(n + d - 1, d)
                     for d in range(cap + 1)]
         assert [c for (c,) in levels] == expected
@@ -202,8 +230,9 @@ def test_lcs_depth_examples():
 def _levels_degree_two(w):
     """Exponent sums and nonzero a_i a_j (i != j) coefficients from the cap-2 _packed_levels,
     in rows_degree_two's shape."""
-    gens, letters = magnus._relabel(w)
-    _, sums, pairs = _unpacked(letters, len(gens), 2)
+    codes, slot = w._codes
+    gens = sorted(slot, key=slot.get)
+    _, sums, pairs = _unpacked(codes, len(gens), 2)
     coeffs = {m: c for m, c in zip(product(gens, repeat=2), pairs) if c and m[0] != m[1]}
     return dict(zip(gens, sums)), coeffs
 
@@ -258,10 +287,10 @@ def test_commutator_of_long_powers_against_the_oracles(kmax):
     # [x1^3000, x2^3000], 12,000 letters: every letter puts a unit into level 1,
     # and lcs_depth reads the caps 2..kmax-1 whose levels are compared here
     w = commutator(X1 ** 3000, X2 ** 3000)
-    gens, letters = magnus._relabel(w)
+    codes, slot = w._codes
     for cap in range(2, kmax):
-        levels = _unpacked(letters, len(gens), cap)
-        assert levels == list_levels(letters, len(gens), cap)
+        levels = _unpacked(codes, len(slot), cap)
+        assert levels == list_levels(codes, len(slot), cap)
         assert levels[2] == [0, 9 * 10**6, -9 * 10**6, 0]
     assert _levels_degree_two(w) == rows_degree_two(w) == ({1: 0, 2: 0},
                                                              {(1, 2): 9 * 10**6,
@@ -362,12 +391,14 @@ def test_degree_two_from_codes_against_the_oracles():
 
 
 def test_words_with_different_codes_are_equal_by_their_letters():
-    # the codes number generators by first appearance, letters that cancel included
+    # the codes number the generators left by first appearance in the input,
+    # letters that cancel included, so x3 comes first in d
     a = parse_word("x2 x2^-1 x1 x3", 3)
     b = FreeWord(3, ((1, 1), (3, 1)))
     c = generator(3, 3) * ~generator(3, 3) * generator(3, 1) * generator(3, 3)
     d = FreeWord(3, ((3, 1), (2, 1), (2, -1), (3, -1), (1, 1), (3, 1)))
-    assert len({a._codes[1].get(1), b._codes[1].get(1), d._codes[1].get(1)}) == 3
+    assert a._codes == b._codes == c._codes == (b"\x00\x02", {1: 0, 3: 1})
+    assert d._codes == (b"\x02\x00", {3: 0, 1: 1})
     for w in (b, c, d, pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
         assert w == a and a == w and hash(w) == hash(a) and repr(w) == repr(a)
         assert w.letters == a.letters == ((1, 1), (3, 1))
@@ -376,10 +407,16 @@ def test_words_with_different_codes_are_equal_by_their_letters():
 
 
 def test_mu123_and_class_of_read_no_letter(monkeypatch):
+    # nor do lcs_depth and phi: every Magnus question reads the word's codes
     w = commutator(X1, X2) * commutator(X2, X3)
     out_of_order = parse_word("x3 x1 x3^-1 x1^-1", 3)
     long = commutator(X1 ** 3000, X2 ** 3000)
     refused = parse_word("x3 x1 x2", 3)
+    vanished = parse_word("x2 x3 x3^-1 x1 x2^-1 x1^-1", 3)  # x3 cancels out entirely
+    wide = FreeWord(256, spread_word(256).letters * 127)  # codes past one byte
+    empty = FreeWord(3)
+    series = {(v, cap): series_dict(v, cap) for v in (w, out_of_order, vanished, refused)
+              for cap in (1, 2, 3, 4)}
 
     def no_letters(self):
         raise AssertionError("a letter tuple was read")
@@ -394,6 +431,11 @@ def test_mu123_and_class_of_read_no_letter(monkeypatch):
     for read in (mu123, nilpotent.class_of):
         with pytest.raises(PreconditionError, match="nonzero exponent sum for generator 1"):
             read(refused)
+    assert [lcs_depth(v, 5) for v in (w, out_of_order, long, refused, vanished, wide)] == [
+        2, 2, 2, 1, 2, 2]
+    assert lcs_depth(empty, 5) == 5
+    for (v, cap), terms in series.items():
+        assert phi(v, cap).terms == terms, (cap, terms)
 
 
 def test_long_words_read_degree_two_as_the_series_does():
@@ -414,7 +456,7 @@ def test_mu123_and_class_of_do_not_expand_the_series(monkeypatch):
 
     monkeypatch.setattr(magnus, "phi", no_phi)
     monkeypatch.setattr(magnus, "_packed_levels", no_phi)
-    monkeypatch.setattr(magnus, "_relabel", no_phi)
+    monkeypatch.setattr(magnus, "abelianization", no_phi)  # the views give the sums
     w = commutator(X1, X2) * commutator(X2, X3)
     assert mu123(w) == 1
     assert nilpotent.class_of(w) == (1, 0, 1)
@@ -464,8 +506,8 @@ def test_lcs_depth_reads_degree_one_without_the_series(monkeypatch):
     for w, depth in cases:
         for kmax in (1, 2, 3, 8):
             with monkeypatch.context() as m:
-                if depth == 1 or kmax == 1:  # answered from the exponent sums
-                    m.setattr(magnus, "_relabel", no_phi)
+                if kmax == 1:  # as deep as kmax, with nothing read
+                    m.setattr(magnus, "abelianization", no_phi)
                 if depth == 1 or kmax <= 2:  # no degree below kmax is left to read
                     m.setattr(magnus, "_packed_levels", no_phi)
                 assert lcs_depth(w, kmax) == min(depth, kmax), (w, kmax)

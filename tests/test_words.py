@@ -1,3 +1,4 @@
+import copy
 import pickle
 import re
 from random import Random
@@ -403,3 +404,90 @@ def test_parse_stores_its_letters_without_checking_them_again(monkeypatch):
     assert w == want and hash(w) == hash(want)
     assert pickle.loads(pickle.dumps(w)) == w
     assert type(w) is FreeWord and type(w.rank) is int
+
+
+# --- the codes a word keeps (words._Coded) against its letters
+
+def _assert_coded(w):
+    """w._codes decodes through its slot to w.letters, the slot names exactly the
+    generators in the letters as k = 0..r-1, and the codes are bytes iff 2r <= 256."""
+    codes, slot = w._codes
+    generator_of = {k: g for g, k in slot.items()}
+    assert sorted(slot.values()) == list(range(len(slot)))
+    assert tuple((generator_of[c >> 1], -1 if c & 1 else 1) for c in codes) == w.letters
+    assert set(slot) == {g for g, _ in w.letters}
+    assert type(codes) is (bytes if 2 * len(slot) <= 0x100 else list)
+
+
+@st.composite
+def built_words(draw):
+    """A word from the constructor or parse_word, then a few products, inverses,
+    powers, copies or pickle round trips."""
+    rank = draw(st.sampled_from((1, 3, 130, 300)))
+    gens = draw(st.lists(st.integers(1, rank), min_size=1, max_size=6))
+
+    def raw():
+        return tuple(draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from((1, -1))),
+                                   max_size=20)))
+
+    def fresh():
+        letters = raw()
+        return FreeWord(rank, letters) if draw(st.booleans()) else parse_word(_text(letters), rank)
+
+    w = fresh()
+    for op in draw(st.lists(st.sampled_from("*~p=cdk"), max_size=4)):
+        if op == "*":
+            w = w * fresh()
+        elif op == "~":
+            w = ~w
+        elif op == "p":
+            w = w ** draw(st.integers(-3, 3))
+        elif op == "=":
+            w = FreeWord(rank, w.letters + raw())
+        elif op == "c":
+            w = copy.copy(w)
+        elif op == "d":
+            w = copy.deepcopy(w)
+        else:
+            w = pickle.loads(pickle.dumps(w))
+        _assert_coded(w)
+    return w
+
+
+@given(built_words())
+def test_codes_decode_to_the_letters(w):
+    _assert_coded(w)
+
+
+def _spread(n, k=1):
+    """The letters of (x1 ... xn x1^-1 ... xn^-1)**k, over n distinct generators."""
+    letters = tuple((g, 1) for g in range(1, n + 1)) + tuple((g, -1) for g in range(1, n + 1))
+    return letters * k
+
+
+def _cascade(n, gens=3):
+    """n letters, x1 x2 ... cycling through gens generators and then their inverse:
+    all cancel, from the middle out."""
+    half = tuple((1 + i % gens, 1) for i in range(n // 2))
+    return half + tuple((g, -s) for g, s in reversed(half))
+
+
+@pytest.mark.parametrize("rank, letters, slot", [
+    (3, ((1, 1), (2, 1), (2, -1)), {1: 0}),  # x2 cancels out
+    (3, ((2, 1), (3, 1), (3, -1), (1, 1), (2, -1), (1, -1)), {2: 0, 1: 1}),
+    (3, _cascade(12000), {}),
+    (128, _spread(128), {g: g - 1 for g in range(1, 129)}),  # the widest bytes
+    (129, _spread(129), {g: g - 1 for g in range(1, 130)}),  # the narrowest list
+    (256, _spread(256, 3), {g: g - 1 for g in range(1, 257)}),
+    # 129 and 256 generators met, 128 and 3 left: the stack's list becomes bytes
+    (129, ((129, 1), (129, -1)) + _spread(128), {g: g - 1 for g in range(1, 129)}),
+    (256, ((3, 1), (2, -1), (200, 1)) + _cascade(512, 256), {3: 0, 2: 1, 200: 2}),
+    # 300 met, 200 left, past one byte a code: renumbered in the list
+    (300, _cascade(600, 300)[:400], {g: g - 1 for g in range(1, 201)}),
+])
+def test_codes_of_words_that_lose_generators_or_pass_a_byte(rank, letters, slot):
+    for w in (FreeWord(rank, letters), parse_word(_text(letters), rank)):
+        for v in (w, ~w, w * w, w ** -2, copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+            _assert_coded(v)
+        assert w.letters == stack_reduced(rank, letters)
+        assert w._codes[1] == slot
