@@ -7,6 +7,9 @@ refuse assignment and deletion, and rebuild themselves through the
 constructor for ``copy``, ``deepcopy`` and ``pickle``.  A subclass that
 checks or normalizes its fields writes its own ``__init__`` and stores
 them with one ``Record.__init__`` call, the one way a field is stored.
+A record that stores a normal form of its input instead of the input
+itself defines ``__reduce__`` to rebuild through the constructor from
+that input, which it reads back from the normal form.
 
 Every matrix or series a caller hands a constructor goes through
 ``_int_rows`` first: each entry through ``operator.index``, so a float

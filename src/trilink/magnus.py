@@ -12,11 +12,11 @@ of a third longitude is Milnor's triple linking number mu-bar(123), and
 the lowest degree of a surviving term bounds lower-central-series depth
 (Magnus's criterion).
 
-Every question reads the word through the codes its reducer kept
-(words._Coded), never its letter tuples.  mu123 and
-nilpotent.class_of read the a_i a_j coefficients (i != j) of a rank-3
-word as in Fox's free differential calculus: c_ij is the signed count
-of the pairs of an x_i-letter before an x_j-letter.  _degree_two takes
+Every question reads the word through its canonical codes (w._codes,
+with w._gens naming the generator of each k), never its letter tuples.
+mu123 and nilpotent.class_of read the a_i a_j coefficients (i != j) of
+a rank-3 word as in Fox's free differential calculus: c_ij is the
+signed count of the pairs of an x_i-letter before an x_j-letter.  _degree_two takes
 it from two views of the codes per pair, each one bytes.translate read
 as one base-4 integer, by sums of letter positions that are popcounts
 under masks cached per size; no Python-level loop runs per letter.
@@ -27,7 +27,8 @@ and the top level is r integers, one per last letter, so a letter costs
 one shifted big-integer addition per degree.  lcs_depth builds the
 levels at caps 2, 3, ... and asks only whether the top is zero; phi
 decodes every slot into a MagnusSeries for --show-series, mapping each
-k back to its generator, and it is the cross-check of _degree_two.
+k back to its generator through _gens, and it is the cross-check of
+_degree_two.
 MAX_DEPTH_TERMS bounds the size of a level and MAX_DEPTH_WORK the slot
 updates of a request.
 """
@@ -75,11 +76,7 @@ MAX_DEPTH_TERMS = 2**16
 # letters) 2.3 -> 0.51 s; mu --show-series at cap 8 of a random 5,088-letter
 # word 1.34 -> 0.26 s.  Degree 2 alone costs less per update: x1 ... x256
 # x1^-1 ... x256^-1 repeated at kmax 3 (65,024 letters, 256 generators;
-# medians of 7) took 0.068 s through a degree-2 row table, 0.050 s on the
-# levels at cap 2 with level 1 as a shifted level 0 and 0.044 s with level
-# 1 from a table of units, and takes 0.035 s with the levels and the
-# exponent sums read off the word's codes, which no walk relabels (0.044
-# -> 0.035 s side by side).
+# medians of 7) takes 0.035 s.
 MAX_DEPTH_WORK = 2**24
 
 
@@ -161,7 +158,7 @@ def _check_degree(r: int, d: int, work: int) -> None:
 
 
 def _packed_levels(codes, r: int, cap: int):
-    """Packed levels 0..cap of the series of a word's codes (words._Coded), r generators.
+    """Packed levels 0..cap of the series of a word's codes (FreeWord._codes), r generators.
 
     Returns the _Slots layouts of levels 0..cap-1 (one width), those
     levels as packed integers, and the top level as r blocks, block k
@@ -218,11 +215,10 @@ def phi(w: FreeWord, degree_cap: int = DEFAULT_DEGREE_CAP) -> MagnusSeries:
     degree_cap = index(degree_cap)
     if degree_cap < 1:
         raise ValueError(f"degree cap must be positive, got {degree_cap}")
-    codes, slot = w._codes
-    r = len(slot)
+    codes, gens = w._codes, w._gens
+    r = len(gens)
     _check_degree(r, degree_cap, _updates(len(codes), r, degree_cap))
     slots, levels, top = _packed_levels(codes, r, degree_cap)
-    gens = sorted(slot, key=slot.get)  # k -> generator
     values = [layout.read(level) for layout, level in zip(slots, levels)]
     values.append([c for block in top for c in slots[-1].read(block)])
     terms: dict[Monomial, int] = {}
@@ -308,7 +304,8 @@ def _degree_two(
     both coefficients of each pair (i, j) that pairs names; the others
     are left out, as are zeros.
     """
-    codes, slot = w._codes
+    codes = w._codes
+    slot = {g: k for k, g in enumerate(w._gens)}
     sums: dict[int, int] = {}
     coeffs: dict[tuple[int, int], int] = {}
     for i, j in pairs:
@@ -372,12 +369,12 @@ def lcs_depth(w: FreeWord, kmax: int) -> int:
     kmax = index(kmax)
     if kmax < 1:
         raise ValueError(f"kmax must be positive, got {kmax}")
-    codes, slot = w._codes
+    codes = w._codes
     if kmax == 1 or not codes:
         return kmax
     if any(abelianization(w).values()):
         return 1
-    r, work = len(slot), 0
+    r, work = len(w._gens), 0
     for d in range(2, kmax):
         work += _updates(len(codes), r, d)
         _check_degree(r, d, work)

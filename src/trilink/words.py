@@ -8,7 +8,7 @@ k-th distinct generator met and 2k + 1 for its inverse, so a letter and
 its inverse are the codes whose xor is 1.  The coder checks a key on
 its first miss, so each distinct letter or token is checked once, in
 input order, and the first bad one is the one reported.  parse_word
-stores the letters its coder checked with one Record.__init__ call, so
+stores the codes its coder checked with one Record.__init__ call, so
 no letter is checked twice.
 
 One reducer, used by the constructor and so by products, inverses and
@@ -20,15 +20,15 @@ before it are kept as they are and the stack runs from that pair on, so
 a word that is already reduced runs no Python-level loop per letter.
 Wider codes run the stack from the first letter.
 
-The word keeps the reducer's codes, as bytes while every code fits one
-and otherwise as the stack's list of ints, with the map from generator
-index to k, in a private slot outside its fields (_Coded); every magnus
-question and the exponent sums read them.  The map names exactly the
-generators left in the reduced word, numbered 0..r-1 in order of first
-appearance in the input: the stack, the one path that can cancel every
-letter of a generator, numbers the ones left again.  So equal words may
-keep different codes.  The fields are rank and letters alone, and
-equality, hashing, repr, copy and pickle read only them.
+A word stores only its rank and its canonical codes: code 2k is x_g and
+2k + 1 is x_g^-1 for g = _gens[k], the generators numbered in order of
+first appearance in the reduced word.  The codes are bytes while
+2r <= 256 for r generators, otherwise a tuple, so every word hashes.
+Only the stack can cancel a letter, so only it numbers the generators
+again, and equal words store equal fields.  Every magnus question and
+the exponent sums read the codes; letters decodes them on demand for
+repr, str, the operators and pickle, which rebuilds through the
+constructor.
 
 The commutator convention is
 
@@ -60,60 +60,50 @@ class _Coder(dict):
     (1, 1) and is not checked again.
     """
 
-    __slots__ = ("check", "slot", "letters")
+    __slots__ = ("check", "slot")
 
     def __init__(self, check):
         self.check = check
         self.slot: dict[int, int] = {}  # generator index -> k
-        self.letters: list[Letter] = []  # code -> letter
 
     def __missing__(self, key) -> int:
         index, sign = self.check(key)
-        k = self.slot.get(index)
-        if k is None:
-            k = self.slot[index] = len(self.slot)
-            self.letters += ((index, 1), (index, -1))
+        k = self.slot.setdefault(index, len(self.slot))
         code = self[key] = 2 * k + (sign == -1)
         return code
 
-    def reduced(self, keys, word: "_Coded") -> tuple[Letter, ...]:
-        """The letters of keys, checked, with adjacent inverse pairs cancelled.
-
-        The kept codes and the generator index -> k map go to word._codes.
-        """
+    def reduced(self, keys) -> tuple[tuple[int, ...], bytes | tuple[int, ...]]:
+        """(gens, codes) of keys, checked, with adjacent inverse pairs cancelled."""
         codes = list(map(self.__getitem__, keys))
-        packed = bytes(codes) if len(self.letters) <= 0x100 else None
+        packed = bytes(codes) if 2 * len(self.slot) <= 0x100 else None
         first = 0 if packed is None else _first_pair(packed)
-        if first < 0:  # already reduced: every generator met is left
-            kept, coded = packed, (packed, self.slot)
-        else:
-            kept = codes[:first]
-            for code in islice(codes, first, None):
-                if kept and kept[-1] == code ^ 1:
-                    kept.pop()
-                else:
-                    kept.append(code)
-            coded = _renumbered(kept, self.slot)
-        object.__setattr__(word, "_codes", coded)
-        return tuple(map(self.letters.__getitem__, kept))
+        if first < 0:  # already reduced: the input met the generators in canonical order
+            return tuple(self.slot), packed
+        kept = codes[:first]
+        for code in islice(codes, first, None):
+            if kept and kept[-1] == code ^ 1:
+                kept.pop()
+            else:
+                kept.append(code)
+        return _canonical(kept, list(self.slot))
 
 
-def _renumbered(kept: list[int], slot: dict[int, int]) -> tuple[bytes | list[int], dict[int, int]]:
-    """(codes, slot) of the word the stack kept: the generators left close up to k = 0..r-1.
+def _canonical(kept: list[int], gens: list[int]) -> tuple[tuple[int, ...], bytes | tuple[int, ...]]:
+    """(gens, codes) of the codes the stack kept, numbered again in order of first appearance.
 
-    They keep their order; byte codes are renumbered by one
-    bytes.translate, and the codes are bytes exactly when 2r <= 256.
+    gens[k] is the generator of codes 2k and 2k + 1 in kept.  Byte codes
+    are renumbered by one bytes.translate, wider ones code by code; the
+    codes come out as bytes iff 2r <= 256 for the r generators left.
     """
-    wide = 2 * len(slot) > 0x100
-    codes = kept if wide else bytes(kept)
-    seen = set(kept) if wide else codes
-    left = [k for k in range(len(slot)) if 2 * k in seen or 2 * k + 1 in seen]
-    if len(left) < len(slot):
-        new = dict(zip(left, range(len(left))))  # old k -> new k
-        table = [2 * new.get(c >> 1, 0) + (c & 1) for c in range(max(2 * len(slot), 0x100))]
-        codes = list(map(table.__getitem__, kept)) if wide else codes.translate(bytes(table))
-        slot = {g: new[k] for g, k in slot.items() if k in new}
-    return (codes if 2 * len(slot) > 0x100 else bytes(codes)), slot
+    order = list(dict.fromkeys(code >> 1 for code in dict.fromkeys(kept)))  # the k left
+    table = [0] * max(2 * len(gens), 0x100)  # old code -> new code
+    for new, k in enumerate(order):
+        table[2 * k:2 * k + 2] = 2 * new, 2 * new + 1
+    if 2 * len(gens) <= 0x100:
+        codes = bytes(kept).translate(bytes(table))
+    else:
+        codes = (bytes if 2 * len(order) <= 0x100 else tuple)(map(table.__getitem__, kept))
+    return tuple(map(gens.__getitem__, order)), codes
 
 
 _FLIP = bytes(code ^ 1 for code in range(256))
@@ -139,23 +129,10 @@ def _positive(rank) -> int:
     return rank
 
 
-class _Coded(Record):
-    """A record that keeps, outside its fields, the codes its letters were reduced in.
-
-    _codes is the pair (codes, slot): the kept codes, as bytes if every
-    code fits a byte (2 * len(slot) <= 256) and as a list of ints
-    otherwise, and the generator index -> k of exactly the generators
-    left in the letters, with k in 0..r-1, so that x_g is code 2k and
-    x_g^-1 is code 2k + 1 for k = slot[g].
-    """
-
-    __slots__ = ("_codes",)
-
-
-class FreeWord(_Coded):
+class FreeWord(Record):
     """A reduced word; rank is carried explicitly, never inferred."""
 
-    __slots__ = ("rank", "letters")
+    __slots__ = ("rank", "_gens", "_codes")
 
     def __init__(self, rank: int, letters: tuple[Letter, ...] = ()):
         rank = _positive(rank)
@@ -168,10 +145,19 @@ class FreeWord(_Coded):
                 raise ValueError(f"letter sign must be +1 or -1, got {sign}")
             return index, sign
 
-        Record.__init__(self, rank, _Coder(check).reduced(letters, self))
+        Record.__init__(self, rank, *_Coder(check).reduced(letters))
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        """The letters (generator index, sign), decoded from the codes."""
+        table = [(g, s) for g in self._gens for s in (1, -1)]
+        return tuple(map(table.__getitem__, self._codes))
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self._codes)
+
+    def __reduce__(self):
+        return FreeWord, (self.rank, self.letters)
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if not isinstance(other, FreeWord):
@@ -207,7 +193,7 @@ def parse_word(text: str, rank: int) -> FreeWord:
     back for any reduced word w.  Each distinct token is matched once, on
     its first occurrence, so the first bad token is the one reported; the
     rank itself is checked after every token has passed.  The checked,
-    reduced letters are stored as they are, not checked again by
+    reduced codes are stored as they are, not checked again by
     FreeWord's constructor.
     """
 
@@ -220,17 +206,16 @@ def parse_word(text: str, rank: int) -> FreeWord:
             raise ValueError(f"generator index {index} out of range 1..{rank}")
         return index, -1 if m.group(2) else 1
 
+    gens, codes = _Coder(check).reduced(text.split())
     word = FreeWord.__new__(FreeWord)
-    letters = _Coder(check).reduced(text.split(), word)
-    Record.__init__(word, _positive(rank), letters)
+    Record.__init__(word, _positive(rank), gens, codes)
     return word
 
 
 def abelianization(w: FreeWord) -> dict[int, int]:
     """Exponent sum of each generator occurring in w (possibly 0), off its codes in one pass."""
-    codes, slot = w._codes
-    counts = Counter(codes)
-    return {g: counts[2 * k] - counts[2 * k + 1] for g, k in slot.items()}
+    counts = Counter(w._codes)
+    return {g: counts[2 * k] - counts[2 * k + 1] for k, g in enumerate(w._gens)}
 
 
 def commutator(w1: FreeWord, w2: FreeWord) -> FreeWord:

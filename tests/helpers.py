@@ -413,7 +413,7 @@ def list_levels(codes, r: int, cap: int) -> list[list[int]]:
     """Dense levels 0..cap of the series of a word's codes, on r generators.
 
     Code 2k is x_k and code 2k + 1 is x_k^-1, for k in 0..r-1, as in
-    words._Coded.  Level d holds the r**d coefficients of degree d, the
+    FreeWord._codes.  Level d holds the r**d coefficients of degree d, the
     monomial read as a base-r number indexing its slot.
     Right-multiplying by x_k adds c_m to c_{m k} for every m below the
     cap; the slots m k of level d form the slice [k::r], in the order of

@@ -1,4 +1,6 @@
 import copy
+import io
+import json
 import pickle
 from itertools import permutations, product
 from math import comb
@@ -17,7 +19,7 @@ from helpers import (
     series_product,
     spread_word,
 )
-from trilink import intlinalg, magnus, nilpotent
+from trilink import cli, intlinalg, magnus, nilpotent
 from trilink.errors import PreconditionError
 from trilink.magnus import MagnusSeries, _degree_two, lcs_depth, mu123, phi
 from trilink.words import FreeWord, abelianization, commutator, generator, parse_word
@@ -118,7 +120,7 @@ def test_phi_on_codes_met_out_of_order_and_with_vanished_generators():
     cases += [_out_of_order_or_vanishing(rng, rng.randint(2, 5)) for _ in range(150)]
     vanished = 0
     for w, g in cases:
-        vanished += g not in w._codes[1]
+        vanished += g not in w._gens
         for cap in (1, 2, 3, 4):
             assert phi(w, cap).terms == series_dict(w, cap), (w, cap)
     assert vanished > 30
@@ -230,9 +232,8 @@ def test_lcs_depth_examples():
 def _levels_degree_two(w):
     """Exponent sums and nonzero a_i a_j (i != j) coefficients from the cap-2 _packed_levels,
     in rows_degree_two's shape."""
-    codes, slot = w._codes
-    gens = sorted(slot, key=slot.get)
-    _, sums, pairs = _unpacked(codes, len(gens), 2)
+    gens = w._gens
+    _, sums, pairs = _unpacked(w._codes, len(gens), 2)
     coeffs = {m: c for m, c in zip(product(gens, repeat=2), pairs) if c and m[0] != m[1]}
     return dict(zip(gens, sums)), coeffs
 
@@ -287,10 +288,10 @@ def test_commutator_of_long_powers_against_the_oracles(kmax):
     # [x1^3000, x2^3000], 12,000 letters: every letter puts a unit into level 1,
     # and lcs_depth reads the caps 2..kmax-1 whose levels are compared here
     w = commutator(X1 ** 3000, X2 ** 3000)
-    codes, slot = w._codes
+    codes, r = w._codes, len(w._gens)
     for cap in range(2, kmax):
-        levels = _unpacked(codes, len(slot), cap)
-        assert levels == list_levels(codes, len(slot), cap)
+        levels = _unpacked(codes, r, cap)
+        assert levels == list_levels(codes, r, cap)
         assert levels[2] == [0, 9 * 10**6, -9 * 10**6, 0]
     assert _levels_degree_two(w) == rows_degree_two(w) == ({1: 0, 2: 0},
                                                              {(1, 2): 9 * 10**6,
@@ -390,15 +391,15 @@ def test_degree_two_from_codes_against_the_oracles():
         (0, 0, 0), {(1, 2): 9 * 10**6, (2, 1): -9 * 10**6})
 
 
-def test_words_with_different_codes_are_equal_by_their_letters():
-    # the codes number the generators left by first appearance in the input,
-    # letters that cancel included, so x3 comes first in d
+def test_equal_words_store_the_same_codes():
+    # the codes number the generators by first appearance in the reduced word,
+    # so d, met x3-first, stores what a, b and c store
     a = parse_word("x2 x2^-1 x1 x3", 3)
     b = FreeWord(3, ((1, 1), (3, 1)))
     c = generator(3, 3) * ~generator(3, 3) * generator(3, 1) * generator(3, 3)
     d = FreeWord(3, ((3, 1), (2, 1), (2, -1), (3, -1), (1, 1), (3, 1)))
-    assert a._codes == b._codes == c._codes == (b"\x00\x02", {1: 0, 3: 1})
-    assert d._codes == (b"\x02\x00", {3: 0, 1: 1})
+    for w in (a, b, c, d):
+        assert (w.rank, w._gens, w._codes) == (3, (1, 3), b"\x00\x02")
     for w in (b, c, d, pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
         assert w == a and a == w and hash(w) == hash(a) and repr(w) == repr(a)
         assert w.letters == a.letters == ((1, 1), (3, 1))
@@ -406,22 +407,23 @@ def test_words_with_different_codes_are_equal_by_their_letters():
     assert len({a, b, c, d}) == 1
 
 
-def test_mu123_and_class_of_read_no_letter(monkeypatch):
-    # nor do lcs_depth and phi: every Magnus question reads the word's codes
-    w = commutator(X1, X2) * commutator(X2, X3)
-    out_of_order = parse_word("x3 x1 x3^-1 x1^-1", 3)
+def test_mu123_and_class_of_read_no_letter(monkeypatch, capsys):
+    # nor do parse_word, lcs_depth, phi and the CLI: every Magnus question reads the word's codes
     long = commutator(X1 ** 3000, X2 ** 3000)
-    refused = parse_word("x3 x1 x2", 3)
-    vanished = parse_word("x2 x3 x3^-1 x1 x2^-1 x1^-1", 3)  # x3 cancels out entirely
     wide = FreeWord(256, spread_word(256).letters * 127)  # codes past one byte
     empty = FreeWord(3)
-    series = {(v, cap): series_dict(v, cap) for v in (w, out_of_order, vanished, refused)
-              for cap in (1, 2, 3, 4)}
+    texts = (str(commutator(X1, X2) * commutator(X2, X3)),
+             "x3 x1 x3^-1 x1^-1",  # x3 met before x1
+             "x3 x1 x2",  # refused: nonzero exponent sums
+             "x2 x3 x3^-1 x1 x2^-1 x1^-1")  # x3 cancels out entirely
+    series = {(t, cap): series_dict(parse_word(t, 3), cap) for t in texts for cap in (1, 2, 3, 4)}
+    shown = MagnusSeries(3, 3, series[texts[1], 3]).to_text()
 
     def no_letters(self):
         raise AssertionError("a letter tuple was read")
 
     monkeypatch.setattr(FreeWord, "letters", property(no_letters))
+    w, out_of_order, refused, vanished = (parse_word(t, 3) for t in texts)
     with pytest.raises(AssertionError, match="letter tuple"):
         w.letters
     assert mu123(w) == 1
@@ -434,8 +436,21 @@ def test_mu123_and_class_of_read_no_letter(monkeypatch):
     assert [lcs_depth(v, 5) for v in (w, out_of_order, long, refused, vanished, wide)] == [
         2, 2, 2, 1, 2, 2]
     assert lcs_depth(empty, 5) == 5
-    for (v, cap), terms in series.items():
-        assert phi(v, cap).terms == terms, (cap, terms)
+    for (text, cap), terms in series.items():
+        assert phi(parse_word(text, 3), cap).terms == terms, (cap, terms)
+
+    def reply(argv, payload):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        code = cli.main(argv)
+        return code, json.loads(capsys.readouterr().out)
+
+    assert reply(["mu"], {"longitude3": texts[1]}) == (0, {"mu123": 0})
+    assert reply(["class"], {"word": texts[1]}) == (0, {"class": [0, -1, 0], "mu123": 0})
+    assert reply(["mu", "--show-series"], {"longitude3": texts[1]}) == (
+        0, {"mu123": 0, "series": shown, "degree_cap": 3})
+    assert reply(["depth"], {"rank": 3, "kmax": 5, "word": texts[3]}) == (0, {"depth": 2})
+    assert reply(["mu"], {"longitude3": texts[2]}) == (
+        3, {"error": "precondition", "detail": "nonzero exponent sum for generator 1"})
 
 
 def test_long_words_read_degree_two_as_the_series_does():

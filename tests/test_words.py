@@ -406,24 +406,25 @@ def test_parse_stores_its_letters_without_checking_them_again(monkeypatch):
     assert type(w) is FreeWord and type(w.rank) is int
 
 
-# --- the codes a word keeps (words._Coded) against its letters
+# --- the canonical codes a word stores against its letters
 
 def _assert_coded(w):
-    """w._codes decodes through its slot to w.letters, the slot names exactly the
-    generators in the letters as k = 0..r-1, and the codes are bytes iff 2r <= 256."""
-    codes, slot = w._codes
-    generator_of = {k: g for g, k in slot.items()}
-    assert sorted(slot.values()) == list(range(len(slot)))
-    assert tuple((generator_of[c >> 1], -1 if c & 1 else 1) for c in codes) == w.letters
-    assert set(slot) == {g for g, _ in w.letters}
-    assert type(codes) is (bytes if 2 * len(slot) <= 0x100 else list)
+    """w._codes decodes through w._gens to w.letters, _gens lists the letters'
+    generators in order of first appearance, and the codes are bytes iff 2r <= 256."""
+    codes, gens = w._codes, w._gens
+    assert tuple((gens[c >> 1], -1 if c & 1 else 1) for c in codes) == w.letters
+    assert gens == tuple(dict.fromkeys(g for g, _ in w.letters))
+    assert type(codes) is (bytes if 2 * len(gens) <= 0x100 else tuple)
+
+
+RANKS = st.sampled_from((1, 3, 130, 300))
 
 
 @st.composite
-def built_words(draw):
+def built_words(draw, ranks=RANKS):
     """A word from the constructor or parse_word, then a few products, inverses,
     powers, copies or pickle round trips."""
-    rank = draw(st.sampled_from((1, 3, 130, 300)))
+    rank = draw(ranks)
     gens = draw(st.lists(st.integers(1, rank), min_size=1, max_size=6))
 
     def raw():
@@ -459,6 +460,33 @@ def test_codes_decode_to_the_letters(w):
     _assert_coded(w)
 
 
+@st.composite
+def word_pairs(draw):
+    """Two words of one rank: another built word, or the first again with inverse
+    pairs put in, so that its input meets the generators in another order."""
+    a = draw(built_words())
+    if draw(st.booleans()):
+        return a, draw(built_words(st.just(a.rank)))
+    letters = list(a.letters)
+    for _ in range(draw(st.integers(1, 4))):
+        g = draw(st.integers(1, a.rank))
+        s = draw(st.sampled_from((1, -1)))
+        at = draw(st.integers(0, len(letters)))
+        letters[at:at] = (g, s), (g, -s)
+    return a, FreeWord(a.rank, letters)
+
+
+@given(word_pairs())
+def test_words_are_equal_exactly_when_their_letters_and_their_codes_are(pair):
+    a, b = pair
+    same = a.letters == b.letters and a.rank == b.rank
+    assert (a == b) == same == ((a.rank, a._gens, a._codes) == (b.rank, b._gens, b._codes))
+    if same:
+        assert hash(a) == hash(b)
+    for c in (FreeWord(a.rank, a.letters), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert c == a and hash(c) == hash(a)
+
+
 def _spread(n, k=1):
     """The letters of (x1 ... xn x1^-1 ... xn^-1)**k, over n distinct generators."""
     letters = tuple((g, 1) for g in range(1, n + 1)) + tuple((g, -1) for g in range(1, n + 1))
@@ -477,17 +505,20 @@ def _cascade(n, gens=3):
     (3, ((2, 1), (3, 1), (3, -1), (1, 1), (2, -1), (1, -1)), {2: 0, 1: 1}),
     (3, _cascade(12000), {}),
     (128, _spread(128), {g: g - 1 for g in range(1, 129)}),  # the widest bytes
-    (129, _spread(129), {g: g - 1 for g in range(1, 130)}),  # the narrowest list
+    (129, _spread(129), {g: g - 1 for g in range(1, 130)}),  # the narrowest tuple
     (256, _spread(256, 3), {g: g - 1 for g in range(1, 257)}),
-    # 129 and 256 generators met, 128 and 3 left: the stack's list becomes bytes
+    # 129 and 256 generators met, 128 and 3 left: the stack's codes become bytes
     (129, ((129, 1), (129, -1)) + _spread(128), {g: g - 1 for g in range(1, 129)}),
     (256, ((3, 1), (2, -1), (200, 1)) + _cascade(512, 256), {3: 0, 2: 1, 200: 2}),
-    # 300 met, 200 left, past one byte a code: renumbered in the list
+    # 300 met, 200 left, past one byte a code: renumbered in the tuple
     (300, _cascade(600, 300)[:400], {g: g - 1 for g in range(1, 201)}),
+    # x3 met first, then cancelled: x1 comes first in the reduced word
+    (3, ((3, 1), (2, 1), (2, -1), (3, -1), (1, 1), (3, 1)), {1: 0, 3: 1}),
 ])
 def test_codes_of_words_that_lose_generators_or_pass_a_byte(rank, letters, slot):
     for w in (FreeWord(rank, letters), parse_word(_text(letters), rank)):
         for v in (w, ~w, w * w, w ** -2, copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
             _assert_coded(v)
         assert w.letters == stack_reduced(rank, letters)
-        assert w._codes[1] == slot
+        assert w._gens == tuple(sorted(slot, key=slot.get))  # slot: generator -> k
+        assert hash(w) == hash(FreeWord(rank, letters))  # a tuple of codes past one byte hashes

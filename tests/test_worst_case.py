@@ -211,11 +211,11 @@ CASES = {
     "enumerate-dense-4300-digits-genus-1": (partial(_enumerate_case, 1, 62, 5), 2.0),
     # measured 0.082 s (0.21 s)
     "enumerate-dense-4300-digits-genus-2": (partial(_enumerate_case, 2, 5, 6), 2.0),
-    "mu-200000-letters": (_mu_case, 1.0),  # measured 0.024 s (degree-2 loop: 0.031 s)
-    "mu-200000-letters-cancelling": (_mu_cancelling_case, 1.0),  # measured 0.020 s (0.019 s)
-    "class-200000-letters-cancelling": (_class_cancelling_case, 1.0),  # measured 0.025 s (0.025 s)
-    "depth-max-work-9974-letters": (_depth_work_case, 0.5),  # measured 0.076 s (list levels: 0.86 s)
-    "depth-weight-8-power-4966-letters": (_depth_weight_eight_case, 0.5),  # measured 0.090 s (0.54 s)
+    "mu-200000-letters": (_mu_case, 1.0),  # measured 0.019 s (degree-2 loop: 0.031 s)
+    "mu-200000-letters-cancelling": (_mu_cancelling_case, 1.0),  # measured 0.019 s (0.019 s)
+    "class-200000-letters-cancelling": (_class_cancelling_case, 1.0),  # measured 0.023 s (0.025 s)
+    "depth-max-work-9974-letters": (_depth_work_case, 0.5),  # measured 0.031 s (list levels: 0.86 s)
+    "depth-weight-8-power-4966-letters": (_depth_weight_eight_case, 0.5),  # measured 0.032 s (0.54 s)
     "mu-series-cap-8-5096-letters": (_mu_series_case, 1.0),  # measured 0.11 s (0.95 s)
 }
 # environment a case runs under
