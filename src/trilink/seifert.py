@@ -56,21 +56,23 @@ ORDERINGS = ("interleaved", "blocked")
 # Hard cap on metabolizer-search genus: the exterior-product tables of
 # the search cover three columns at most.
 MAX_SEARCH_GENUS = 3
-# Largest coefficient box (2*bound+1)**(2*genus) a search may scan: genus 3
-# at bound 2, genus 2 at bound 5, genus 1 at bound 62.  Python 3.11.7,
-# shared 2-CPU Xeon, medians of 5, with the time of the scan of both signs
-# of the box, rebuilt wedge tables and level-0 wedges in parentheses: the
-# genus-3 unknot surface took 2.7-3.4 ms (5.6-5.7) at bound 1 and 60-65 ms
-# (66-105) at bound 2, three sets; genus 3 at bound 2 with 40-digit
-# entries 2.0-4.6 ms (3.1-6.6), 5 matrices, four sets; every bound up to
-# the limit at most 0.71 ms (1.1) at genus 1, 6 matrices, and 4.0 ms (6.7)
-# at genus 2, 7 matrices with the unknot surface.  Slots widen with the
-# entries: through cli.main, medians of 3, dense 4,300-digit entries (the
-# int-string limit) took 106-107 ms (201-204) at genus 3 bound 2 and
-# 105-111 ms (173-221) at genus 2 bound 5, 3 matrices each.  Many
-# candidates with wide slots cost most, as each candidate's adjacency read
-# spans 2k slots: an unknot surface with one symmetric pair of 4,300-digit
-# entries has 456 candidates at genus 3 bound 2 and took 6.5-7.2 s (7.4).
+# Largest coefficient box (2*bound+1)**(2*genus) a search may scan: genus
+# 3 at bound 2, genus 2 at bound 5, genus 1 at bound 62.  Python 3.11.7,
+# shared 2-CPU Xeon, enumerate_metabolizers in fresh processes, medians of
+# 5, three sets, with the time of the two-read adjacency and the walk over
+# per-candidate lattice lists in parentheses: the genus-3 unknot surface
+# took 1.3 ms (1.6) at bound 1 and 27-28 ms (35) at bound 2; genus 3 at
+# bound 2 with 40-digit entries 1.7-7.5 ms (2.0-10.7), 5 matrices; every
+# bound up to the limit at most 0.33-0.38 ms (0.33-0.36) at genus 1, 6
+# matrices, and 2.1 ms (2.2) at genus 2, 7 matrices with the unknot
+# surface.  Slots widen with the entries: through cli.main, medians of 3,
+# dense 4,300-digit entries (the int-string limit) took 41-42 ms (41-42)
+# at genus 3 bound 2 and 32-33 ms (32-33) at genus 2 bound 5, 3 matrices
+# each, none with a candidate.  Many candidates with wide slots cost most,
+# as each candidate's adjacency read spans k slots: an unknot surface with
+# one symmetric pair of 4,300-digit entries has 456 candidates at genus 3
+# bound 2 and took 1.7-1.8 s (2.9) through cli.main, three fresh
+# processes.
 MAX_SEARCH_BOX = 5**6
 # Largest genus metabolizer_verdict and symplectic_complete take; both
 # check it first, through _check_basis.  Only metabolizer_verdict runs a
@@ -262,23 +264,26 @@ def _wedge(coeffs: list[tuple[int, ...]], v) -> list[int]:
     return [v[a] * x + v[b] * y + v[c] * z for a, x, b, y, c, z in coeffs]
 
 
-def _primitive_cliques(cands, adj, tables, clique, bits, plucker, allowed, seen):
+def _primitive_cliques(cands, adj, tables, clique, plucker, allowed, lattices, lat, unions):
     """Yield each primitive full extension of clique, one per lattice.
 
-    The clique, whose member bitmask is bits, grows by candidates from
-    the bitmask allowed, in increasing index order and pairwise adjacent
-    by adj, for as long as the gcd of its exterior product is 1.
-    tables[level] is _wedge_table(n, level), one per column of a full
-    clique.  seen maps a candidate index to the member masks of the
-    lattices already yielded that contain it.  A child prefix whose
-    extensions are leaves drops the members of every such lattice that
-    contains it; a child prefix left with no extension is never wedged.
-    A candidate is primitive, so it is its own exterior product: level 0
-    wedges nothing and takes no gcd.  A prefix folds its product into
-    coefficients on its first wedge, so one that wedges nothing folds none.
+    The clique grows by candidates from the bitmask allowed, in
+    increasing index order and pairwise adjacent by adj, for as long as
+    the gcd of its exterior product is 1.  tables[level] is
+    _wedge_table(n, level), one per column of a full clique.  lattices[f]
+    is the member mask of the f-th lattice yielded, and bit f of lat[c] is
+    set iff it holds candidate c.  A child prefix whose extensions are
+    leaves drops the members of every lattice that holds it, those in the
+    AND of its members' lat; unions caches their union by that AND, as
+    found lattices never change.  A child prefix left with no extension is
+    never wedged.  A candidate is primitive, so it is its own exterior
+    product: level 0 wedges nothing and takes no gcd.  A prefix folds its
+    product into coefficients on its first wedge, so one that wedges
+    nothing folds none.
     """
     level = len(clique)
     full = level + 1 == len(tables)
+    leaves = level + 2 == len(tables)  # the children's extensions are leaves
     coeffs = None
     rest = allowed
     while rest:
@@ -287,11 +292,19 @@ def _primitive_cliques(cands, adj, tables, clique, bits, plucker, allowed, seen)
         rest ^= low
         if not full:
             later = rest & adj[j]  # rest holds exactly the allowed bits above j
-            prefix = bits | low
-            if later and level + 2 == len(tables):  # the child's extensions are leaves
-                for members in seen.get(clique[0] if clique else j, ()):
-                    if members & prefix == prefix:
-                        later &= ~members
+            if later and leaves:
+                # the lattices holding the prefix clique + [j], at most two candidates
+                flags = lat[j] & lat[clique[0]] if clique else lat[j]
+                if flags:
+                    drop = unions.get(flags)
+                    if drop is None:
+                        drop, todo = 0, flags
+                        while todo:
+                            bit = todo & -todo
+                            drop |= lattices[bit.bit_length() - 1]
+                            todo ^= bit
+                        unions[flags] = drop
+                    later &= ~drop
             if not later:
                 continue
         if level:
@@ -308,14 +321,16 @@ def _primitive_cliques(cands, adj, tables, clique, bits, plucker, allowed, seen)
             for c in clique:
                 members &= adj[c] | (1 << c)
             rest &= ~members
+            flag = 1 << len(lattices)
+            lattices.append(members)
             todo = members
             while todo:
                 bit = todo & -todo
-                seen.setdefault(bit.bit_length() - 1, []).append(members)
+                lat[bit.bit_length() - 1] |= flag
                 todo ^= bit
         else:
-            yield from _primitive_cliques(cands, adj, tables, clique + [j], prefix, ext, later,
-                                          seen)
+            yield from _primitive_cliques(cands, adj, tables, clique + [j], ext, later, lattices,
+                                          lat, unions)
 
 
 def _box_candidates(m: SeifertMatrix, bound: int) -> list[tuple[int, ...]]:
@@ -350,23 +365,21 @@ def _box_candidates(m: SeifertMatrix, bound: int) -> list[tuple[int, ...]]:
 def _adjacency_masks(m: SeifertMatrix, cands, bound: int) -> list[int]:
     """Bit j of mask i is set iff candidates i != j pair to 0 under M both ways.
 
-    Both pairings of c_i with every c_j are read off one big-integer sum;
-    the slot layout is explained in enumerate_metabolizers.
+    Both pairings of c_i with every c_j are read off one k-slot sum; the
+    slot layout is explained in enumerate_metabolizers.
     """
-    k = len(cands)
-    limit = bound * bound * sum(abs(x) for row in m.entries for x in row)
-    one, both = _Slots(k, limit), _Slots(2 * k, limit)
-    coords = [one.pack([c[t] for c in cands]) for t in range(m.dim)]
-    shift = one.width * k
-    # image t: (M c_j)_t in slot j and (M^T c_j)_t in slot k + j
-    images = [sum(map(mul, row, coords)) + (sum(map(mul, col, coords)) << shift)
-              for row, col in zip(m.entries, zip(*m.entries))]
-    adj = []
-    for i, c in enumerate(cands):
-        zero = both.zeros(sum(map(mul, c, images)))
-        # both pairings vanish; c_i is isotropic, so it pairs to 0 with itself
-        adj.append(zero & (zero >> k) & ~(1 << i))
-    return adj
+    most = 2 * m.genus * bound * bound  # the largest |c_i^T J c_j|
+    x = 2 * most + 1
+    slots = _Slots(len(cands), x * bound * bound * sum(abs(e) for row in m.entries for e in row)
+                   + most)
+    coords = [slots.pack([c[t] for c in cands]) for t in range(m.dim)]
+    jcoords = coords[:]  # (J c_j)_t in slot j
+    for p, q in zip(*_curve_positions(m.genus, m.ordering)):
+        jcoords[p], jcoords[q] = coords[q], -coords[p]
+    # image t: x (M c_j)_t + (J c_j)_t in slot j
+    images = [x * sum(map(mul, row, coords)) + jc for row, jc in zip(m.entries, jcoords)]
+    # c_i is isotropic, so it pairs to 0 with itself
+    return [slots.zeros(sum(map(mul, c, images))) & ~(1 << i) for i, c in enumerate(cands)]
 
 
 def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[MetabolizerBasis]:
@@ -421,13 +434,17 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
     Each hit has the sign of a candidate, the primitive ones are kept,
     and sorted as tuples they fall in itertools.product order (u outside
     w).  Candidates c_i and c_j are adjacent iff c_i^T M c_j = c_i^T M^T
-    c_j = 0.  Coordinate t of all k candidates is packed once, c_j in
-    slot j, and 2g images are built once from M's entries: image t holds
-    (M c_j)_t in slot j and (M^T c_j)_t in slot k + j.  So one sum of 2g
-    small products, c_i's coordinates times the images, holds both
-    pairings of c_i with every c_j.  Every slot read is some v^T M v'
-    with v, v' in the box, so bound^2 * sum |M_st| is the limit of both
-    builders' slots, and the sums are exact for entries of any size.
+    c_j = 0, that is, as M^T = M - J, iff A = c_i^T M c_j and B =
+    c_i^T J c_j both vanish.  |B| <= 2g bound^2, so with x = 4g bound^2
+    + 1 the slot value x A + B determines A and B and is 0 iff both are.
+    Coordinate t of all k candidates is packed once, c_j in slot j, and
+    image t holds x (M c_j)_t + (J c_j)_t in slot j, J applied as a signed
+    permutation of the curve positions.  So one sum of 2g small products,
+    c_i's coordinates times the images, holds c_i against every c_j, read
+    by one zeros call over k slots.  The box scan's slots read some v^T M v
+    with v in the box, so their limit is bound^2 * sum |M_st|; the
+    adjacency's is x times that plus 2g bound^2.  Both sums are exact for
+    entries of any size.
     """
     if coeff_bound < 1:
         raise ValueError(f"coefficient bound must be >= 1, got {coeff_bound}")
@@ -442,7 +459,8 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
     adj = _adjacency_masks(m, cands, coeff_bound)
     tables = [_wedge_table(m.dim, level) for level in range(m.genus)]
     found = []
-    for clique in _primitive_cliques(cands, adj, tables, [], 0, None, (1 << len(cands)) - 1, {}):
+    for clique in _primitive_cliques(cands, adj, tables, [], None, (1 << len(cands)) - 1, [],
+                                     [0] * len(cands), {}):
         found.append(MetabolizerBasis(row_hnf([cands[i] for i in clique])))
     return sorted(found, key=lambda basis: basis.columns)
 

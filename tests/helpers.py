@@ -286,23 +286,31 @@ def pairwise_candidates(m, bound: int) -> list:
     return cands
 
 
+def pairwise_adjacency(m, vectors) -> list[int]:
+    """Adjacency masks of the metabolizer search, pair by pair.
+
+    Bit j of adj[i] is set iff u^T M v and v^T M u both vanish for
+    u = vectors[i] and v = vectors[j], with i != j.
+    """
+    cols_of_m = list(zip(*m.entries))
+    row_of = [[sum(a * b for a, b in zip(vec, col)) for col in cols_of_m] for vec in vectors]
+    adj = [0] * len(vectors)
+    for i, j in itertools.combinations(range(len(vectors)), 2):
+        if (sum(a * b for a, b in zip(row_of[i], vectors[j])) == 0
+                and sum(a * b for a, b in zip(row_of[j], vectors[i])) == 0):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
 def pairwise_candidates_and_adjacency(m, bound: int) -> tuple[list, list[int]]:
     """Box candidates and adjacency masks of the metabolizer search, pair by pair.
 
-    Candidates are pairwise_candidates(m, bound); bit j of adj[i] is set
-    iff u^T M v and v^T M u both vanish for candidates u = i and v = j,
-    with i != j.
+    Candidates are pairwise_candidates(m, bound), and their masks
+    pairwise_adjacency(m, candidates).
     """
-    cols_of_m = list(zip(*m.entries))
     cands = pairwise_candidates(m, bound)
-    row_of = [[sum(a * b for a, b in zip(vec, col)) for col in cols_of_m] for vec in cands]
-    adj = [0] * len(cands)
-    for i, j in itertools.combinations(range(len(cands)), 2):
-        if (sum(a * b for a, b in zip(row_of[i], cands[j])) == 0
-                and sum(a * b for a, b in zip(row_of[j], cands[i])) == 0):
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return cands, adj
+    return cands, pairwise_adjacency(m, cands)
 
 
 def visit_every_basis_metabolizers(m, bound: int) -> list:

@@ -16,6 +16,7 @@ from helpers import (
     lattice_keys,
     minors_gcd,
     mixed_b_curves,
+    pairwise_adjacency,
     pairwise_candidates,
     pairwise_candidates_and_adjacency,
     plain_product,
@@ -539,6 +540,78 @@ def test_bulk_builders_pin_the_unknot_search_work(unknot):
         sys.set_int_max_str_digits(limit)
 
 
+def test_adjacency_builds_one_k_slot_sum_and_reads_it_once_per_candidate(unknot, monkeypatch):
+    built, reads = [], []
+
+    class Spy(_Slots):
+        def __init__(self, k, limit):
+            built.append(k)
+            super().__init__(k, limit)
+
+        def zeros(self, *args):
+            reads.append(self.k)
+            return super().zeros(*args)
+
+    cands, adj = pairwise_candidates_and_adjacency(unknot, 1)
+    monkeypatch.setattr(seifert, "_Slots", Spy)
+    assert seifert._adjacency_masks(unknot, cands, 1) == adj
+    assert built == [122] and reads == [122] * 122
+
+
+def edge_surface(genus, ordering, d, c):
+    """The unknot-like surface of an ordering plus d + genus + c on the
+    diagonal entry of a1 and d on that of b1, so every entry is >= 0."""
+    rows = [[max(x, 0) for x in row] for row in intersection_form(genus, ordering)]
+    a, b = seifert._curve_positions(genus, ordering)
+    rows[a[0]][a[0]] += d + genus + c
+    rows[b[0]][b[0]] += d
+    return validate(rows, ordering)
+
+
+@pytest.mark.parametrize("genus, top", [(1, 62), (2, 5), (3, 2)])
+def test_adjacency_slot_at_its_edges(genus, top):
+    # Slot j of c_i's adjacency read holds x A + B, with A = c_i^T M c_j,
+    # B = c_i^T J c_j and x = 4g bound^2 + 1, and the masks need both to
+    # vanish.  The builder's sums hold for any box vectors, so these are
+    # every bound * (+-1, ..., +-1), primitive only at bound 1, with
+    # u = bound * (1, ..., 1) twice.  On edge_surface, u against u and -u
+    # has B = 0 and A = +-bound^2 sum |M_st|, and u against t, bound on
+    # each a-curve and -bound on each b-curve, has B = -2g bound^2, the
+    # largest |B|, and A = c bound^2: 0 at c = 0, and at c = 1 and bound 1
+    # an x of 2g would cancel the pair.  d puts the slot figure
+    # x bound^2 sum |M_st| + 2g bound^2 on both sides of 2^(8s - 1),
+    # where the width of _Slots(k, figure) steps from 8s to 8s + 8 bits.
+    n = 2 * genus
+    for bound in range(1, top + 1):
+        x, sq = 4 * genus * bound * bound + 1, bound * bound
+        u = (bound,) * n
+        vectors = [u, *itertools.product((bound, -bound), repeat=n)]
+        for ordering in seifert.ORDERINGS:
+            a_curves, _ = seifert._curve_positions(genus, ordering)
+            t = tuple(bound if p in a_curves else -bound for p in range(n))
+            j = intersection_form(genus, ordering)
+            for c in (0, 1):
+                def figure(d):
+                    return x * sq * (2 * d + 2 * genus + c) + 2 * genus * sq
+
+                first = figure(2).bit_length() // 8 + 1
+                for s in (first, first + 2):
+                    base = ((2 ** (8 * s - 1) - 2 * genus * sq) // (x * sq) - 2 * genus - c) // 2
+                    widths = set()
+                    for d in range(base - 1, base + 3):
+                        m = edge_surface(genus, ordering, d, c)
+                        total = sum(map(abs, itertools.chain(*m.entries)))
+                        assert figure(d) == x * sq * total + 2 * genus * sq
+                        widths.add(_Slots(0, figure(d)).width)
+                        assert (bilinear(u, m.entries, u), bilinear(u, j, u)) == (sq * total, 0)
+                        assert bilinear(u, m.entries, [-e for e in u]) == -sq * total
+                        assert (bilinear(u, m.entries, t), bilinear(u, j, t)) == \
+                            (c * sq, -2 * genus * sq)
+                        assert seifert._adjacency_masks(m, vectors, bound) == \
+                            pairwise_adjacency(m, vectors)
+                    assert widths == {8 * s, 8 * s + 8}
+
+
 def zero_top_half(cands, genus):
     """The candidates (0, w): those whose top half u is 0."""
     return [c for c in cands if not any(c[:genus])]
@@ -601,14 +674,34 @@ def test_enumerate_canonicalizes_each_lattice_once(unknot, monkeypatch, bound):
     assert len(calls) == len(found) == (28, 100)[bound - 1]
 
 
-@pytest.mark.parametrize("bound, lattices, most_wedges, most_folds", [(1, 28, 62, 30),
-                                                                    (2, 100, 234, 106)])
-def test_enumerate_wedges_only_prefixes_that_keep_leaves(unknot, monkeypatch, bound, lattices,
-                                                         most_wedges, most_folds):
-    # unknot is unknot_sum_rows(3).  A prefix whose leaves membership
-    # pruning has dropped is never wedged, one candidate is its own
-    # exterior product, and a prefix folds its product into coefficients
-    # only on its first wedge.
+UNKNOT_LIKE = list(itertools.product((0, 1), repeat=3))  # (a, b, c)
+# The blocked unknot-like surfaces, by (a, b, c), that fold 35 products at bound 1;
+# the rest fold 41.
+BLOCKED_FOLDS_35 = {(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)}
+
+
+def wedge_case(abc, ordering, bound, lattices, wedges, folds):
+    name = f"{bound}-{lattices}-{wedges}-{folds}"
+    if (abc, ordering) != ((1, 1, 1), "interleaved"):
+        name = "".join(map(str, abc)) + f"-{ordering}-{name}"
+    return pytest.param(abc, ordering, bound, lattices, wedges, folds, id=name)
+
+
+@pytest.mark.parametrize("abc, ordering, bound, lattices, wedges, folds", [
+    wedge_case((1, 1, 1), "interleaved", 2, 100, 234, 106),
+    *[wedge_case(abc, "interleaved", 1, 28, 62, 30) for abc in UNKNOT_LIKE],
+    *[wedge_case(abc, "blocked", 1, 28, 57, 35 if abc in BLOCKED_FOLDS_35 else 41)
+      for abc in UNKNOT_LIKE],
+])
+def test_enumerate_wedges_only_prefixes_that_keep_leaves(monkeypatch, abc, ordering, bound,
+                                                         lattices, wedges, folds):
+    # The unknot-like surfaces GenusThreeParams(a, b, c, 0, ...) (a = b = c = 1
+    # is unknot_sum_rows(3)).  A prefix whose leaves membership pruning has
+    # dropped is never wedged, one candidate is its own exterior product,
+    # and a prefix folds its product into coefficients only on its first
+    # wedge.  The counts are pinned exactly: the same pruning does the same
+    # work, whatever the bookkeeping of found lattices.
+    m = reorder(GenusThreeParams(*abc, 0, 0, 0, 0, 0, 0).seifert_matrix(), ordering)
     calls = {"_wedge": 0, "_wedge_coefficients": 0}
 
     def counting(name):
@@ -622,9 +715,10 @@ def test_enumerate_wedges_only_prefixes_that_keep_leaves(unknot, monkeypatch, bo
 
     counting("_wedge")
     counting("_wedge_coefficients")
-    assert len(enumerate_metabolizers(unknot, bound)) == lattices
-    assert calls["_wedge"] <= most_wedges
-    assert calls["_wedge_coefficients"] <= most_folds
+    found = enumerate_metabolizers(m, bound)
+    assert (len(found), calls["_wedge"], calls["_wedge_coefficients"]) == (lattices, wedges, folds)
+    monkeypatch.undo()
+    assert found == visit_every_basis_metabolizers(m, bound)
 
 
 def test_wedge_tables_are_built_once_per_dim_and_level(unknot):

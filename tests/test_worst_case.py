@@ -24,7 +24,7 @@ Two rows are left out, because their work is not bounded yet:
   about a minute at 1,000 (ROADMAP item 2).
 * `enumerate` with many candidates and wide slots: the genus-3 unknot
   plus one symmetric pair of 4,300-digit entries has 456 candidates at
-  bound 2 and takes 6-7 s (ROADMAP item 9).
+  bound 2 and takes 1.7-1.8 s (ROADMAP item 9).
 """
 
 import io
