@@ -35,7 +35,6 @@ from .seifert import (
     generator_for_metabolizer,
     generator_from_block,
     genus_one_normalize,
-    is_metabolizer,
     metabolizer_verdict,
     normalize_e,
     reorder,
@@ -73,7 +72,6 @@ __all__ = [
     "generator_from_block",
     "genus_one_normalize",
     "infected_mu",
-    "is_metabolizer",
     "lcs_depth",
     "ledger",
     "metabolizer_verdict",

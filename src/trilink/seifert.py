@@ -46,7 +46,6 @@ from .intlinalg import (
     identity,
     mat_mul,
     row_hnf,
-    snf,
     transpose,
     xgcd,
 )
@@ -59,33 +58,31 @@ MAX_SEARCH_GENUS = 3
 # Largest coefficient box (2*bound+1)**(2*genus) a search may scan: genus
 # 3 at bound 2, genus 2 at bound 5, genus 1 at bound 62.  Python 3.11.7,
 # shared 2-CPU Xeon, enumerate_metabolizers in fresh processes, medians of
-# 5, three sets, with the time of the two-read adjacency and the walk over
-# per-candidate lattice lists in parentheses: the genus-3 unknot surface
-# took 1.3 ms (1.6) at bound 1 and 27-28 ms (35) at bound 2; genus 3 at
-# bound 2 with 40-digit entries 1.7-7.5 ms (2.0-10.7), 5 matrices; every
-# bound up to the limit at most 0.33-0.38 ms (0.33-0.36) at genus 1, 6
-# matrices, and 2.1 ms (2.2) at genus 2, 7 matrices with the unknot
+# 5, three sets: the genus-3 unknot surface took 1.3 ms at bound 1 and
+# 27-28 ms at bound 2; genus 3 at bound 2 with 40-digit entries 1.7-7.5
+# ms, 5 matrices; every bound up to the limit at most 0.33-0.38 ms at
+# genus 1, 6 matrices, and 2.1 ms at genus 2, 7 matrices with the unknot
 # surface.  Slots widen with the entries: through cli.main, medians of 3,
-# dense 4,300-digit entries (the int-string limit) took 41-42 ms (41-42)
-# at genus 3 bound 2 and 32-33 ms (32-33) at genus 2 bound 5, 3 matrices
-# each, none with a candidate.  Many candidates with wide slots cost most,
-# as each candidate's adjacency read spans k slots: an unknot surface with
-# one symmetric pair of 4,300-digit entries has 456 candidates at genus 3
-# bound 2 and took 1.7-1.8 s (2.9) through cli.main, three fresh
-# processes.
+# dense 4,300-digit entries (the int-string limit) took 41-42 ms at genus
+# 3 bound 2 and 32-33 ms at genus 2 bound 5, 3 matrices each, none with a
+# candidate.  Many candidates with wide slots cost most, as each
+# candidate's adjacency read spans k slots: an unknot surface with one
+# symmetric pair of 4,300-digit entries has 456 candidates at genus 3
+# bound 2 and took 1.7-1.8 s through cli.main, three fresh processes.
 MAX_SEARCH_BOX = 5**6
 # Largest genus metabolizer_verdict and symplectic_complete take; both
-# check it first, through _check_basis.  Only metabolizer_verdict runs a
-# Smith form, whose alternating Hermite forms let entries grow; the
-# completion takes one Hermite form, of [V | I], whose unreduced right
+# check it first, through _check_basis.  The verdict takes one Hermite
+# form, of V, and the completion one of [V | I], whose unreduced right
 # block can swell: at genus 16, on 3- to 8-digit bases, it took 0.08 s to
-# over 90 s (ROADMAP item 2).  The verdict, on
-# Python 3.11.7, 2-CPU Xeon, dense random columns via cli.main: genus 16
-# took at most 0.011 s with entries in +-9 and 0.40 s in +-10**6 (26 seeds
-# each); genus 24 up to 1.1 s, genus 32 over 30 s, genus 48 over 3 minutes.
-# The cap bounds the genus, not the entries (ROADMAP item 2): d-digit
-# entries, seeds 1-3, one run each in CPU time, took 0.16-3.4 s at genus 16
-# and d = 50, 2.9-12 s at genus 16 and d = 200, 1.4-2.1 s at genus 8 and d = 1,000.
+# over 90 s (ROADMAP item 2).  The verdict, on Python 3.11.7, 2-CPU Xeon,
+# dense random columns against the unknot sum, CPU time in fresh
+# processes: via cli.main, genus 16 took at most 0.010 s with entries in
+# +-9 and 0.050 s in +-10**6 (26 seeds each); as a library call, genus 24
+# took up to 0.47 s (26 seeds), genus 32 0.08-19 s (5 seeds) and genus
+# 48 over 10 minutes (1 seed).  The cap bounds the genus, not the
+# entries (ROADMAP item 2): d-digit entries via cli.main, seeds 1-3, took
+# 0.08-1.7 s at genus 16 and d = 50, 1.0-12.8 s at genus 16 and d = 200,
+# and 0.40-0.65 s at genus 8 and d = 1,000.
 MAX_VERDICT_GENUS = 16
 
 
@@ -212,21 +209,18 @@ class MetabolizerVerdict(namedtuple("MetabolizerVerdict", "form_vanishes indepen
 def metabolizer_verdict(m: SeifertMatrix, v: MetabolizerBasis) -> MetabolizerVerdict:
     """Form vanishing on v's columns, their independence and primitivity.
 
-    One Gram matrix V^T M V of the form values and one Smith form; a
-    dependent set of columns is reported as not primitive.  A genus above
+    One Gram matrix V^T M V of the form values and one row Hermite form
+    of V: the g columns are independent iff its top g rows are nonzero,
+    and primitive iff they are the identity, so a dependent set of
+    columns is reported as not primitive.  A genus above
     MAX_VERDICT_GENUS is refused with ValueError before any work starts.
     """
     _check_basis(m, v)
     vmat = v.as_matrix()
     gram = mat_mul(v.columns, mat_mul(m.entries, vmat))
     vanishes = not any(x for row in gram for x in row)
-    factors = snf(vmat)
-    return MetabolizerVerdict(vanishes, all(factors), all(f == 1 for f in factors))
-
-
-def is_metabolizer(m: SeifertMatrix, v: MetabolizerBasis) -> bool:
-    """True iff the form vanishes on the span and the span is primitive."""
-    return metabolizer_verdict(m, v).is_metabolizer
+    top = row_hnf(vmat)[:m.genus]  # zero rows come last
+    return MetabolizerVerdict(vanishes, any(top[-1]), top == identity(m.genus))
 
 
 @cache

@@ -23,6 +23,7 @@ from helpers import UNKNOT_ROWS as UNKNOT, spread_word, unknot_sum_rows
 OUT = Path(__file__).resolve().parent / "data" / "cli_transcript.json"
 
 STANDARD = [[0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1]]
+DEPENDENT = [[0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 1, 0, 1, 0, 0]]  # b1, b2, b1 + b2
 BIG = 2**60
 
 
@@ -130,6 +131,36 @@ def _requests():
         (["mu", "--bogus"], "{}", None, None),
         (["generator", "--seed", "abc"], "{}", None, None),
         (["mu", "--input", "no-such-transcript-input.json"], "", None, None),
+        # x3 is met before x1, so the codes number the generators out of index order;
+        # phi maps each code back to its generator, and the series text sorts
+        (["class"], {"word": "x3 x1 x3^-1 x1^-1"}, None, None),
+        (["mu", "--show-series"], {"longitude3": "x3 x1 x3^-1 x1^-1"}, None, None),
+        # x3 cancels out entirely, or a pair cancels before x3 x1: the codes
+        # number the generators left, in order of first appearance
+        (["depth"], {"rank": 3, "kmax": 3, "word": "x2 x3 x3^-1 x1 x2^-1 x1^-1"}, None, None),
+        (["class"], {"word": "x2 x2^-1 x3 x1 x3^-1 x1^-1"}, None, None),
+        # the exponent sums are checked in index order, though x3 comes first
+        (["mu"], {"longitude3": "x3 x1 x2"}, None, None),
+        (["genus-one"], {"d": 0, "e": 0}, None, None),  # the y = 0 Bezout branch
+        # the b-curves b1, b1 + b2, 2 b2 - b3 of the 158 matrix (a det -1 re-basing)
+        # keep 158, sign included; an index-2 basis and a dependent one are refused
+        (["generator", "--seed", "7"], {"matrix": _matrix(gen), "metabolizer": {
+            "columns": [[0, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0], [0, 0, 0, 2, 0, -1]]}},
+         None, None),
+        (["generator"], {"matrix": _matrix(gen), "metabolizer": {
+            "columns": [[0, 2, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1]]}},
+         None, None),
+        (["generator"], {"matrix": _matrix(gen), "metabolizer": {"columns": DEPENDENT}},
+         None, None),
+        # the verdict on a zero column, an index-3 basis and a dependent one
+        (["metabolizer"], {"matrix": _matrix(UNKNOT), "metabolizer": {
+            "columns": [[0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0]]}},
+         None, None),
+        (["metabolizer"], {"matrix": _matrix(UNKNOT), "metabolizer": {
+            "columns": [[0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 3]]}},
+         None, None),
+        (["metabolizer"], {"matrix": _matrix(gen), "metabolizer": {"columns": DEPENDENT}},
+         None, None),
     ]
 
 

@@ -12,7 +12,7 @@ two older forms, the running exponent sums and each row packed into
 one integer and updated per letter, and one list row of exponent sums
 per letter, the per-degree levels in
 theirs, one list of coefficients per degree updated slice by slice, and
-primitivity is gcd of maximal minors (the package uses Smith form),
+primitivity is gcd of maximal minors (the package reads a Hermite form),
 and the skew part M - M^T is read off the entries (the package uses the
 ordering's intersection form), its first failure by a scan of every
 entry (the package reads the upper triangle).  The ledger's commutator pairs are

@@ -36,7 +36,7 @@ from trilink.seifert import (
     generator_from_block,
     genus_one_normalize,
     intersection_form,
-    is_metabolizer,
+    metabolizer_verdict,
     normalize_e,
     standard_metabolizer,
     symplectic_complete,
@@ -221,7 +221,7 @@ def test_criterion_9_metabolizer_machinery():
     unknot = validate(UNKNOT_ROWS, "interleaved")
     found = enumerate_metabolizers(unknot, 1)
     ok = lattice_keys([standard_metabolizer(unknot)]) <= lattice_keys(found)
-    ok &= all(is_metabolizer(unknot, v) for v in found)
+    ok &= all(metabolizer_verdict(unknot, v).is_metabolizer for v in found)
 
     genus2 = [
         validate([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], "interleaved"),

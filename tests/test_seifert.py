@@ -2,10 +2,12 @@ import itertools
 import json
 import sys
 from math import gcd
+from operator import mul
 from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     UNKNOT_ROWS,
@@ -46,7 +48,6 @@ from trilink.seifert import (
     generator_from_block,
     genus_one_normalize,
     intersection_form,
-    is_metabolizer,
     metabolizer_verdict,
     normalize_e,
     reorder,
@@ -305,20 +306,21 @@ def test_pushoff_examples():
     assert bilinear([1] * 6, m.entries, [0] * 6) == bilinear([0] * 6, m.entries, [1] * 6) == 0
 
 
-# ------------------------------------------------------------ is_metabolizer
+# ------------------------------------------------------- metabolizer_verdict
 
 
 def test_is_metabolizer_examples(unknot):
-    assert is_metabolizer(unknot, basis_from(1, 3, 5)) is True
-    assert is_metabolizer(unknot, basis_from(0, 1, 3)) is False  # form(a1, b1) = 1
-    assert is_metabolizer(unknot, basis_from(0, 3, 5)) is True  # a1, b2, b3 also isotropic
+    assert metabolizer_verdict(unknot, basis_from(1, 3, 5)).is_metabolizer is True
+    # form(a1, b1) = 1; a1, b2, b3 are also isotropic
+    assert metabolizer_verdict(unknot, basis_from(0, 1, 3)).is_metabolizer is False
+    assert metabolizer_verdict(unknot, basis_from(0, 3, 5)).is_metabolizer is True
     m = validate([[3, 2], [1, 0]], "interleaved")
-    assert is_metabolizer(m, MetabolizerBasis(((0, 1),))) is True
+    assert metabolizer_verdict(m, MetabolizerBasis(((0, 1),))).is_metabolizer is True
 
 
 def test_is_metabolizer_scaled_column_fails(unknot):
     cols = (unit(1), unit(3), tuple(2 * x for x in unit(5)))
-    assert is_metabolizer(unknot, MetabolizerBasis(cols)) is False
+    assert metabolizer_verdict(unknot, MetabolizerBasis(cols)).is_metabolizer is False
 
 
 def test_metabolizer_verdict_examples(unknot):
@@ -339,15 +341,15 @@ def test_metabolizer_verdict_examples(unknot):
 
 def test_is_metabolizer_dimension_errors(unknot):
     with pytest.raises(ValueError, match="column length"):
-        is_metabolizer(unknot, MetabolizerBasis(((0, 1),)))
+        metabolizer_verdict(unknot, MetabolizerBasis(((0, 1),)))
     with pytest.raises(ValueError, match="exactly 3 columns"):
-        is_metabolizer(unknot, MetabolizerBasis((unit(1), unit(3))))
+        metabolizer_verdict(unknot, MetabolizerBasis((unit(1), unit(3))))
 
 
 def test_metabolizer_verdict_genus_guard():
     assert MAX_VERDICT_GENUS == 16
     m = validate(unknot_sum_rows(MAX_VERDICT_GENUS), "interleaved")
-    assert is_metabolizer(m, standard_metabolizer(m))
+    assert metabolizer_verdict(m, standard_metabolizer(m)).is_metabolizer
     big = validate(unknot_sum_rows(MAX_VERDICT_GENUS + 1), "interleaved")
     with pytest.raises(ValueError, match="metabolizer-test guard"):
         metabolizer_verdict(big, standard_metabolizer(big))
@@ -380,7 +382,7 @@ def test_enumerate_unknot_contains_standard(unknot):
     std = standard_metabolizer(unknot)
     assert lattice_keys([std]) <= lattice_keys(found)
     for v in found:
-        assert is_metabolizer(unknot, v)
+        assert metabolizer_verdict(unknot, v).is_metabolizer
 
 
 def test_enumerate_genus_one_examples():
@@ -441,8 +443,7 @@ def test_enumerate_runs_no_metabolizer_test(unknot, monkeypatch, bound, lattices
     def no_test(*args):
         raise AssertionError("metabolizer test called")
 
-    for name in ("is_metabolizer", "metabolizer_verdict"):
-        monkeypatch.setattr(seifert, name, no_test)
+    monkeypatch.setattr(seifert, "metabolizer_verdict", no_test)
     assert len(enumerate_metabolizers(unknot, bound)) == lattices
 
 
@@ -915,6 +916,8 @@ def test_verdict_known_answers_at_scale(genus, steps):
         assert metabolizer_verdict(moved, basis_of_columns(scaled)) == (True, True, False)
     repeated = cols[:-1] + [cols[0]]
     assert metabolizer_verdict(moved, basis_of_columns(repeated)) == (True, False, False)
+    zero = cols[:-1] + [[0] * moved.dim]
+    assert metabolizer_verdict(moved, basis_of_columns(zero)) == (True, False, False)
 
 
 def test_complete_refuses_non_metabolizer(unknot):
@@ -928,9 +931,9 @@ def test_complete_refuses_non_metabolizer(unknot):
 
 
 def completion_matches_verdict(m, basis):
-    """Check that symplectic_complete refuses basis exactly when is_metabolizer
+    """Check that symplectic_complete refuses basis exactly when the verdict
     rejects it, and otherwise meets its postcondition; return the oracle's answer."""
-    if not is_metabolizer(m, basis):
+    if not metabolizer_verdict(m, basis).is_metabolizer:
         with pytest.raises(PreconditionError, match="^not a metabolizer; completion refused$"):
             symplectic_complete(m, basis)
         return False
@@ -971,6 +974,45 @@ def test_completion_refuses_exactly_the_bases_the_verdict_rejects(genus, orderin
             (False, True, True)} <= verdicts
 
 
+_small = st.integers(-3, 3)
+
+
+@st.composite
+def unknot_sum_bases(draw):
+    """A genus-1 to 3 unknot sum in either ordering and g columns: its b-curves
+    combined by a small g x g matrix A (index |det A|, dependent when det A = 0)
+    or drawn at random, then perhaps one column zeroed or repeated."""
+    genus = draw(st.integers(1, 3))
+    m = reorder(validate(unknot_sum_rows(genus), "interleaved"),
+                draw(st.sampled_from(seifert.ORDERINGS)))
+    if draw(st.booleans()):  # the form vanishes on every combination of b-curves
+        b = standard_metabolizer(m).columns
+        a = draw(st.lists(st.lists(_small, min_size=genus, max_size=genus),
+                          min_size=genus, max_size=genus))
+        cols = [[sum(map(mul, row, xs)) for xs in zip(*b)] for row in a]
+    else:
+        cols = draw(st.lists(st.lists(_small, min_size=m.dim, max_size=m.dim),
+                             min_size=genus, max_size=genus))
+    change = draw(st.sampled_from(("none", "zero", "repeat")))
+    if change == "zero":
+        cols[draw(st.integers(0, genus - 1))] = [0] * m.dim
+    elif change == "repeat" and genus > 1:
+        cols[-1] = cols[0]
+    return m, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(unknot_sum_bases())
+def test_verdict_matches_the_minors_gcd(case):
+    # independent iff some g x g minor is nonzero, primitive iff their gcd is 1;
+    # the completion refuses exactly the bases the verdict rejects
+    m, cols = case
+    g = minors_gcd(transpose(cols), m.genus)
+    verdict = metabolizer_verdict(m, basis_of_columns(cols))
+    assert (verdict.independent, verdict.primitive) == (g != 0, g == 1)
+    completion_matches_verdict(m, basis_of_columns(cols))
+
+
 @pytest.mark.parametrize("genus, steps", [(8, 20), (8, 40), (16, 0)])
 def test_completion_known_answers_at_scale(genus, steps):
     # at genus 8, the bases of test_verdict_known_answers_at_scale, with entries of
@@ -991,8 +1033,7 @@ def test_completion_runs_no_smith_form_and_no_verdict(unknot, monkeypatch):
     def banned(*args):
         raise AssertionError("the completion reads its precondition off its own Hermite form")
 
-    for name in ("snf", "metabolizer_verdict", "is_metabolizer"):
-        monkeypatch.setattr(seifert, name, banned)
+    monkeypatch.setattr(seifert, "metabolizer_verdict", banned)
     real_form = seifert.intersection_form
 
     def blocked_only(genus, ordering):  # J_b is the target; J itself is never built

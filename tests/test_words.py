@@ -487,6 +487,18 @@ def test_words_are_equal_exactly_when_their_letters_and_their_codes_are(pair):
         assert c == a and hash(c) == hash(a)
 
 
+def test_equal_words_from_every_route_compare_hash_and_pickle_alike():
+    # equal words store equal canonical codes, however they were built
+    x1, x3 = generator(3, 1), generator(3, 3)
+    built = [parse_word("x2 x2^-1 x3 x1", 3), FreeWord(3, ((3, 1), (1, 1))),
+             x1 * x1 ** -1 * x3 * x1]
+    for a in built:
+        for b in built:
+            assert a == b and hash(a) == hash(b)
+            c = pickle.loads(pickle.dumps(a))
+            assert c == b and hash(c) == hash(b)
+
+
 def _spread(n, k=1):
     """The letters of (x1 ... xn x1^-1 ... xn^-1)**k, over n distinct generators."""
     letters = tuple((g, 1) for g in range(1, n + 1)) + tuple((g, -1) for g in range(1, n + 1))

@@ -19,7 +19,7 @@ slower machines, not targets.
 
 Two rows are left out, because their work is not bounded yet:
 
-* `metabolizer` at genus 16 with large entries: the verdict's Smith
+* `metabolizer` at genus 16 with large entries: the verdict's Hermite
   form grows with the entries' digits, to seconds at 200 digits and
   about a minute at 1,000 (ROADMAP item 2).
 * `enumerate` with many candidates and wide slots: the genus-3 unknot
