@@ -112,30 +112,37 @@ def row_hnf(m: Matrix) -> Matrix:
     cols = len(a[0]) if a else 0
     r = 0
     for col in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][col] != 0), None)
-        if piv is None:
+        for piv in range(r, rows):
+            if a[piv][col]:
+                break
+        else:
             continue
+        top = a[piv]  # the pivot row, stored back into row r once the column is done
         if piv != r:
-            a[r], a[piv] = a[piv], a[r]
+            a[piv] = a[r]
+        p = top[col]
         for i in range(r + 1, rows):
-            if a[i][col] == 0:
+            row = a[i]
+            x = row[col]
+            if not x:
                 continue
-            if a[i][col] % a[r][col] == 0:
-                f = a[i][col] // a[r][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            if x % p == 0:
+                f = x // p
+                a[i] = [u - f * v for u, v in zip(row, top)]
                 continue
-            g, s, t = xgcd(a[r][col], a[i][col])
-            p, q = a[r][col] // g, a[i][col] // g
-            a[r], a[i] = (
-                [s * x + t * y for x, y in zip(a[r], a[i])],
-                [-q * x + p * y for x, y in zip(a[r], a[i])],
-            )
-        if a[r][col] < 0:
-            a[r] = [-x for x in a[r]]
+            g, s, t = xgcd(p, x)
+            pg, xg = p // g, x // g
+            top, a[i] = ([s * u + t * v for u, v in zip(top, row)],
+                         [pg * v - xg * u for u, v in zip(top, row)])
+            p = g
+        if p < 0:
+            top = [-u for u in top]
+            p = -p
+        a[r] = top
         for i in range(r):
-            q = a[i][col] // a[r][col]
+            q = a[i][col] // p
             if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+                a[i] = [u - q * v for u, v in zip(a[i], top)]
         r += 1
         if r == rows:
             break

@@ -57,18 +57,19 @@ ORDERINGS = ("interleaved", "blocked")
 MAX_SEARCH_GENUS = 3
 # Largest coefficient box (2*bound+1)**(2*genus) a search may scan: genus
 # 3 at bound 2, genus 2 at bound 5, genus 1 at bound 62.  Python 3.11.7,
-# shared 2-CPU Xeon, enumerate_metabolizers in fresh processes, medians of
-# 5, three sets: the genus-3 unknot surface took 1.3 ms at bound 1 and
-# 27-28 ms at bound 2; genus 3 at bound 2 with 40-digit entries 1.7-7.5
-# ms, 5 matrices; every bound up to the limit at most 0.33-0.38 ms at
-# genus 1, 6 matrices, and 2.1 ms at genus 2, 7 matrices with the unknot
-# surface.  Slots widen with the entries: through cli.main, medians of 3,
-# dense 4,300-digit entries (the int-string limit) took 41-42 ms at genus
-# 3 bound 2 and 32-33 ms at genus 2 bound 5, 3 matrices each, none with a
-# candidate.  Many candidates with wide slots cost most, as each
-# candidate's adjacency read spans k slots: an unknot surface with one
-# symmetric pair of 4,300-digit entries has 456 candidates at genus 3
-# bound 2 and took 1.7-1.8 s through cli.main, three fresh processes.
+# shared 2-CPU Xeon, one enumerate_metabolizers call in each of 5 fresh
+# processes, medians, three sets: the genus-3 unknot surface took 1.4 ms
+# at bound 1 and 26.5 ms at bound 2; genus 3 at bound 2 with dense random
+# 40-digit entries 1.1 ms, 5 matrices; the box cap at most 0.43-0.44 ms
+# at genus 1, 6 matrices, and 2.2 ms at genus 2, 7 matrices with the
+# unknot surface.  Slots widen with the entries: through cli.main,
+# medians of 3, dense 4,300-digit entries (the int-string limit) took
+# 51-52 ms at genus 3 bound 2 and 39-40 ms at genus 2 bound 5, 3 matrices
+# each, none with a candidate.  Many candidates with wide slots cost
+# most, as each candidate's adjacency read spans k slots: an unknot
+# surface with one symmetric pair of 4,300-digit entries has 456
+# candidates at genus 3 bound 2 and took 1.7 s through cli.main, three
+# fresh processes.
 MAX_SEARCH_BOX = 5**6
 # Largest genus metabolizer_verdict and symplectic_complete take; both
 # check it first, through _check_basis.  The verdict takes one Hermite
@@ -258,7 +259,7 @@ def _wedge(coeffs: list[tuple[int, ...]], v) -> list[int]:
     return [v[a] * x + v[b] * y + v[c] * z for a, x, b, y, c, z in coeffs]
 
 
-def _primitive_cliques(cands, adj, tables, clique, plucker, allowed, lattices, lat, unions):
+def _primitive_cliques(cands, adj, tables, clique, plucker, allowed, lattices, lat):
     """Yield each primitive full extension of clique, one per lattice.
 
     The clique grows by candidates from the bitmask allowed, in
@@ -267,13 +268,15 @@ def _primitive_cliques(cands, adj, tables, clique, plucker, allowed, lattices, l
     _wedge_table(n, level), one per column of a full clique.  lattices[f]
     is the member mask of the f-th lattice yielded, and bit f of lat[c] is
     set iff it holds candidate c.  A child prefix whose extensions are
-    leaves drops the members of every lattice that holds it, those in the
-    AND of its members' lat; unions caches their union by that AND, as
-    found lattices never change.  A child prefix left with no extension is
-    never wedged.  A candidate is primitive, so it is its own exterior
-    product: level 0 wedges nothing and takes no gcd.  A prefix folds its
-    product into coefficients on its first wedge, so one that wedges
-    nothing folds none.
+    leaves is held by the found lattices in the AND of its members' lat.
+    Held by two, it is closed: no other metabolizer contains it (see
+    enumerate_metabolizers), so every leaf it could keep is in one of
+    them.  Held by one, it drops that lattice's members from its leaves.
+    A child prefix left with no extension is never wedged.  A candidate
+    is primitive, so it is its own exterior product: level 0 wedges
+    nothing and takes no gcd.  A prefix folds its product into
+    coefficients on its first wedge, so one that wedges nothing folds
+    none.
     """
     level = len(clique)
     full = level + 1 == len(tables)
@@ -287,18 +290,12 @@ def _primitive_cliques(cands, adj, tables, clique, plucker, allowed, lattices, l
         if not full:
             later = rest & adj[j]  # rest holds exactly the allowed bits above j
             if later and leaves:
-                # the lattices holding the prefix clique + [j], at most two candidates
+                # the found lattices holding the prefix clique + [j], of g - 1 candidates
                 flags = lat[j] & lat[clique[0]] if clique else lat[j]
+                if flags & (flags - 1):
+                    continue
                 if flags:
-                    drop = unions.get(flags)
-                    if drop is None:
-                        drop, todo = 0, flags
-                        while todo:
-                            bit = todo & -todo
-                            drop |= lattices[bit.bit_length() - 1]
-                            todo ^= bit
-                        unions[flags] = drop
-                    later &= ~drop
+                    later &= ~lattices[flags.bit_length() - 1]
             if not later:
                 continue
         if level:
@@ -323,8 +320,8 @@ def _primitive_cliques(cands, adj, tables, clique, plucker, allowed, lattices, l
                 lat[bit.bit_length() - 1] |= flag
                 todo ^= bit
         else:
-            yield from _primitive_cliques(cands, adj, tables, clique + [j], ext, later, lattices,
-                                          lat, unions)
+            yield from _primitive_cliques(cands, adj, tables, clique + [j], ext, later,
+                                          lattices, lat)
 
 
 def _box_candidates(m: SeifertMatrix, bound: int) -> list[tuple[int, ...]]:
@@ -396,7 +393,8 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
     and is not re-tested: its columns are isotropic and pairwise adjacent
     both ways, so V^T M V = 0, and its g columns span a summand.  Its row
     Hermite form, reached by unimodular row operations, has no zero row
-    at rank g, so it is a basis of the same lattice.
+    at rank g, so it is a basis of the same lattice, stored as it is and
+    not checked again by MetabolizerBasis's constructor.
 
     Each lattice is yielded once, because a metabolizer is a Lagrangian
     of the unimodular form J = M - M^T: it is its own J-orthogonal
@@ -411,6 +409,21 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
     for the Hermite form.  The drop is made before a prefix is wedged: a
     prefix left without leaves costs no exterior product, no gcd and no
     recursion.
+
+    A prefix of g - 1 columns held by two found lattices is closed, as
+    no other metabolizer contains it.  Its columns are distinct
+    candidates, so independent, and the saturation P of their span has
+    rank g - 1 and is isotropic both ways.  A metabolizer through P lies
+    in W = {v : v^T M p = p^T M v = 0 for all p in P}, which is inside
+    the J-orthogonal complement P' of P, of rank g + 1.  If W has rank
+    g, W is the only such metabolizer.  Otherwise W = P', and on the
+    rank-2 quotient Q = P'/P, J induces a unimodular form and M an
+    integral form N with N - N^T the induced J.  The form x^T N x is not
+    identically 0, or else N would be half of it, which is not integral.
+    A nonzero binary form has at most two isotropic lines, and each
+    metabolizer through P gives its own line, its image in Q.  So at most
+    two metabolizers contain P, and every leaf the prefix could keep
+    lies in one of the two found ones.
 
     Candidates and adjacency are built in bulk, in packed integers of
     signed slots (intlinalg._Slots).  A box vector v = (u, w) with halves
@@ -454,8 +467,10 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
     tables = [_wedge_table(m.dim, level) for level in range(m.genus)]
     found = []
     for clique in _primitive_cliques(cands, adj, tables, [], None, (1 << len(cands)) - 1, [],
-                                     [0] * len(cands), {}):
-        found.append(MetabolizerBasis(row_hnf([cands[i] for i in clique])))
+                                     [0] * len(cands)):
+        basis = MetabolizerBasis.__new__(MetabolizerBasis)
+        Record.__init__(basis, tuple(map(tuple, row_hnf([cands[i] for i in clique]))))
+        found.append(basis)
     return sorted(found, key=lambda basis: basis.columns)
 
 

@@ -13,6 +13,8 @@ one integer and updated per letter, and one list row of exponent sums
 per letter, the per-degree levels in
 theirs, one list of coefficients per degree updated slice by slice, and
 primitivity is gcd of maximal minors (the package reads a Hermite form),
+the Hermite form that keys lattices and inverts unimodular matrices is
+reference_row_hnf, the package's earlier row_hnf loop kept as it was,
 and the skew part M - M^T is read off the entries (the package uses the
 ordering's intersection form), its first failure by a scan of every
 entry (the package reads the upper triangle).  The ledger's commutator pairs are
@@ -31,7 +33,7 @@ from math import gcd
 from operator import add, index as as_index, sub
 from random import Random
 
-from trilink.intlinalg import _Slots, identity
+from trilink.intlinalg import _Slots, identity, xgcd
 from trilink.realization import GenusThreeParams
 from trilink.seifert import MetabolizerBasis, standard_metabolizer
 from trilink.words import FreeWord, abelianization, generator
@@ -199,13 +201,54 @@ def random_symplectic(
     return t, t_inv
 
 
-def unimodular_inverse(m: list[list[int]]) -> list[list[int]]:
-    """Inverse of a +-1 determinant integer matrix: row_hnf([m | I]) is [I | m^-1]."""
-    from trilink.intlinalg import row_hnf
+def reference_row_hnf(m: list[list[int]]) -> list[list[int]]:
+    """Row Hermite normal form, pivot first found, one generator scan per column.
 
+    Positive pivots, zeros below them and entries above reduced into
+    [0, pivot), zero rows last: the contract of intlinalg.row_hnf,
+    computed by the loop that function had before its pivot row was held
+    in a local.
+    """
+    a = [list(row) for row in m]
+    rows = len(a)
+    cols = len(a[0]) if a else 0
+    r = 0
+    for col in range(cols):
+        piv = next((i for i in range(r, rows) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, rows):
+            if a[i][col] == 0:
+                continue
+            if a[i][col] % a[r][col] == 0:
+                f = a[i][col] // a[r][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                continue
+            g, s, t = xgcd(a[r][col], a[i][col])
+            p, q = a[r][col] // g, a[i][col] // g
+            a[r], a[i] = (
+                [s * x + t * y for x, y in zip(a[r], a[i])],
+                [-q * x + p * y for x, y in zip(a[r], a[i])],
+            )
+        if a[r][col] < 0:
+            a[r] = [-x for x in a[r]]
+        for i in range(r):
+            q = a[i][col] // a[r][col]
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+        r += 1
+        if r == rows:
+            break
+    return a
+
+
+def unimodular_inverse(m: list[list[int]]) -> list[list[int]]:
+    """Inverse of a +-1 determinant integer matrix: its Hermite form [m | I] is [I | m^-1]."""
     n = len(m)
     eye = identity(n)
-    h = row_hnf([m[i] + eye[i] for i in range(n)])
+    h = reference_row_hnf([m[i] + eye[i] for i in range(n)])
     assert [row[:n] for row in h] == eye, "matrix is not unimodular"
     return [row[n:] for row in h]
 
@@ -227,47 +270,51 @@ def cofactor_det(m: list[list[int]]) -> int:
 
 
 def minors_gcd(m: list[list[int]], k: int) -> int:
-    """gcd of all k x k minors (0 if all vanish)."""
+    """gcd of all k x k minors (0 if all vanish), returned as soon as it reaches 1."""
     rows, cols = len(m), len(m[0])
     g = 0
     for rsel in itertools.combinations(range(rows), k):
         for csel in itertools.combinations(range(cols), k):
             sub = [[m[i][j] for j in csel] for i in rsel]
             g = gcd(g, cofactor_det(sub))
+            if g == 1:
+                return 1
     return g
 
 
 def brute_force_metabolizer_lattices(m, bound: int) -> set:
     """Exhaustive metabolizer scan with plain arithmetic.
 
-    Filters isotropic nonzero vectors (a V with a non-isotropic column
-    fails on a diagonal entry), then checks every g-subset for full form
-    vanishing and minor-gcd primitivity.  Lattices are keyed by
-    lattice_key of a basis.
+    Filters isotropic nonzero vectors, one of v and -v (a V with a
+    non-isotropic column fails on a diagonal entry, and a column's sign
+    does not change the span), pairs every two of them both ways by plain
+    row sums, then checks every g-subset for full form vanishing and
+    minor-gcd primitivity.  Lattices are keyed by lattice_key of a basis.
     """
     g = m.genus
     rows = [list(r) for r in m.entries]
     dim = 2 * g
 
-    def pair(u, v):
-        return sum(u[i] * rows[i][j] * v[j] for i in range(dim) for j in range(dim))
+    def row_of(u):  # u^T M
+        return [sum(u[i] * rows[i][j] for i in range(dim)) for j in range(dim)]
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
 
     vecs = [
         v for v in itertools.product(range(-bound, bound + 1), repeat=dim)
-        if any(v) and pair(v, v) == 0
+        if any(v) and next(x for x in v if x) > 0 and dot(row_of(v), v) == 0
     ]
+    left = [row_of(v) for v in vecs]
+    vanish = [{b for b, v in enumerate(vecs) if dot(left[a], v) == 0 == dot(left[b], vecs[a])}
+              for a in range(len(vecs))]
     keys = set()
     for combo in itertools.combinations(range(len(vecs)), g):
+        if not all(b in vanish[a] for a, b in itertools.combinations(combo, 2)):
+            continue
         cols = [list(vecs[i]) for i in combo]
-        if any(
-            pair(cols[i], cols[j]) != 0
-            for i in range(g) for j in range(g) if i != j
-        ):
-            continue
-        mat = [[cols[j][i] for j in range(g)] for i in range(dim)]
-        if minors_gcd(mat, g) != 1:
-            continue
-        keys.add(lattice_key(cols))
+        if minors_gcd([list(row) for row in zip(*cols)], g) == 1:
+            keys.add(lattice_key(cols))
     return keys
 
 
@@ -355,9 +402,7 @@ def visit_every_basis_metabolizers(m, bound: int) -> list:
 
 def lattice_key(vectors) -> tuple[tuple[int, ...], ...]:
     """Hermite canonical basis of the lattice the vectors span, zero rows dropped."""
-    from trilink.intlinalg import row_hnf
-
-    return tuple(tuple(r) for r in row_hnf([list(v) for v in vectors]) if any(r))
+    return tuple(tuple(r) for r in reference_row_hnf([list(v) for v in vectors]) if any(r))
 
 
 def lattice_keys(bases) -> set:

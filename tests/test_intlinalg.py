@@ -1,9 +1,9 @@
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import cofactor_det, minors_gcd, plain_product, random_unimodular
+from helpers import cofactor_det, minors_gcd, plain_product, random_unimodular, reference_row_hnf
 from trilink.intlinalg import (
     _Slots,
     bilinear,
@@ -131,6 +131,51 @@ def test_row_hnf_canonical_under_unimodular():
         h1 = row_hnf(m)
         h2 = row_hnf(mat_mul(u, m))
         assert h1 == h2
+
+
+@st.composite
+def hnf_inputs(draw):
+    """Matrices of 0-8 rows and 0-10 columns, entries in +-3 or in +-10**40.
+
+    Some rows and columns are zeroed.  Half the time the first column
+    opens with a coprime pair a, a + 1 (a >= 2, signs drawn), so the
+    second row takes the xgcd branch.  Or the [V | I] of the completion:
+    2g x g columns V beside the 2g x 2g identity, g = 1..3.
+    """
+    big = draw(st.booleans())
+    top = 10**40 if big else 3
+    entry = st.integers(-top, top)
+    if draw(st.booleans()):
+        n = 2 * draw(st.integers(1, 3))
+        v = draw(st.lists(st.lists(entry, min_size=n // 2, max_size=n // 2),
+                          min_size=n, max_size=n))
+        return [row + unit for row, unit in zip(v, identity(n))]
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 10))
+    m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    if rows and cols:
+        for i in draw(st.sets(st.integers(0, rows - 1), max_size=rows)):
+            m[i] = [0] * cols
+        for j in draw(st.sets(st.integers(0, cols - 1), max_size=cols)):
+            for row in m:
+                row[j] = 0
+        if rows > 1 and draw(st.booleans()):
+            a = draw(st.integers(2, top))
+            sign = st.sampled_from((1, -1))
+            m[0][0], m[1][0] = a * draw(sign), (a + 1) * draw(sign)
+    return m
+
+
+@settings(max_examples=400, deadline=None)
+@given(hnf_inputs())
+@example([])
+@example([[], []])
+@example([[0, 0], [0, 0]])
+@example([[-2, 1], [0, -3]])  # negative pivots
+@example([[2, 1], [3, 0]])  # the xgcd branch
+@example([[0, 4, 1], [0, -6, 5], [0, 9, 2]])
+def test_row_hnf_matches_the_reference_loop(m):
+    assert row_hnf(m) == reference_row_hnf(m)
 
 
 def test_snf_properties():

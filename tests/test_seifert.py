@@ -1,6 +1,7 @@
 import itertools
 import json
 import sys
+from collections import Counter
 from math import gcd
 from operator import mul
 from pathlib import Path
@@ -15,6 +16,7 @@ from helpers import (
     brute_force_metabolizer_lattices,
     cofactor_det,
     first_skew_failure,
+    lattice_key,
     lattice_keys,
     minors_gcd,
     mixed_b_curves,
@@ -720,6 +722,63 @@ def test_enumerate_wedges_only_prefixes_that_keep_leaves(monkeypatch, abc, order
     assert (len(found), calls["_wedge"], calls["_wedge_coefficients"]) == (lattices, wedges, folds)
     monkeypatch.undo()
     assert found == visit_every_basis_metabolizers(m, bound)
+
+
+def prefixes_held(m, bound):
+    """Each (g-1)-subset of box candidates inside a brute-force lattice, with how
+    many of those lattices hold it, and whether it spans a primitive sublattice."""
+    cands = pairwise_candidates(m, bound)
+    held = Counter()
+    for key in brute_force_metabolizer_lattices(m, bound):
+        members = [i for i, c in enumerate(cands) if lattice_key(key + (c,)) == key]
+        held.update(itertools.combinations(members, m.genus - 1))
+    return {subset: (count, minors_gcd([list(row) for row in zip(*(cands[i] for i in subset))],
+                                       m.genus - 1) == 1)
+            for subset, count in held.items()}
+
+
+def assert_two_metabolizers_per_prefix(m, bound) -> int:
+    """The premise of the walk's closed prefixes: no primitive rank-(g-1) sublattice
+    lies in three metabolizers.  Candidates are distinct and primitive with a
+    positive first nonzero entry, so every subset is independent, and a lattice
+    holding one holds its saturation; the bound is asserted for each.  Returns the
+    most lattices holding one primitive subset."""
+    most = 0
+    for subset, (count, primitive) in prefixes_held(m, bound).items():
+        assert count <= 2, (subset, count, primitive)
+        if primitive:
+            most = max(most, count)
+    return most
+
+
+def test_no_prefix_lies_in_three_metabolizers_of_the_unknot_like_surfaces():
+    most = {(abc, ordering): assert_two_metabolizers_per_prefix(
+                reorder(GenusThreeParams(*abc, 0, 0, 0, 0, 0, 0).seifert_matrix(), ordering), 1)
+            for abc in UNKNOT_LIKE for ordering in seifert.ORDERINGS}
+    assert set(most.values()) == {2}  # every surface closes a prefix
+
+
+@pytest.mark.parametrize("genus, bound", [(2, 1), (2, 2), (3, 1)])
+def test_no_prefix_lies_in_three_metabolizers_of_moved_unknot_sums(genus, bound):
+    # one transvection each: a product of more moves most of the unknot sum's lattices
+    # out of the box
+    rng = Random(10 * genus + bound)
+    unknot_sum = validate(unknot_sum_rows(genus), "interleaved")
+    most = []
+    for ordering in seifert.ORDERINGS:
+        for _ in range(8):
+            moved, _ = symplectic_change(rng, reorder(unknot_sum, ordering), [], 1)
+            most.append(assert_two_metabolizers_per_prefix(moved, bound))
+    assert max(most) == 2, most
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(((2, 1), (2, 2), (3, 1))), st.sampled_from(seifert.ORDERINGS),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_no_prefix_lies_in_three_metabolizers_of_small_surfaces(genus_bound, ordering, metabolic,
+                                                                rng):
+    genus, bound = genus_bound
+    assert_two_metabolizers_per_prefix(random_seifert(rng, genus, ordering, metabolic), bound)
 
 
 def test_wedge_tables_are_built_once_per_dim_and_level(unknot):
