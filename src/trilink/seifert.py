@@ -72,10 +72,11 @@ MAX_SEARCH_GENUS = 3
 # fresh processes.
 MAX_SEARCH_BOX = 5**6
 # Largest genus metabolizer_verdict and symplectic_complete take; both
-# check it first, through _check_basis.  The verdict takes one Hermite
-# form, of V, and the completion one of [V | I], whose unreduced right
-# block can swell: at genus 16, on 3- to 8-digit bases, it took 0.08 s to
-# over 90 s (ROADMAP item 2).  The verdict, on Python 3.11.7, 2-CPU Xeon,
+# check it first, through metabolizer_verdict.  The verdict takes one
+# Hermite form, of V, and an accepted basis one more, of [V | I], whose
+# unreduced right block can swell: at genus 16, on 3- to 8-digit bases,
+# it took 0.08 s to over 90 s (ROADMAP item 2); a refused basis costs the
+# verdict only.  The verdict, on Python 3.11.7, 2-CPU Xeon,
 # dense random columns against the unknot sum, CPU time in fresh
 # processes: via cli.main, genus 16 took at most 0.010 s with entries in
 # +-9 and 0.050 s in +-10**6 (26 seeds each); as a library call, genus 24
@@ -186,17 +187,6 @@ def standard_metabolizer(m: SeifertMatrix) -> MetabolizerBasis:
     return MetabolizerBasis([[int(i == p) for i in range(m.dim)] for p in b])
 
 
-def _check_basis(m: SeifertMatrix, v: MetabolizerBasis) -> None:
-    """Refuse a genus above MAX_VERDICT_GENUS, then columns of the wrong length or count."""
-    if m.genus > MAX_VERDICT_GENUS:
-        raise ValueError(f"genus {m.genus} exceeds the metabolizer-test guard "
-                         f"({MAX_VERDICT_GENUS})")
-    if v.dim != m.dim:
-        raise ValueError(f"column length {v.dim} does not match matrix dimension {m.dim}")
-    if v.count != m.genus:
-        raise ValueError(f"need exactly {m.genus} columns, got {v.count}")
-
-
 class MetabolizerVerdict(namedtuple("MetabolizerVerdict", "form_vanishes independent primitive")):
     """The three facts a metabolizer test rests on, from one pass each."""
 
@@ -214,9 +204,16 @@ def metabolizer_verdict(m: SeifertMatrix, v: MetabolizerBasis) -> MetabolizerVer
     of V: the g columns are independent iff its top g rows are nonzero,
     and primitive iff they are the identity, so a dependent set of
     columns is reported as not primitive.  A genus above
-    MAX_VERDICT_GENUS is refused with ValueError before any work starts.
+    MAX_VERDICT_GENUS is refused with ValueError before any work starts,
+    then columns of the wrong length or count.
     """
-    _check_basis(m, v)
+    if m.genus > MAX_VERDICT_GENUS:
+        raise ValueError(f"genus {m.genus} exceeds the metabolizer-test guard "
+                         f"({MAX_VERDICT_GENUS})")
+    if v.dim != m.dim:
+        raise ValueError(f"column length {v.dim} does not match matrix dimension {m.dim}")
+    if v.count != m.genus:
+        raise ValueError(f"need exactly {m.genus} columns, got {v.count}")
     vmat = v.as_matrix()
     gram = mat_mul(v.columns, mat_mul(m.entries, vmat))
     vanishes = not any(x for row in gram for x in row)
@@ -474,6 +471,40 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
     return sorted(found, key=lambda basis: basis.columns)
 
 
+def _apply_j(m: SeifertMatrix, x: Matrix) -> Matrix:
+    """J x for x with 2g rows, J = M - M^T the intersection form of m's ordering.
+
+    J is a signed permutation: for each pair (p, q) of an a-position and
+    its b-position, (J x)_p = x_q and (J x)_q = -x_p.  It is applied by
+    moving rows and never built as a matrix.
+    """
+    jx = [None] * m.dim
+    for p, q in zip(*_curve_positions(m.genus, m.ordering)):
+        jx[p], jx[q] = x[q], [-e for e in x[p]]
+    return jx
+
+
+def _duals(m: SeifertMatrix, v: MetabolizerBasis) -> Matrix:
+    """Refuse v unless it spans a metabolizer, then 2g x g duals A with A^T J V = I.
+
+    The precondition is metabolizer_verdict's, with its errors in its
+    order; a basis it rejects is refused with PreconditionError before
+    the Hermite form of [V | I], whose right block can swell.  The top g
+    rows of row_hnf([V | I]) are then [I | L] with L V = I, as the left
+    block is row_hnf(V) (Cohen, GTM 138, section 2.4), and A = J L^T
+    satisfies A^T J V = L J^T J V = I because J^T J = I.  A left block
+    other than I after the verdict accepted V is a CrossCheckError.
+    """
+    if not metabolizer_verdict(m, v).is_metabolizer:
+        raise PreconditionError("not a metabolizer; completion refused")
+    g, n = m.genus, m.dim
+    vmat, eye = v.as_matrix(), identity(n)
+    h = row_hnf([vmat[r] + eye[r] for r in range(n)])
+    if [row[:g] for row in h[:g]] != identity(g):
+        raise CrossCheckError("Hermite form of [V | I] disagrees with the metabolizer verdict")
+    return _apply_j(m, transpose([row[g:] for row in h[:g]]))
+
+
 def symplectic_complete(m: SeifertMatrix, v: MetabolizerBasis) -> Matrix:
     """Extend a metabolizer basis to a symplectic basis of the homology.
 
@@ -484,51 +515,23 @@ def symplectic_complete(m: SeifertMatrix, v: MetabolizerBasis) -> Matrix:
     on every call, and it also proves T unimodular: det(J) = det(J_b) = 1,
     so det(T)^2 = 1.
 
-    The genus and shape of v are checked first, as in metabolizer_verdict.
-    The precondition is then read off this function's own work, with no
-    Smith form: the form vanishes on v iff V^T M V = 0, and the left
-    block of row_hnf([V | I]) is row_hnf(V), which is [I; 0] iff V's
-    columns are independent and primitive (Cohen, GTM 138, section 2.4).
-    A basis that fails either is refused with PreconditionError.
-
-    The duals come from the same Hermite form.  Its first g rows are
-    [I | L] with L V = I, and A = J L^T satisfies A^T J V = I because
-    J^T J = I.  Any dual is fixed modulo V, since V is its own
-    J-orthogonal complement, so the a-to-b block A^T M V that the
-    generator reads does not depend on which one is picked.
-
-    J is a signed permutation: for each pair (p, q) of an a-position and
-    its b-position, (J x)_p = x_q and (J x)_q = -x_p.  It is applied by
-    moving rows, for A = J L^T, the Gram correction A^T (J A) and the
-    postcondition T^T (J T), and never built as a matrix.
+    The basis is refused through metabolizer_verdict, genus and shape
+    first, before the Hermite form of [V | I]: a basis on which the form
+    does not vanish, or whose columns are dependent or not primitive,
+    raises PreconditionError.  The duals A with A^T J V = I come from
+    _duals.  Any dual is fixed modulo V, since V is its own J-orthogonal
+    complement; a Gram correction A + V X kills the a-a pairings without
+    touching duality.  J is applied by _apply_j, for the correction
+    A^T (J A) and the postcondition T^T (J T).
     """
-    _check_basis(m, v)
+    a = _duals(m, v)
     g, n = m.genus, m.dim
     vmat = v.as_matrix()
-    form_values = mat_mul(v.columns, mat_mul(m.entries, vmat))
-    eye = identity(n)
-    h = row_hnf([vmat[r] + eye[r] for r in range(n)])
-    if any(x for row in form_values for x in row) or [row[:g] for row in h[:g]] != identity(g):
-        raise PreconditionError("not a metabolizer; completion refused")
-    pairs = tuple(zip(*_curve_positions(g, m.ordering)))
-
-    def apply_j(x: Matrix) -> Matrix:  # J x, for x with 2g rows
-        jx = [None] * n
-        for p, q in pairs:
-            jx[p], jx[q] = x[q], [-e for e in x[p]]
-        return jx
-
-    # duality: A^T J V = I, with A = J L^T read off the Hermite form
-    a = apply_j(transpose([row[g:] for row in h[:g]]))
-
-    # Gram correction: kill the a-a pairings without touching duality
-    gram = mat_mul(transpose(a), apply_j(a))
+    gram = mat_mul(transpose(a), _apply_j(m, a))
     x = [[-gram[r][c] if r > c else 0 for c in range(g)] for r in range(g)]
     corr = mat_mul(vmat, x)
-    a = [[a[r][c] + corr[r][c] for c in range(g)] for r in range(n)]
-
-    t = [a[r] + vmat[r] for r in range(n)]
-    if mat_mul(transpose(t), apply_j(t)) != intersection_form(g, "blocked"):
+    t = [[a[r][c] + corr[r][c] for c in range(g)] + vmat[r] for r in range(n)]
+    if mat_mul(transpose(t), _apply_j(m, t)) != intersection_form(g, "blocked"):
         raise CrossCheckError("completion failed its symplectic-form postcondition")
     return t
 
@@ -568,17 +571,20 @@ def generator_from_block(block) -> GeneratorResult:
 def generator_for_metabolizer(m: SeifertMatrix, v: MetabolizerBasis) -> GeneratorResult:
     """Generator attached to a genus-3 matrix and one of its metabolizers.
 
-    Completes v to a symplectic basis T = (A | V), whose b-part V spans
-    v, and computes only the a-to-b block B = A^T (M V) of M rewritten
-    in it: the generator reads nothing else of T^T M T.  B, and so the
-    signed value, depends only on m and v's span: any two completions
-    give the same B, re-basing v by U in GL(3, Z) turns B into U^-1 B U,
-    and a symplectic change of m's basis carries completions to completions.
+    The generator reads only the a-to-b block B = A^T (M V) of M
+    rewritten in a symplectic basis (A | V), whose b-part V spans v, so
+    it reads A^T M V off the duals of _duals, refused as they refuse,
+    and builds no completion.  symplectic_complete's Gram correction
+    A + V X would add X^T (V^T M V) = 0, as the verdict has found V^T M V
+    = 0, so its T gives the same B.  B, and so the signed value, depends
+    only on m and v's span: any two duals give the same B, re-basing v
+    by U in GL(3, Z) turns B into U^-1 B U, and a symplectic change of
+    m's basis carries duals to duals.
     """
     if m.genus != 3:
         raise ValueError(f"genus-3 matrices only, got genus {m.genus}")
-    t = symplectic_complete(m, v)
-    return generator_from_block(mat_mul(transpose(t)[:3], mat_mul(m.entries, [r[3:] for r in t])))
+    a = _duals(m, v)
+    return generator_from_block(mat_mul(transpose(a), mat_mul(m.entries, v.as_matrix())))
 
 
 def connected_sum(m1: SeifertMatrix, m2: SeifertMatrix, m3: SeifertMatrix) -> SeifertMatrix:

@@ -23,7 +23,10 @@ here, and the genus-one Bezout pair is found by search.  The metabolizer
 search is kept in its older form, which reaches every box basis of a
 lattice and drops repeats by Pluecker key.  Matrix products are the
 textbook triple loop, and symplectic changes of basis are built from
-transvections, apart from the package's completion.
+transvections, apart from the package's completion.  The genus-3
+generator is read through the completion T and its a-to-b block
+(generator_via_completion); the package reads the block off the duals
+alone.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from random import Random
 
 from trilink.intlinalg import _Slots, identity, xgcd
 from trilink.realization import GenusThreeParams
-from trilink.seifert import MetabolizerBasis, standard_metabolizer
+from trilink.seifert import (MetabolizerBasis, generator_from_block, standard_metabolizer,
+                             symplectic_complete)
 from trilink.words import FreeWord, abelianization, generator
 
 UNKNOT_ROWS = [
@@ -288,8 +292,10 @@ def brute_force_metabolizer_lattices(m, bound: int) -> set:
     Filters isotropic nonzero vectors, one of v and -v (a V with a
     non-isotropic column fails on a diagonal entry, and a column's sign
     does not change the span), pairs every two of them both ways by plain
-    row sums, then checks every g-subset for full form vanishing and
-    minor-gcd primitivity.  Lattices are keyed by lattice_key of a basis.
+    row sums, then checks every g-subset on which the form vanishes for
+    minor-gcd primitivity.  Those subsets are built by a recursive scan
+    that extends a subset only by later vectors vanishing against each
+    of its vectors.  Lattices are keyed by lattice_key of a basis.
     """
     g = m.genus
     rows = [list(r) for r in m.entries]
@@ -309,12 +315,17 @@ def brute_force_metabolizer_lattices(m, bound: int) -> set:
     vanish = [{b for b, v in enumerate(vecs) if dot(left[a], v) == 0 == dot(left[b], vecs[a])}
               for a in range(len(vecs))]
     keys = set()
-    for combo in itertools.combinations(range(len(vecs)), g):
-        if not all(b in vanish[a] for a, b in itertools.combinations(combo, 2)):
-            continue
-        cols = [list(vecs[i]) for i in combo]
-        if minors_gcd([list(row) for row in zip(*cols)], g) == 1:
-            keys.add(lattice_key(cols))
+
+    def extend(combo, allowed):  # allowed: the later vectors vanishing against all of combo
+        if len(combo) == g:
+            cols = [list(vecs[i]) for i in combo]
+            if minors_gcd([list(row) for row in zip(*cols)], g) == 1:
+                keys.add(lattice_key(cols))
+            return
+        for pos, b in enumerate(allowed):
+            extend(combo + [b], [c for c in allowed[pos + 1:] if c in vanish[b]])
+
+    extend([], list(range(len(vecs))))
     return keys
 
 
@@ -398,6 +409,16 @@ def visit_every_basis_metabolizers(m, bound: int) -> list:
         if key not in found:
             found[key] = MetabolizerBasis(lattice_key([cands[i] for i in clique]))
     return sorted(found.values(), key=lambda basis: basis.columns)
+
+
+def generator_via_completion(m, v):
+    """The genus-3 generator through the completion: generator_from_block of
+    T[:, :g]^T M T[:, g:] for symplectic_complete's T = (A | V)."""
+    g = m.genus
+    t = symplectic_complete(m, v)
+    a_rows = [list(col) for col in zip(*t)][:g]
+    return generator_from_block(plain_product(plain_product(a_rows, [list(r) for r in m.entries]),
+                                              [row[g:] for row in t]))
 
 
 def lattice_key(vectors) -> tuple[tuple[int, ...], ...]:

@@ -1,6 +1,8 @@
 import itertools
 import json
+import re
 import sys
+import time
 from collections import Counter
 from math import gcd
 from operator import mul
@@ -16,6 +18,7 @@ from helpers import (
     brute_force_metabolizer_lattices,
     cofactor_det,
     first_skew_failure,
+    generator_via_completion,
     lattice_key,
     lattice_keys,
     minors_gcd,
@@ -32,7 +35,7 @@ from helpers import (
     unknot_sum_rows,
     visit_every_basis_metabolizers,
 )
-from trilink import seifert
+from trilink import intlinalg, seifert
 from trilink.errors import CrossCheckError, PreconditionError
 from trilink.intlinalg import _Slots, bilinear, det, identity, mat_mul, row_hnf, transpose
 from trilink.realization import GenusThreeParams
@@ -311,7 +314,7 @@ def test_pushoff_examples():
 # ------------------------------------------------------- metabolizer_verdict
 
 
-def test_is_metabolizer_examples(unknot):
+def test_verdict_is_metabolizer_examples(unknot):
     assert metabolizer_verdict(unknot, basis_from(1, 3, 5)).is_metabolizer is True
     # form(a1, b1) = 1; a1, b2, b3 are also isotropic
     assert metabolizer_verdict(unknot, basis_from(0, 1, 3)).is_metabolizer is False
@@ -320,7 +323,7 @@ def test_is_metabolizer_examples(unknot):
     assert metabolizer_verdict(m, MetabolizerBasis(((0, 1),))).is_metabolizer is True
 
 
-def test_is_metabolizer_scaled_column_fails(unknot):
+def test_verdict_scaled_column_fails(unknot):
     cols = (unit(1), unit(3), tuple(2 * x for x in unit(5)))
     assert metabolizer_verdict(unknot, MetabolizerBasis(cols)).is_metabolizer is False
 
@@ -341,7 +344,7 @@ def test_metabolizer_verdict_examples(unknot):
     assert metabolizer_verdict(m, MetabolizerBasis(((0, 2),))) == MetabolizerVerdict(True, True, False)
 
 
-def test_is_metabolizer_dimension_errors(unknot):
+def test_verdict_dimension_errors(unknot):
     with pytest.raises(ValueError, match="column length"):
         metabolizer_verdict(unknot, MetabolizerBasis(((0, 1),)))
     with pytest.raises(ValueError, match="exactly 3 columns"):
@@ -918,18 +921,70 @@ def basis_of_columns(cols):
     return MetabolizerBasis(tuple(tuple(c) for c in cols))
 
 
-@pytest.mark.parametrize("ordering", ["interleaved", "blocked"])
-def test_generator_is_symplectic_invariant(ordering):
+def symplectic_invariance_cases(ordering):
+    """(m, v, moved, (v_moved, v_moved rebased)) for 40 metabolic genus-3 matrices:
+    v mixes m's b-curves, and moved, v_moved are m, v after a symplectic change."""
     rng = Random(71 if ordering == "interleaved" else 72)
     for _ in range(40):
         m = random_seifert(rng, 3, ordering, metabolic=True, entries=range(-6, 7))
         v = mixed_b_curves(rng, m)
-        expected = generator_for_metabolizer(m, v)
         moved, (v_moved,) = symplectic_change(rng, m, [v])
-        for basis in (v_moved, rebased(rng, v_moved)):
+        yield m, v, moved, (v_moved, rebased(rng, v_moved))
+
+
+@pytest.mark.parametrize("ordering", ["interleaved", "blocked"])
+def test_generator_is_symplectic_invariant(ordering):
+    for m, v, moved, bases in symplectic_invariance_cases(ordering):
+        expected = generator_for_metabolizer(m, v)
+        for basis in bases:
             got = generator_for_metabolizer(moved, basis)
             assert got.generator == expected.generator
             assert got.signed == expected.signed
+
+
+def generator_matches_completion(m, basis) -> bool:
+    """Check that generator_for_metabolizer equals the completion route, signed
+    value included, or refuses as it does; return whether an answer came."""
+    try:
+        expected = generator_via_completion(m, basis)
+    except PreconditionError as refusal:
+        with pytest.raises(PreconditionError, match=f"^{re.escape(str(refusal))}$"):
+            generator_for_metabolizer(m, basis)
+        return False
+    assert generator_for_metabolizer(m, basis) == expected
+    return True
+
+
+@pytest.mark.parametrize("ordering", ["interleaved", "blocked"])
+def test_generator_matches_the_completion_route(ordering):
+    # A^T M V off the duals equals the a-to-b block of the corrected completion T
+    for m, v, moved, bases in symplectic_invariance_cases(ordering):
+        assert generator_matches_completion(m, v)
+        for basis in bases:
+            assert generator_matches_completion(moved, basis)
+
+
+def test_generator_matches_the_completion_route_on_unknot_like_surfaces():
+    for abc in UNKNOT_LIKE:
+        m = GenusThreeParams(*abc, 0, 0, 0, 0, 0, 0).seifert_matrix()
+        found = enumerate_metabolizers(m, 1)
+        assert len(found) == 28
+        for v in found:
+            assert generator_matches_completion(m, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(seifert.ORDERINGS), st.integers(0, 8), st.randoms(use_true_random=False))
+def test_generator_matches_the_completion_route_on_random_surfaces(ordering, steps, rng):
+    # a moved metabolic surface with its metabolizer, an index-2 basis of it
+    # and a dependent one: both routes answer alike or refuse alike
+    m = random_seifert(rng, 3, ordering, metabolic=True, entries=range(-6, 7))
+    moved, (v,) = symplectic_change(rng, m, [mixed_b_curves(rng, m)], steps)
+    cols = [list(c) for c in v.columns]
+    assert generator_matches_completion(moved, v)
+    assert not generator_matches_completion(
+        moved, basis_of_columns(cols[:-1] + [[2 * x for x in cols[-1]]]))
+    assert not generator_matches_completion(moved, basis_of_columns(cols[:-1] + [cols[0]]))
 
 
 @pytest.mark.parametrize("ordering", ["interleaved", "blocked"])
@@ -1088,25 +1143,58 @@ def test_completion_known_answers_at_scale(genus, steps):
     assert not completion_matches_verdict(moved, basis_of_columns(cols[:-1] + [cols[0]]))
 
 
-def test_completion_runs_no_smith_form_and_no_verdict(unknot, monkeypatch):
-    def banned(*args):
-        raise AssertionError("the completion reads its precondition off its own Hermite form")
+def test_completion_and_generator_refuse_on_the_verdicts_form_alone(unknot, monkeypatch):
+    # A refused basis costs the verdict's Hermite form of V (2g x g) and never
+    # reaches the form of [V | I] (2g x 3g); an accepted one takes one of each.
+    # J is never built, no Smith form runs, and only the completion checks T
+    # against J_b.
+    shapes, forms = [], []
 
-    monkeypatch.setattr(seifert, "metabolizer_verdict", banned)
+    def recording(mat):
+        shapes.append((len(mat), len(mat[0])))
+        return row_hnf(mat)
+
+    def no_smith_form(*args):
+        raise AssertionError("Smith form called")
+
     real_form = seifert.intersection_form
 
-    def blocked_only(genus, ordering):  # J_b is the target; J itself is never built
-        assert ordering == "blocked"
+    def recording_form(genus, ordering):
+        forms.append((genus, ordering))
         return real_form(genus, ordering)
 
-    monkeypatch.setattr(seifert, "intersection_form", blocked_only)
-    t = symplectic_complete(unknot, standard_metabolizer(unknot))
-    assert transpose(t)[3:] == [list(unit(1)), list(unit(3)), list(unit(5))]
-    assert generator_for_metabolizer(unknot, basis_from(1, 3, 5)).signed == -1
-    for refused in (basis_from(0, 1, 3), basis_from(1, 3, 3),
-                    MetabolizerBasis((unit(1), unit(3), tuple(2 * x for x in unit(5))))):
-        with pytest.raises(PreconditionError, match="completion refused"):
-            symplectic_complete(unknot, refused)
+    monkeypatch.setattr(seifert, "row_hnf", recording)
+    monkeypatch.setattr(intlinalg, "snf", no_smith_form)
+    monkeypatch.setattr(seifert, "intersection_form", recording_form)
+    index_two = MetabolizerBasis((unit(1), unit(3), tuple(2 * x for x in unit(5))))
+    for run, postconditions in ((symplectic_complete, [(3, "blocked")]),
+                                (generator_for_metabolizer, [])):
+        for refused in (basis_from(0, 1, 3), index_two, basis_from(1, 3, 3)):
+            del shapes[:], forms[:]
+            with pytest.raises(PreconditionError, match="^not a metabolizer; completion refused$"):
+                run(unknot, refused)
+            assert (shapes, forms) == ([(6, 3)], [])
+        del shapes[:], forms[:]
+        answer = run(unknot, basis_from(1, 3, 5))
+        assert (shapes, forms) == ([(6, 3), (6, 9)], postconditions)
+    assert transpose(symplectic_complete(unknot, standard_metabolizer(unknot)))[3:] == \
+        [list(unit(1)), list(unit(3)), list(unit(5))]
+    assert answer.signed == -1
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_genus_16_index_two_bases_are_refused_within_a_second(seed):
+    # the unknot sum's b-curves after four transvections, first column doubled:
+    # the Hermite form of [V | I] takes 1 to 22 s on these bases (Python 3.11.7),
+    # so the verdict must refuse them before it is built
+    m = validate(unknot_sum_rows(16), "interleaved")
+    moved, (v,) = symplectic_change(Random(seed), m, [standard_metabolizer(m)], 4)
+    cols = [list(c) for c in v.columns]
+    index_two = basis_of_columns([[2 * x for x in cols[0]]] + cols[1:])
+    start = time.process_time()
+    with pytest.raises(PreconditionError, match="^not a metabolizer; completion refused$"):
+        symplectic_complete(moved, index_two)
+    assert time.process_time() - start < 1.0
 
 
 def test_completion_checks_the_genus_guard_then_the_shape(unknot):
