@@ -73,7 +73,8 @@ def _word(payload: dict, key: str, rank: int):
 def _int_matrix(raw, what: str) -> list[list[int]]:
     if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
         raise ValueError(f"{what} must be a list of rows")
-    return [[_as_int(x, f"{what} entry") for x in row] for row in raw]
+    entry = f"{what} entry"
+    return [[_as_int(x, entry) for x in row] for row in raw]
 
 
 def _parse_matrix(raw) -> seifert.SeifertMatrix:

@@ -72,19 +72,21 @@ MAX_SEARCH_GENUS = 3
 # fresh processes.
 MAX_SEARCH_BOX = 5**6
 # Largest genus metabolizer_verdict and symplectic_complete take; both
-# check it first, through metabolizer_verdict.  The verdict takes one
-# Hermite form, of V, and an accepted basis one more, of [V | I], whose
-# unreduced right block can swell: at genus 16, on 3- to 8-digit bases,
-# it took 0.08 s to over 90 s (ROADMAP item 2); a refused basis costs the
-# verdict only.  The verdict, on Python 3.11.7, 2-CPU Xeon,
-# dense random columns against the unknot sum, CPU time in fresh
-# processes: via cli.main, genus 16 took at most 0.010 s with entries in
-# +-9 and 0.050 s in +-10**6 (26 seeds each); as a library call, genus 24
-# took up to 0.47 s (26 seeds), genus 32 0.08-19 s (5 seeds) and genus
-# 48 over 10 minutes (1 seed).  The cap bounds the genus, not the
-# entries (ROADMAP item 2): d-digit entries via cli.main, seeds 1-3, took
-# 0.08-1.7 s at genus 16 and d = 50, 1.0-12.8 s at genus 16 and d = 200,
-# and 0.40-0.65 s at genus 8 and d = 1,000.
+# check it first, through metabolizer_verdict.  The verdict forms V and
+# M V once, for the Gram matrix V^T (M V), and takes one Hermite form,
+# of V.  The completion reuses that V and M V, and an accepted basis
+# takes one more Hermite form, of [V | I], whose unreduced right block
+# can swell: at genus 16, on 3- to 8-digit bases, it took 0.08 s to over
+# 90 s (ROADMAP item 2); a refused basis costs the verdict only.  The
+# verdict, on Python 3.11.7, 2-CPU Xeon, dense random columns against
+# the unknot sum, CPU time in fresh processes: via cli.main, genus 16
+# took at most 0.010 s with entries in +-9 and 0.050 s in +-10**6 (26
+# seeds each); as a library call, genus 24 took up to 0.47 s (26 seeds),
+# genus 32 0.08-19 s (5 seeds) and genus 48 over 10 minutes (1 seed).
+# The cap bounds the genus, not the entries (ROADMAP item 2): d-digit
+# entries via cli.main, seeds 1-3, took 0.08-1.7 s at genus 16 and
+# d = 50, 1.0-12.8 s at genus 16 and d = 200, and 0.40-0.65 s at genus 8
+# and d = 1,000.
 MAX_VERDICT_GENUS = 16
 
 
@@ -197,15 +199,11 @@ class MetabolizerVerdict(namedtuple("MetabolizerVerdict", "form_vanishes indepen
         return self.form_vanishes and self.primitive
 
 
-def metabolizer_verdict(m: SeifertMatrix, v: MetabolizerBasis) -> MetabolizerVerdict:
-    """Form vanishing on v's columns, their independence and primitivity.
+def _basis_products(m: SeifertMatrix, v: MetabolizerBasis) -> tuple[Matrix, Matrix]:
+    """V and M V, after the verdict's genus guard and shape checks.
 
-    One Gram matrix V^T M V of the form values and one row Hermite form
-    of V: the g columns are independent iff its top g rows are nonzero,
-    and primitive iff they are the identity, so a dependent set of
-    columns is reported as not primitive.  A genus above
-    MAX_VERDICT_GENUS is refused with ValueError before any work starts,
-    then columns of the wrong length or count.
+    A genus above MAX_VERDICT_GENUS is refused with ValueError before any
+    product is formed, then columns of the wrong length or count.
     """
     if m.genus > MAX_VERDICT_GENUS:
         raise ValueError(f"genus {m.genus} exceeds the metabolizer-test guard "
@@ -215,10 +213,31 @@ def metabolizer_verdict(m: SeifertMatrix, v: MetabolizerBasis) -> MetabolizerVer
     if v.count != m.genus:
         raise ValueError(f"need exactly {m.genus} columns, got {v.count}")
     vmat = v.as_matrix()
-    gram = mat_mul(v.columns, mat_mul(m.entries, vmat))
+    return vmat, mat_mul(m.entries, vmat)
+
+
+def _verdict_of(m: SeifertMatrix, v: MetabolizerBasis, vmat: Matrix, mv: Matrix
+                ) -> MetabolizerVerdict:
+    """The verdict on v from _basis_products' V and M V."""
+    gram = mat_mul(v.columns, mv)
     vanishes = not any(x for row in gram for x in row)
     top = row_hnf(vmat)[:m.genus]  # zero rows come last
     return MetabolizerVerdict(vanishes, any(top[-1]), top == identity(m.genus))
+
+
+def metabolizer_verdict(m: SeifertMatrix, v: MetabolizerBasis) -> MetabolizerVerdict:
+    """Form vanishing on v's columns, their independence and primitivity.
+
+    One Gram matrix V^T (M V) of the form values and one row Hermite
+    form of V: the g columns are independent iff its top g rows are
+    nonzero, and primitive iff they are the identity, so a dependent set
+    of columns is reported as not primitive.  A genus above
+    MAX_VERDICT_GENUS is refused with ValueError before any work starts,
+    then columns of the wrong length or count.  The checks and the
+    products V and M V are _basis_products', and the read is
+    _verdict_of's, so the completion reuses both products.
+    """
+    return _verdict_of(m, v, *_basis_products(m, v))
 
 
 @cache
@@ -484,25 +503,28 @@ def _apply_j(m: SeifertMatrix, x: Matrix) -> Matrix:
     return jx
 
 
-def _duals(m: SeifertMatrix, v: MetabolizerBasis) -> Matrix:
-    """Refuse v unless it spans a metabolizer, then 2g x g duals A with A^T J V = I.
+def _duals(m: SeifertMatrix, v: MetabolizerBasis) -> tuple[Matrix, Matrix, Matrix]:
+    """Refuse v unless it spans a metabolizer, then (A, V, M V) with A^T J V = I.
 
     The precondition is metabolizer_verdict's, with its errors in its
-    order; a basis it rejects is refused with PreconditionError before
-    the Hermite form of [V | I], whose right block can swell.  The top g
-    rows of row_hnf([V | I]) are then [I | L] with L V = I, as the left
-    block is row_hnf(V) (Cohen, GTM 138, section 2.4), and A = J L^T
-    satisfies A^T J V = L J^T J V = I because J^T J = I.  A left block
-    other than I after the verdict accepted V is a CrossCheckError.
+    order, read off one V and one M V, which are returned with the 2g x g
+    duals A for the caller to reuse.  A basis the verdict rejects is
+    refused with PreconditionError before the Hermite form of [V | I],
+    whose right block can swell.  The top g rows of row_hnf([V | I]) are
+    then [I | L] with L V = I, as the left block is row_hnf(V) (Cohen,
+    GTM 138, section 2.4), and A = J L^T satisfies A^T J V = L J^T J V =
+    I because J^T J = I.  A left block other than I after the verdict
+    accepted V is a CrossCheckError.
     """
-    if not metabolizer_verdict(m, v).is_metabolizer:
+    vmat, mv = _basis_products(m, v)
+    if not _verdict_of(m, v, vmat, mv).is_metabolizer:
         raise PreconditionError("not a metabolizer; completion refused")
     g, n = m.genus, m.dim
-    vmat, eye = v.as_matrix(), identity(n)
+    eye = identity(n)
     h = row_hnf([vmat[r] + eye[r] for r in range(n)])
     if [row[:g] for row in h[:g]] != identity(g):
         raise CrossCheckError("Hermite form of [V | I] disagrees with the metabolizer verdict")
-    return _apply_j(m, transpose([row[g:] for row in h[:g]]))
+    return _apply_j(m, transpose([row[g:] for row in h[:g]])), vmat, mv
 
 
 def symplectic_complete(m: SeifertMatrix, v: MetabolizerBasis) -> Matrix:
@@ -518,15 +540,14 @@ def symplectic_complete(m: SeifertMatrix, v: MetabolizerBasis) -> Matrix:
     The basis is refused through metabolizer_verdict, genus and shape
     first, before the Hermite form of [V | I]: a basis on which the form
     does not vanish, or whose columns are dependent or not primitive,
-    raises PreconditionError.  The duals A with A^T J V = I come from
-    _duals.  Any dual is fixed modulo V, since V is its own J-orthogonal
-    complement; a Gram correction A + V X kills the a-a pairings without
-    touching duality.  J is applied by _apply_j, for the correction
-    A^T (J A) and the postcondition T^T (J T).
+    raises PreconditionError.  The duals A with A^T J V = I, and V
+    itself, come from _duals.  Any dual is fixed modulo V, since V is its
+    own J-orthogonal complement; a Gram correction A + V X kills the a-a
+    pairings without touching duality.  J is applied by _apply_j, for the
+    correction A^T (J A) and the postcondition T^T (J T).
     """
-    a = _duals(m, v)
+    a, vmat, _ = _duals(m, v)
     g, n = m.genus, m.dim
-    vmat = v.as_matrix()
     gram = mat_mul(transpose(a), _apply_j(m, a))
     x = [[-gram[r][c] if r > c else 0 for c in range(g)] for r in range(g)]
     corr = mat_mul(vmat, x)
@@ -550,13 +571,8 @@ class GeneratorResult(Record):
         return f"realizable mu-bar(123) differences contain n*{self.generator} for every integer n"
 
 
-def generator_from_block(block) -> GeneratorResult:
-    """Generator of a blocked matrix's a-to-b block B (3x3).
-
-    Evaluates both the nine-parameter polynomial and det(B^T - I) -
-    det(B) and insists they agree.  Entries go through operator.index.
-    """
-    b = _check_3x3(block, "block")
+def _generator_of(b: Matrix) -> GeneratorResult:
+    """generator_from_block's two routes on a 3x3 block of exact ints, unchecked."""
     (pa, x1, y1), (x2, pb, z1), (y2, z2, pc) = b
     expanded = (pa - 1) * (pb - 1) * (pc - 1) - pa * pb * pc + x1 * x2 + y1 * y2 + z1 * z2
     bt_minus_id = [[b[j][i] - (1 if i == j else 0) for j in range(3)] for i in range(3)]
@@ -568,23 +584,39 @@ def generator_from_block(block) -> GeneratorResult:
     return GeneratorResult(abs(expanded), expanded)
 
 
+def generator_from_block(block) -> GeneratorResult:
+    """Generator of a blocked matrix's a-to-b block B (3x3).
+
+    Evaluates both the nine-parameter polynomial and det(B^T - I) -
+    det(B) and insists they agree.  The block is checked first: entries
+    go through operator.index and any other shape than 3x3 is a
+    ValueError.  generator_for_metabolizer evaluates the block it builds
+    from checked integers directly, so only a caller's block is checked.
+    """
+    return _generator_of(_check_3x3(block, "block"))
+
+
 def generator_for_metabolizer(m: SeifertMatrix, v: MetabolizerBasis) -> GeneratorResult:
     """Generator attached to a genus-3 matrix and one of its metabolizers.
 
     The generator reads only the a-to-b block B = A^T (M V) of M
     rewritten in a symplectic basis (A | V), whose b-part V spans v, so
     it reads A^T M V off the duals of _duals, refused as they refuse,
-    and builds no completion.  symplectic_complete's Gram correction
-    A + V X would add X^T (V^T M V) = 0, as the verdict has found V^T M V
-    = 0, so its T gives the same B.  B, and so the signed value, depends
-    only on m and v's span: any two duals give the same B, re-basing v
-    by U in GL(3, Z) turns B into U^-1 B U, and a symplectic change of
-    m's basis carries duals to duals.
+    and builds no completion.  M V is the product the verdict formed for
+    V^T M V, handed back by _duals, so a call multiplies by M once.  B is
+    built from checked integers, so it is evaluated directly, without
+    generator_from_block's check of a caller's block.
+    symplectic_complete's Gram correction A + V X would add
+    X^T (V^T M V) = 0, as the verdict has found V^T M V = 0, so its T
+    gives the same B.  B, and so the signed value, depends only on m and
+    v's span: any two duals give the same B, re-basing v by U in GL(3, Z)
+    turns B into U^-1 B U, and a symplectic change of m's basis carries
+    duals to duals.
     """
     if m.genus != 3:
         raise ValueError(f"genus-3 matrices only, got genus {m.genus}")
-    a = _duals(m, v)
-    return generator_from_block(mat_mul(transpose(a), mat_mul(m.entries, v.as_matrix())))
+    a, _, mv = _duals(m, v)
+    return _generator_of(mat_mul(transpose(a), mv))
 
 
 def connected_sum(m1: SeifertMatrix, m2: SeifertMatrix, m3: SeifertMatrix) -> SeifertMatrix:

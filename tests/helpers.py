@@ -264,6 +264,8 @@ def cofactor_det(m: list[list[int]]) -> int:
         return 1
     if n == 1:
         return m[0][0]
+    if n == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
     total = 0
     for j in range(n):
         if m[0][j] == 0:

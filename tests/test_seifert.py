@@ -1207,6 +1207,40 @@ def test_completion_checks_the_genus_guard_then_the_shape(unknot):
     with pytest.raises(ValueError, match="^need exactly 3 columns, got 2$"):
         symplectic_complete(unknot, MetabolizerBasis((unit(1), unit(3))))
 
+
+def test_completion_and_generator_form_v_and_m_v_once(monkeypatch):
+    # the verdict's V and M V are the ones the duals, the completion and the block
+    # reuse, and the generator evaluates its own block without re-checking it
+    rng = Random(34)
+    m = PARAMS.seifert_matrix(random_stars(rng, 5))
+    v = rebased(rng, standard_metabolizer(m))
+    expected = (generator_via_completion(m, v), symplectic_complete(m, v))
+    by_m, built = [], []
+    real_mul, real_as_matrix = seifert.mat_mul, MetabolizerBasis.as_matrix
+
+    def counting_mul(a, b):
+        by_m.append(a is m.entries)
+        return real_mul(a, b)
+
+    def counting_as_matrix(basis):
+        built.append(basis)
+        return real_as_matrix(basis)
+
+    def no_check(*args):
+        raise AssertionError("_check_3x3 called")
+
+    monkeypatch.setattr(seifert, "mat_mul", counting_mul)
+    monkeypatch.setattr(MetabolizerBasis, "as_matrix", counting_as_matrix)
+    monkeypatch.setattr(seifert, "_check_3x3", no_check)
+    answers = []
+    for run in (generator_for_metabolizer, symplectic_complete):
+        del by_m[:], built[:]
+        answers.append(run(m, v))
+        assert (by_m.count(True), built) == (1, [v])
+    assert tuple(answers) == expected
+    with pytest.raises(AssertionError, match="_check_3x3 called"):
+        generator_from_block(PARAMS.block())  # a caller's block is still checked
+
 # --------------------------------------------------------------- generators
 
 
