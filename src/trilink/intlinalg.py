@@ -186,7 +186,7 @@ class _Slots:
         self.low = self.high - ones
 
     def pack(self, values) -> int:
-        """values[j] in slot j."""
+        """values[j] in slot j, for any iterable of values."""
         bias, step = self.bias, self.step
         return int.from_bytes(b"".join((v + bias).to_bytes(step, "little") for v in values),
                               "little") - self.high

@@ -227,6 +227,7 @@ def phi(w: FreeWord, degree_cap: int = DEFAULT_DEGREE_CAP) -> MagnusSeries:
 
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))
+_PARITY = bytes(code & 1 for code in range(256))  # code -> 1 for an inverse letter, else 0
 
 
 @cache
@@ -297,10 +298,13 @@ def _degree_two(
     x_j-letters after it.  The second term is the same in both views, so
     the sums R of s_q times that position give c_ji = R(V+) - R(V-)
     (_read_view).  E_i is the length of V+ less that of V-, and E_j the
-    signed count of x_j-letters in either view; a generator in no pair
-    is counted in the codes.  Returns the sums of x1, x2, x3 in order and
-    both coefficients of each pair (i, j) that pairs names; the others
-    are left out, as are zeros.
+    signed count of x_j-letters in either view.  Of the generators of
+    the word in no computed pair, all but the last take two bytes.count
+    passes each, and the last is the signed length less the other sums:
+    the length less twice the odd codes, counted by one popcount of the
+    codes translated to parity bytes.  Returns the sums of
+    x1, x2, x3 in order and both coefficients of each pair (i, j) that
+    pairs names; the others are left out, as are zeros.
     """
     codes = w._codes
     slot = {g: k for k, g in enumerate(w._gens)}
@@ -315,11 +319,14 @@ def _degree_two(
             for key, c in (((i, j), sums[i] * sums[j] - back), ((j, i), back)):
                 if c:
                     coeffs[key] = c
-    for g in (1, 2, 3):
-        if g not in sums:
-            k = slot.get(g)
-            sums[g] = 0 if k is None else codes.count(2 * k) - codes.count(2 * k + 1)
-    return (sums[1], sums[2], sums[3]), coeffs
+    uncovered = [g for g in slot if g not in sums]
+    if uncovered:  # the last one is the signed length less the other sums
+        *counted, last = uncovered
+        for g in counted:
+            sums[g] = codes.count(2 * slot[g]) - codes.count(2 * slot[g] + 1)
+        inverses = int.from_bytes(codes.translate(_PARITY), "little").bit_count()
+        sums[last] = len(codes) - 2 * inverses - sum(sums.values())
+    return (sums.get(1, 0), sums.get(2, 0), sums.get(3, 0)), coeffs
 
 
 def _commutator_degree_two(w: FreeWord, pairs=_PAIRS) -> dict[tuple[int, int], int]:

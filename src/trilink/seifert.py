@@ -58,18 +58,21 @@ MAX_SEARCH_GENUS = 3
 # Largest coefficient box (2*bound+1)**(2*genus) a search may scan: genus
 # 3 at bound 2, genus 2 at bound 5, genus 1 at bound 62.  Python 3.11.7,
 # shared 2-CPU Xeon, one enumerate_metabolizers call in each of 5 fresh
-# processes, medians, three sets: the genus-3 unknot surface took 1.4 ms
-# at bound 1 and 26.5 ms at bound 2; genus 3 at bound 2 with dense random
-# 40-digit entries 1.1 ms, 5 matrices; the box cap at most 0.43-0.44 ms
-# at genus 1, 6 matrices, and 2.2 ms at genus 2, 7 matrices with the
+# processes, medians, three sets: the genus-3 unknot surface took 2.2 ms
+# at bound 1 and 41 ms at bound 2; genus 3 at bound 2 with dense random
+# 40-digit entries at most 1.4 ms, 5 matrices; the box cap at most 0.47
+# ms at genus 1, 6 matrices, and 3.1 ms at genus 2, 7 matrices with the
 # unknot surface.  Slots widen with the entries: through cli.main,
 # medians of 3, dense 4,300-digit entries (the int-string limit) took
-# 51-52 ms at genus 3 bound 2 and 39-40 ms at genus 2 bound 5, 3 matrices
+# 69-71 ms at genus 3 bound 2 and 55-57 ms at genus 2 bound 5, 3 matrices
 # each, none with a candidate.  Many candidates with wide slots cost
 # most, as each candidate's adjacency read spans k slots: an unknot
 # surface with one symmetric pair of 4,300-digit entries has 456
-# candidates at genus 3 bound 2 and took 1.7 s through cli.main, three
-# fresh processes.
+# candidates at genus 3 bound 2 and took 2.5-2.9 s through cli.main, three
+# fresh processes.  The machine read slower than when these were first
+# timed: in the same sets, the search with the earlier box scan (one
+# generator per half) took 2.1 and 48 ms on the unknot surface, where it
+# had taken 1.4 and 26.5 ms.
 MAX_SEARCH_BOX = 5**6
 # Largest genus metabolizer_verdict and symplectic_complete take; both
 # check it first, through metabolizer_verdict.  The verdict forms V and
@@ -340,6 +343,12 @@ def _primitive_cliques(cands, adj, tables, clique, plucker, allowed, lattices, l
                                           lattices, lat)
 
 
+def _combine(coeffs, columns):
+    """sum_i coeffs[i] * columns[i], entry by entry, for equally long nonempty columns."""
+    terms = [map(mul, col, itertools.repeat(c)) for c, col in zip(coeffs, columns) if c]
+    return map(sum, zip(*terms)) if terms else itertools.repeat(0, len(columns[0]))
+
+
 def _box_candidates(m: SeifertMatrix, bound: int) -> list[tuple[int, ...]]:
     """Primitive isotropic vectors of the box, first nonzero entry positive, in product order."""
     g, e = m.genus, m.entries
@@ -347,16 +356,21 @@ def _box_candidates(m: SeifertMatrix, bound: int) -> list[tuple[int, ...]]:
     centre = len(halves) // 2  # halves[centre] is 0; every later half has a positive first nonzero
     tops = halves[centre:]
     slots = _Slots(len(tops), bound * bound * sum(abs(x) for row in e for x in row))
+    cols = list(zip(*halves))  # column s: coordinate s of every half
+    pairs = [(s, t) for s in range(g) for t in range(s, g)]
+    prods = [list(map(mul, cols[s], cols[t])) for s, t in pairs]  # u_s u_t of every half u
 
-    def quad(offset, us):  # u^T M[half, half] u for every half u of us
-        block = [e[offset + i][offset:offset + g] for i in range(g)]
-        return [sum(x * sum(map(mul, row, u)) for x, row in zip(u, block)) for u in us]
+    def quad(offset, columns):  # u^T M[half, half] u for every half u of the product columns
+        return _combine([e[offset + s][offset + t] + e[offset + t][offset + s] if s < t
+                         else e[offset + s][offset + s] for s, t in pairs], columns)
 
-    top = slots.pack(quad(0, tops))  # slot j: q_top(tops[j])
-    cross = [[e[i][g + j] + e[g + j][i] for i in range(g)] for j in range(g)]  # columns of C
-    cu = [slots.pack([sum(map(mul, u, col)) for u in tops]) for col in cross]
+    top = slots.pack(quad(0, [p[centre:] for p in prods]))  # slot j: q_top(tops[j])
+    top_cols = [col[centre:] for col in cols]
+    # C = M[top, bot] + M[bot, top]^T; one integer per t holds every (C^T u_j)_t
+    cu = [slots.pack(_combine([e[i][g + t] + e[g + t][i] for i in range(g)], top_cols))
+          for t in range(g)]
     cands = []
-    for b, (w, q) in enumerate(zip(halves, quad(g, halves))):
+    for b, (w, q) in enumerate(zip(halves, quad(g, prods))):
         zero = slots.zeros(sum(map(mul, w, cu), top), q)
         if b <= centre:  # with u = 0, only w after the centre has a positive first nonzero
             zero &= -2
@@ -375,11 +389,13 @@ def _adjacency_masks(m: SeifertMatrix, cands, bound: int) -> list[int]:
     Both pairings of c_i with every c_j are read off one k-slot sum; the
     slot layout is explained in enumerate_metabolizers.
     """
+    if not cands:
+        return []
     most = 2 * m.genus * bound * bound  # the largest |c_i^T J c_j|
     x = 2 * most + 1
     slots = _Slots(len(cands), x * bound * bound * sum(abs(e) for row in m.entries for e in row)
                    + most)
-    coords = [slots.pack([c[t] for c in cands]) for t in range(m.dim)]
+    coords = list(map(slots.pack, zip(*cands)))  # coordinate t of c_j in slot j
     jcoords = coords[:]  # (J c_j)_t in slot j
     for p, q in zip(*_curve_positions(m.genus, m.ordering)):
         jcoords[p], jcoords[q] = coords[q], -coords[p]
@@ -449,16 +465,20 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
     entry is positive is a candidate, so only the top halves from the zero
     half on in product order are packed, u_j in slot j: 0 and those with
     a positive first nonzero.  One integer holds every q_top(u_j) and one
-    per t every (C^T u_j)_t.  Every bottom half w is looped over, and each
-    w costs one sum of g products whose multipliers w_t are box
-    coordinates, at most bound in size, plus q_bot(w) in every slot; its
-    zero slots are the isotropic vectors (u_j, w), except the slot of
-    u = 0 for w up to the zero half, whose first nonzero is not positive.
-    Each hit has the sign of a candidate, the primitive ones are kept,
-    and sorted as tuples they fall in itertools.product order (u outside
-    w).  Candidates c_i and c_j are adjacent iff c_i^T M c_j = c_i^T M^T
-    c_j = 0, that is, as M^T = M - J, iff A = c_i^T M c_j and B =
-    c_i^T J c_j both vanish.  |B| <= 2g bound^2, so with x = 4g bound^2
+    per t every (C^T u_j)_t.  Those values and every q_bot(w) come from
+    the coordinate columns of the halves through C-level maps, with no
+    Python-level code per half: a form sums its block's entries times the
+    product columns u_s u_t, one per pair s <= t, and (C^T u)_t sums C's
+    column t times the coordinate columns.  Every bottom half w is looped
+    over, and each w costs one sum of g products whose multipliers w_t
+    are box coordinates, at most bound in size, plus q_bot(w) in every
+    slot; its zero slots are the isotropic vectors (u_j, w), except the
+    slot of u = 0 for w up to the zero half, whose first nonzero is not
+    positive.  Each hit has the sign of a candidate, the primitive ones
+    are kept, and sorted as tuples they fall in itertools.product order
+    (u outside w).  Candidates c_i and c_j are adjacent iff c_i^T M c_j =
+    c_i^T M^T c_j = 0, that is, as M^T = M - J, iff A = c_i^T M c_j and
+    B = c_i^T J c_j both vanish.  |B| <= 2g bound^2, so with x = 4g bound^2
     + 1 the slot value x A + B determines A and B and is 0 iff both are.
     Coordinate t of all k candidates is packed once, c_j in slot j, and
     image t holds x (M c_j)_t + (J c_j)_t in slot j, J applied as a signed

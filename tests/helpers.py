@@ -26,7 +26,9 @@ textbook triple loop, and symplectic changes of basis are built from
 transvections, apart from the package's completion.  The genus-3
 generator is read through the completion T and its a-to-b block
 (generator_via_completion); the package reads the block off the duals
-alone.
+alone.  Exponent sums are counted in the codes, two bytes.count passes
+per generator (counted_sums; the package reads the last generator in no
+computed pair off the signed length).
 """
 
 from __future__ import annotations
@@ -483,6 +485,13 @@ def packed_degree_two(w: FreeWord) -> tuple[tuple[int, int, int], dict[tuple[int
               for j in (1, 2, 3) if rows[j]
               for i, c in enumerate(slots.read(rows[j]), 1) if c and i != j}
     return tuple(slots.read(sums)), coeffs
+
+
+def counted_sums(w: FreeWord) -> tuple[int, int, int]:
+    """Exponent sums of x1, x2, x3 in a rank-3 word, two bytes.count passes per generator."""
+    slot = {g: k for k, g in enumerate(w._gens)}
+    return tuple(w._codes.count(2 * slot[g]) - w._codes.count(2 * slot[g] + 1) if g in slot
+                 else 0 for g in (1, 2, 3))
 
 
 def list_levels(codes, r: int, cap: int) -> list[list[int]]:

@@ -3,6 +3,7 @@ import contextlib
 import importlib
 import io
 import json
+import platform
 import shutil
 import sys
 import time
@@ -13,6 +14,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pool_replies
 from helpers import UNKNOT_ROWS, lattice_key, spread_word, unknot_sum_rows
 from trilink import cli, infection, magnus, seifert
 from trilink.realization import GenusThreeParams
@@ -343,7 +345,9 @@ def test_render_past_int_str_limit_raises_the_encode_error():
 
 
 def test_render_matches_the_encode_walk_on_the_benchmark_pools(monkeypatch):
-    # every reply of the four perfbench pools at seeds 1-3
+    # every reply of the four perfbench pools at seeds 1-3, replayed once for
+    # two checks: each rendered reply equals the encode walk's, and each
+    # reply's fingerprint equals the one frozen in tests/data/pool_replies.txt
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     render, rendered = cli._render, []
@@ -355,12 +359,14 @@ def test_render_matches_the_encode_walk_on_the_benchmark_pools(monkeypatch):
         return text
 
     monkeypatch.setattr(cli, "_render", checked)
-    pool = [r for seed in (1, 2, 3) for name in workloads.WORKLOADS
-            for r in workloads.build(name, seed)]
-    assert len(pool) == 894
-    for request in pool:
-        _served(request["argv"], request["stdin"])
+    replies = pool_replies.lines(workloads)
+    assert len(replies) == 894
     assert len(rendered) > 800  # the rest exit before a reply is rendered
+    frozen = pool_replies.OUT.read_text(encoding="utf-8").splitlines()
+    changed = sorted(set(replies) ^ set(frozen))
+    assert replies == frozen, (
+        f"replies differ from {pool_replies.OUT.name} on Python {platform.python_version()} "
+        f"(frozen on 3.11.7); {len(changed)} lines in only one of them: {changed[:6]}")
 
 
 @pytest.mark.parametrize("text", [" +5 ", "1_000", "\u0661\u0662"])

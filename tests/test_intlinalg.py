@@ -1,3 +1,4 @@
+from operator import neg
 from random import Random
 
 import pytest
@@ -282,3 +283,24 @@ def test_slots_of_no_values():
         assert slots.pack([]) == 0
         assert slots.zeros(0) == slots.zeros(0, limit) == slots.zeros(0, -limit) == 0
         assert slots.read(0) == []
+
+
+def pack_limits():
+    """Limits at the 8s-bit width edges (bit length 8s - 1 or 8s), small
+    ones and 4,300-digit ones."""
+    edge = st.builds(lambda s, d: 2 ** (8 * s - 1) + d, st.integers(1, 8), st.integers(-2, 1))
+    return st.one_of(edge, st.integers(0, 2**40), st.integers(10**4299, 10**4300 - 1))
+
+
+@settings(deadline=None)
+@given(data=st.data(), limit=pack_limits(), k=st.integers(0, 40))
+def test_slots_pack_any_iterable_at_wide_and_edge_limits(data, limit, k):
+    # the bulk builders pack map iterators; a few distinct values keep the
+    # drawn data small at 4,300 digits, each sign of the limit drawn often
+    pool = data.draw(st.lists(between(-limit, limit), min_size=1, max_size=4))
+    values = data.draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+    slots = _Slots(k, limit)
+    packed = slots.pack(iter(values))
+    assert packed == sum(v << (slots.width * j) for j, v in enumerate(values))
+    assert slots.pack(map(neg, values)) == -packed
+    assert slots.read(packed) == values

@@ -1,15 +1,18 @@
 import copy
 import io
+import itertools
 import json
 import pickle
 from itertools import permutations, product
 from math import comb
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    counted_sums,
     list_levels,
     packed_degree_two,
     random_commutator_subgroup_word,
@@ -389,6 +392,40 @@ def test_degree_two_from_codes_against_the_oracles():
         (0, 0, 0), {(1, 3): -1, (3, 1): 1})
     assert _agreeing_degree_two(commutator(X1 ** 3000, X2 ** 3000)) == (
         (0, 0, 0), {(1, 2): 9 * 10**6, (2, 1): -9 * 10**6})
+
+
+def _sums_over_every_pair_choice(w):
+    """The exponent sums _degree_two gives under every subset of _PAIRS, one per subset."""
+    return {_degree_two(w, pairs)[0] for n in range(4)
+            for pairs in itertools.combinations(magnus._PAIRS, n)}
+
+
+@settings(deadline=None)
+@given(data=st.data(), gens=st.sets(st.sampled_from((1, 2, 3))), n=st.integers(0, 600))
+def test_degree_two_sums_against_the_count_route(data, gens, n):
+    # words over any subset of x1, x2, x3, so that none, one, two or all three
+    # generators are in no computed pair for some choice of pairs
+    letters = st.tuples(st.sampled_from(sorted(gens)), st.sampled_from((1, -1))) if gens \
+        else st.nothing()
+    w = FreeWord(3, tuple(data.draw(st.lists(letters, max_size=n if gens else 0))))
+    assert _sums_over_every_pair_choice(w) == {counted_sums(w)}
+
+
+def test_degree_two_reads_the_last_uncovered_sum_off_the_length():
+    # mu123 computes the pair (1, 2) only: x3 is read off the signed length
+    # with no bytes.count pass; of three uncovered generators, the first two
+    # are counted and the last is read off the length
+    passes = []
+
+    class Codes(bytes):
+        def count(self, *args):
+            passes.append(args)
+            return super().count(*args)
+
+    w = commutator(X1 ** 5 * X3 ** -2, X2 * X3 ** 4)
+    spied = SimpleNamespace(_codes=Codes(w._codes), _gens=w._gens)  # all _degree_two reads
+    assert _degree_two(spied, ((1, 2),)) == _degree_two(w, ((1, 2),)) and not passes
+    assert _degree_two(spied, ())[0] == counted_sums(w) and len(passes) == 4
 
 
 def test_equal_words_store_the_same_codes():

@@ -564,6 +564,28 @@ def test_adjacency_builds_one_k_slot_sum_and_reads_it_once_per_candidate(unknot,
     assert built == [122] and reads == [122] * 122
 
 
+def test_bulk_builders_pack_one_vector_per_column(monkeypatch):
+    # The box scan packs q_top and the g values (C^T u)_t; the adjacency
+    # packs the 2g coordinate columns of the candidates.
+    packed = []
+
+    class Spy(_Slots):
+        def pack(self, values):
+            packed.append(self.k)
+            return super().pack(values)
+
+    monkeypatch.setattr(seifert, "_Slots", Spy)
+    for genus, bound in ((1, 3), (2, 2), (3, 1)):
+        for ordering in seifert.ORDERINGS:
+            m = reorder(validate(unknot_sum_rows(genus), "interleaved"), ordering)
+            packed.clear()
+            cands = seifert._box_candidates(m, bound)
+            assert packed == [((2 * bound + 1) ** genus + 1) // 2] * (genus + 1)
+            packed.clear()
+            assert seifert._adjacency_masks(m, cands, bound) == pairwise_adjacency(m, cands)
+            assert packed == [len(cands)] * 2 * genus
+
+
 def edge_surface(genus, ordering, d, c):
     """The unknot-like surface of an ordering plus d + genus + c on the
     diagonal entry of a1 and d on that of b1, so every entry is >= 0."""
