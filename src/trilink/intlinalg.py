@@ -10,10 +10,9 @@ divides the one before, and once it stops shrinking its row and column
 are clear, and the same holds for the trailing block (Kannan and
 Bachem, SIAM J. Comput. 8, 1979; Cohen, GTM 138, section 2.4).  A
 unimodular transform, where one is needed, is the right block of
-row_hnf([m | I]).  Most matrices here are 6x6 or smaller; the largest
-are the metabolizer test's at seifert.MAX_VERDICT_GENUS = 16, a 32x32
-Seifert matrix against a 32x16 basis, whose row Hermite form decides
-primitivity.  So the code favors being checkable over being fast.
+row_hnf([m | I]).  With seifert.MAX_GENUS = 3, the package's matrices
+are 6x6 or smaller, apart from the completion's 6x9 [V | I].  So the
+code favors being checkable over being fast.
 
 The packed kernels of magnus and seifert keep k signed integers v_j
 in one Python int, sum of v_j * 2^(w*j), through the private

@@ -52,9 +52,13 @@ from .intlinalg import (
 
 ORDERINGS = ("interleaved", "blocked")
 
-# Hard cap on metabolizer-search genus: the exterior-product tables of
-# the search cover three columns at most.
-MAX_SEARCH_GENUS = 3
+# Largest genus of the metabolizer search, the metabolizer verdict and
+# the symplectic completion: the paper's objects are genus 3, and
+# _wedge_table pads each Laplace entry to three terms, so the exterior
+# products of the search and the verdict cover three columns at most.
+# Worst-case rows: tests/test_worst_case.py's enumerate-dense-4300-digits
+# and metabolizer-dense-4300-digits.
+MAX_GENUS = 3
 # Largest coefficient box (2*bound+1)**(2*genus) a search may scan: genus
 # 3 at bound 2, genus 2 at bound 5, genus 1 at bound 62.  Python 3.11.7,
 # shared 2-CPU Xeon, one enumerate_metabolizers call in each of 5 fresh
@@ -74,23 +78,6 @@ MAX_SEARCH_GENUS = 3
 # generator per half) took 2.1 and 48 ms on the unknot surface, where it
 # had taken 1.4 and 26.5 ms.
 MAX_SEARCH_BOX = 5**6
-# Largest genus metabolizer_verdict and symplectic_complete take; both
-# check it first, through metabolizer_verdict.  The verdict forms V and
-# M V once, for the Gram matrix V^T (M V), and takes one Hermite form,
-# of V.  The completion reuses that V and M V, and an accepted basis
-# takes one more Hermite form, of [V | I], whose unreduced right block
-# can swell: at genus 16, on 3- to 8-digit bases, it took 0.08 s to over
-# 90 s (ROADMAP item 2); a refused basis costs the verdict only.  The
-# verdict, on Python 3.11.7, 2-CPU Xeon, dense random columns against
-# the unknot sum, CPU time in fresh processes: via cli.main, genus 16
-# took at most 0.010 s with entries in +-9 and 0.050 s in +-10**6 (26
-# seeds each); as a library call, genus 24 took up to 0.47 s (26 seeds),
-# genus 32 0.08-19 s (5 seeds) and genus 48 over 10 minutes (1 seed).
-# The cap bounds the genus, not the entries (ROADMAP item 2): d-digit
-# entries via cli.main, seeds 1-3, took 0.08-1.7 s at genus 16 and
-# d = 50, 1.0-12.8 s at genus 16 and d = 200, and 0.40-0.65 s at genus 8
-# and d = 1,000.
-MAX_VERDICT_GENUS = 16
 
 
 def _curve_positions(genus: int, ordering: str) -> tuple[range, range]:
@@ -205,12 +192,11 @@ class MetabolizerVerdict(namedtuple("MetabolizerVerdict", "form_vanishes indepen
 def _basis_products(m: SeifertMatrix, v: MetabolizerBasis) -> tuple[Matrix, Matrix]:
     """V and M V, after the verdict's genus guard and shape checks.
 
-    A genus above MAX_VERDICT_GENUS is refused with ValueError before any
+    A genus above MAX_GENUS is refused with ValueError before any
     product is formed, then columns of the wrong length or count.
     """
-    if m.genus > MAX_VERDICT_GENUS:
-        raise ValueError(f"genus {m.genus} exceeds the metabolizer-test guard "
-                         f"({MAX_VERDICT_GENUS})")
+    if m.genus > MAX_GENUS:
+        raise ValueError(f"genus {m.genus} exceeds the metabolizer-test guard ({MAX_GENUS})")
     if v.dim != m.dim:
         raise ValueError(f"column length {v.dim} does not match matrix dimension {m.dim}")
     if v.count != m.genus:
@@ -219,28 +205,28 @@ def _basis_products(m: SeifertMatrix, v: MetabolizerBasis) -> tuple[Matrix, Matr
     return vmat, mat_mul(m.entries, vmat)
 
 
-def _verdict_of(m: SeifertMatrix, v: MetabolizerBasis, vmat: Matrix, mv: Matrix
-                ) -> MetabolizerVerdict:
-    """The verdict on v from _basis_products' V and M V."""
+def _verdict_of(v: MetabolizerBasis, mv: Matrix) -> MetabolizerVerdict:
+    """The verdict on v from _basis_products' M V."""
     gram = mat_mul(v.columns, mv)
     vanishes = not any(x for row in gram for x in row)
-    top = row_hnf(vmat)[:m.genus]  # zero rows come last
-    return MetabolizerVerdict(vanishes, any(top[-1]), top == identity(m.genus))
+    minors = _plucker(v.columns)
+    return MetabolizerVerdict(vanishes, any(minors), gcd(*minors) == 1)
 
 
 def metabolizer_verdict(m: SeifertMatrix, v: MetabolizerBasis) -> MetabolizerVerdict:
     """Form vanishing on v's columns, their independence and primitivity.
 
-    One Gram matrix V^T (M V) of the form values and one row Hermite
-    form of V: the g columns are independent iff its top g rows are
-    nonzero, and primitive iff they are the identity, so a dependent set
-    of columns is reported as not primitive.  A genus above
-    MAX_VERDICT_GENUS is refused with ValueError before any work starts,
-    then columns of the wrong length or count.  The checks and the
-    products V and M V are _basis_products', and the read is
-    _verdict_of's, so the completion reuses both products.
+    One Gram matrix V^T (M V) of the form values, and the g x g minors
+    of V, its Pluecker coordinates, built by the search's exterior
+    product: the g columns are independent iff a minor is nonzero, and
+    primitive iff the minors' gcd is 1, so a dependent set of columns is
+    reported as not primitive.  A genus above MAX_GENUS is refused with
+    ValueError before any work starts, then columns of the wrong length
+    or count.  The checks and the products V and M V are
+    _basis_products', and the read is _verdict_of's, so the completion
+    reuses both products.
     """
-    return _verdict_of(m, v, *_basis_products(m, v))
+    return _verdict_of(v, _basis_products(m, v)[1])
 
 
 @cache
@@ -253,9 +239,9 @@ def _wedge_table(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     (k+1)-subset T, so that appending a column v gives the minor
     sum(sign * v[t] * p[index]) (expansion along the new last column).
     Entries are flat and padded with (0, 0, 0) to three terms, which
-    cover every step of a search of genus <= MAX_SEARCH_GENUS.  A table
-    depends on (n, k) alone, so each is built once per process and then
-    shared by every search.
+    cover every product of at most MAX_GENUS columns.  A table depends on
+    (n, k) alone, so each is built once per process and then shared by
+    every search and verdict.
     """
     position = {s: i for i, s in enumerate(itertools.combinations(range(n), k))}
     table = []
@@ -276,6 +262,14 @@ def _wedge_coefficients(table, p: list[int]) -> list[tuple[int, ...]]:
 def _wedge(coeffs: list[tuple[int, ...]], v) -> list[int]:
     """Exterior product p ^ v, where coeffs = _wedge_coefficients(table, p)."""
     return [v[a] * x + v[b] * y + v[c] * z for a, x, b, y, c, z in coeffs]
+
+
+def _plucker(columns) -> list[int]:
+    """The maximal minors of at most MAX_GENUS columns, one wedge per column after the first."""
+    p = columns[0]
+    for level, col in enumerate(columns[1:], 1):
+        p = _wedge(_wedge_coefficients(_wedge_table(len(col), level), p), col)
+    return p
 
 
 def _primitive_cliques(cands, adj, tables, clique, plucker, allowed, lattices, lat):
@@ -411,7 +405,7 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
     Results are one basis per lattice, the Hermite canonical basis of
     its column span, sorted by those columns.  The search space is the
     box of (2*bound+1)**(2*genus) vectors, so genus is capped at
-    MAX_SEARCH_GENUS and the box at MAX_SEARCH_BOX; a larger request is
+    MAX_GENUS and the box at MAX_SEARCH_BOX; a larger request is
     refused before any work starts.
 
     The search enumerates lattices, not bases.  Every vector of a basis
@@ -491,8 +485,8 @@ def enumerate_metabolizers(m: SeifertMatrix, coeff_bound: int) -> list[Metaboliz
     """
     if coeff_bound < 1:
         raise ValueError(f"coefficient bound must be >= 1, got {coeff_bound}")
-    if m.genus > MAX_SEARCH_GENUS:
-        raise ValueError(f"genus {m.genus} exceeds the search guard ({MAX_SEARCH_GENUS})")
+    if m.genus > MAX_GENUS:
+        raise ValueError(f"genus {m.genus} exceeds the search guard ({MAX_GENUS})")
     if (2 * coeff_bound + 1) ** m.dim > MAX_SEARCH_BOX:
         raise ValueError(
             f"coefficient bound {coeff_bound} at genus {m.genus} gives a search box "
@@ -529,15 +523,16 @@ def _duals(m: SeifertMatrix, v: MetabolizerBasis) -> tuple[Matrix, Matrix, Matri
     The precondition is metabolizer_verdict's, with its errors in its
     order, read off one V and one M V, which are returned with the 2g x g
     duals A for the caller to reuse.  A basis the verdict rejects is
-    refused with PreconditionError before the Hermite form of [V | I],
-    whose right block can swell.  The top g rows of row_hnf([V | I]) are
-    then [I | L] with L V = I, as the left block is row_hnf(V) (Cohen,
-    GTM 138, section 2.4), and A = J L^T satisfies A^T J V = L J^T J V =
-    I because J^T J = I.  A left block other than I after the verdict
-    accepted V is a CrossCheckError.
+    refused with PreconditionError before the Hermite form of [V | I].
+    Its left block is row_hnf(V) (Cohen, GTM 138, section 2.4), whose
+    top g rows are I iff V's columns are independent and primitive, so
+    it checks the verdict's minors by a second route: a left block other
+    than I after the verdict accepted V is a CrossCheckError.  The top g
+    rows are then [I | L] with L V = I, and A = J L^T satisfies
+    A^T J V = L J^T J V = I because J^T J = I.
     """
     vmat, mv = _basis_products(m, v)
-    if not _verdict_of(m, v, vmat, mv).is_metabolizer:
+    if not _verdict_of(v, mv).is_metabolizer:
         raise PreconditionError("not a metabolizer; completion refused")
     g, n = m.genus, m.dim
     eye = identity(n)

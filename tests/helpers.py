@@ -12,7 +12,9 @@ two older forms, the running exponent sums and each row packed into
 one integer and updated per letter, and one list row of exponent sums
 per letter, the per-degree levels in
 theirs, one list of coefficients per degree updated slice by slice, and
-primitivity is gcd of maximal minors (the package reads a Hermite form),
+primitivity is gcd of maximal minors by cofactor expansion, and also
+the verdict's earlier read of the row Hermite form of V (hermite_verdict;
+the package folds the minors through its exterior product),
 the Hermite form that keys lattices and inverts unimodular matrices is
 reference_row_hnf, the package's earlier row_hnf loop kept as it was,
 and the skew part M - M^T is read off the entries (the package uses the
@@ -38,7 +40,7 @@ from math import gcd
 from operator import add, index as as_index, sub
 from random import Random
 
-from trilink.intlinalg import _Slots, identity, xgcd
+from trilink.intlinalg import _Slots, identity, row_hnf, transpose, xgcd
 from trilink.realization import GenusThreeParams
 from trilink.seifert import (MetabolizerBasis, generator_from_block, standard_metabolizer,
                              symplectic_complete)
@@ -288,6 +290,14 @@ def minors_gcd(m: list[list[int]], k: int) -> int:
             if g == 1:
                 return 1
     return g
+
+
+def hermite_verdict(columns) -> tuple[bool, bool]:
+    """(independent, primitive) of g columns off row_hnf(V): independent iff the
+    top g rows of the Hermite form are nonzero, primitive iff they are I."""
+    g = len(columns)
+    top = row_hnf(transpose(columns))[:g]  # zero rows come last
+    return any(top[-1]), top == identity(g)
 
 
 def brute_force_metabolizer_lattices(m, bound: int) -> set:

@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import platform
+import re
 import shutil
 import sys
 import time
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import pool_replies
 from helpers import UNKNOT_ROWS, lattice_key, spread_word, unknot_sum_rows
 from trilink import cli, infection, magnus, seifert
+from trilink.errors import CrossCheckError
 from trilink.realization import GenusThreeParams
 from trilink.seifert import reorder, standard_metabolizer, validate
 
@@ -161,6 +163,24 @@ def test_generator_self_check_compares_the_signed_value(capsys, monkeypatch):
     code, out = run_json(capsys, monkeypatch, ["generator"], payload)
     assert code == 4
     assert out == {"error": "internal-check", "detail": "completions disagree: -1 vs 1"}
+
+
+def test_a_verdict_that_accepts_an_index_two_basis_fails_the_hermite_cross_check(
+        capsys, monkeypatch):
+    # a minors read that loses a factor 2 takes b1, b2, 2 b3 for primitive; the
+    # completion's Hermite form of [V | I] reads V by a second route and catches it
+    real = seifert._plucker
+    monkeypatch.setattr(seifert, "_plucker", lambda columns: [x // 2 for x in real(columns)])
+    cols = [[0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 2]]
+    m, v = validate(UNKNOT_ROWS, "interleaved"), seifert.MetabolizerBasis(cols)
+    assert seifert.metabolizer_verdict(m, v).is_metabolizer
+    detail = "Hermite form of [V | I] disagrees with the metabolizer verdict"
+    for run in (seifert.symplectic_complete, seifert.generator_for_metabolizer):
+        with pytest.raises(CrossCheckError, match=re.escape(detail)):
+            run(m, v)
+    payload = {"matrix": UNKNOT_JSON, "metabolizer": {"columns": cols}}
+    code, out = run_json(capsys, monkeypatch, ["generator"], payload)
+    assert (code, out) == (4, {"error": "internal-check", "detail": detail})
 
 
 def test_generator_non_metabolizer_exit_3(capsys, monkeypatch):
@@ -710,8 +730,8 @@ def _over_genus_limit(genus, seed):
             "metabolizer": {"columns": cols}}
 
 
-_over_limit = st.builds(_over_genus_limit,
-                        st.integers(seifert.MAX_VERDICT_GENUS + 1, 48), st.integers(0, 99))
+_over_limit = st.builds(_over_genus_limit, st.integers(seifert.MAX_GENUS + 1, 48),
+                        st.integers(0, 99))
 # as above, the repeated branch weights the draw toward requests that reach the computation
 _SEIFERT_PAYLOADS = {
     "generator": _matrix_requests | _matrix_requests | _json,
@@ -763,11 +783,12 @@ def test_series_work_limit_exit_2(capsys, monkeypatch):
 
 
 def test_metabolizer_genus_limit_exit_2(capsys, monkeypatch):
-    top = seifert.MAX_VERDICT_GENUS
+    top = seifert.MAX_GENUS
     code, out = run_json(capsys, monkeypatch, ["metabolizer"], _over_genus_limit(top, 1))
     assert code == 0 and out["independent"] is True
-    start = time.perf_counter()
-    code, out = run_json(capsys, monkeypatch, ["metabolizer"], _over_genus_limit(48, 1))
-    assert time.perf_counter() - start < 0.1
-    assert code == 2 and out["error"] == "bad-input"
-    assert out["detail"] == f"genus 48 exceeds the metabolizer-test guard ({top})"
+    for genus in (top + 1, 48):
+        start = time.perf_counter()
+        code, out = run_json(capsys, monkeypatch, ["metabolizer"], _over_genus_limit(genus, 1))
+        assert time.perf_counter() - start < 0.1
+        assert code == 2 and out["error"] == "bad-input"
+        assert out["detail"] == f"genus {genus} exceeds the metabolizer-test guard ({top})"

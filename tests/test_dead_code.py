@@ -183,5 +183,5 @@ def test_removed_names_stay_gone():
     assert not hasattr(trilink.seifert, "form")
     assert not hasattr(trilink.seifert, "is_metabolizer")
     assert "is_metabolizer" not in trilink.__all__
-    assert not hasattr(trilink.seifert, "snf")  # the verdict reads a Hermite form
+    assert not hasattr(trilink.seifert, "snf")  # the verdict reads the maximal minors
     assert not hasattr(trilink.seifert, "_check_basis")  # the verdict checks genus and shape

@@ -2,7 +2,6 @@ import itertools
 import json
 import re
 import sys
-import time
 from collections import Counter
 from math import gcd
 from operator import mul
@@ -10,7 +9,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     UNKNOT_ROWS,
@@ -19,6 +18,7 @@ from helpers import (
     cofactor_det,
     first_skew_failure,
     generator_via_completion,
+    hermite_verdict,
     lattice_key,
     lattice_keys,
     minors_gcd,
@@ -40,7 +40,7 @@ from trilink.errors import CrossCheckError, PreconditionError
 from trilink.intlinalg import _Slots, bilinear, det, identity, mat_mul, row_hnf, transpose
 from trilink.realization import GenusThreeParams
 from trilink.seifert import (
-    MAX_VERDICT_GENUS,
+    MAX_GENUS,
     MetabolizerBasis,
     MetabolizerVerdict,
     SeifertMatrix,
@@ -352,10 +352,10 @@ def test_verdict_dimension_errors(unknot):
 
 
 def test_metabolizer_verdict_genus_guard():
-    assert MAX_VERDICT_GENUS == 16
-    m = validate(unknot_sum_rows(MAX_VERDICT_GENUS), "interleaved")
+    assert MAX_GENUS == 3
+    m = validate(unknot_sum_rows(MAX_GENUS), "interleaved")
     assert metabolizer_verdict(m, standard_metabolizer(m)).is_metabolizer
-    big = validate(unknot_sum_rows(MAX_VERDICT_GENUS + 1), "interleaved")
+    big = validate(unknot_sum_rows(MAX_GENUS + 1), "interleaved")
     with pytest.raises(ValueError, match="metabolizer-test guard"):
         metabolizer_verdict(big, standard_metabolizer(big))
     # refused before the column checks or any arithmetic
@@ -1036,14 +1036,14 @@ def test_verdict_and_completion_are_symplectic_invariant(genus, ordering):
     assert len(verdicts) >= 3
 
 
-@pytest.mark.parametrize("genus", [8, 16])
-@pytest.mark.parametrize("steps", [20, 40])
-def test_verdict_known_answers_at_scale(genus, steps):
-    # T^-1 V of the unknot sum's b-curves is a metabolizer of T^T M T whose
-    # largest entries have 19 to 38 digits; scaling a column by k gives
+@pytest.mark.parametrize("ordering", ["interleaved", "blocked"])
+@pytest.mark.parametrize("steps", [40, 80])
+def test_verdict_known_answers_at_scale(steps, ordering):
+    # T^-1 V of the genus-3 unknot sum's b-curves is a metabolizer of T^T M T
+    # whose largest entries have 25 to 45 digits; scaling a column by k gives
     # index k, and repeating a column makes the set dependent
-    m = validate(unknot_sum_rows(genus), "interleaved")
-    moved, (v,) = symplectic_change(Random(100 * genus + steps), m, [standard_metabolizer(m)], steps)
+    m = reorder(validate(unknot_sum_rows(MAX_GENUS), "interleaved"), ordering)
+    moved, (v,) = symplectic_change(Random(300 + steps), m, [standard_metabolizer(m)], steps)
     cols = [list(c) for c in v.columns]
     assert max(abs(x) for col in cols for x in col) > 10**16
     assert metabolizer_verdict(moved, basis_of_columns(cols)) == (True, True, True)
@@ -1137,27 +1137,52 @@ def unknot_sum_bases(draw):
     return m, cols
 
 
+def wide_unknot_sum_bases(seed):
+    """The genus-3 unknot sum with 4,300-digit columns (the CLI's longest integers):
+    random ones, and its b-curves combined by a random matrix (index |det A|) and
+    by a unimodular upper triangular one."""
+    rng = Random(seed)
+    m = validate(unknot_sum_rows(MAX_GENUS), "interleaved")
+
+    def wide():
+        return rng.choice((1, -1)) * rng.randrange(10**4299, 10**4300)
+
+    b = standard_metabolizer(m).columns
+    combined = [[[sum(map(mul, row, xs)) for xs in zip(*b)] for row in a] for a in (
+        [[wide() for _ in range(3)] for _ in range(3)],
+        [[1, wide(), wide()], [0, 1, wide()], [0, 0, 1]])]
+    return [(m, [[wide() for _ in range(6)] for _ in range(3)])] + [(m, c) for c in combined]
+
+
+def _with_wide_examples(test):
+    for seed in (1, 2, 3):
+        for case in wide_unknot_sum_bases(seed):
+            test = example(case)(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
 @given(unknot_sum_bases())
+@_with_wide_examples
 def test_verdict_matches_the_minors_gcd(case):
-    # independent iff some g x g minor is nonzero, primitive iff their gcd is 1;
-    # the completion refuses exactly the bases the verdict rejects
+    # independent iff some g x g minor is nonzero, primitive iff their gcd is 1,
+    # as the row Hermite form of V reads them too; the completion refuses exactly
+    # the bases the verdict rejects
     m, cols = case
     g = minors_gcd(transpose(cols), m.genus)
     verdict = metabolizer_verdict(m, basis_of_columns(cols))
     assert (verdict.independent, verdict.primitive) == (g != 0, g == 1)
+    assert hermite_verdict(cols) == (verdict.independent, verdict.primitive)
     completion_matches_verdict(m, basis_of_columns(cols))
 
 
-@pytest.mark.parametrize("genus, steps", [(8, 20), (8, 40), (16, 0)])
-def test_completion_known_answers_at_scale(genus, steps):
-    # at genus 8, the bases of test_verdict_known_answers_at_scale, with entries of
-    # 19 to 38 digits; at genus 16 the unknot sum's own b-curves, since row_hnf([V | I])
-    # of a moved genus-16 basis can take minutes
-    m = validate(unknot_sum_rows(genus), "interleaved")
-    moved, (v,) = symplectic_change(Random(100 * genus + steps), m, [standard_metabolizer(m)], steps)
+@pytest.mark.parametrize("steps", [40, 80])
+def test_completion_known_answers_at_scale(steps):
+    # the bases of test_verdict_known_answers_at_scale, with entries of 25 to 45 digits
+    m = validate(unknot_sum_rows(MAX_GENUS), "interleaved")
+    moved, (v,) = symplectic_change(Random(300 + steps), m, [standard_metabolizer(m)], steps)
     cols = [list(c) for c in v.columns]
-    assert max(abs(x) for col in cols for x in col) > (10**16 if steps else 0)
+    assert max(abs(x) for col in cols for x in col) > 10**16
     assert completion_matches_verdict(moved, basis_of_columns(cols))
     for k in (2, 3, 7):
         scaled = [[k * x for x in cols[0]]] + cols[1:]
@@ -1166,10 +1191,10 @@ def test_completion_known_answers_at_scale(genus, steps):
 
 
 def test_completion_and_generator_refuse_on_the_verdicts_form_alone(unknot, monkeypatch):
-    # A refused basis costs the verdict's Hermite form of V (2g x g) and never
-    # reaches the form of [V | I] (2g x 3g); an accepted one takes one of each.
-    # J is never built, no Smith form runs, and only the completion checks T
-    # against J_b.
+    # The verdict reads V's minors, not a Hermite form, so a refused basis takes
+    # none and never reaches the form of [V | I] (2g x 3g); an accepted one takes
+    # that one.  J is never built, no Smith form runs, and only the completion
+    # checks T against J_b.
     shapes, forms = [], []
 
     def recording(mat):
@@ -1195,34 +1220,19 @@ def test_completion_and_generator_refuse_on_the_verdicts_form_alone(unknot, monk
             del shapes[:], forms[:]
             with pytest.raises(PreconditionError, match="^not a metabolizer; completion refused$"):
                 run(unknot, refused)
-            assert (shapes, forms) == ([(6, 3)], [])
+            assert (shapes, forms) == ([], [])
         del shapes[:], forms[:]
         answer = run(unknot, basis_from(1, 3, 5))
-        assert (shapes, forms) == ([(6, 3), (6, 9)], postconditions)
+        assert (shapes, forms) == ([(6, 9)], postconditions)
     assert transpose(symplectic_complete(unknot, standard_metabolizer(unknot)))[3:] == \
         [list(unit(1)), list(unit(3)), list(unit(5))]
     assert answer.signed == -1
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_genus_16_index_two_bases_are_refused_within_a_second(seed):
-    # the unknot sum's b-curves after four transvections, first column doubled:
-    # the Hermite form of [V | I] takes 1 to 22 s on these bases (Python 3.11.7),
-    # so the verdict must refuse them before it is built
-    m = validate(unknot_sum_rows(16), "interleaved")
-    moved, (v,) = symplectic_change(Random(seed), m, [standard_metabolizer(m)], 4)
-    cols = [list(c) for c in v.columns]
-    index_two = basis_of_columns([[2 * x for x in cols[0]]] + cols[1:])
-    start = time.process_time()
-    with pytest.raises(PreconditionError, match="^not a metabolizer; completion refused$"):
-        symplectic_complete(moved, index_two)
-    assert time.process_time() - start < 1.0
-
-
 def test_completion_checks_the_genus_guard_then_the_shape(unknot):
-    big = validate(unknot_sum_rows(MAX_VERDICT_GENUS + 1), "interleaved")
+    big = validate(unknot_sum_rows(MAX_GENUS + 1), "interleaved")
     for wrong in (MetabolizerBasis(((0, 1),)), standard_metabolizer(unknot)):
-        with pytest.raises(ValueError, match=r"^genus 17 exceeds the metabolizer-test guard \(16\)$"):
+        with pytest.raises(ValueError, match=r"^genus 4 exceeds the metabolizer-test guard \(3\)$"):
             symplectic_complete(big, wrong)
     with pytest.raises(ValueError, match="^column length 2 does not match matrix dimension 6$"):
         symplectic_complete(unknot, MetabolizerBasis(((0, 1), (1, 0))))

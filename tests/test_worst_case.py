@@ -4,27 +4,25 @@ answer, or exit with their documented code, within a wall-clock budget.
 Each case is one request at a limit the README states (the CLI's
 4,300-digit integers, words far longer than any other test's, reduced
 or cancelling to the empty word, the largest search box of each genus,
-or MAX_DEPTH_WORK at the highest degree cap), run through cli.main.
-Beside each case is its time through cli.main in a fresh process,
-measured on a shared 2-CPU Xeon under Python 3.11.7 (medians of 5), and
-in parentheses, for the depth and series rows, the time with the list
-levels that the packed ones replaced (helpers.list_levels), for the
-word rows, the time with the per-letter degree-2 loop that the read off
-the word's codes replaced (helpers.packed_degree_two; the two
-cancelling words reduce to the empty word, so their rows time the
-reducer), and for the enumerate rows,
+the genus cap MAX_GENUS, or MAX_DEPTH_WORK at the highest degree cap),
+run through cli.main.  Beside each case is its time through cli.main in
+a fresh process, measured on a shared 2-CPU Xeon under Python 3.11.7
+(medians of 5), and in parentheses, for the depth and series rows, the
+time with the list levels that the packed ones replaced
+(helpers.list_levels), for the word rows, the time with the per-letter
+degree-2 loop that the read off the word's codes replaced
+(helpers.packed_degree_two; the two cancelling words reduce to the
+empty word, so their rows time the reducer), for the enumerate rows,
 the time with the box scan over both signs of every top half that the
-one-sign scan replaced; the budgets are upper limits with room for
+one-sign scan replaced, and for the metabolizer rows, the time with
+the verdict's row Hermite form of V that its minors read replaced
+(helpers.hermite_verdict); the budgets are upper limits with room for
 slower machines, not targets.
 
-Two rows are left out, because their work is not bounded yet:
-
-* `metabolizer` at genus 16 with large entries: the verdict's Hermite
-  form grows with the entries' digits, to seconds at 200 digits and
-  about a minute at 1,000 (ROADMAP item 2).
-* `enumerate` with many candidates and wide slots: the genus-3 unknot
-  plus one symmetric pair of 4,300-digit entries has 456 candidates at
-  bound 2 and takes 1.7-1.8 s (ROADMAP item 9).
+One row is left out, because its work is not bounded yet: `enumerate`
+with many candidates and wide slots.  The genus-3 unknot plus one
+symmetric pair of 4,300-digit entries has 456 candidates at bound 2 and
+takes 1.7-1.8 s (ROADMAP item 9).
 """
 
 import io
@@ -38,7 +36,7 @@ from random import Random
 
 import pytest
 
-from helpers import form_of_ordering
+from helpers import form_of_ordering, minors_gcd, unknot_sum_rows
 from trilink import cli
 from trilink.words import FreeWord, commutator, generator
 
@@ -103,22 +101,47 @@ def _ledger_case():
     return ["ledger"], payload, check
 
 
-def _enumerate_case(genus, bound, seed):
-    # dense 4,300-digit entries at the genus's box cap, M - M^T the interleaved form
-    rng = Random(seed)
+def _dense_rows(rng, genus):
+    """Dense 4,300-digit entries, M - M^T the interleaved form."""
     j = form_of_ordering(genus, "interleaved")
     rows = [[0] * 2 * genus for _ in range(2 * genus)]
     for r in range(2 * genus):
         for c in range(r, 2 * genus):
             rows[r][c] = _digits(rng, DIGITS)
             rows[c][r] = rows[r][c] - j[r][c]
-    payload = {"matrix": {"ordering": "interleaved", "entries": [list(map(str, r)) for r in rows]},
-               "bound": bound}
+    return rows
+
+
+def _strings(rows):
+    return [list(map(str, r)) for r in rows]
+
+
+def _enumerate_case(genus, bound, seed):
+    # dense 4,300-digit entries at the genus's box cap
+    rows = _dense_rows(Random(seed), genus)
+    payload = {"matrix": {"ordering": "interleaved", "entries": _strings(rows)}, "bound": bound}
 
     def check(code, out):
         assert code == 0 and out == {"count": 0, "metabolizers": []}
 
     return ["enumerate"], payload, check
+
+
+def _metabolizer_case(dense, seed):
+    # three random 4,300-digit columns at the genus cap, against the unknot sum or
+    # against dense 4,300-digit entries: the form does not vanish on them
+    rng = Random(seed)
+    rows = _dense_rows(rng, 3) if dense else unknot_sum_rows(3)
+    cols = [[_digits(rng, DIGITS) for _ in range(6)] for _ in range(3)]
+    payload = {"matrix": {"ordering": "interleaved", "entries": _strings(rows)},
+               "metabolizer": {"columns": _strings(cols)}}
+    primitive = minors_gcd([list(r) for r in zip(*cols)], 3) == 1
+
+    def check(code, out):
+        assert code == 0 and out == {"is_metabolizer": False, "form_vanishes": False,
+                                     "primitive": primitive, "independent": True}
+
+    return ["metabolizer"], payload, check
 
 
 def _mu_case():
@@ -211,6 +234,10 @@ CASES = {
     "enumerate-dense-4300-digits-genus-1": (partial(_enumerate_case, 1, 62, 5), 2.0),
     # measured 0.082 s (0.21 s)
     "enumerate-dense-4300-digits-genus-2": (partial(_enumerate_case, 2, 5, 6), 2.0),
+    # measured 0.021 s (Hermite read: 0.36 s)
+    "metabolizer-4300-digit-columns": (partial(_metabolizer_case, False, 1), 0.5),
+    # measured 0.041 s (0.40 s)
+    "metabolizer-dense-4300-digits": (partial(_metabolizer_case, True, 2), 0.5),
     "mu-200000-letters": (_mu_case, 1.0),  # measured 0.019 s (degree-2 loop: 0.031 s)
     "mu-200000-letters-cancelling": (_mu_cancelling_case, 1.0),  # measured 0.019 s (0.019 s)
     "class-200000-letters-cancelling": (_class_cancelling_case, 1.0),  # measured 0.023 s (0.025 s)
