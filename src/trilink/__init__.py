@@ -34,6 +34,7 @@ from .seifert import (
     enumerate_metabolizers,
     generator_for_metabolizer,
     generator_from_block,
+    generator_on_two_bases,
     genus_one_normalize,
     metabolizer_verdict,
     normalize_e,
@@ -70,6 +71,7 @@ __all__ = [
     "generator",
     "generator_for_metabolizer",
     "generator_from_block",
+    "generator_on_two_bases",
     "genus_one_normalize",
     "infected_mu",
     "lcs_depth",

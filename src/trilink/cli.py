@@ -142,12 +142,10 @@ def cmd_generator(payload: dict, args) -> dict:
 
     m = _parse_matrix(_require(payload, "matrix"))
     v = _parse_metabolizer(_require(payload, "metabolizer"))
-    result = seifert.generator_for_metabolizer(m, v)
-    # another basis of the same metabolizer, never v's own: its columns are independent
-    cols = list(v.columns)
-    Random(args.seed).shuffle(cols)
-    cols[0] = [-x for x in cols[0]]
-    again = seifert.generator_for_metabolizer(m, seifert.MetabolizerBasis(cols))
+    # the second basis takes v's columns in this seeded order, the first negated
+    order = list(range(v.count))
+    Random(args.seed).shuffle(order)
+    result, again = seifert.generator_on_two_bases(m, v, order)
     if again != result:
         raise CrossCheckError(f"completions disagree: {result.signed} vs {again.signed}")
     return {

@@ -60,23 +60,15 @@ ORDERINGS = ("interleaved", "blocked")
 # and metabolizer-dense-4300-digits.
 MAX_GENUS = 3
 # Largest coefficient box (2*bound+1)**(2*genus) a search may scan: genus
-# 3 at bound 2, genus 2 at bound 5, genus 1 at bound 62.  Python 3.11.7,
-# shared 2-CPU Xeon, one enumerate_metabolizers call in each of 5 fresh
-# processes, medians, three sets: the genus-3 unknot surface took 2.2 ms
-# at bound 1 and 41 ms at bound 2; genus 3 at bound 2 with dense random
-# 40-digit entries at most 1.4 ms, 5 matrices; the box cap at most 0.47
-# ms at genus 1, 6 matrices, and 3.1 ms at genus 2, 7 matrices with the
-# unknot surface.  Slots widen with the entries: through cli.main,
-# medians of 3, dense 4,300-digit entries (the int-string limit) took
-# 69-71 ms at genus 3 bound 2 and 55-57 ms at genus 2 bound 5, 3 matrices
-# each, none with a candidate.  Many candidates with wide slots cost
-# most, as each candidate's adjacency read spans k slots: an unknot
-# surface with one symmetric pair of 4,300-digit entries has 456
-# candidates at genus 3 bound 2 and took 2.5-2.9 s through cli.main, three
-# fresh processes.  The machine read slower than when these were first
-# timed: in the same sets, the search with the earlier box scan (one
-# generator per half) took 2.1 and 48 ms on the unknot surface, where it
-# had taken 1.4 and 26.5 ms.
+# 3 at bound 2, genus 2 at bound 5, genus 1 at bound 62.  The scan's
+# slots widen with the entries, so the worst case of each genus is its
+# cap with the widest entries the CLI reads.  Worst-case rows:
+# tests/test_worst_case.py's enumerate-dense-4300-digits,
+# enumerate-dense-4300-digits-genus-1 and -genus-2.  Not bounded yet
+# (ROADMAP item 9): many candidates with wide slots, as each candidate's
+# adjacency read spans k slots; an unknot surface with one symmetric
+# pair of 4,300-digit entries has 456 candidates at genus 3 bound 2 and
+# took 2.5-2.9 s through cli.main, three fresh processes.
 MAX_SEARCH_BOX = 5**6
 
 
@@ -343,23 +335,37 @@ def _combine(coeffs, columns):
     return map(sum, zip(*terms)) if terms else itertools.repeat(0, len(columns[0]))
 
 
+@cache
+def _box_table(g: int, bound: int):
+    """The box scan's columns for one shape: they depend on (genus, bound) alone.
+
+    Returns the halves in itertools.product order, the index of the zero
+    half, the coordinate columns of the top halves (from the zero half
+    on), the pairs s <= t, and the product columns u_s u_t of every half
+    and of the top halves.  Each table is built once per process; at most
+    69 shapes pass MAX_SEARCH_BOX.
+    """
+    halves = tuple(itertools.product(range(-bound, bound + 1), repeat=g))
+    centre = len(halves) // 2  # halves[centre] is 0; every later half has a positive first nonzero
+    cols = list(zip(*halves))  # column s: coordinate s of every half
+    pairs = tuple((s, t) for s in range(g) for t in range(s, g))
+    prods = tuple(tuple(map(mul, cols[s], cols[t])) for s, t in pairs)  # u_s u_t of every half u
+    return (halves, centre, tuple(col[centre:] for col in cols), pairs, prods,
+            tuple(p[centre:] for p in prods))
+
+
 def _box_candidates(m: SeifertMatrix, bound: int) -> list[tuple[int, ...]]:
     """Primitive isotropic vectors of the box, first nonzero entry positive, in product order."""
     g, e = m.genus, m.entries
-    halves = list(itertools.product(range(-bound, bound + 1), repeat=g))
-    centre = len(halves) // 2  # halves[centre] is 0; every later half has a positive first nonzero
+    halves, centre, top_cols, pairs, prods, top_prods = _box_table(g, bound)
     tops = halves[centre:]
     slots = _Slots(len(tops), bound * bound * sum(abs(x) for row in e for x in row))
-    cols = list(zip(*halves))  # column s: coordinate s of every half
-    pairs = [(s, t) for s in range(g) for t in range(s, g)]
-    prods = [list(map(mul, cols[s], cols[t])) for s, t in pairs]  # u_s u_t of every half u
 
     def quad(offset, columns):  # u^T M[half, half] u for every half u of the product columns
         return _combine([e[offset + s][offset + t] + e[offset + t][offset + s] if s < t
                          else e[offset + s][offset + s] for s, t in pairs], columns)
 
-    top = slots.pack(quad(0, [p[centre:] for p in prods]))  # slot j: q_top(tops[j])
-    top_cols = [col[centre:] for col in cols]
+    top = slots.pack(quad(0, top_prods))  # slot j: q_top(tops[j])
     # C = M[top, bot] + M[bot, top]^T; one integer per t holds every (C^T u_j)_t
     cu = [slots.pack(_combine([e[i][g + t] + e[g + t][i] for i in range(g)], top_cols))
           for t in range(g)]
@@ -517,29 +523,38 @@ def _apply_j(m: SeifertMatrix, x: Matrix) -> Matrix:
     return jx
 
 
-def _duals(m: SeifertMatrix, v: MetabolizerBasis) -> tuple[Matrix, Matrix, Matrix]:
-    """Refuse v unless it spans a metabolizer, then (A, V, M V) with A^T J V = I.
+def _accepted_products(m: SeifertMatrix, v: MetabolizerBasis) -> tuple[Matrix, Matrix]:
+    """V and M V of a basis that metabolizer_verdict accepts.
 
     The precondition is metabolizer_verdict's, with its errors in its
-    order, read off one V and one M V, which are returned with the 2g x g
-    duals A for the caller to reuse.  A basis the verdict rejects is
-    refused with PreconditionError before the Hermite form of [V | I].
-    Its left block is row_hnf(V) (Cohen, GTM 138, section 2.4), whose
-    top g rows are I iff V's columns are independent and primitive, so
-    it checks the verdict's minors by a second route: a left block other
-    than I after the verdict accepted V is a CrossCheckError.  The top g
-    rows are then [I | L] with L V = I, and A = J L^T satisfies
-    A^T J V = L J^T J V = I because J^T J = I.
+    order, read off one V and one M V; a basis the verdict rejects is
+    refused with PreconditionError.
     """
     vmat, mv = _basis_products(m, v)
     if not _verdict_of(v, mv).is_metabolizer:
         raise PreconditionError("not a metabolizer; completion refused")
+    return vmat, mv
+
+
+def _duals(m: SeifertMatrix, vmat: Matrix) -> Matrix:
+    """The 2g x g duals A with A^T J V = I of an accepted basis's V.
+
+    V comes from _accepted_products, or is such a V with its columns
+    moved (generator_on_two_bases' second basis, which shares the first
+    basis's verdict and products), so no verdict is formed here; each
+    call takes its own Hermite form of [V | I].  Its left block is
+    row_hnf(V) (Cohen, GTM 138, section 2.4), whose top g rows are I iff
+    V's columns are independent and primitive, so it checks the
+    verdict's minors by a second route: a left block other than I is a
+    CrossCheckError.  The top g rows are then [I | L] with L V = I, and
+    A = J L^T satisfies A^T J V = L J^T J V = I because J^T J = I.
+    """
     g, n = m.genus, m.dim
     eye = identity(n)
     h = row_hnf([vmat[r] + eye[r] for r in range(n)])
     if [row[:g] for row in h[:g]] != identity(g):
         raise CrossCheckError("Hermite form of [V | I] disagrees with the metabolizer verdict")
-    return _apply_j(m, transpose([row[g:] for row in h[:g]])), vmat, mv
+    return _apply_j(m, transpose([row[g:] for row in h[:g]]))
 
 
 def symplectic_complete(m: SeifertMatrix, v: MetabolizerBasis) -> Matrix:
@@ -555,13 +570,15 @@ def symplectic_complete(m: SeifertMatrix, v: MetabolizerBasis) -> Matrix:
     The basis is refused through metabolizer_verdict, genus and shape
     first, before the Hermite form of [V | I]: a basis on which the form
     does not vanish, or whose columns are dependent or not primitive,
-    raises PreconditionError.  The duals A with A^T J V = I, and V
-    itself, come from _duals.  Any dual is fixed modulo V, since V is its
-    own J-orthogonal complement; a Gram correction A + V X kills the a-a
-    pairings without touching duality.  J is applied by _apply_j, for the
-    correction A^T (J A) and the postcondition T^T (J T).
+    raises PreconditionError.  V comes from _accepted_products and the
+    duals A with A^T J V = I from _duals.  Any dual is fixed modulo V,
+    since V is its own J-orthogonal complement; a Gram correction
+    A + V X kills the a-a pairings without touching duality.  J is
+    applied by _apply_j, for the correction A^T (J A) and the
+    postcondition T^T (J T).
     """
-    a, vmat, _ = _duals(m, v)
+    vmat, _ = _accepted_products(m, v)
+    a = _duals(m, vmat)
     g, n = m.genus, m.dim
     gram = mat_mul(transpose(a), _apply_j(m, a))
     x = [[-gram[r][c] if r > c else 0 for c in range(g)] for r in range(g)]
@@ -611,27 +628,62 @@ def generator_from_block(block) -> GeneratorResult:
     return _generator_of(_check_3x3(block, "block"))
 
 
+def _generator_at(m: SeifertMatrix, vmat: Matrix, mv: Matrix) -> GeneratorResult:
+    """The generator of an accepted basis's V and M V: the block A^T (M V) for _duals' A."""
+    return _generator_of(mat_mul(transpose(_duals(m, vmat)), mv))
+
+
 def generator_for_metabolizer(m: SeifertMatrix, v: MetabolizerBasis) -> GeneratorResult:
     """Generator attached to a genus-3 matrix and one of its metabolizers.
 
     The generator reads only the a-to-b block B = A^T (M V) of M
     rewritten in a symplectic basis (A | V), whose b-part V spans v, so
-    it reads A^T M V off the duals of _duals, refused as they refuse,
-    and builds no completion.  M V is the product the verdict formed for
-    V^T M V, handed back by _duals, so a call multiplies by M once.  B is
-    built from checked integers, so it is evaluated directly, without
-    generator_from_block's check of a caller's block.
+    it reads A^T M V off the duals of _duals and builds no completion.
+    The basis is refused as symplectic_complete refuses it, and M V is
+    the product the verdict formed for V^T M V, so a call multiplies by
+    M once.  B is built from checked integers, so it is evaluated
+    directly, without generator_from_block's check of a caller's block.
     symplectic_complete's Gram correction A + V X would add
     X^T (V^T M V) = 0, as the verdict has found V^T M V = 0, so its T
     gives the same B.  B, and so the signed value, depends only on m and
     v's span: any two duals give the same B, re-basing v by U in GL(3, Z)
     turns B into U^-1 B U, and a symplectic change of m's basis carries
-    duals to duals.
+    duals to duals.  generator_on_two_bases checks that on a second basis
+    of v's span, which shares this basis's verdict and products and takes
+    its own Hermite form of [V | I].
     """
     if m.genus != 3:
         raise ValueError(f"genus-3 matrices only, got genus {m.genus}")
-    a, _, mv = _duals(m, v)
-    return _generator_of(mat_mul(transpose(a), mv))
+    return _generator_at(m, *_accepted_products(m, v))
+
+
+def generator_on_two_bases(m: SeifertMatrix, v: MetabolizerBasis,
+                           order: list[int]) -> tuple[GeneratorResult, GeneratorResult]:
+    """generator_for_metabolizer on v, and again on a second basis of v's span.
+
+    Column i of the second basis is v's column order[i], the first of
+    them negated, so it spans the same lattice and is never v itself.
+    The two results agree, sign included, as the signed value depends
+    only on m and the span.  The second basis shares the first's verdict
+    and products: its V and M V are v's with their columns moved, so the
+    verdict and M V are formed once.  Each basis takes its own Hermite
+    form of [V | I] in _duals, with its own cross-check against the
+    verdict, and its own two-route evaluation of the block.  A genus
+    other than 3 and an order that is not a permutation of v's column
+    indices are refused with ValueError before any work starts; then v
+    is refused as generator_for_metabolizer refuses it.
+    """
+    if m.genus != 3:
+        raise ValueError(f"genus-3 matrices only, got genus {m.genus}")
+    if sorted(order) != list(range(v.count)):
+        raise ValueError(f"order must be a permutation of range({v.count}), got {order!r}")
+    vmat, mv = _accepted_products(m, v)
+    first = _generator_at(m, vmat, mv)
+
+    def moved(x: Matrix) -> Matrix:
+        return [[-row[order[0]]] + [row[c] for c in order[1:]] for row in x]
+
+    return first, _generator_at(m, moved(vmat), moved(mv))
 
 
 def connected_sum(m1: SeifertMatrix, m2: SeifertMatrix, m3: SeifertMatrix) -> SeifertMatrix:

@@ -8,6 +8,7 @@ import re
 import shutil
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from random import Random
 from types import SimpleNamespace
@@ -19,6 +20,7 @@ import pool_replies
 from helpers import UNKNOT_ROWS, lattice_key, spread_word, unknot_sum_rows
 from trilink import cli, infection, magnus, seifert
 from trilink.errors import CrossCheckError
+from trilink.intlinalg import transpose
 from trilink.realization import GenusThreeParams
 from trilink.seifert import reorder, standard_metabolizer, validate
 
@@ -129,40 +131,65 @@ def test_generator_unknot(capsys, monkeypatch):
 
 
 def test_generator_self_check_completes_another_seeded_basis(capsys, monkeypatch):
-    calls = []
-    real = seifert.generator_for_metabolizer
+    # each completion of a request hands its V to _generator_at: the given basis's
+    # first, then the second basis's
+    completed = []
+    real = seifert._generator_at
 
-    def recording(m, v):
-        calls.append(v)
-        return real(m, v)
+    def recording(m, vmat, mv):
+        completed.append(tuple(map(tuple, transpose(vmat))))
+        return real(m, vmat, mv)
 
-    monkeypatch.setattr(seifert, "generator_for_metabolizer", recording)
+    monkeypatch.setattr(seifert, "_generator_at", recording)
     payload = {"matrix": UNKNOT_JSON, "metabolizer": STANDARD_COLS}
     for seed in (0, 1, 0):
         code, out = run_json(capsys, monkeypatch, ["generator", "--seed", str(seed)], payload)
         assert code == 0 and out["self_check"] == {"seed": seed, "completions_agree": True}
-    given_bases, checked = calls[::2], calls[1::2]
-    assert all(v.columns == tuple(map(tuple, STANDARD_COLS["columns"])) for v in given_bases)
+    given_bases, checked = completed[::2], completed[1::2]
+    assert given_bases == [tuple(map(tuple, STANDARD_COLS["columns"]))] * 3
     assert checked[0] == checked[2]  # the seed fixes the second basis
-    for v in checked:
-        assert v != given_bases[0]
-        assert lattice_key(v.columns) == lattice_key(given_bases[0].columns)
+    for columns in checked:
+        assert columns != given_bases[0]
+        assert lattice_key(columns) == lattice_key(given_bases[0])
 
 
 def test_generator_self_check_compares_the_signed_value(capsys, monkeypatch):
-    real = seifert.generator_for_metabolizer
-    calls = []
+    real = seifert.generator_on_two_bases
 
-    def flipping(m, v):  # the self-check's call: same magnitude, opposite sign
-        calls.append(v)
-        r = real(m, v)
-        return r if len(calls) == 1 else seifert.GeneratorResult(r.generator, -r.signed)
+    def flipping(m, v, order):  # the second basis's result: same magnitude, opposite sign
+        first, again = real(m, v, order)
+        return first, seifert.GeneratorResult(again.generator, -again.signed)
 
-    monkeypatch.setattr(seifert, "generator_for_metabolizer", flipping)
+    monkeypatch.setattr(seifert, "generator_on_two_bases", flipping)
     payload = {"matrix": UNKNOT_JSON, "metabolizer": STANDARD_COLS}
     code, out = run_json(capsys, monkeypatch, ["generator"], payload)
     assert code == 4
     assert out == {"error": "internal-check", "detail": "completions disagree: -1 vs 1"}
+
+
+def test_generator_request_runs_one_verdict_and_two_hermite_forms(capsys, monkeypatch):
+    # the second basis shares the given basis's products and verdict, and takes its
+    # own Hermite form of [V | I]; a refused basis reaches no Hermite form
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name if name != "row_hnf" else (len(args[0]), len(args[0][0])))
+            return fn(*args)
+        return wrapper
+
+    for name in ("_basis_products", "_plucker", "row_hnf"):
+        monkeypatch.setattr(seifert, name, counting(name, getattr(seifert, name)))
+    payload = {"matrix": UNKNOT_JSON, "metabolizer": STANDARD_COLS}
+    code, out = run_json(capsys, monkeypatch, ["generator", "--seed", "5"], payload)
+    assert code == 0 and out["signed"] == -1
+    assert Counter(calls) == {"_basis_products": 1, "_plucker": 1, (6, 9): 2}
+    del calls[:]
+    refused = {"columns": [[0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 2]]}  # index 2
+    code, out = run_json(capsys, monkeypatch, ["generator"],
+                         {"matrix": UNKNOT_JSON, "metabolizer": refused})
+    assert code == 3 and out["detail"] == "not a metabolizer; completion refused"
+    assert calls == ["_basis_products", "_plucker"]
 
 
 def test_a_verdict_that_accepts_an_index_two_basis_fails_the_hermite_cross_check(

@@ -51,6 +51,7 @@ from trilink.seifert import (
     enumerate_metabolizers,
     generator_for_metabolizer,
     generator_from_block,
+    generator_on_two_bases,
     genus_one_normalize,
     intersection_form,
     metabolizer_verdict,
@@ -996,6 +997,21 @@ def test_generator_matches_the_completion_route_on_unknot_like_surfaces():
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.sampled_from(seifert.ORDERINGS), st.integers(0, 8), st.permutations(range(3)),
+       st.randoms(use_true_random=False))
+def test_second_basis_matches_a_fresh_completion_of_its_columns(ordering, steps, order, rng):
+    # the second basis shares the first's verdict and products; the route that
+    # builds it as a MetabolizerBasis of its own and completes it afresh is the oracle
+    m = random_seifert(rng, 3, ordering, metabolic=True, entries=range(-6, 7))
+    moved, (v,) = symplectic_change(rng, m, [mixed_b_curves(rng, m)], steps)
+    cols = [v.columns[i] for i in order]
+    cols[0] = [-x for x in cols[0]]
+    first, again = generator_on_two_bases(moved, v, order)
+    assert first == generator_for_metabolizer(moved, v)
+    assert again == generator_for_metabolizer(moved, basis_of_columns(cols)) == first
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.sampled_from(seifert.ORDERINGS), st.integers(0, 8), st.randoms(use_true_random=False))
 def test_generator_matches_the_completion_route_on_random_surfaces(ordering, steps, rng):
     # a moved metabolic surface with its metabolizer, an index-2 basis of it
@@ -1339,6 +1355,20 @@ def test_generator_independent_of_completion_and_stars():
         r2 = generator_for_metabolizer(m, rebased(rng, v))
         assert r1 == r2 == base  # the signed value too
         assert base.signed == p.generator()
+
+
+def test_generator_on_two_bases_refuses_as_generator_for_metabolizer(unknot):
+    index_two = MetabolizerBasis((unit(1), unit(3), tuple(2 * x for x in unit(5))))
+    cases = [(validate([[0, 1], [0, 0]], "interleaved"), MetabolizerBasis(((0, 1),))),
+             (unknot, MetabolizerBasis((unit(1), unit(3)))), (unknot, index_two)]
+    for m, v in cases:
+        with pytest.raises((ValueError, PreconditionError)) as refusal:
+            generator_for_metabolizer(m, v)
+        with pytest.raises(refusal.type, match=f"^{re.escape(str(refusal.value))}$"):
+            generator_on_two_bases(m, v, list(range(v.count)))
+    for order in ([0, 1], [0, 1, 1], [1, 2, 3]):
+        with pytest.raises(ValueError, match=r"^order must be a permutation of range\(3\)"):
+            generator_on_two_bases(unknot, standard_metabolizer(unknot), order)
 
 
 def test_generator_requires_genus_3():

@@ -228,11 +228,13 @@ CASES = {
     "generator-1400-digits": (_generator_case, 0.5),  # measured 0.005 s
     "genus-one-4300-digits": (_genus_one_case, 0.5),  # measured 0.035 s
     "ledger-2000-digits-overflows": (_ledger_case, 0.5),  # measured 0.006 s
-    # measured 0.11 s (two-sign scan: 0.23 s)
+    # measured 0.11 s (two-sign scan: 0.23 s); three other dense matrices, none with a
+    # candidate, 69-71 ms each (medians of 3)
     "enumerate-dense-4300-digits": (partial(_enumerate_case, 3, 2, 4), 2.0),
     # measured 0.069 s (0.16 s)
     "enumerate-dense-4300-digits-genus-1": (partial(_enumerate_case, 1, 62, 5), 2.0),
-    # measured 0.082 s (0.21 s)
+    # measured 0.082 s (0.21 s); three other dense matrices, none with a candidate,
+    # 55-57 ms each (medians of 3)
     "enumerate-dense-4300-digits-genus-2": (partial(_enumerate_case, 2, 5, 6), 2.0),
     # measured 0.021 s (Hermite read: 0.36 s)
     "metabolizer-4300-digit-columns": (partial(_metabolizer_case, False, 1), 0.5),
