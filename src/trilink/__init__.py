@@ -17,13 +17,7 @@ from .infection import (
 )
 from .magnus import MagnusSeries, lcs_depth, mu123, phi
 from .nilpotent import CommutatorClass, class_of, commutator_class
-from .realization import (
-    GenusThreeParams,
-    Ledger,
-    LedgerDescription,
-    ledger,
-    pushoff_ledger_entries,
-)
+from .realization import GenusThreeParams, Ledger, LedgerDescription, ledger
 from .seifert import (
     GeneratorResult,
     GenusOneNormalization,
@@ -81,7 +75,6 @@ __all__ = [
     "normalize_e",
     "parse_word",
     "phi",
-    "pushoff_ledger_entries",
     "reorder",
     "standard_metabolizer",
     "symplectic_complete",

@@ -223,8 +223,7 @@ def cmd_ledger(payload: dict, args) -> dict:
     ))
     n = _as_int(_require(payload, "n"), "n")
     led = realization.ledger(params, n)
-    return _record_json(led) | {"description": _record_json(led.description),
-                                "pushoff_entries": realization.pushoff_ledger_entries(params, n)}
+    return _record_json(led) | {"description": _record_json(led.description)}
 
 
 _HANDLERS = {

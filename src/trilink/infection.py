@@ -15,6 +15,8 @@ checked here -- callers assert them.
 
 from __future__ import annotations
 
+from operator import index
+
 from ._record import Record, _check_3x3
 from .intlinalg import det
 
@@ -62,9 +64,9 @@ def infected_mu(mu_j: int, profile: IntersectionProfile, mu_l: int) -> int:
     """mu-bar(123) after infection: mu_j * det(profile) + mu_l.
 
     The determinant is antisymmetric under swapping two rows (disks) or
-    two columns (components).
+    two columns (components).  mu_j and mu_l go through operator.index.
     """
-    return mu_j * det(profile.rows) + mu_l
+    return index(mu_j) * det(profile.rows) + index(mu_l)
 
 
 def band_sum_expansion(mu_j: int, counts: BandSumCounts, mu_l: int) -> int:
@@ -75,8 +77,10 @@ def band_sum_expansion(mu_j: int, counts: BandSumCounts, mu_l: int) -> int:
     strands once; collecting terms by how many reversed strands appear
     gives, per permutation, eight products with sign (-1)^(#reversed).
     Agrees with infected_mu on the net profile alpha - beta, which is
-    the point: it is the independent oracle for that formula.
+    the point: it is the independent oracle for that formula.  mu_j and
+    mu_l go through operator.index.
     """
+    mu_j, mu_l = index(mu_j), index(mu_l)
     a, b = counts.alpha, counts.beta
     total = 0
     for sigma, sign in _S3:

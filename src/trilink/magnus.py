@@ -48,13 +48,10 @@ from .words import FreeWord, abelianization
 Monomial = tuple[int, ...]
 
 DEFAULT_DEGREE_CAP = 3
-# Highest degree cap (TRILINK_DEGREE_CAP) and depth kmax the CLI accepts.
-# The work grows about 3x per degree on rank-3 words.  Python 3.11.7,
-# 2-CPU Xeon, fresh processes, medians of 5: lcs_depth of a weight-k
-# left-normed commutator at kmax k (3 * 2**(k-1) - 2 letters) took 0.0015
-# s at k = 7, 0.0062 s at 8 and 0.028 s at 9; phi of an 80-letter random
-# word, whose time goes to decoding the 3**cap monomials, took 0.013 s at
-# cap 7, 0.040 s at 8, 0.13 s at 9 and 0.27 s at 10.
+# Highest degree cap (TRILINK_DEGREE_CAP) and depth kmax the CLI accepts:
+# the work grows about 3x per degree on rank-3 words.  Its rows in
+# tests/test_worst_case.py are depth-weight-8-power-4966-letters and
+# mu-series-cap-8-5096-letters.
 MAX_DEGREE_CAP = 8
 # Most monomials r**d of one degree d for a word with r distinct
 # generators, which kmax does not bound: level d of _packed_levels has
@@ -65,16 +62,13 @@ MAX_DEPTH_TERMS = 2**16
 # Most slot updates, letters * (1 + r + ... + r**(d-1)) to build levels up
 # to degree d (about letters * r**(d-1) for large r), summed over the
 # degrees 2..d that lcs_depth reads; phi counts its one cap.  The running
-# time follows this count and the size of the coefficients.  Python
-# 3.11.7, 2-CPU Xeon, via cli.main in fresh processes, medians of 5, just
-# under the limit: depth of [[x1, x2], x3]**990 conjugated by x4 ... x40
-# at kmax 4 (9,974 letters) took 0.077 s, a weight-3 commutator nested in
-# two more over 16 generators at kmax 5 (3,360 letters) 0.056 s, a power
-# of a weight-8 commutator at kmax 8 over 3 generators (9,932 letters)
-# 0.19 s and over 2 (67,662 letters) 0.51 s; mu --show-series at cap 8 of
-# a random 5,088-letter word 0.26 s.  Degree 2 alone costs less per
-# update: x1 ... x256 x1^-1 ... x256^-1 repeated at kmax 3 (65,024
-# letters, 256 generators; medians of 7) takes 0.035 s.
+# time follows this count and the size of the coefficients.  Its rows in
+# tests/test_worst_case.py, just under the limit, are
+# depth-max-work-9974-letters, depth-two-generators-67662-letters,
+# depth-256-generators-65024-letters and mu-series-cap-8-5096-letters.
+# Not yet a row (Python 3.11.7, 2-CPU Xeon, via cli.main in fresh
+# processes, median of 5): a weight-3 commutator nested in two more over
+# 16 generators at kmax 5 (3,360 letters) took 0.056 s.
 MAX_DEPTH_WORK = 2**24
 
 

@@ -6,8 +6,10 @@ commutator pairs of auxiliary curves (tube curves where a band pierces
 the pushed-off surface, plus the surface's own core pair).  Each
 family's contribution is computable from exponent sums alone, i.e. from
 linking numbers read off the Seifert matrix; basings never matter at
-that level.  The ledger records the four terms and certifies that they
-total n times the generator of the matrix's standard metabolizer.
+that level.  The ledger reads thirteen such linking numbers off the
+parametrized matrix, builds the four terms from them, and certifies
+that they total n times the generator of the matrix's standard
+metabolizer, which the other route reads off the a-to-b block.
 
 The nine parameters (a, b, c, x1, x2, y1, y2, z1, z2) populate the
 interleaved genus-3 Seifert matrix
@@ -26,7 +28,7 @@ symmetric choice.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import index, mul
 
 from ._record import Record
 from .errors import CrossCheckError
@@ -78,25 +80,68 @@ class LedgerDescription(Record):
 
 
 class Ledger(Record):
-    """The four band contributions and their certified total."""
+    """The four band contributions, their certified total, and the thirteen
+    linking numbers they are built from, as (name, value) pairs."""
 
     __slots__ = ("band1_term", "band3_term", "band5_term", "residual_term", "total", "n",
-                 "description")
+                 "description", "pushoff_entries")
 
 
-def ledger(p: GenusThreeParams, n: int) -> Ledger:
+def ledger(p: GenusThreeParams, n: int, stars=None) -> Ledger:
     """Contribution ledger of the n-pass derivative link.
 
-    band1: the first band pierces the pushed-off surface a-1 times and
-    each pass contributes -(c-1) - b; band3 and band5 contribute x1 per
-    x2 passes and y1 per y2 passes; the surface's own core pair
-    contributes -bc + z1*z2.  Totals are asserted against n times the
-    generator.
+    The thirteen pushoff entries are row * M * column products of the
+    parametrized matrix (stars as in seifert_matrix) against stated
+    pairs of homology classes (interleaved coordinates a1, b1, a2, b2,
+    a3, b3); the first eight belong to the single-pass construction,
+    the last five to its n-pass version, and each is checked against its
+    closed form in the nine parameters.  Every term is a 2x2 determinant
+    of those linking numbers times a pass count: band1 pierces the
+    pushed-off surface a-1 times, n passes of (1,0) against
+    (., band1_pair1_vs_3) and one of (0,1) against (band1_pair2_vs_2_n, .);
+    band3 and band5 are n*x2 passes of (0,1) against (band3_pair_vs_2, .)
+    and n*y2 of (1,0) against (., band5_pair_vs_3); the residual is the
+    n-pass core pair (core_first_vs_2_n, core_first_vs_3_n) against
+    (core_second_vs_2_n, core_second_vs_3_n).  The total is checked
+    against n times the generator, read off the a-to-b block: a slip in
+    the matrix layout or in the block read raises CrossCheckError.
+    n goes through operator.index.
     """
-    band1 = n * (p.a - 1) * (-(p.c - 1) - p.b)
-    band3 = n * p.x1 * p.x2
-    band5 = n * p.y1 * p.y2
-    residual = n * (-p.b * p.c + p.z1 * p.z2)
+    n = index(n)
+    m = p.seifert_matrix(stars)
+    a, b, c = p.a, p.b, p.c
+    x1, z1, y1, z2 = p.x1, p.z1, p.y1, p.z2
+    vs2, vs3 = [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1]  # the classes b2 and b3
+    specs = [
+        # (name, x class, y class, closed form)
+        ("band1_pair1_vs_3", vs3, [0, 0, 0, 0, -1, 0], -(c - 1)),
+        ("band1_pair2_vs_2", [0, 1, 1, 1, 0, 1], vs2, b),
+        ("band3_pair_vs_2", vs2, [-1, 1, 0, 0, 0, -1], -x1),
+        ("band5_pair_vs_3", vs3, [1, -1, 0, 0, 0, 1], y1),
+        ("core_first_vs_2", [0, 0, 1, 1, 0, 0], vs2, b),
+        ("core_first_vs_3", [0, 0, 1, 1, 0, 0], vs3, z1),
+        ("core_second_vs_2", [0, 0, 0, -1, -1, 0], vs2, -z2),
+        ("core_second_vs_3", [0, 0, 0, -1, -1, 0], vs3, -c),
+        ("band1_pair2_vs_2_n", [0, 1, n, 1, 0, 1], vs2, n * b),
+        ("core_first_vs_2_n", [0, 0, n, 1, 0, 0], vs2, n * b),
+        ("core_first_vs_3_n", [0, 0, n, 1, 0, 0], vs3, n * z1),
+        ("core_second_vs_2_n", [0, 0, -(n - 1), -1, -1, 0], vs2, -(n - 1) * b - z2),
+        ("core_second_vs_3_n", [0, 0, -(n - 1), -1, -1, 0], vs3, -(n - 1) * z1 - c),
+    ]
+    # M y once for each of the five classes y the thirteen entries pair against
+    classes = {tuple(col) for _, _, col, _ in specs}
+    images = {y: [sum(map(mul, r, y)) for r in m.entries] for y in classes}
+    values = []
+    for name, row, col, want in specs:
+        value = sum(map(mul, row, images[tuple(col)]))
+        if value != want:
+            raise CrossCheckError(f"entry {name}: matrix gives {value}, closed form {want}")
+        values.append(value)
+    pair1, _, band3_lk, band5_lk, _, _, _, _, pair2_n, first2, first3, second2, second3 = values
+    band1 = (a - 1) * (n * pair1 - pair2_n)
+    band3 = -n * p.x2 * band3_lk
+    band5 = n * p.y2 * band5_lk
+    residual = first2 * second3 - first3 * second2
     total = band1 + band3 + band5 + residual
     expected = n * p.generator()
     if total != expected:
@@ -104,51 +149,5 @@ def ledger(p: GenusThreeParams, n: int) -> Ledger:
     return Ledger(
         band1, band3, band5, residual, total, n,
         LedgerDescription(parallel_copies=n, wrap_count=n - 2, inner_alteration_count=n - 1),
+        tuple([(name, value) for (name, _, _, _), value in zip(specs, values)]),
     )
-
-
-def _e(i: int) -> list[int]:
-    out = [0] * 6
-    out[i] = 1
-    return out
-
-
-def pushoff_ledger_entries(p: GenusThreeParams, n: int, stars=None) -> list[tuple[str, int]]:
-    """The thirteen linking numbers the ledger's terms are built from.
-
-    Each entry is a row * M * column product of the parametrized matrix
-    against a stated pair of homology classes (interleaved coordinates
-    a1, b1, a2, b2, a3, b3), checked against its closed form in the
-    nine parameters; a mismatch raises.  The first eight belong to the
-    single-pass construction, the last five to its n-pass version.
-    """
-    m = p.seifert_matrix(stars)
-    a, b, c = p.a, p.b, p.c
-    x1, z1, y1, z2 = p.x1, p.z1, p.y1, p.z2
-    specs = [
-        # (name, x class, y class, closed form)
-        ("band1_pair1_vs_3", _e(5), [0, 0, 0, 0, -1, 0], -(c - 1)),
-        ("band1_pair2_vs_2", [0, 1, 1, 1, 0, 1], _e(3), b),
-        ("band3_pair_vs_2", _e(3), [-1, 1, 0, 0, 0, -1], -x1),
-        ("band5_pair_vs_3", _e(5), [1, -1, 0, 0, 0, 1], y1),
-        ("core_first_vs_2", [0, 0, 1, 1, 0, 0], _e(3), b),
-        ("core_first_vs_3", [0, 0, 1, 1, 0, 0], _e(5), z1),
-        ("core_second_vs_2", [0, 0, 0, -1, -1, 0], _e(3), -z2),
-        ("core_second_vs_3", [0, 0, 0, -1, -1, 0], _e(5), -c),
-        ("band1_pair2_vs_2_n", [0, 1, n, 1, 0, 1], _e(3), n * b),
-        ("core_first_vs_2_n", [0, 0, n, 1, 0, 0], _e(3), n * b),
-        ("core_first_vs_3_n", [0, 0, n, 1, 0, 0], _e(5), n * z1),
-        ("core_second_vs_2_n", [0, 0, -(n - 1), -1, -1, 0], _e(3), -(n - 1) * b - z2),
-        ("core_second_vs_3_n", [0, 0, -(n - 1), -1, -1, 0], _e(5), -(n - 1) * z1 - c),
-    ]
-    # M y once for each of the five classes y the thirteen entries pair against
-    classes = {tuple(col) for _, _, col, _ in specs}
-    images = {y: [sum(map(mul, r, y)) for r in m.entries] for y in classes}
-    out = []
-    for name, row, col, want in specs:
-        value = sum(map(mul, row, images[tuple(col)]))
-        if value != want:
-            raise CrossCheckError(f"entry {name}: matrix gives {value}, closed form {want}")
-        out.append((name, value))
-    return out
-

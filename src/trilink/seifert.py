@@ -751,6 +751,7 @@ def normalize_e(e: int) -> int:
 
     Basis swap on a genus-1 summand replaces the off-diagonal parameter
     e by 1-e, so each summand can be assumed to carry the larger of the
-    two magnitudes.
+    two magnitudes.  e goes through operator.index.
     """
+    e = index(e)
     return e if e >= 1 else 1 - e

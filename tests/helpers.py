@@ -557,11 +557,18 @@ def assemble_commutator_contribution(e12: int, e13: int, f12: int, f13: int) -> 
 
     (e12, e13) are the exponent sums of the second and third meridians
     in phi, (f12, f13) the same for psi; the [x2,x3]-coordinate of the
-    pair's class is then e12*f13 - e13*f12.  Feeding the ledger's
-    linking numbers reproduces its four terms: each band1 pass is
-    (1,0) against (.,-(c-1)) plus (0,1) against (b,.), each band3 pass
-    (0,1) against (-x1,.), each band5 pass (1,0) against (.,y1), and
-    the core pair is (b,z1) against (-z2,-c).
+    pair's class is then e12*f13 - e13*f12.  This is the per-term
+    oracle of realization.ledger, which builds its terms from the
+    pushoff entries it reads off the matrix: band1 is a-1 times n
+    passes of (1,0) against (., band1_pair1_vs_3) = (., -(c-1)) and one
+    of (0,1) against (band1_pair2_vs_2_n, .) = (n*b, .); each band3
+    pass, n*x2 of them, is (0,1) against (band3_pair_vs_2, .) =
+    (-x1, .); each band5 pass, n*y2 of them, is (1,0) against
+    (., band5_pair_vs_3) = (., y1); and the residual is the n-pass core
+    pair (core_first_vs_2_n, core_first_vs_3_n) = (n*b, n*z1) against
+    (core_second_vs_2_n, core_second_vs_3_n) = (-(n-1)*b - z2,
+    -(n-1)*z1 - c), which is n times the single-pass (b,z1) against
+    (-z2,-c).
     """
     return e12 * f13 - e13 * f12
 

@@ -28,7 +28,7 @@ from trilink.infection import BandSumCounts, IntersectionProfile, band_sum_expan
 from trilink.intlinalg import mat_mul, transpose
 from trilink.magnus import mu123, phi
 from trilink.nilpotent import class_of, commutator_class
-from trilink.realization import GenusThreeParams, ledger, pushoff_ledger_entries
+from trilink.realization import GenusThreeParams, ledger
 from trilink.seifert import (
     connected_sum,
     enumerate_metabolizers,
@@ -194,7 +194,7 @@ def test_criterion_8_ledger_and_pushoff_entries():
     for _ in range(500):
         p = GenusThreeParams(*(rng.randint(-9, 9) for _ in range(9)))
         n = rng.randint(-5, 5)
-        entries = dict(pushoff_ledger_entries(p, n))
+        entries = dict(ledger(p, n).pushoff_entries)
         closed = {
             "band1_pair1_vs_3": -(p.c - 1),
             "band1_pair2_vs_2": p.b,

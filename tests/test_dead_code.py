@@ -180,6 +180,9 @@ def test_no_public_function_is_an_alias():
 def test_removed_names_stay_gone():
     removed = {"word_product", "word_inverse", "word_power", "exponent_sum"}
     assert not removed & (set(dir(trilink)) | set(dir(trilink.words)) | set(trilink.__all__))
+    # the ledger computes its thirteen linking numbers itself
+    assert "pushoff_ledger_entries" not in set(dir(trilink)) | set(trilink.__all__)
+    assert not hasattr(trilink.realization, "pushoff_ledger_entries")
     assert not hasattr(trilink.seifert, "form")
     assert not hasattr(trilink.seifert, "is_metabolizer")
     assert "is_metabolizer" not in trilink.__all__

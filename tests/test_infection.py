@@ -68,6 +68,19 @@ def test_band_sum_examples():
     assert band_sum_expansion(9, same, -2) == -2
 
 
+def test_scalars_must_be_integers():
+    # a float mu_j or mu_l would turn the integer answer into a float
+    with pytest.raises(TypeError):
+        infected_mu(1.5, IDENTITY, 0)
+    with pytest.raises(TypeError):
+        infected_mu(1, IDENTITY, 0.25)
+    ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    with pytest.raises(TypeError):
+        band_sum_expansion(2.5, BandSumCounts(ident, ident), 0)
+    with pytest.raises(TypeError):
+        band_sum_expansion(1, BandSumCounts(ident, ident), 0.5)
+
+
 def test_band_sum_counts_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         BandSumCounts((((-1, 0, 0), (0, 0, 0), (0, 0, 0))), ((0,) * 3,) * 3)

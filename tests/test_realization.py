@@ -1,10 +1,17 @@
+import io
+import json
 from random import Random
 
 import pytest
 
 from helpers import assemble_commutator_contribution, swapped
-from trilink.realization import GenusThreeParams, ledger, pushoff_ledger_entries
-from trilink.seifert import generator_from_block
+from trilink import cli
+from trilink.errors import CrossCheckError
+from trilink.magnus import mu123
+from trilink.nilpotent import class_of
+from trilink.realization import GenusThreeParams, ledger
+from trilink.seifert import generator_from_block, validate
+from trilink.words import FreeWord, commutator, generator
 
 PARAMS = GenusThreeParams(2, 3, 4, 5, 6, 7, 8, 9, 10)
 UNKNOT_PARAMS = GenusThreeParams(1, 1, 1, 0, 0, 0, 0, 0, 0)
@@ -46,6 +53,11 @@ def test_ledger_matches_generator_random():
         assert led.description.parallel_copies == n
 
 
+def test_ledger_n_must_be_an_integer():
+    with pytest.raises(TypeError):
+        ledger(PARAMS, 1.5)
+
+
 def test_ledger_negative_passes():
     rng = Random(2)
     for _ in range(100):
@@ -71,7 +83,14 @@ def test_band_slide_mirror():
 
 
 def test_pushoff_entries_closed_forms():
-    entries = dict(pushoff_ledger_entries(PARAMS, 3))
+    pairs = ledger(PARAMS, 3).pushoff_entries
+    assert [name for name, _ in pairs] == [
+        "band1_pair1_vs_3", "band1_pair2_vs_2", "band3_pair_vs_2", "band5_pair_vs_3",
+        "core_first_vs_2", "core_first_vs_3", "core_second_vs_2", "core_second_vs_3",
+        "band1_pair2_vs_2_n", "core_first_vs_2_n", "core_first_vs_3_n",
+        "core_second_vs_2_n", "core_second_vs_3_n",
+    ]
+    entries = dict(pairs)
     a, b, c = 2, 3, 4
     x1, x2, y1, y2, z1, z2 = 5, 6, 7, 8, 9, 10
     assert entries["band1_pair1_vs_3"] == -(c - 1) == -3
@@ -91,10 +110,10 @@ def test_pushoff_entries_closed_forms():
 
 def test_pushoff_entries_spot_values():
     # n-pass wrap curve against the second component scales with n
-    entries = dict(pushoff_ledger_entries(GenusThreeParams(1, 5, 1, 0, 0, 0, 0, 0, 0), 3))
+    entries = dict(ledger(GenusThreeParams(1, 5, 1, 0, 0, 0, 0, 0, 0), 3).pushoff_entries)
     assert entries["band1_pair2_vs_2_n"] == 15
     # second core curve against the third component at n = 2
-    entries = dict(pushoff_ledger_entries(GenusThreeParams(1, 1, 4, 0, 0, 0, 0, 9, 0), 2))
+    entries = dict(ledger(GenusThreeParams(1, 1, 4, 0, 0, 0, 0, 9, 0), 2).pushoff_entries)
     assert entries["core_second_vs_3_n"] == -(2 - 1) * 9 - 4 == -13
 
 
@@ -104,7 +123,7 @@ def test_pushoff_entries_random_instantiations():
         p = random_params(rng)
         n = rng.randint(-5, 5)
         stars = tuple(rng.randint(-9, 9) for _ in range(6))
-        entries = dict(pushoff_ledger_entries(p, n, stars=stars))
+        entries = dict(ledger(p, n, stars=stars).pushoff_entries)
         assert entries["band1_pair1_vs_3"] == -(p.c - 1)
         assert entries["core_second_vs_2_n"] == -(n - 1) * p.b - p.z2
         assert len(entries) == 13
@@ -115,8 +134,8 @@ def test_entries_independent_of_stars():
     for _ in range(50):
         p = random_params(rng)
         n = rng.randint(-4, 4)
-        plain = pushoff_ledger_entries(p, n)
-        starred = pushoff_ledger_entries(p, n, stars=tuple(rng.randint(-99, 99) for _ in range(6)))
+        plain = ledger(p, n)
+        starred = ledger(p, n, stars=tuple(rng.randint(-99, 99) for _ in range(6)))
         assert plain == starred
 
 
@@ -146,6 +165,75 @@ def test_assemble_reproduces_ledger_terms():
         assert led.residual_term == n * assemble_commutator_contribution(
             p.b, p.z1, -p.z2, -p.c
         )
+
+
+X1, X2 = generator(3, 1), generator(3, 2)
+
+
+def ledger_word(p: GenusThreeParams, n: int) -> FreeWord:
+    """The ledger's commutator pairs as one rank-3 word.
+
+    Each pair [x1^e12 x2^e13, x1^f12 x2^f13] of
+    helpers.assemble_commutator_contribution is raised to its pass count,
+    with the exponents read off the ledger's own pushoff entries.
+    """
+    (pair1, _, band3, band5, _, _, _, _, pair2_n, first2, first3, second2,
+     second3) = (value for _, value in ledger(p, n).pushoff_entries)
+    pairs = [  # ((e12, e13), (f12, f13), passes)
+        ((1, 0), (0, pair1), n * (p.a - 1)),
+        ((0, 1), (pair2_n, 0), p.a - 1),
+        ((0, 1), (band3, 0), n * p.x2),
+        ((1, 0), (0, band5), n * p.y2),
+        ((first2, first3), (second2, second3), 1),
+    ]
+    word = FreeWord(3, ())
+    for (e12, e13), (f12, f13), passes in pairs:
+        word = word * commutator(X1**e12 * X2**e13, X1**f12 * X2**f13) ** passes
+    return word
+
+
+def test_ledger_total_through_magnus():
+    # the paper's link through the Magnus route: mu-bar of the product of
+    # the ledger's commutator pairs is the ledger's total
+    rng = Random(7)
+    for _ in range(200):
+        p = random_params(rng, bound=4)
+        n = rng.randint(-3, 3)
+        word = ledger_word(p, n)
+        assert mu123(word) == class_of(word).n1 == ledger(p, n).total
+
+
+def test_a_matrix_layout_slip_fails_its_entry(monkeypatch):
+    # x1 and y1 trade places in the first row and column: still a matrix
+    # validate accepts, but band3's linking number now reads y1
+    original = GenusThreeParams.seifert_matrix
+
+    def slipped(self, stars=None):
+        rows = [list(r) for r in original(self, stars).entries]
+        rows[0][3], rows[0][5] = rows[0][5], rows[0][3]
+        rows[3][0], rows[5][0] = rows[5][0], rows[3][0]
+        return validate(rows, "interleaved")
+
+    monkeypatch.setattr(GenusThreeParams, "seifert_matrix", slipped)
+    with pytest.raises(CrossCheckError,
+                       match=r"^entry band3_pair_vs_2: matrix gives -7, closed form -5$"):
+        ledger(PARAMS, 2)
+
+
+def test_a_block_slip_fails_the_total(monkeypatch, capsys):
+    # x1 and y1 trade places in the block: the linking numbers still total
+    # 316, the generator now reads 154
+    monkeypatch.setattr(GenusThreeParams, "block", lambda self: [
+        [self.a, self.y1, self.x1],
+        [self.x2, self.b, self.z1],
+        [self.y2, self.z2, self.c],
+    ])
+    with pytest.raises(CrossCheckError, match=r"^ledger total 316 != n \* generator 308$"):
+        ledger(PARAMS, 2)
+    params = {name: getattr(PARAMS, name) for name in GenusThreeParams.__slots__}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"params": params, "n": 2})))
+    assert cli.main(["ledger"]) == 4
+    assert '"error": "internal-check"' in capsys.readouterr().out
 
 
 def test_parametrized_matrix_shape():

@@ -53,7 +53,8 @@ RECORDS = [
     (GenusOneNormalization, (1, -1, 0, 0, 1, _GENUS_ONE)),
     (GenusThreeParams, (2, 3, 4, 5, 6, 7, 8, 9, 10)),
     (LedgerDescription, (2, 0, 1)),
-    (Ledger, (-30, 60, 112, -6, 136, 2, LedgerDescription(2, 0, 1))),
+    (Ledger, (-30, 60, 112, -6, 136, 2, LedgerDescription(2, 0, 1),
+              (("band1_pair1_vs_3", -3), ("band3_pair_vs_2", -5)))),
     (IntersectionProfile, (_PROFILE,)),
     (BandSumCounts, (((1, 0, 2), (0, 1, 0), (0, 0, 1)), ((0, 0, 0), (0, 0, 0), (1, 0, 0)))),
     (MagnusSeries, (3, 2, {(): 1, (1, 2): 2, (2, 1): -2})),

@@ -1468,6 +1468,8 @@ def test_normalize_e():
         ne = normalize_e(e)
         assert ne >= 1 and ne in (e, 1 - e)
         assert abs(ne) > abs(ne - 1)
+    with pytest.raises(TypeError):
+        normalize_e(1.5)
 
 
 def test_normalized_summands_give_nonzero_generator():

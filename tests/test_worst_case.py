@@ -4,11 +4,12 @@ answer, or exit with their documented code, within a wall-clock budget.
 Each case is one request at a limit the README states (the CLI's
 4,300-digit integers, words far longer than any other test's, reduced
 or cancelling to the empty word, the largest search box of each genus,
-the genus cap MAX_GENUS, or MAX_DEPTH_WORK at the highest degree cap),
+the genus cap MAX_GENUS, or MAX_DEPTH_WORK at the highest degree cap,
+over two generators and over 256),
 run through cli.main.  Beside each case is its time through cli.main in
 a fresh process, measured on a shared 2-CPU Xeon under Python 3.11.7
-(medians of 5), and in parentheses, for the depth and series rows, the
-time with the list levels that the packed ones replaced
+(medians of 5), and in parentheses, for the depth and series rows timed
+before the packed levels replaced the list levels, the time with those
 (helpers.list_levels), for the word rows, the time with the per-letter
 degree-2 loop that the read off the word's codes replaced
 (helpers.packed_degree_two; the two cancelling words reduce to the
@@ -210,6 +211,34 @@ def _depth_weight_eight_case():
     return ["depth"], {"rank": 3, "kmax": 8, "word": _text(w)}, check
 
 
+def _depth_two_generators_case():
+    # the 189th power of a weight-8 commutator over 2 generators: 67,662 letters,
+    # whose degrees 2..7 take 67,662 * 246 slot updates, just under MAX_DEPTH_WORK
+    w = commutator(generator(2, 1), generator(2, 2))
+    for g in (1, 2, 1, 1, 1, 2):
+        w = commutator(w, generator(2, g))
+    w = FreeWord(2, w.letters * 189)
+    assert len(w) == 67662
+
+    def check(code, out):
+        assert code == 0 and out == {"depth": 8}
+
+    return ["depth"], {"rank": 2, "kmax": 8, "word": _text(w)}, check
+
+
+def _depth_many_generators_case():
+    # x1 ... x256 x1^-1 ... x256^-1 repeated 127 times: 65,024 letters whose
+    # degree 2 has 256**2 = MAX_DEPTH_TERMS slots and 65,024 * 257 updates
+    letters = tuple((i, 1) for i in range(1, 257)) + tuple((i, -1) for i in range(1, 257))
+    w = FreeWord(256, letters * 127)
+    assert len(w) == 65024
+
+    def check(code, out):
+        assert code == 0 and out == {"depth": 2}
+
+    return ["depth"], {"rank": 256, "kmax": 3, "word": _text(w)}, check
+
+
 def _mu_series_case():
     # ([x1, x2] CORE)**364: 5,096 letters, 5,096 * 3,280 slot updates at cap 8
     w = FreeWord(3, (commutator(X1, X2) * CORE).letters * 364)
@@ -243,9 +272,18 @@ CASES = {
     "mu-200000-letters": (_mu_case, 1.0),  # measured 0.019 s (degree-2 loop: 0.031 s)
     "mu-200000-letters-cancelling": (_mu_cancelling_case, 1.0),  # measured 0.019 s (0.019 s)
     "class-200000-letters-cancelling": (_class_cancelling_case, 1.0),  # measured 0.023 s (0.025 s)
-    "depth-max-work-9974-letters": (_depth_work_case, 0.5),  # measured 0.031 s (list levels: 0.86 s)
-    "depth-weight-8-power-4966-letters": (_depth_weight_eight_case, 0.5),  # measured 0.032 s (0.54 s)
-    "mu-series-cap-8-5096-letters": (_mu_series_case, 1.0),  # measured 0.11 s (0.95 s)
+    # measured 0.031 s (list levels: 0.86 s); a later timing, also medians of 5, 0.077 s
+    "depth-max-work-9974-letters": (_depth_work_case, 0.5),
+    # measured 0.032 s (0.54 s); its 26th power (9,932 letters, at MAX_DEPTH_WORK)
+    # 0.19 s; the weight-k commutator alone at kmax k (3 * 2**(k-1) - 2 letters)
+    # 0.0015 s at k = 7, 0.0062 s at 8 and 0.028 s at 9
+    "depth-weight-8-power-4966-letters": (_depth_weight_eight_case, 0.5),
+    "depth-two-generators-67662-letters": (_depth_two_generators_case, 2.0),  # measured 0.21 s
+    "depth-256-generators-65024-letters": (_depth_many_generators_case, 0.5),  # measured 0.047 s
+    # measured 0.11 s (0.95 s); a random 5,088-letter word 0.26 s; phi of an 80-letter
+    # random word, whose time goes to decoding the 3**cap monomials, 0.013 s at cap 7,
+    # 0.040 s at 8, 0.13 s at 9 and 0.27 s at 10
+    "mu-series-cap-8-5096-letters": (_mu_series_case, 1.0),
 }
 # environment a case runs under
 CASE_ENV = {"mu-series-cap-8-5096-letters": {"TRILINK_DEGREE_CAP": "8"}}
