@@ -14,7 +14,9 @@ that input, which it reads back from the normal form.
 Every matrix or series a caller hands a constructor goes through
 ``_int_rows`` first: each entry through ``operator.index``, so a float
 or a string raises TypeError, and the rows are stored as tuples;
-``_check_3x3`` adds the shape rule of every 3x3 matrix.
+``_check_3x3`` adds the shape rule of every 3x3 matrix.  Every scalar
+that must be positive (a rank, a degree cap, kmax) goes through
+``_positive``, the one place that rule is written.
 """
 
 from __future__ import annotations
@@ -25,6 +27,14 @@ from operator import index
 def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
     """rows as a tuple of tuples of exact ints (operator.index on each entry)."""
     return tuple([tuple(map(index, row)) for row in rows])
+
+
+def _positive(value, what: str) -> int:
+    """value as an exact int (operator.index); ValueError naming what below 1."""
+    value = index(value)
+    if value < 1:
+        raise ValueError(f"{what} must be positive, got {value}")
+    return value
 
 
 def _check_3x3(rows, what: str) -> tuple[tuple[int, int, int], ...]:

@@ -40,7 +40,7 @@ from itertools import compress, product
 from math import comb
 from operator import index, sub
 
-from ._record import Record, _int_rows
+from ._record import Record, _int_rows, _positive
 from .errors import PreconditionError
 from .intlinalg import _Slots
 from .words import FreeWord, abelianization
@@ -65,11 +65,22 @@ MAX_DEPTH_TERMS = 2**16
 # time follows this count and the size of the coefficients.  Its rows in
 # tests/test_worst_case.py, just under the limit, are
 # depth-max-work-9974-letters, depth-two-generators-67662-letters,
-# depth-256-generators-65024-letters and mu-series-cap-8-5096-letters.
-# Not yet a row (Python 3.11.7, 2-CPU Xeon, via cli.main in fresh
-# processes, median of 5): a weight-3 commutator nested in two more over
-# 16 generators at kmax 5 (3,360 letters) took 0.056 s.
+# depth-16-generators-3568-letters, depth-256-generators-65024-letters
+# and mu-series-cap-8-5096-letters.
 MAX_DEPTH_WORK = 2**24
+
+
+def _monomial(mono, rank: int, cap: int) -> Monomial:
+    """mono as a tuple of exact ints (operator.index), of degree <= cap in a_1..a_rank.
+
+    The one monomial check: MagnusSeries's constructor and coefficient share it.
+    """
+    mono = tuple(map(index, mono))
+    if len(mono) > cap:
+        raise ValueError(f"monomial {mono} longer than degree cap {cap}")
+    if mono and not 1 <= min(mono) <= max(mono) <= rank:
+        raise ValueError(f"monomial {mono} uses a variable outside 1..{rank}")
+    return mono
 
 
 class MagnusSeries(Record):
@@ -81,30 +92,18 @@ class MagnusSeries(Record):
     __slots__ = ("rank", "degree_cap", "terms")
 
     def __init__(self, rank: int, degree_cap: int, terms=None):
-        rank, degree_cap = index(rank), index(degree_cap)
-        if rank < 1:
-            raise ValueError(f"rank must be positive, got {rank}")
-        if degree_cap < 1:
-            raise ValueError(f"degree cap must be positive, got {degree_cap}")
+        rank, degree_cap = _positive(rank, "rank"), _positive(degree_cap, "degree cap")
         terms = terms or {}
         (coeffs,) = _int_rows([terms.values()])  # the coefficients as one row
         clean: dict[Monomial, int] = {}
-        for mono, coeff in zip(_int_rows(terms), coeffs):
-            if len(mono) > degree_cap:
-                raise ValueError(f"monomial {mono} longer than degree cap {degree_cap}")
-            if any(not 1 <= i <= rank for i in mono):
-                raise ValueError(f"monomial {mono} uses a variable outside 1..{rank}")
+        for mono, coeff in zip(terms, coeffs):
+            mono = _monomial(mono, rank, degree_cap)
             if coeff:
                 clean[mono] = coeff
         Record.__init__(self, rank, degree_cap, clean)
 
     def coefficient(self, monomial) -> int:
-        mono = tuple(monomial)
-        if len(mono) > self.degree_cap:
-            raise ValueError(f"monomial of degree {len(mono)} exceeds cap {self.degree_cap}")
-        if any(not 1 <= i <= self.rank for i in mono):
-            raise ValueError(f"monomial {mono} uses a variable outside 1..{self.rank}")
-        return self.terms.get(mono, 0)
+        return self.terms.get(_monomial(monomial, self.rank, self.degree_cap), 0)
 
     __hash__ = None  # mutable dict inside; equality is by content
 
@@ -204,9 +203,7 @@ def phi(w: FreeWord, degree_cap: int = DEFAULT_DEGREE_CAP) -> MagnusSeries:
     or with more than MAX_DEPTH_WORK slot updates is refused with
     ValueError before its work starts.  The cap goes through operator.index.
     """
-    degree_cap = index(degree_cap)
-    if degree_cap < 1:
-        raise ValueError(f"degree cap must be positive, got {degree_cap}")
+    degree_cap = _positive(degree_cap, "degree cap")
     codes, gens = w._codes, w._gens
     r = len(gens)
     _check_degree(r, degree_cap, _updates(len(codes), r, degree_cap))
@@ -365,9 +362,7 @@ def lcs_depth(w: FreeWord, kmax: int) -> int:
     refused with ValueError before its work starts.  kmax goes through
     operator.index.
     """
-    kmax = index(kmax)
-    if kmax < 1:
-        raise ValueError(f"kmax must be positive, got {kmax}")
+    kmax = _positive(kmax, "kmax")
     codes = w._codes
     if kmax == 1 or not codes:
         return kmax

@@ -36,9 +36,13 @@ from .seifert import SeifertMatrix, generator_from_block, validate
 
 
 class GenusThreeParams(Record):
-    """The nine free entries of the genus-3 matrix above."""
+    """The nine free entries of the genus-3 matrix above, stored as exact ints (operator.index)."""
 
     __slots__ = ("a", "b", "c", "x1", "x2", "y1", "y2", "z1", "z2")
+
+    def __init__(self, a: int, b: int, c: int, x1: int, x2: int, y1: int, y2: int,
+                 z1: int, z2: int):
+        Record.__init__(self, *map(index, (a, b, c, x1, x2, y1, y2, z1, z2)))
 
     def block(self) -> list[list[int]]:
         """The a-to-b block of the matrix rewritten in blocked ordering."""

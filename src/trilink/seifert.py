@@ -68,7 +68,8 @@ MAX_GENUS = 3
 # (ROADMAP item 9): many candidates with wide slots, as each candidate's
 # adjacency read spans k slots; an unknot surface with one symmetric
 # pair of 4,300-digit entries has 456 candidates at genus 3 bound 2 and
-# took 2.5-2.9 s through cli.main, three fresh processes.
+# took 2.69-2.95 s through cli.main (six fresh processes over two
+# timings, Python 3.11.7, shared 2-CPU Xeon).
 MAX_SEARCH_BOX = 5**6
 
 
@@ -181,8 +182,9 @@ class MetabolizerVerdict(namedtuple("MetabolizerVerdict", "form_vanishes indepen
         return self.form_vanishes and self.primitive
 
 
-def _basis_products(m: SeifertMatrix, v: MetabolizerBasis) -> tuple[Matrix, Matrix]:
-    """V and M V, after the verdict's genus guard and shape checks.
+def _verdict_and_products(m: SeifertMatrix,
+                          v: MetabolizerBasis) -> tuple[MetabolizerVerdict, Matrix, Matrix]:
+    """metabolizer_verdict's verdict on v, with the V and M V it read.
 
     A genus above MAX_GENUS is refused with ValueError before any
     product is formed, then columns of the wrong length or count.
@@ -194,15 +196,11 @@ def _basis_products(m: SeifertMatrix, v: MetabolizerBasis) -> tuple[Matrix, Matr
     if v.count != m.genus:
         raise ValueError(f"need exactly {m.genus} columns, got {v.count}")
     vmat = v.as_matrix()
-    return vmat, mat_mul(m.entries, vmat)
-
-
-def _verdict_of(v: MetabolizerBasis, mv: Matrix) -> MetabolizerVerdict:
-    """The verdict on v from _basis_products' M V."""
+    mv = mat_mul(m.entries, vmat)
     gram = mat_mul(v.columns, mv)
     vanishes = not any(x for row in gram for x in row)
     minors = _plucker(v.columns)
-    return MetabolizerVerdict(vanishes, any(minors), gcd(*minors) == 1)
+    return MetabolizerVerdict(vanishes, any(minors), gcd(*minors) == 1), vmat, mv
 
 
 def metabolizer_verdict(m: SeifertMatrix, v: MetabolizerBasis) -> MetabolizerVerdict:
@@ -214,11 +212,10 @@ def metabolizer_verdict(m: SeifertMatrix, v: MetabolizerBasis) -> MetabolizerVer
     primitive iff the minors' gcd is 1, so a dependent set of columns is
     reported as not primitive.  A genus above MAX_GENUS is refused with
     ValueError before any work starts, then columns of the wrong length
-    or count.  The checks and the products V and M V are
-    _basis_products', and the read is _verdict_of's, so the completion
-    reuses both products.
+    or count.  Checks and verdict are _verdict_and_products', which also
+    returns the V and M V it formed, so the completion reuses both.
     """
-    return _verdict_of(v, _basis_products(m, v)[1])
+    return _verdict_and_products(m, v)[0]
 
 
 @cache
@@ -530,8 +527,8 @@ def _accepted_products(m: SeifertMatrix, v: MetabolizerBasis) -> tuple[Matrix, M
     order, read off one V and one M V; a basis the verdict rejects is
     refused with PreconditionError.
     """
-    vmat, mv = _basis_products(m, v)
-    if not _verdict_of(v, mv).is_metabolizer:
+    verdict, vmat, mv = _verdict_and_products(m, v)
+    if not verdict.is_metabolizer:
         raise PreconditionError("not a metabolizer; completion refused")
     return vmat, mv
 

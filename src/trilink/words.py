@@ -45,7 +45,7 @@ from collections import Counter
 from itertools import islice
 from operator import index as _as_index
 
-from ._record import Record
+from ._record import Record, _positive
 
 Letter = tuple[int, int]
 
@@ -122,20 +122,13 @@ def _first_pair(packed: bytes) -> int:
     return z.to_bytes(max(len(packed) - 1, 0), "little").find(0)
 
 
-def _positive(rank) -> int:
-    rank = _as_index(rank)
-    if rank < 1:
-        raise ValueError(f"rank must be positive, got {rank}")
-    return rank
-
-
 class FreeWord(Record):
     """A reduced word; rank is carried explicitly, never inferred."""
 
     __slots__ = ("rank", "_gens", "_codes")
 
     def __init__(self, rank: int, letters: tuple[Letter, ...] = ()):
-        rank = _positive(rank)
+        rank = _positive(rank, "rank")
 
         def check(letter) -> Letter:
             index, sign = map(_as_index, letter)
@@ -208,7 +201,7 @@ def parse_word(text: str, rank: int) -> FreeWord:
 
     gens, codes = _Coder(check).reduced(text.split())
     word = FreeWord.__new__(FreeWord)
-    Record.__init__(word, _positive(rank), gens, codes)
+    Record.__init__(word, _positive(rank, "rank"), gens, codes)
     return word
 
 

@@ -178,18 +178,18 @@ def test_generator_request_runs_one_verdict_and_two_hermite_forms(capsys, monkey
             return fn(*args)
         return wrapper
 
-    for name in ("_basis_products", "_plucker", "row_hnf"):
+    for name in ("_verdict_and_products", "_plucker", "row_hnf"):
         monkeypatch.setattr(seifert, name, counting(name, getattr(seifert, name)))
     payload = {"matrix": UNKNOT_JSON, "metabolizer": STANDARD_COLS}
     code, out = run_json(capsys, monkeypatch, ["generator", "--seed", "5"], payload)
     assert code == 0 and out["signed"] == -1
-    assert Counter(calls) == {"_basis_products": 1, "_plucker": 1, (6, 9): 2}
+    assert Counter(calls) == {"_verdict_and_products": 1, "_plucker": 1, (6, 9): 2}
     del calls[:]
     refused = {"columns": [[0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 2]]}  # index 2
     code, out = run_json(capsys, monkeypatch, ["generator"],
                          {"matrix": UNKNOT_JSON, "metabolizer": refused})
     assert code == 3 and out["detail"] == "not a metabolizer; completion refused"
-    assert calls == ["_basis_products", "_plucker"]
+    assert calls == ["_verdict_and_products", "_plucker"]
 
 
 def test_a_verdict_that_accepts_an_index_two_basis_fails_the_hermite_cross_check(

@@ -7,7 +7,9 @@ function's reference to itself.  Imports between the package's modules
 are read the same way: the Seifert layer takes nothing from the
 infection layer, and private names cross modules only from _record or
 where the design shares one (the slot helper and the degree-2 read).
-No public function takes an rng, and only the CLI imports random.  No
+Each input rule shared by several callers (a positive scalar, a
+monomial) is raised from one function.  No public function takes an
+rng, and only the CLI imports random.  No
 public function is an alias: a body that only forwards its parameters to
 another public function is that function under a second name.
 """
@@ -188,3 +190,35 @@ def test_removed_names_stay_gone():
     assert "is_metabolizer" not in trilink.__all__
     assert not hasattr(trilink.seifert, "snf")  # the verdict reads the maximal minors
     assert not hasattr(trilink.seifert, "_check_basis")  # the verdict checks genus and shape
+    # the positive-scalar rule lives in _record._positive (words may import it),
+    # and the verdict is read with the V and M V it forms, by
+    # seifert._verdict_and_products
+    assert getattr(trilink.words, "_positive", None) in (None, trilink._record._positive)
+    assert not hasattr(trilink.seifert, "_verdict_of")
+    assert not hasattr(trilink.seifert, "_basis_products")
+
+
+def _raised_in(text: str) -> set[str]:
+    """module.qualified name of each function (the module itself at top level)
+    with a raise statement whose message holds text."""
+    found = set()
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{name}.{child.name}")
+                continue
+            if isinstance(child, ast.Raise) and any(
+                    isinstance(c, ast.Constant) and text in str(c.value) for c in ast.walk(child)):
+                found.add(name)
+            visit(child, name)
+
+    for module, tree in _trees():
+        visit(tree, module)
+    return found
+
+
+def test_each_shared_check_is_raised_in_one_function():
+    # one helper per rule, so that its copies cannot drift apart
+    assert _raised_in("must be positive") == {"_record._positive"}
+    assert _raised_in("uses a variable outside") == {"magnus._monomial"}

@@ -63,7 +63,7 @@ def test_coefficient_bounds():
     assert s.coefficient((2, 1)) == -1
     assert s.coefficient(()) == 1
     assert s.coefficient((3, 3, 3)) == 0
-    with pytest.raises(ValueError, match="exceeds cap"):
+    with pytest.raises(ValueError, match="longer than degree cap"):
         s.coefficient((1, 2, 1, 2))
 
 

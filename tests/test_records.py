@@ -9,9 +9,10 @@ and letters but stores its rank and canonical codes, so its slots are
 not its constructor's arguments and its hash is not that of
 (rank, letters); every other behaviour is checked on those arguments.
 
-Every matrix or series a constructor takes from a caller must be
-integral: each entry goes through operator.index, so a float or a
-string raises TypeError, and rows given as lists are stored as tuples.
+Every matrix, series or parameter a constructor takes from a caller
+must be integral: each entry goes through operator.index, so a float or
+a string raises TypeError, and rows given as lists are stored as tuples.
+A rank, degree cap or kmax must also be positive.
 """
 
 import copy
@@ -26,7 +27,7 @@ import pytest
 import trilink
 from trilink._record import Record
 from trilink.infection import BandSumCounts, IntersectionProfile
-from trilink.magnus import MagnusSeries
+from trilink.magnus import MagnusSeries, lcs_depth, phi
 from trilink.nilpotent import CommutatorClass
 from trilink.realization import GenusThreeParams, Ledger, LedgerDescription
 from trilink.seifert import (
@@ -39,7 +40,7 @@ from trilink.seifert import (
     metabolizer_verdict,
     validate,
 )
-from trilink.words import FreeWord
+from trilink.words import FreeWord, parse_word
 
 _GENUS_ONE = validate([[2, 1], [0, -3]], "interleaved")
 _PROFILE = ((1, 0, 2), (0, 1, 0), (-1, 0, 1))
@@ -285,6 +286,52 @@ def test_series_coefficients_and_monomials_must_be_integral():
     for terms in ({(1, 2): 2.0}, {(1, 2): "2"}, {(1.0, 2): 1}, {"12": 1}):
         with pytest.raises(TypeError):
             MagnusSeries(3, 2, terms)
+    # a coefficient read takes the constructor's monomial check
+    s = phi(parse_word("x1 x2 x1^-1 x2^-1", 3), 3)
+    assert s.coefficient((True, 2)) == s.coefficient((1, 2)) == 1
+    for monomial in ((1.0, 2.0), (1, "2"), "12"):
+        with pytest.raises(TypeError):
+            s.coefficient(monomial)
+
+
+def test_genus_three_params_are_exact_ints():
+    args = dict(RECORDS)[GenusThreeParams]
+    p = GenusThreeParams(True, *args[1:])
+    assert type(p.a) is int and p == GenusThreeParams(1, *args[1:])
+    assert p.block()[0] == [1, 5, 7]
+    for convert in (float, str):
+        for at in (0, 8):
+            bad = list(args)
+            bad[at] = convert(bad[at])
+            with pytest.raises(TypeError):
+                GenusThreeParams(*bad)
+    with pytest.raises(TypeError):
+        GenusThreeParams(1.5, 1, 1, 0, 0, 0, 0, 0, 0)
+
+
+_WORD = FreeWord(3, ((1, 1),))
+
+# (name, what the message names, a call on one scalar that must be positive)
+POSITIVE_SCALARS = [
+    ("FreeWord", "rank", FreeWord),
+    ("parse_word", "rank", lambda v: parse_word("", v)),
+    ("MagnusSeries.rank", "rank", lambda v: MagnusSeries(v, 2)),
+    ("MagnusSeries.degree_cap", "degree cap", lambda v: MagnusSeries(3, v)),
+    ("phi", "degree cap", lambda v: phi(_WORD, v)),
+    ("lcs_depth", "kmax", lambda v: lcs_depth(_WORD, v)),
+]
+
+
+@pytest.mark.parametrize("what, call", [t[1:] for t in POSITIVE_SCALARS],
+                         ids=[t[0] for t in POSITIVE_SCALARS])
+def test_positive_scalars_share_one_check(what, call):
+    for value in (0, -1):
+        with pytest.raises(ValueError) as raised:
+            call(value)
+        assert str(raised.value) == f"{what} must be positive, got {value}"
+    with pytest.raises(TypeError):
+        call(1.5)
+    call(1)
 
 
 def test_non_lattice_input_is_refused_before_any_search():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import random_word, stack_reduced
-from trilink import words as words_module
+from trilink import _record, words as words_module
 from trilink.words import FreeWord, abelianization, commutator, generator, parse_word
 
 letters = st.lists(
@@ -212,9 +212,17 @@ def test_constructor_reports_first_bad_letter_in_a_long_word():
         FreeWord(3, good + ((4, 1), (2, 0)) + good)
 
 
-def test_constructor_checks_each_distinct_letter_once(monkeypatch):
+def _index_calls(monkeypatch) -> list:
+    """The values passed to operator.index from now on: by words for letters,
+    and by _record._positive for the rank."""
     calls = []
     monkeypatch.setattr(words_module, "_as_index", lambda x: calls.append(x) or x)
+    monkeypatch.setattr(_record, "index", lambda x: calls.append(x) or x)
+    return calls
+
+
+def test_constructor_checks_each_distinct_letter_once(monkeypatch):
+    calls = _index_calls(monkeypatch)
     w = FreeWord(3, ((1, 1), (2, -1), (2, 1), (1, 1), (3, 1), (1, -1)) * 500)
     # the rank, then the index and sign of each distinct letter
     assert calls == [3, 1, 1, 2, -1, 2, 1, 3, 1, 1, -1]
@@ -395,8 +403,7 @@ def test_equal_letters_share_the_first_ones_check():
 
 
 def test_parse_stores_its_letters_without_checking_them_again(monkeypatch):
-    calls = []
-    monkeypatch.setattr(words_module, "_as_index", lambda x: calls.append(x) or x)
+    calls = _index_calls(monkeypatch)
     w = parse_word("x1 x2 x2^-1 x3^-1 " * 300, 3)
     assert calls == [3]  # the rank only
     monkeypatch.undo()

@@ -5,7 +5,7 @@ Each case is one request at a limit the README states (the CLI's
 4,300-digit integers, words far longer than any other test's, reduced
 or cancelling to the empty word, the largest search box of each genus,
 the genus cap MAX_GENUS, or MAX_DEPTH_WORK at the highest degree cap,
-over two generators and over 256),
+over two generators, 16 and 256),
 run through cli.main.  Beside each case is its time through cli.main in
 a fresh process, measured on a shared 2-CPU Xeon under Python 3.11.7
 (medians of 5), and in parentheses, for the depth and series rows timed
@@ -21,9 +21,8 @@ the verdict's row Hermite form of V that its minors read replaced
 slower machines, not targets.
 
 One row is left out, because its work is not bounded yet: `enumerate`
-with many candidates and wide slots.  The genus-3 unknot plus one
-symmetric pair of 4,300-digit entries has 456 candidates at bound 2 and
-takes 1.7-1.8 s (ROADMAP item 9).
+with many candidates and wide slots (ROADMAP item 9).  The comment on
+seifert.MAX_SEARCH_BOX describes that request and gives its time.
 """
 
 import io
@@ -226,6 +225,25 @@ def _depth_two_generators_case():
     return ["depth"], {"rank": 2, "kmax": 8, "word": _text(w)}, check
 
 
+def _sixteen_generators_payload(power):
+    # the power of the weight-5 commutator [[[[x1, x2], x3], x1], x2], conjugated by x4 ... x16
+    x1, x2, x3 = (generator(16, i) for i in (1, 2, 3))
+    core = commutator(commutator(commutator(commutator(x1, x2), x3), x1), x2)
+    c = FreeWord(16, tuple((i, 1) for i in range(4, 17)))
+    w = c * FreeWord(16, core.letters * power) * ~c
+    assert len(w) == 46 * power + 26
+    return {"rank": 16, "kmax": 5, "word": _text(w)}
+
+
+def _depth_sixteen_generators_case():
+    # the 77th power: 3,568 letters over 16 generators, whose degrees 2..4 take
+    # 3,568 * (17 + 273 + 4,369) = 16,623,312 slot updates, just under MAX_DEPTH_WORK
+    def check(code, out):
+        assert code == 0 and out == {"depth": 5}
+
+    return ["depth"], _sixteen_generators_payload(77), check
+
+
 def _depth_many_generators_case():
     # x1 ... x256 x1^-1 ... x256^-1 repeated 127 times: 65,024 letters whose
     # degree 2 has 256**2 = MAX_DEPTH_TERMS slots and 65,024 * 257 updates
@@ -279,6 +297,8 @@ CASES = {
     # 0.0015 s at k = 7, 0.0062 s at 8 and 0.028 s at 9
     "depth-weight-8-power-4966-letters": (_depth_weight_eight_case, 0.5),
     "depth-two-generators-67662-letters": (_depth_two_generators_case, 2.0),  # measured 0.21 s
+    # measured 0.055 s, and 0.088 s in a later timing in which the 256-generator row took 0.078 s
+    "depth-16-generators-3568-letters": (_depth_sixteen_generators_case, 0.5),
     "depth-256-generators-65024-letters": (_depth_many_generators_case, 0.5),  # measured 0.047 s
     # measured 0.11 s (0.95 s); a random 5,088-letter word 0.26 s; phi of an 80-letter
     # random word, whose time goes to decoding the 3**cap monomials, 0.013 s at cap 7,
@@ -292,7 +312,13 @@ CASE_ENV = {"mu-series-cap-8-5096-letters": {"TRILINK_DEGREE_CAP": "8"}}
 def run_case(name) -> float:
     """Seconds one case spends in cli.main; its check raises on a wrong answer."""
     argv, payload, check = CASES[name][0]()
-    env = CASE_ENV.get(name, {})
+    code, out, elapsed = _run(argv, payload, CASE_ENV.get(name, {}))
+    check(code, out)
+    return elapsed
+
+
+def _run(argv, payload, env) -> tuple[int, dict, float]:
+    """Exit code, reply and seconds of one request through cli.main under env."""
     saved = {key: os.environ.get(key) for key in env}
     stdin, stdout = sys.stdin, sys.stdout
     sys.stdin, sys.stdout = io.StringIO(json.dumps(payload)), io.StringIO()
@@ -310,8 +336,7 @@ def run_case(name) -> float:
             else:
                 os.environ[key] = value
     (line,) = text.splitlines()
-    check(code, json.loads(line))
-    return elapsed
+    return code, json.loads(line), elapsed
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -320,3 +345,13 @@ def test_worst_case_answers_within_budget(name):
         pytest.skip("this interpreter has no int-to-string digit limit")
     elapsed, budget = run_case(name), CASES[name][1]
     assert elapsed < budget, f"{name} took {elapsed:.2f} s, budget {budget} s"
+
+
+def test_one_more_power_of_the_sixteen_generator_row_is_refused():
+    # the 78th power: 3,614 letters, 16,837,626 slot updates at degrees 2..4
+    code, out, _ = _run(["depth"], _sixteen_generators_payload(78), {})
+    assert code == 2 and out == {
+        "error": "bad-input",
+        "detail": "degrees up to 4 of a word with 16 distinct generators take 16837626 "
+                  "slot updates, above MAX_DEPTH_WORK = 16777216",
+    }
