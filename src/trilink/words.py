@@ -1,18 +1,27 @@
 """Freely reduced words in a finitely generated free group.
 
 A word is a sequence of letters (generator index, sign) with indices in
-1..rank and sign +1 or -1, both exact integers.  Both ways in, the
-constructor's letters and parse_word's tokens, go through one coder: a
-dict from each distinct letter or token to an integer code, 2k for the
-k-th distinct generator met and 2k + 1 for its inverse, so a letter and
-its inverse are the codes whose xor is 1.  The coder checks a key on
-its first miss, so each distinct letter or token is checked once, in
-input order, and the first bad one is the one reported.  parse_word
-stores the codes its coder checked with one Record.__init__ call, so
-no letter is checked twice.
+1..rank and sign +1 or -1, both exact integers.  Letters become integer
+codes, 2k for the k-th distinct generator met and 2k + 1 for its
+inverse, so a letter and its inverse are the codes whose xor is 1.
+There are two ways from letters to codes:
 
-One reducer, used by the constructor and so by products, inverses and
-powers, cancels adjacent inverse pairs in the codes with a stack of
+- The coder, a dict from each distinct letter or token to its code,
+  takes the constructor's letters and any text that the bulk read
+  refuses.  It checks a key on its first miss, so each distinct letter
+  or token is checked once, in input order, and the first bad one is
+  the one reported.  It is the only route that raises.
+- The bulk read takes parse_word's text when it is canonical: tokens
+  x<d> and x<d>^-1, one digit 1 <= d <= rank each, separated by single
+  spaces, the form str gives every word over x1 ... x9.  It checks and
+  codes the whole text in a fixed number of C-level byte passes, with
+  no Python step per token (_bulk_coded).
+
+Either way, parse_word stores the checked codes with one
+Record.__init__ call, so no letter is checked twice.
+
+One reducer (_reduced), fed by both routes and so by products, inverses
+and powers, cancels adjacent inverse pairs in the codes with a stack of
 kept codes.  While every code fits a byte (at most 128 distinct
 generators), a C-level scan of a few big-integer operations finds the
 first pair, the first xor of neighbouring codes that is 1; the codes
@@ -72,20 +81,29 @@ class _Coder(dict):
         code = self[key] = 2 * k + (sign == -1)
         return code
 
-    def reduced(self, keys) -> tuple[tuple[int, ...], bytes | tuple[int, ...]]:
-        """(gens, codes) of keys, checked, with adjacent inverse pairs cancelled."""
-        codes = list(map(self.__getitem__, keys))
-        packed = bytes(codes) if 2 * len(self.slot) <= 0x100 else None
-        first = 0 if packed is None else _first_pair(packed)
-        if first < 0:  # already reduced: the input met the generators in canonical order
-            return tuple(self.slot), packed
-        kept = codes[:first]
-        for code in islice(codes, first, None):
-            if kept and kept[-1] == code ^ 1:
-                kept.pop()
-            else:
-                kept.append(code)
-        return _canonical(kept, list(self.slot))
+    def coded(self, keys) -> tuple[list[int], list[int]]:
+        """(codes, gens) of keys, checked: gens[k] is the generator of codes 2k and 2k + 1."""
+        return list(map(self.__getitem__, keys)), list(self.slot)
+
+
+def _reduced(codes, gens: list[int]) -> tuple[tuple[int, ...], bytes | tuple[int, ...]]:
+    """(gens, codes) of the codes, with adjacent inverse pairs cancelled.
+
+    codes is a list of ints or, from the bulk read, bytes; gens[k] is
+    the generator of codes 2k and 2k + 1, numbered in order of first
+    appearance in the codes.
+    """
+    packed = bytes(codes) if 2 * len(gens) <= 0x100 else None
+    first = 0 if packed is None else _first_pair(packed)
+    if first < 0:  # already reduced: the input met the generators in canonical order
+        return tuple(gens), packed
+    kept = list(islice(codes, first))
+    for code in islice(codes, first, None):
+        if kept and kept[-1] == code ^ 1:
+            kept.pop()
+        else:
+            kept.append(code)
+    return _canonical(kept, gens)
 
 
 def _canonical(kept: list[int], gens: list[int]) -> tuple[tuple[int, ...], bytes | tuple[int, ...]]:
@@ -138,7 +156,7 @@ class FreeWord(Record):
                 raise ValueError(f"letter sign must be +1 or -1, got {sign}")
             return index, sign
 
-        Record.__init__(self, rank, *_Coder(check).reduced(letters))
+        Record.__init__(self, rank, *_reduced(*_Coder(check).coded(letters)))
 
     @property
     def letters(self) -> tuple[Letter, ...]:
@@ -179,15 +197,55 @@ def generator(rank: int, index: int) -> FreeWord:
     return FreeWord(rank, ((index, 1),))
 
 
+_DIGITS = b"123456789"
+_INVERSE = b"!"  # the bulk read's cell marker for "^-1 "; a plain token's marker is its space
+_SIGN_BIT = bytes.maketrans(_INVERSE + b" ", b"\1\0")  # a marker -> its sign bit
+
+
+def _bulk_coded(text, rank) -> tuple[bytes, list[int]] | None:
+    """(codes, gens) of canonical one-digit text, or None for any other text.
+
+    With one space appended, and each "^-1 " replaced by the marker "!",
+    canonical text is a row of 3-byte cells: "x", a digit, and "!" or
+    " ".  So the text is canonical iff it holds no "!" of its own, its
+    cells come out whole, and the three stride slices hold only "x",
+    digits 1..rank and markers.  Any other byte, whitespace other than
+    single spaces between tokens, a multi-digit index, the digit 0 or an
+    index above the rank fails one of these.  The generators are
+    numbered by the first find of each digit, and the codes are the sum
+    of the digit slice translated to 2k and the marker slice translated
+    to the sign bit, added as two big integers (no carries: 2k + 1 < 18).
+    Refuses, never raises.
+    """
+    if type(rank) is not int or rank < 1 or type(text) is not str or not text.isascii():
+        return None
+    raw = text.encode()
+    if _INVERSE in raw:
+        return None
+    cells = (raw + b" ").replace(b"^-1 ", _INVERSE)
+    digits, marks = cells[1::3], cells[2::3]
+    if (len(cells) % 3 or cells[0::3].translate(None, b"x")
+            or digits.translate(None, _DIGITS[:rank]) or marks.translate(None, _INVERSE + b" ")):
+        return None
+    firsts = sorted((at, d) for d in _DIGITS[:rank] if (at := digits.find(d)) >= 0)
+    order = bytes(d for _, d in firsts)  # the digits in order of first appearance
+    to_code = bytes.maketrans(order, bytes(range(0, 2 * len(order), 2)))
+    codes = (int.from_bytes(digits.translate(to_code), "big")
+             + int.from_bytes(marks.translate(_SIGN_BIT), "big")).to_bytes(len(digits), "big")
+    return codes, [d - ord("0") for d in order]
+
+
 def parse_word(text: str, rank: int) -> FreeWord:
     """Parse whitespace-separated tokens ``x<k>`` / ``x<k>^-1``.
 
     Empty text is the empty word.  Round trip: parsing str(w) gives w
-    back for any reduced word w.  Each distinct token is matched once, on
-    its first occurrence, so the first bad token is the one reported; the
-    rank itself is checked after every token has passed.  The checked,
-    reduced codes are stored as they are, not checked again by
-    FreeWord's constructor.
+    back for any reduced word w.  Canonical one-digit text (see
+    _bulk_coded) is checked and coded in bulk byte passes; any other
+    text is split at whitespace and each distinct token is matched once,
+    on its first occurrence, so the first bad token is the one reported;
+    the rank itself is checked after every token has passed.  Either way
+    the codes go through the one reducer, and the checked, reduced codes
+    are stored as they are, not checked again by FreeWord's constructor.
     """
 
     def check(token: str) -> Letter:
@@ -199,9 +257,9 @@ def parse_word(text: str, rank: int) -> FreeWord:
             raise ValueError(f"generator index {index} out of range 1..{rank}")
         return index, -1 if m.group(2) else 1
 
-    gens, codes = _Coder(check).reduced(text.split())
+    coded = _bulk_coded(text, rank) or _Coder(check).coded(text.split())
     word = FreeWord.__new__(FreeWord)
-    Record.__init__(word, _positive(rank, "rank"), gens, codes)
+    Record.__init__(word, _positive(rank, "rank"), *_reduced(*coded))
     return word
 
 

@@ -3,9 +3,10 @@
 The oracles here deliberately avoid the package's own routines: word
 reduction is a per-letter stack loop over checked letters (the package
 reduces integer letter codes from the first inverse pair a C-level scan
-finds), the determinant is cofactor expansion (the package uses
-Bareiss), the Magnus
-expansion is a plain dict convolution per letter (the package reads
+finds), word text is read one regex-matched token at a time (the package
+reads canonical one-digit text in bulk byte passes), the determinant
+is cofactor expansion (the package uses Bareiss), the Magnus expansion
+is a plain dict convolution per letter (the package reads
 degree 2 off position sums over views of the word's codes and updates
 one packed integer per degree), the degree-2 table is also kept in its
 two older forms, the running exponent sums and each row packed into
@@ -36,6 +37,7 @@ computed pair off the signed length).
 from __future__ import annotations
 
 import itertools
+import re
 from math import gcd
 from operator import add, index as as_index, sub
 from random import Random
@@ -106,6 +108,24 @@ def stack_reduced(rank, letters) -> tuple[tuple[int, int], ...]:
         else:
             out.append(form)
     return tuple(out[1:])
+
+
+def token_reduced(text, rank) -> tuple[tuple[int, int], ...]:
+    """The letters of parse_word(text, rank), one whitespace token at a time.
+
+    Each token is matched in turn against x<k> / x<k>^-1 and its index
+    against the rank; then stack_reduced checks the rank and reduces.
+    """
+    letters = []
+    for token in text.split():
+        m = re.fullmatch(r"x([1-9][0-9]*)(\^-1)?", token)
+        if m is None:
+            raise ValueError(f"malformed token {token!r}")
+        index = int(m.group(1))
+        if index > rank:
+            raise ValueError(f"generator index {index} out of range 1..{rank}")
+        letters.append((index, -1 if m.group(2) else 1))
+    return stack_reduced(rank, letters)
 
 
 def random_commutator_subgroup_word(rng: Random, rank: int = 3, max_len: int = 8) -> FreeWord:
@@ -270,6 +290,9 @@ def cofactor_det(m: list[list[int]]) -> int:
         return m[0][0]
     if n == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     total = 0
     for j in range(n):
         if m[0][j] == 0:
@@ -309,7 +332,10 @@ def brute_force_metabolizer_lattices(m, bound: int) -> set:
     row sums, then checks every g-subset on which the form vanishes for
     minor-gcd primitivity.  Those subsets are built by a recursive scan
     that extends a subset only by later vectors vanishing against each
-    of its vectors.  Lattices are keyed by lattice_key of a basis.
+    of its vectors, and a (g-1)-subset only if its minor gcd is 1: every
+    subset of a basis of a direct summand spans a direct summand, so no
+    primitive g-subset is lost.  Lattices are keyed by lattice_key of a
+    basis.
     """
     g = m.genus
     rows = [list(r) for r in m.entries]
@@ -331,10 +357,12 @@ def brute_force_metabolizer_lattices(m, bound: int) -> set:
     keys = set()
 
     def extend(combo, allowed):  # allowed: the later vectors vanishing against all of combo
-        if len(combo) == g:
-            cols = [list(vecs[i]) for i in combo]
-            if minors_gcd([list(row) for row in zip(*cols)], g) == 1:
-                keys.add(lattice_key(cols))
+        cols = [list(vecs[i]) for i in combo]
+        k = len(combo)
+        if k >= max(g - 1, 1) and minors_gcd([list(row) for row in zip(*cols)], k) != 1:
+            return
+        if k == g:
+            keys.add(lattice_key(cols))
             return
         for pos, b in enumerate(allowed):
             extend(combo + [b], [c for c in allowed[pos + 1:] if c in vanish[b]])

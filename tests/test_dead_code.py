@@ -196,6 +196,8 @@ def test_removed_names_stay_gone():
     assert getattr(trilink.words, "_positive", None) in (None, trilink._record._positive)
     assert not hasattr(trilink.seifert, "_verdict_of")
     assert not hasattr(trilink.seifert, "_basis_products")
+    # both routes from text to codes share one reducer, words._reduced
+    assert not hasattr(trilink.words._Coder, "reduced")
 
 
 def _raised_in(text: str) -> set[str]:
@@ -222,3 +224,10 @@ def test_each_shared_check_is_raised_in_one_function():
     # one helper per rule, so that its copies cannot drift apart
     assert _raised_in("must be positive") == {"_record._positive"}
     assert _raised_in("uses a variable outside") == {"magnus._monomial"}
+
+
+def test_the_bulk_read_refuses_and_never_raises():
+    # text the bulk read cannot take goes to the coder, the one route that raises
+    (fn,) = [top for module, tree in _trees() if module == "words" for top in tree.body
+             if isinstance(top, ast.FunctionDef) and top.name == "_bulk_coded"]
+    assert not any(isinstance(node, ast.Raise) for node in ast.walk(fn))

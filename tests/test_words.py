@@ -6,7 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import random_word, stack_reduced
+from helpers import random_word, stack_reduced, token_reduced
 from trilink import _record, words as words_module
 from trilink.words import FreeWord, abelianization, commutator, generator, parse_word
 
@@ -240,9 +240,17 @@ def test_parse_matches_each_distinct_token_once(monkeypatch):
             return token.match(text)
 
     monkeypatch.setattr(words_module, "_TOKEN", Counting())
+    # text the bulk read refuses goes to the coder: tabs between tokens, and x10
+    for text, rank, tokens in [("x2\tx1^-1\tx3\t" * 400 + "x1", 3, ["x2", "x1^-1", "x3", "x1"]),
+                               ("x10 x1^-1 x3 " * 400 + "x1", 10, ["x10", "x1^-1", "x3", "x1"])]:
+        matched.clear()
+        w = parse_word(text, rank)
+        assert matched == tokens
+        assert len(w) == 1201
+    # canonical one-digit text is read in bulk: no token is matched at all
+    matched.clear()
     w = parse_word("x2 x1^-1 x3 " * 400 + "x1", 3)
-    assert matched == ["x2", "x1^-1", "x3", "x1"]
-    assert len(w) == 1201
+    assert matched == [] and len(w) == 1201
 
 
 # --- the reducer against the per-letter stack loop (helpers.stack_reduced)
@@ -541,3 +549,105 @@ def test_codes_of_words_that_lose_generators_or_pass_a_byte(rank, letters, slot)
         assert w.letters == stack_reduced(rank, letters)
         assert w._gens == tuple(sorted(slot, key=slot.get))  # slot: generator -> k
         assert hash(w) == hash(FreeWord(rank, letters))  # a tuple of codes past one byte hashes
+
+
+# --- parse_word against one regex match per token (helpers.token_reduced)
+
+CANONICAL = re.compile(r"x[1-9](\^-1)?( x[1-9](\^-1)?)*")
+
+
+def _read_in_bulk(text, rank) -> bool:
+    """Whether the bulk read takes text: canonical one-digit tokens, each index at
+    most an int rank of at least 1."""
+    return (type(rank) is int and rank >= 1 and CANONICAL.fullmatch(text) is not None
+            and max(map(int, re.findall(r"x([1-9])", text))) <= rank)
+
+
+def _parse_agrees(text, rank):
+    """parse_word returns the oracle's word, equal in value, gens, codes and hash, or
+    raises the oracle's exception type and message; the bulk read takes exactly the
+    canonical text and codes it as parse_word stores it."""
+    want = _raised(token_reduced, text, rank)
+    assert _raised(parse_word, text, rank) == want, (text, rank)
+    bulk = words_module._bulk_coded(text, rank)  # None, or (codes, gens), never raises
+    assert (bulk is not None) == _read_in_bulk(text, rank), (text, rank)
+    if want is None:
+        letters = token_reduced(text, rank)
+        w, v = parse_word(text, rank), FreeWord(rank, letters)
+        assert w.letters == letters and type(w.rank) is int
+        _assert_coded(w)
+        assert (w.rank, w._gens, w._codes) == (v.rank, v._gens, v._codes)
+        assert w == v and hash(w) == hash(v)
+        if bulk is not None:
+            assert words_module._reduced(*bulk) == (w._gens, w._codes)
+
+
+PARSE_CASES = [
+    # empty, whitespace only, one token
+    ("", 3), (" ", 3), ("\t \n", 3), ("x1", 3), ("x3^-1", 3), ("x1", 1),
+    # leading, trailing and double spaces, and whitespace other than one space
+    (" x1 x2", 3), ("x1 x2 ", 3), ("x1  x2", 3), ("x1^-1 ", 3), ("x1\tx2", 3), ("x1\nx2^-1", 3),
+    ("x1 x2\n", 3), ("x1\x1cx2", 3), ("x1\xa0x2", 3), ("x1 \xa0 x2^-1", 3),
+    # the bulk read's marker bytes as text
+    ("x1!x2", 3), ("x1+", 3), ("!", 3), ("+", 3), ("x1 x2!", 3), ("x1^-1!x2", 3), ("x1 +x2", 3),
+    # tokens that are malformed or read by the coder only
+    ("x0", 3), ("x1 x0^-1", 3), ("x10", 3), ("x10", 10), ("x1 x10^-1 x1", 12), ("x01", 3),
+    ("x1^-1^-1", 3), ("x1^-1x2", 3), ("x1-x2", 3), ("x1^-1 -1", 3), ("x^-1 1x2", 3), ("xx1", 3),
+    ("x1^1", 3), ("x1 ^-1", 3), ("y1 x2", 3), ("x1 x2 x٣", 3),
+    # an index above the rank
+    ("x4", 3), ("x1 x2 x9^-1", 8), ("x9 y1", 8), ("y1 x9", 8),
+    # words that cancel completely or lose a generator
+    ("x1 x2 x2^-1 x1^-1", 3), ("x1 x1^-1 " * 50 + "x2 x2^-1", 3), ("x3 x2 x2^-1 x1 x3", 3),
+    ("x2^-1 x9 x9^-1 x2 x5", 9),
+    # ranks that are not an int of at least 1
+    *[(text, rank) for rank in (True, False, 0, -2, 2.5, 3.0)
+      for text in ("", "x1", "x1 x1^-1", "x2 x1", "x1 y1", "x3 x1")],
+    # ranks 1-9 and 10-12 on every one-digit index
+    *[(" ".join(f"x{d}" for d in range(1, 10)) + " x5^-1 x9^-1", rank) for rank in range(1, 13)],
+]
+
+
+@pytest.mark.parametrize("text, rank", PARSE_CASES)
+def test_parse_agrees_with_one_match_per_token(text, rank):
+    _parse_agrees(text, rank)
+
+
+PARSE_FRAGMENTS = ["x1", "x2", "x9", "x1^-1", "x9^-1", "x0", "x10", "x12^-1", "y1", " ", "  ",
+                   "\t", "\n", "\x1c", "\xa0", "!", "+", "^-1", "^", "-", "1", "0", "x"]
+PARSE_RANKS = [*range(1, 13), True, 0, -2, 2.5]
+
+
+@st.composite
+def parse_inputs(draw):
+    """A rank, and canonical text over at most three one-digit generators (so
+    that pairs cancel often) with up to two fragments put in anywhere."""
+    gens = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+    tokens = draw(st.lists(st.tuples(st.sampled_from(gens), st.booleans()), max_size=30))
+    text = " ".join(f"x{g}^-1" if inverse else f"x{g}" for g, inverse in tokens)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(PARSE_FRAGMENTS)) + text[at:]
+    return text, draw(st.sampled_from(PARSE_RANKS))
+
+
+@given(parse_inputs())
+def test_parse_agrees_with_one_match_per_token_under_hypothesis(case):
+    _parse_agrees(*case)
+
+
+def test_parse_agrees_with_one_match_per_token_on_random_texts():
+    rng = Random(25)
+    bulk = 0
+    for _ in range(3000):
+        rank = rng.choice(PARSE_RANKS)
+        if rng.random() < 0.7:
+            gens = rng.sample(range(1, 10), rng.randint(1, 3))
+            text = _text((rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(0, 60)))
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                at = rng.randint(0, len(text))
+                text = text[:at] + rng.choice(PARSE_FRAGMENTS) + text[at:]
+        else:  # fragments only
+            text = "".join(rng.choice(PARSE_FRAGMENTS) for _ in range(rng.randint(0, 12)))
+        bulk += _read_in_bulk(text, rank)
+        _parse_agrees(text, rank)
+    assert 300 < bulk < 2700  # both routes are taken often

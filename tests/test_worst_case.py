@@ -155,6 +155,13 @@ def _mu_case():
     return ["mu"], {"longitude3": word}, check
 
 
+def _mu_tab_ended_case():
+    # the mu row's word with a tab at its end: the bulk read makes its byte passes
+    # over all 200,000 letters, refuses the text, and the coder reads it again
+    argv, payload, check = _mu_case()
+    return argv, {"longitude3": payload["longitude3"] + "\t"}, check
+
+
 def _mu_cancelling_case():
     # x1 x2 x3 x1 ... (100,000 letters), then their inverses: 200,000 letters that
     # cancel to the empty word in one cascade from the middle back to letter 0
@@ -287,9 +294,18 @@ CASES = {
     "metabolizer-4300-digit-columns": (partial(_metabolizer_case, False, 1), 0.5),
     # measured 0.041 s (0.40 s)
     "metabolizer-dense-4300-digits": (partial(_metabolizer_case, True, 2), 0.5),
-    "mu-200000-letters": (_mu_case, 1.0),  # measured 0.019 s (degree-2 loop: 0.031 s)
-    "mu-200000-letters-cancelling": (_mu_cancelling_case, 1.0),  # measured 0.019 s (0.019 s)
-    "class-200000-letters-cancelling": (_class_cancelling_case, 1.0),  # measured 0.023 s (0.025 s)
+    # the word rows were re-timed on a slower day when parse_word gained its bulk
+    # read: "then" is that timing with the bulk read, and "coder" the same day's
+    # timing of the split + coder read alone, which every word took before
+    # measured 0.019 s (degree-2 loop: 0.031 s); then 0.012 s (coder: 0.029 s)
+    "mu-200000-letters": (_mu_case, 1.0),
+    # measured 0.042 s (coder alone: 0.041 s); the bulk read's refusal of the
+    # 900,000-character text takes 2.9 ms of it (timeit)
+    "mu-200000-letters-tab-ended": (_mu_tab_ended_case, 1.0),
+    # measured 0.019 s (0.019 s); then 0.013 s (coder: 0.036 s)
+    "mu-200000-letters-cancelling": (_mu_cancelling_case, 1.0),
+    # measured 0.023 s (0.025 s); then 0.030 s (coder: 0.036 s)
+    "class-200000-letters-cancelling": (_class_cancelling_case, 1.0),
     # measured 0.031 s (list levels: 0.86 s); a later timing, also medians of 5, 0.077 s
     "depth-max-work-9974-letters": (_depth_work_case, 0.5),
     # measured 0.032 s (0.54 s); its 26th power (9,932 letters, at MAX_DEPTH_WORK)
